@@ -55,7 +55,7 @@ from .interleave import (
 )
 from .channel import ChannelParams, RngStream, awgn, channel_llr, ebno_sigma, gaussian_q, modulate
 from .concat import ConcatCode, ConcatDecodeResult, Schedule, concat_decode, concat_encode
-from .bench import CurvePoint, SimConfig, StopRule, pilot_select, run_ber_point, run_curve
+from .bench import CurvePoint, SimConfig, StopRule, pilot_select, run_curve
 
 __version__ = "0.1.0"
 

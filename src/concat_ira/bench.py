@@ -31,7 +31,6 @@ __all__ = [
     "SimConfig",
     "CSV_HEADER",
     "load_system",
-    "run_ber_point",
     "run_curve",
     "pilot_select",
     "two_proportion_z",
@@ -163,6 +162,13 @@ class _System:
         return self.single.rate
 
     @property
+    def trials_per_task(self) -> int:
+        """Trials in one pool task: one concatenated block, whose decoder
+        already batches its rows and columns, or 64 single-code trials,
+        which decode as one batch."""
+        return 1 if self.kind == "concat" else 64
+
+    @property
     def source_bits_per_block(self) -> int:
         if self.kind == "concat":
             return self.concat.K * self.concat.K
@@ -194,42 +200,53 @@ def _init_worker(system: _System, master_seed: int, noiseless: bool) -> None:
     _CTX["noiseless"] = noiseless
 
 
-def _run_trial(args: tuple[int, float]) -> tuple[int, int, int, int, int]:
-    index, sigma = args
-    system: _System = _CTX["system"]
-    gen = RngStream(_CTX["master_seed"], index).generator()
-    noiseless = _CTX["noiseless"]
+def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator) -> np.ndarray:
+    """Channel LLRs of a transmitted bit array."""
+    symbols = modulate(tx)
+    if _CTX["noiseless"]:
+        return NOISELESS_LLR * symbols
+    return channel_llr(awgn(symbols, sigma, gen), sigma)
 
+
+def _concat_trial(system: _System, index: int, sigma: float) -> tuple[int, int, int, int, int]:
+    cc = system.concat
+    gen = RngStream(_CTX["master_seed"], index).generator()
+    source = gen.integers(0, 2, size=(cc.K, cc.K), dtype=np.uint8)
+    res = concat_decode(cc, _received(concat_encode(cc, source), sigma, gen), system.schedule)
+    bit_errors = int((res.source_bits != source).sum())
+    return (
+        bit_errors,
+        1 if bit_errors else 0,
+        res.outer_iters_used,
+        res.component_decode_calls,
+        res.component_iterations,
+    )
+
+
+def _run_trials(args: tuple[int, int, float]) -> list[tuple[int, int, int, int, int]]:
+    """Trials lo..hi-1 at one noise level: (bit errors, block error, outer
+    iterations, component decodes, component iterations) per trial.
+
+    Each trial draws from its own stream.  Concatenated blocks decode one by
+    one; single-code trials decode as one batch, which gives every row the
+    result it would have on its own."""
+    lo, hi, sigma = args
+    system: _System = _CTX["system"]
     if system.kind == "concat":
-        cc = system.concat
-        source = gen.integers(0, 2, size=(cc.K, cc.K), dtype=np.uint8)
-        tx = concat_encode(cc, source)
-        symbols = modulate(tx)
-        if noiseless:
-            llrs = NOISELESS_LLR * symbols
-        else:
-            llrs = channel_llr(awgn(symbols, sigma, gen), sigma)
-        res = concat_decode(cc, llrs, system.schedule)
-        bit_errors = int((res.source_bits != source).sum())
-        return (
-            bit_errors,
-            1 if bit_errors else 0,
-            res.outer_iters_used,
-            res.component_decode_calls,
-            res.component_iterations,
-        )
+        return [_concat_trial(system, index, sigma) for index in range(lo, hi)]
 
     code = system.single
-    source = gen.integers(0, 2, size=code.K, dtype=np.uint8)
-    tx = encode(code, source)
-    symbols = modulate(tx)
-    if noiseless:
-        llrs = NOISELESS_LLR * symbols
-    else:
-        llrs = channel_llr(awgn(symbols, sigma, gen), sigma)
-    res = spa.decode(code, llrs, None, system.max_iter)
-    bit_errors = int((res.hard_bits[: code.K] != source).sum())
-    return (bit_errors, 1 if bit_errors else 0, 0, 1, res.iterations_used)
+    sources, llrs = [], []
+    for index in range(lo, hi):
+        gen = RngStream(_CTX["master_seed"], index).generator()
+        sources.append(gen.integers(0, 2, size=code.K, dtype=np.uint8))
+        llrs.append(_received(encode(code, sources[-1]), sigma, gen))
+    res = spa.decode_batch(code, np.stack(llrs), None, system.max_iter)
+    errors = (res.hard_bits[:, : code.K] != np.stack(sources)).sum(axis=1)
+    return [
+        (bit_errors, 1 if bit_errors else 0, 0, 1, iters)
+        for bit_errors, iters in zip(errors.tolist(), res.iterations_used.tolist())
+    ]
 
 
 def _measure_point(
@@ -250,11 +267,12 @@ def _measure_point(
     base = 0
     while base < stop.max_blocks and block_errors < stop.min_block_errors:
         hi = min(base + chunk, stop.max_blocks)
-        args = [(i, sigma) for i in range(base, hi)]
         if pool is None:
-            results = [_run_trial(a) for a in args]
+            results = _run_trials((base, hi, sigma))
         else:
-            results = list(pool.map(_run_trial, args))
+            step = system.trials_per_task
+            tasks = [(lo, min(lo + step, hi), sigma) for lo in range(base, hi, step)]
+            results = [r for part in pool.map(_run_trials, tasks) for r in part]
         for be, blk, outer_used, calls, iters in results:
             blocks += 1
             bit_errors += be
@@ -277,16 +295,6 @@ def _measure_point(
         mean_component_iters=comp_iters / comp_calls if comp_calls else 0.0,
         wall_seconds=time.perf_counter() - t0,
     )
-
-
-def run_ber_point(config: SimConfig, ebno_db: float) -> CurvePoint:
-    """Measure one Eb/N0 point under the config's stop rule."""
-    system = load_system(config)
-    with _maybe_pool(config, system) as pool:
-        return _measure_point(
-            system, ebno_db, config.stop, config.master_seed,
-            config.noiseless, pool, _chunk_size(config.workers),
-        )
 
 
 class _maybe_pool:
@@ -312,8 +320,10 @@ class _maybe_pool:
         return False
 
 
-def _chunk_size(workers: int) -> int:
-    return 64 if workers == 1 else max(16, 4 * workers)
+def _chunk_size(workers: int, trials_per_task: int = 1) -> int:
+    """Trials per stop-rule round: 64 in-process, or with a pool at least
+    four tasks per worker."""
+    return 64 if workers == 1 else trials_per_task * max(16, 4 * workers)
 
 
 def _format_row(point: CurvePoint, seed: int) -> str:
@@ -324,17 +334,31 @@ def _format_row(point: CurvePoint, seed: int) -> str:
     )
 
 
-def _existing_rows(path: Path) -> dict[str, str]:
-    """Map ebno key -> full row for an existing curve file, if compatible."""
+def _existing_rows(path: Path, seed: int) -> dict[str, CurvePoint]:
+    """Map ebno key -> point for an existing curve file.  A file whose last
+    write tore, or that holds a row of another master seed, is refused."""
     if not path.exists():
         return {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: existing output has a different header")
+    if not text.endswith("\n"):
+        raise ConfigError(f"{path}: last row {lines[-1]!r} is torn; remove it to resume")
     rows = {}
-    for raw in lines[1:]:
-        if raw.strip():
-            rows[raw.split(",", 1)[0]] = raw
+    for line_no, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        try:
+            point, row_seed = _parse_row(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: malformed row {raw!r}") from exc
+        if row_seed != seed:
+            raise ConfigError(
+                f"{path}:{line_no}: row was measured with seed {row_seed}, "
+                f"the config has master_seed {seed}"
+            )
+        rows[raw.split(",", 1)[0]] = point
     return rows
 
 
@@ -345,7 +369,7 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
     system = load_system(config)
     path = Path(config.output)
     path.parent.mkdir(parents=True, exist_ok=True)
-    existing = _existing_rows(path)
+    existing = _existing_rows(path, config.master_seed)
     if not path.exists():
         path.write_text(CSV_HEADER + "\n", encoding="utf-8")
 
@@ -358,11 +382,11 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
                 continue
             seen.add(key)
             if key in existing:
-                points.append(_parse_row(existing[key]))
+                points.append(existing[key])
                 continue
             point = _measure_point(
                 system, ebno, config.stop, config.master_seed,
-                config.noiseless, pool, _chunk_size(config.workers),
+                config.noiseless, pool, _chunk_size(config.workers, system.trials_per_task),
             )
             points.append(point)
             with open(path, "a", encoding="utf-8") as f:
@@ -372,9 +396,12 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
     return points
 
 
-def _parse_row(row: str) -> CurvePoint:
+def _parse_row(row: str) -> tuple[CurvePoint, int]:
+    """A curve row as its point and seed; ValueError if it is not one."""
     parts = row.split(",")
-    return CurvePoint(
+    if len(parts) != CSV_HEADER.count(",") + 1:
+        raise ValueError(f"{len(parts)} fields")
+    point = CurvePoint(
         ebno_db=float(parts[0]),
         blocks_run=int(parts[1]),
         bit_errors=int(parts[2]),
@@ -385,6 +412,7 @@ def _parse_row(row: str) -> CurvePoint:
         mean_component_iters=float(parts[7]),
         wall_seconds=0.0,
     )
+    return point, int(parts[8])
 
 
 # --- interleaver pilot selection -------------------------------------------------

@@ -72,46 +72,44 @@ def variable_update(channel: float, prior: float, incoming_checks) -> tuple[np.n
 
 @dataclass(frozen=True, eq=False)
 class _CompiledGraph:
-    """Flat edge indexing for vectorized flooding updates.
+    """Slot-major edge numbering for batch-last flooding updates.
 
-    Edges are kept in row-major (check-grouped) order; each edge knows its
-    (check, slot) and (variable, slot) coordinates so messages scatter into
-    dense padded (n_checks, max_check_deg) and (n_vars, max_var_deg) planes.
+    Every check owns ``check_deg`` slots, numbered ``slot * n_checks +
+    check``, so the k-th slots of all checks are one contiguous block of
+    rows; a check with fewer edges leaves its last slots as padding.
+    Message arrays are ``(n_slots + 1, B)``, the extra last row being a zero
+    slot; variable arrays are ``(n_vars + 1, B)`` with a zero last row.
     """
 
     n_checks: int
     n_vars: int
-    n_edges: int
-    edge_var: np.ndarray
-    check_of: np.ndarray
-    check_slot: np.ndarray
-    var_slot: np.ndarray
-    max_check_deg: int
-    max_var_deg: int
+    check_deg: int
+    slot_var: np.ndarray  # (n_slots,) variable of each slot; padding -> zero row n_vars
+    var_slots: np.ndarray  # (n_vars, var_deg) slots of each variable, check order; padding -> zero slot
+    pad: np.ndarray  # padded slots, whose tanh term is held at 1.0
 
 
 @lru_cache(maxsize=64)
 def _compile(matrix: SparseBinaryMatrix) -> _CompiledGraph:
-    edge_var = matrix._edge_cols
-    check_of = matrix._edge_rows
-    check_deg = np.array([len(r) for r in matrix.row_support])
-    var_deg = np.array([len(c) for c in matrix.col_support])
-    check_slot = np.concatenate([np.arange(d) for d in check_deg]) if len(edge_var) else np.zeros(0, np.intp)
-    next_slot = np.zeros(matrix.n_cols, dtype=np.intp)
-    var_slot = np.zeros(len(edge_var), dtype=np.intp)
-    for e, v in enumerate(edge_var):
-        var_slot[e] = next_slot[v]
-        next_slot[v] += 1
+    m, n = matrix.n_rows, matrix.n_cols
+    check_deg = max(max(len(r) for r in matrix.row_support), 1)
+    var_deg = max(max(len(c) for c in matrix.col_support), 1)
+    n_slots = check_deg * m
+    slot_var = np.full(n_slots, n, dtype=np.intp)
+    var_slots = np.full((n, var_deg), n_slots, dtype=np.intp)
+    filled = np.zeros(n, dtype=np.intp)
+    for c, row in enumerate(matrix.row_support):
+        for k, v in enumerate(row):
+            slot_var[k * m + c] = v
+            var_slots[v, filled[v]] = k * m + c
+            filled[v] += 1
     return _CompiledGraph(
-        n_checks=matrix.n_rows,
-        n_vars=matrix.n_cols,
-        n_edges=len(edge_var),
-        edge_var=edge_var,
-        check_of=check_of,
-        check_slot=check_slot.astype(np.intp),
-        var_slot=var_slot,
-        max_check_deg=int(check_deg.max(initial=0)),
-        max_var_deg=int(var_deg.max(initial=0)),
+        n_checks=m,
+        n_vars=n,
+        check_deg=check_deg,
+        slot_var=slot_var,
+        var_slots=var_slots,
+        pad=np.flatnonzero(slot_var == n),
     )
 
 
@@ -136,6 +134,11 @@ def decode_batch(
     decoding that row on its own.  With ``early_stop=False`` every row runs
     all ``max_iter`` iterations, which is what an exactness comparison
     against true marginals wants.
+
+    Messages are held batch-last, one row per check slot (see
+    ``_CompiledGraph``), and every sum and product runs in slot order, so
+    the arithmetic does not depend on B.  Stopped rows write their outputs
+    once and leave the working arrays.
     """
     h = _as_matrix(code_or_matrix)
     g = _compile(h)
@@ -152,49 +155,73 @@ def decode_batch(
         raise ValueError("max_iter must be >= 1")
 
     batch = channel.shape[0]
-    lam = channel + prior
-    msg_vc = lam[:, g.edge_var].copy()
+    m, n, dc = g.n_checks, g.n_vars, g.check_deg
+    n_slots = dc * m
+    lam = np.zeros((n + 1, batch))
+    lam[:n] = (channel + prior).T
+    msg_vc = lam[g.slot_var]
+    msg_cv = np.zeros((n_slots + 1, batch))
+    post = np.zeros((n + 1, batch))
 
-    posterior = lam.copy()
-    extrinsic = np.zeros_like(lam)
-    hard = (posterior < 0).astype(np.uint8)
-    iterations = np.zeros(batch, dtype=np.int64)
-    valid = np.zeros(batch, dtype=bool)
+    hard = np.empty((batch, n), dtype=np.uint8)
+    posterior = np.empty((batch, n))
+    extrinsic = np.empty((batch, n))
+    iterations = np.empty(batch, dtype=np.int64)
+    valid = np.empty(batch, dtype=bool)
 
     active = np.arange(batch)
     for it in range(1, max_iter + 1):
-        m = np.clip(msg_vc[active], -LLR_CLAMP, LLR_CLAMP)
-        t = np.ones((len(active), g.n_checks, g.max_check_deg))
-        t[:, g.check_of, g.check_slot] = np.tanh(0.5 * m)
-        cp = np.cumprod(t, axis=2)
-        prefix = np.concatenate([np.ones_like(t[:, :, :1]), cp[:, :, :-1]], axis=2)
-        rcp = np.cumprod(t[:, :, ::-1], axis=2)[:, :, ::-1]
-        suffix = np.concatenate([rcp[:, :, 1:], np.ones_like(t[:, :, :1])], axis=2)
-        prod_other = (prefix * suffix)[:, g.check_of, g.check_slot]
-        msg_cv = 2.0 * np.arctanh(np.clip(prod_other, -_ATANH_GUARD, _ATANH_GUARD))
+        # check update: the product of a check's other tanh terms is a prefix
+        # times a suffix running product over its slots, each slot one
+        # contiguous (n_checks, B) block
+        t = np.clip(msg_vc, -LLR_CLAMP, LLR_CLAMP, out=msg_vc)
+        t *= 0.5
+        np.tanh(t, out=t)
+        t[g.pad] = 1.0
+        t = t.reshape(dc, m, -1)
+        prefix = np.empty_like(t)
+        suffix = np.empty_like(t)
+        prefix[0] = suffix[dc - 1] = 1.0
+        for k in range(1, dc):
+            np.multiply(prefix[k - 1], t[k - 1], out=prefix[k])
+            np.multiply(suffix[dc - k], t[dc - k], out=suffix[dc - k - 1])
+        prefix *= suffix
+        cv = msg_cv[:n_slots]
+        np.clip(prefix.reshape(n_slots, -1), -_ATANH_GUARD, _ATANH_GUARD, out=cv)
+        np.arctanh(cv, out=cv)
+        cv *= 2.0
 
-        planes = np.zeros((len(active), g.n_vars, g.max_var_deg))
-        planes[:, g.edge_var, g.var_slot] = msg_cv
-        ext = planes.sum(axis=2)
-        post = lam[active] + ext
-        msg_vc[active] = post[:, g.edge_var] - msg_cv
+        # variable update: summed in slot order, the zero slot padding the sum
+        ext = msg_cv[g.var_slots[:, 0]]
+        for k in range(1, g.var_slots.shape[1]):
+            ext += msg_cv[g.var_slots[:, k]]
+        np.add(lam[:n], ext, out=post[:n])
+        msg_vc = post[g.slot_var]
+        msg_vc -= cv
 
-        bits = (post < 0).astype(np.uint8)
-        sat = np.zeros((len(active), g.n_checks, g.max_check_deg), dtype=np.uint8)
-        sat[:, g.check_of, g.check_slot] = bits[:, g.edge_var]
-        zero_syndrome = ~((sat.sum(axis=2) & 1).any(axis=1))
+        bits = post < 0
+        parity = np.bitwise_xor.reduce(bits[g.slot_var].reshape(dc, m, -1), axis=0)
+        zero_syndrome = ~parity.any(axis=0)
 
-        posterior[active] = post
-        extrinsic[active] = ext
-        hard[active] = bits
-        iterations[active] = it
-        if early_stop:
-            valid[active[zero_syndrome]] = True
-            active = active[~zero_syndrome]
-            if len(active) == 0:
-                break
+        # a row stops at its first zero syndrome or after max_iter; it then
+        # writes its outputs once and leaves the working arrays
+        if it == max_iter:
+            stop = np.ones_like(zero_syndrome)
+        elif early_stop and zero_syndrome.any():
+            stop = zero_syndrome
         else:
-            valid[active] = zero_syndrome
+            continue
+        rows = active[stop]
+        hard[rows] = bits[:n, stop].T
+        posterior[rows] = post[:n, stop].T
+        extrinsic[rows] = ext[:, stop].T
+        iterations[rows] = it
+        valid[rows] = zero_syndrome[stop]
+        keep = ~stop
+        if not keep.any():
+            break
+        active = active[keep]
+        lam, msg_vc, msg_cv, post = lam[:, keep], msg_vc[:, keep], msg_cv[:, keep], post[:, keep]
 
     return BatchDecodeResult(hard, posterior, extrinsic, iterations, valid)
 

@@ -7,6 +7,8 @@ message-passing code paths.
 
 import numpy as np
 
+from concat_ira.spa import BatchDecodeResult
+
 
 def all_bit_patterns(n: int) -> np.ndarray:
     """(2^n, n) array of every bit vector, LSB-first."""
@@ -104,3 +106,95 @@ def minimal_stopping_sets_containing(h_dense: np.ndarray, v0: int) -> list[set]:
         elif len(members) == best_size:
             best.append(set(members))
     return best
+
+
+# --- the padded-plane SPA kernel that spa.decode_batch replaced --------------
+#
+# Kept verbatim (constants copied, edge tables rebuilt from the public row
+# supports) so the fast kernel can be pinned to it bit for bit.
+
+_REF_LLR_CLAMP = 50.0
+_REF_ATANH_GUARD = 1.0 - 1e-12
+
+
+def _padded_graph(matrix):
+    edge_var = np.asarray([c for r in matrix.row_support for c in r], dtype=np.intp)
+    check_deg = np.array([len(r) for r in matrix.row_support])
+    var_deg = np.array([len(c) for c in matrix.col_support])
+    check_of = np.repeat(np.arange(matrix.n_rows), check_deg).astype(np.intp)
+    check_slot = np.concatenate([np.arange(d) for d in check_deg]) if len(edge_var) else np.zeros(0, np.intp)
+    next_slot = np.zeros(matrix.n_cols, dtype=np.intp)
+    var_slot = np.zeros(len(edge_var), dtype=np.intp)
+    for e, v in enumerate(edge_var):
+        var_slot[e] = next_slot[v]
+        next_slot[v] += 1
+    return (
+        matrix.n_rows,
+        matrix.n_cols,
+        edge_var,
+        check_of,
+        check_slot.astype(np.intp),
+        var_slot,
+        int(check_deg.max(initial=0)),
+        int(var_deg.max(initial=0)),
+    )
+
+
+def reference_decode_batch(matrix, channel, prior=None, max_iter=100, early_stop=True):
+    """Flooding SPA over dense (B, checks, max_deg) and (B, vars, max_deg)
+    planes, scattered three times per iteration."""
+    n_checks, n_vars, edge_var, check_of, check_slot, var_slot, max_check_deg, max_var_deg = (
+        _padded_graph(getattr(matrix, "H", matrix))
+    )
+    channel = np.atleast_2d(np.asarray(channel, dtype=np.float64))
+    if prior is None:
+        prior = np.zeros_like(channel)
+    else:
+        prior = np.atleast_2d(np.asarray(prior, dtype=np.float64))
+
+    batch = channel.shape[0]
+    lam = channel + prior
+    msg_vc = lam[:, edge_var].copy()
+
+    posterior = lam.copy()
+    extrinsic = np.zeros_like(lam)
+    hard = (posterior < 0).astype(np.uint8)
+    iterations = np.zeros(batch, dtype=np.int64)
+    valid = np.zeros(batch, dtype=bool)
+
+    active = np.arange(batch)
+    for it in range(1, max_iter + 1):
+        m = np.clip(msg_vc[active], -_REF_LLR_CLAMP, _REF_LLR_CLAMP)
+        t = np.ones((len(active), n_checks, max_check_deg))
+        t[:, check_of, check_slot] = np.tanh(0.5 * m)
+        cp = np.cumprod(t, axis=2)
+        prefix = np.concatenate([np.ones_like(t[:, :, :1]), cp[:, :, :-1]], axis=2)
+        rcp = np.cumprod(t[:, :, ::-1], axis=2)[:, :, ::-1]
+        suffix = np.concatenate([rcp[:, :, 1:], np.ones_like(t[:, :, :1])], axis=2)
+        prod_other = (prefix * suffix)[:, check_of, check_slot]
+        msg_cv = 2.0 * np.arctanh(np.clip(prod_other, -_REF_ATANH_GUARD, _REF_ATANH_GUARD))
+
+        planes = np.zeros((len(active), n_vars, max_var_deg))
+        planes[:, edge_var, var_slot] = msg_cv
+        ext = planes.sum(axis=2)
+        post = lam[active] + ext
+        msg_vc[active] = post[:, edge_var] - msg_cv
+
+        bits = (post < 0).astype(np.uint8)
+        sat = np.zeros((len(active), n_checks, max_check_deg), dtype=np.uint8)
+        sat[:, check_of, check_slot] = bits[:, edge_var]
+        zero_syndrome = ~((sat.sum(axis=2) & 1).any(axis=1))
+
+        posterior[active] = post
+        extrinsic[active] = ext
+        hard[active] = bits
+        iterations[active] = it
+        if early_stop:
+            valid[active[zero_syndrome]] = True
+            active = active[~zero_syndrome]
+            if len(active) == 0:
+                break
+        else:
+            valid[active] = zero_syndrome
+
+    return BatchDecodeResult(hard, posterior, extrinsic, iterations, valid)

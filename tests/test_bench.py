@@ -119,6 +119,46 @@ class TestRunCurve:
             texts.append((tmp_path / name).read_bytes())
         assert texts[0] == texts[1] == texts[2]
 
+    def test_single_system_deterministic_across_worker_counts(self, toy_files, tmp_path):
+        # single-code trials decode in batches, whose size depends on the
+        # worker count; the CSV must not
+        texts = []
+        for workers, name in ((1, "s1.csv"), (2, "s2.csv")):
+            config = SimConfig(
+                system="single", code=str(toy_files / "outer"),
+                ebno_db=(2.0, 4.0), max_iter=30, workers=workers,
+                stop=StopRule(min_block_errors=6, max_blocks=150),
+                master_seed=4, output=str(tmp_path / name),
+            )
+            run_curve(config)
+            texts.append((tmp_path / name).read_bytes())
+        assert texts[0] == texts[1]
+
+    def test_torn_tail_is_a_config_error(self, toy_files, tmp_path):
+        out = tmp_path / "torn.csv"
+        out.write_text(CSV_HEADER + "\n2.5,10,3", encoding="utf-8")
+        config = concat_config(toy_files, ebno_db=(2.5,), output=str(out))
+        with pytest.raises(ConfigError, match="torn"):
+            run_curve(config)
+        assert out.read_text(encoding="utf-8") == CSV_HEADER + "\n2.5,10,3"
+
+    def test_malformed_row_is_a_config_error(self, toy_files, tmp_path):
+        out = tmp_path / "bad.csv"
+        out.write_text(CSV_HEADER + "\n2.5,10,3\n", encoding="utf-8")
+        config = concat_config(toy_files, ebno_db=(2.5,), output=str(out))
+        with pytest.raises(ConfigError, match="malformed"):
+            run_curve(config)
+
+    def test_resume_refuses_rows_of_another_seed(self, toy_files, tmp_path):
+        out = tmp_path / "seeded.csv"
+        stop = StopRule(min_block_errors=2, max_blocks=20)
+        run_curve(concat_config(toy_files, ebno_db=(3.0,), output=str(out), stop=stop, master_seed=1))
+        first = out.read_bytes()
+        other = concat_config(toy_files, ebno_db=(3.0,), output=str(out), stop=stop, master_seed=5)
+        with pytest.raises(ConfigError, match="seed"):
+            run_curve(other)
+        assert out.read_bytes() == first
+
     def test_resume_skips_existing_points(self, toy_files, tmp_path):
         out = tmp_path / "resume.csv"
         config = concat_config(

@@ -151,6 +151,13 @@ class TestSimulate:
         monkeypatch.chdir(tmp_path.parent)
         assert run_cli("simulate", "--config", config_path.name) == 0
 
+    def test_torn_curve_tail_gives_one_error_line(self, workspace, tmp_path, capsys):
+        config_path, out = self.make_config(workspace, tmp_path)
+        out.write_text(ci.bench.CSV_HEADER + "\n2.5,10,3", encoding="utf-8")
+        assert run_cli("simulate", "--config", config_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_config_errors(self, tmp_path, capsys):
         rc = run_cli("simulate", "--config", tmp_path / "none.json")
         assert rc == 1

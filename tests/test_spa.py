@@ -5,7 +5,24 @@ from hypothesis import given, settings, strategies as st
 import concat_ira as ci
 from concat_ira.spa import decode_batch
 
-from oracles import dense_codewords, exact_bit_marginals
+from oracles import dense_codewords, exact_bit_marginals, reference_decode_batch
+
+RESULT_FIELDS = ("hard_bits", "posterior", "extrinsic", "iterations_used", "valid")
+
+
+def assert_results_identical(a, b):
+    for name in RESULT_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+
+
+def noisy_codewords(code, batch, ebno_db, rng):
+    """Channel LLRs of random codewords at one Eb/N0 for the code's rate."""
+    sources = rng.integers(0, 2, size=(batch, code.K), dtype=np.uint8)
+    sigma = ci.ebno_sigma(ebno_db, code.rate)
+    y = ci.awgn(ci.modulate(ci.encode_batch(code, sources)), sigma, rng)
+    return ci.channel_llr(y, sigma)
 
 
 class TestCheckUpdate:
@@ -184,3 +201,72 @@ class TestCodewordSymmetry:
             if not np.array_equal(res_cw.hard_bits ^ cw, res_zero.hard_bits):
                 mismatches += 1
         assert mismatches == 0
+
+
+class TestReferenceKernel:
+    """The slot-major kernel is pinned bit for bit to the padded-plane
+    kernel it replaced, kept in oracles.reference_decode_batch."""
+
+    @pytest.mark.parametrize("max_iter", [1, 10, 100])
+    @pytest.mark.parametrize("batch", [1, 7, 72, 128])
+    def test_paper_code_matches_reference(self, paper_outer, batch, max_iter):
+        # 2.5 dB on one [181,128] code: rows stop at many different
+        # iterations and some never converge within 100
+        rng = np.random.default_rng(1000 * batch + max_iter)
+        channel = noisy_codewords(paper_outer, batch, 2.5, rng)
+        prior = rng.normal(scale=0.5, size=channel.shape)
+        for pr in (None, prior):
+            for early_stop in (True, False):
+                assert_results_identical(
+                    decode_batch(paper_outer, channel, pr, max_iter, early_stop),
+                    reference_decode_batch(paper_outer, channel, pr, max_iter, early_stop),
+                )
+
+    @pytest.mark.parametrize("max_iter", [1, 10, 100])
+    @pytest.mark.parametrize("batch", [1, 7, 72, 128])
+    def test_non_uniform_check_degrees_match_reference(self, tree_matrix, batch, max_iter):
+        rng = np.random.default_rng(batch + max_iter)
+        channel = rng.normal(loc=1.0, scale=1.5, size=(batch, 12))
+        prior = rng.normal(scale=0.5, size=channel.shape)
+        for pr in (None, prior):
+            for early_stop in (True, False):
+                assert_results_identical(
+                    decode_batch(tree_matrix, channel, pr, max_iter, early_stop),
+                    reference_decode_batch(tree_matrix, channel, pr, max_iter, early_stop),
+                )
+
+    def test_some_rows_stop_early_and_some_never(self, paper_outer):
+        # the [128-100] corpus case exercises both row exits of the batch
+        rng = np.random.default_rng(1000 * 128 + 100)
+        res = decode_batch(paper_outer, noisy_codewords(paper_outer, 128, 2.5, rng), None, 100)
+        assert res.valid.any() and not res.valid.all()
+        assert len(np.unique(res.iterations_used)) > 5
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    batch=st.integers(1, 6),
+    ebno_db=st.sampled_from([1.5, 2.5, 3.5]),
+    with_prior=st.booleans(),
+    max_iter=st.integers(1, 25),
+    early_stop=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_batch_rows_equal_single_decodes(
+    paper_outer, seed, batch, ebno_db, with_prior, max_iter, early_stop
+):
+    """Row i of decode_batch(stack) is bit-identical to decode(row i): the
+    harness decodes trials in batches of any size on this guarantee."""
+    rng = np.random.default_rng(seed)
+    channel = noisy_codewords(paper_outer, batch, ebno_db, rng)
+    prior = rng.normal(scale=0.5, size=channel.shape) if with_prior else None
+    res = decode_batch(paper_outer, channel, prior, max_iter, early_stop)
+    for i in range(batch):
+        one = ci.decode(
+            paper_outer, channel[i], None if prior is None else prior[i], max_iter, early_stop
+        )
+        assert np.array_equal(res.hard_bits[i], one.hard_bits)
+        assert np.array_equal(res.posterior[i], one.posterior)
+        assert np.array_equal(res.extrinsic[i], one.extrinsic)
+        assert res.iterations_used[i] == one.iterations_used
+        assert res.valid[i] == one.valid
