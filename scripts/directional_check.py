@@ -20,11 +20,10 @@ import numpy as np
 import concat_ira as ci
 from concat_ira.bench import (
     CSV_HEADER,
+    ConcatSystem,
     StopRule,
-    _System,
-    _chunk_size,
-    _format_row,
-    _measure_point,
+    format_row,
+    measure_point,
     pilot_select,
     two_proportion_z,
 )
@@ -71,12 +70,9 @@ def main(argv=None) -> int:
     stop = StopRule(args.min_block_errors, args.max_blocks)
     points = {}
     for name, perm in (("random", pi0), ("designed", designed)):
-        system = _System("concat", ci.ConcatCode(outer, inner, perm), sched, None, 0)
+        system = ConcatSystem(ci.ConcatCode(outer, inner, perm), sched)
         t0 = time.time()
-        point = _measure_point(
-            system, args.ebno, stop, master_seed=args.trial_seed,
-            noiseless=False, pool=None, chunk=_chunk_size(1),
-        )
+        point = measure_point(system, args.ebno, stop, master_seed=args.trial_seed)
         points[name] = point
         print(
             f"{name}: fer {point.fer:.5f} ber {point.ber:.3e} "
@@ -85,7 +81,7 @@ def main(argv=None) -> int:
         )
         out = Path(f"{args.out_prefix}_{name}.csv")
         out.write_text(
-            CSV_HEADER + "\n" + _format_row(point, args.trial_seed) + "\n",
+            CSV_HEADER + "\n" + format_row(point, args.trial_seed) + "\n",
             encoding="utf-8",
         )
 

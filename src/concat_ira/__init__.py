@@ -9,31 +9,26 @@ from .gf2 import (
     AlistError,
     SparseBinaryMatrix,
     TannerGraph,
-    enumerate_short_cycles,
     load_alist,
     save_alist,
     syndrome,
 )
 from .ira import (
     AceParams,
-    AceResult,
     ConstructionError,
     DegreeSpec,
     IraCode,
-    ace_audit,
-    ace_check,
     build_code,
     build_h1,
     build_h2,
     default_degree_spec,
     encode,
     encode_batch,
-    has_codeword_of_weight_le4,
     load_code,
     save_code,
     validate_code,
 )
-from .spa import DecodeResult, check_update, decode, decode_batch, variable_update
+from .spa import DecodeResult, decode, decode_batch
 from .stopping import (
     SensitivityHistogram,
     StoppingSet,
@@ -53,7 +48,7 @@ from .interleave import (
     random_permutation,
     save_permutation,
 )
-from .channel import ChannelParams, RngStream, awgn, channel_llr, ebno_sigma, gaussian_q, modulate
+from .channel import RngStream, awgn, channel_llr, ebno_sigma, gaussian_q, modulate
 from .concat import ConcatCode, ConcatDecodeResult, Schedule, concat_decode, concat_encode
 from .bench import CurvePoint, SimConfig, StopRule, pilot_select, run_curve
 

@@ -8,6 +8,7 @@ configuration no matter how many workers ran it or how they were scheduled.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -30,7 +31,11 @@ __all__ = [
     "CurvePoint",
     "SimConfig",
     "CSV_HEADER",
+    "ConcatSystem",
+    "SingleSystem",
     "load_system",
+    "measure_point",
+    "format_row",
     "run_curve",
     "pilot_select",
     "two_proportion_z",
@@ -145,37 +150,90 @@ class SimConfig:
 
 
 # --- runnable systems ----------------------------------------------------------
+#
+# A system runs trials lo..hi-1 at one noise level and returns, per trial,
+# (bit errors, block error, outer iterations, component decodes, component
+# iterations).  Each trial draws its source bits and noise from its own
+# stream.  trials_per_task is the work of one pool task.
+
+
+def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator, noiseless: bool) -> np.ndarray:
+    """Channel LLRs of a transmitted bit array."""
+    symbols = modulate(tx)
+    if noiseless:
+        return NOISELESS_LLR * symbols
+    return channel_llr(awgn(symbols, sigma, gen), sigma)
 
 
 @dataclass(frozen=True, eq=False)
-class _System:
-    kind: str  # "concat" | "single"
-    concat: ConcatCode | None
+class ConcatSystem:
+    """Two component codes through an interleaver; blocks decode one by one,
+    as the decoder already batches each block's rows and columns."""
+
+    code: ConcatCode
     schedule: Schedule
-    single: IraCode | None
-    max_iter: int
+    trials_per_task = 1
 
     @property
     def rate(self) -> float:
-        if self.kind == "concat":
-            return self.concat.rate
-        return self.single.rate
+        return self.code.rate
 
     @property
-    def trials_per_task(self) -> int:
-        """Trials in one pool task: one concatenated block, whose decoder
-        already batches its rows and columns, or 64 single-code trials,
-        which decode as one batch."""
-        return 1 if self.kind == "concat" else 64
+    def source_bits(self) -> int:
+        return self.code.K * self.code.K
+
+    def run(self, lo: int, hi: int, sigma: float, master_seed: int, noiseless: bool) -> list:
+        cc = self.code
+        results = []
+        for index in range(lo, hi):
+            gen = RngStream(master_seed, index).generator()
+            source = gen.integers(0, 2, size=(cc.K, cc.K), dtype=np.uint8)
+            tx = concat_encode(cc, source)
+            res = concat_decode(cc, _received(tx, sigma, gen, noiseless), self.schedule)
+            bit_errors = int((res.source_bits != source).sum())
+            results.append((
+                bit_errors,
+                1 if bit_errors else 0,
+                res.outer_iters_used,
+                res.component_decode_calls,
+                res.component_iterations,
+            ))
+        return results
+
+
+@dataclass(frozen=True, eq=False)
+class SingleSystem:
+    """One component code; a task's trials decode as one batch, which gives
+    every row the result it would have on its own."""
+
+    code: IraCode
+    max_iter: int
+    trials_per_task = 64
 
     @property
-    def source_bits_per_block(self) -> int:
-        if self.kind == "concat":
-            return self.concat.K * self.concat.K
-        return self.single.K
+    def rate(self) -> float:
+        return self.code.rate
+
+    @property
+    def source_bits(self) -> int:
+        return self.code.K
+
+    def run(self, lo: int, hi: int, sigma: float, master_seed: int, noiseless: bool) -> list:
+        code = self.code
+        sources, llrs = [], []
+        for index in range(lo, hi):
+            gen = RngStream(master_seed, index).generator()
+            sources.append(gen.integers(0, 2, size=code.K, dtype=np.uint8))
+            llrs.append(_received(encode(code, sources[-1]), sigma, gen, noiseless))
+        res = spa.decode_batch(code, np.stack(llrs), None, self.max_iter)
+        errors = (res.hard_bits[:, : code.K] != np.stack(sources)).sum(axis=1)
+        return [
+            (bit_errors, 1 if bit_errors else 0, 0, 1, iters)
+            for bit_errors, iters in zip(errors.tolist(), res.iterations_used.tolist())
+        ]
 
 
-def load_system(config: SimConfig) -> _System:
+def load_system(config: SimConfig) -> ConcatSystem | SingleSystem:
     """Resolve and validate the files a config references."""
     if config.system == "concat":
         if not (config.outer_code and config.inner_code and config.interleaver):
@@ -183,113 +241,76 @@ def load_system(config: SimConfig) -> _System:
         outer = load_code(config.outer_code)
         inner = load_code(config.inner_code)
         pi = load_permutation(config.interleaver)
-        return _System("concat", ConcatCode(outer, inner, pi), config.schedule, None, 0)
+        return ConcatSystem(ConcatCode(outer, inner, pi), config.schedule)
     if not config.code:
         raise ConfigError("single system needs a code path")
-    return _System("single", None, config.schedule, load_code(config.code), config.max_iter)
+    return SingleSystem(load_code(config.code), config.max_iter)
 
 
-# --- trials ---------------------------------------------------------------------
+# --- curve points ----------------------------------------------------------------
 
-_CTX: dict = {}
-
-
-def _init_worker(system: _System, master_seed: int, noiseless: bool) -> None:
-    _CTX["system"] = system
-    _CTX["master_seed"] = master_seed
-    _CTX["noiseless"] = noiseless
+_WORKER: tuple = ()  # (system, master_seed, noiseless) inside a pool worker
 
 
-def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator) -> np.ndarray:
-    """Channel LLRs of a transmitted bit array."""
-    symbols = modulate(tx)
-    if _CTX["noiseless"]:
-        return NOISELESS_LLR * symbols
-    return channel_llr(awgn(symbols, sigma, gen), sigma)
+def _init_worker(system: ConcatSystem | SingleSystem, master_seed: int, noiseless: bool) -> None:
+    global _WORKER
+    _WORKER = (system, master_seed, noiseless)
 
 
-def _concat_trial(system: _System, index: int, sigma: float) -> tuple[int, int, int, int, int]:
-    cc = system.concat
-    gen = RngStream(_CTX["master_seed"], index).generator()
-    source = gen.integers(0, 2, size=(cc.K, cc.K), dtype=np.uint8)
-    res = concat_decode(cc, _received(concat_encode(cc, source), sigma, gen), system.schedule)
-    bit_errors = int((res.source_bits != source).sum())
-    return (
-        bit_errors,
-        1 if bit_errors else 0,
-        res.outer_iters_used,
-        res.component_decode_calls,
-        res.component_iterations,
-    )
-
-
-def _run_trials(args: tuple[int, int, float]) -> list[tuple[int, int, int, int, int]]:
-    """Trials lo..hi-1 at one noise level: (bit errors, block error, outer
-    iterations, component decodes, component iterations) per trial.
-
-    Each trial draws from its own stream.  Concatenated blocks decode one by
-    one; single-code trials decode as one batch, which gives every row the
-    result it would have on its own."""
+def _run_task(args: tuple[int, int, float]) -> list:
     lo, hi, sigma = args
-    system: _System = _CTX["system"]
-    if system.kind == "concat":
-        return [_concat_trial(system, index, sigma) for index in range(lo, hi)]
-
-    code = system.single
-    sources, llrs = [], []
-    for index in range(lo, hi):
-        gen = RngStream(_CTX["master_seed"], index).generator()
-        sources.append(gen.integers(0, 2, size=code.K, dtype=np.uint8))
-        llrs.append(_received(encode(code, sources[-1]), sigma, gen))
-    res = spa.decode_batch(code, np.stack(llrs), None, system.max_iter)
-    errors = (res.hard_bits[:, : code.K] != np.stack(sources)).sum(axis=1)
-    return [
-        (bit_errors, 1 if bit_errors else 0, 0, 1, iters)
-        for bit_errors, iters in zip(errors.tolist(), res.iterations_used.tolist())
-    ]
+    system, master_seed, noiseless = _WORKER
+    return system.run(lo, hi, sigma, master_seed, noiseless)
 
 
-def _measure_point(
-    system: _System,
+def measure_point(
+    system: ConcatSystem | SingleSystem,
     ebno_db: float,
     stop: StopRule,
     master_seed: int,
-    noiseless: bool,
-    pool: ProcessPoolExecutor | None,
-    chunk: int,
+    noiseless: bool = False,
+    workers: int = 1,
 ) -> CurvePoint:
+    """Run trials 0, 1, 2, ... until the stop rule holds, scanning results in
+    trial order.  Each stop-rule round runs 64 trials in-process, or with a
+    pool of several workers at least four tasks per worker."""
     sigma = 1.0 if noiseless else ebno_sigma(ebno_db, system.rate)
-    _init_worker(system, master_seed, noiseless)  # also serve in-process calls
+    step = system.trials_per_task
+    chunk = 64 if workers == 1 else step * max(16, 4 * workers)
 
     t0 = time.perf_counter()
     bit_errors = block_errors = blocks = 0
     outer_total = comp_calls = comp_iters = 0
     base = 0
-    while base < stop.max_blocks and block_errors < stop.min_block_errors:
-        hi = min(base + chunk, stop.max_blocks)
-        if pool is None:
-            results = _run_trials((base, hi, sigma))
-        else:
-            step = system.trials_per_task
-            tasks = [(lo, min(lo + step, hi), sigma) for lo in range(base, hi, step)]
-            results = [r for part in pool.map(_run_trials, tasks) for r in part]
-        for be, blk, outer_used, calls, iters in results:
-            blocks += 1
-            bit_errors += be
-            block_errors += blk
-            outer_total += outer_used
-            comp_calls += calls
-            comp_iters += iters
-            if block_errors >= stop.min_block_errors:
-                break
-        base = hi
+    with (
+        ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(system, master_seed, noiseless))
+        if workers > 1
+        else contextlib.nullcontext()
+    ) as pool:
+        while base < stop.max_blocks and block_errors < stop.min_block_errors:
+            hi = min(base + chunk, stop.max_blocks)
+            if pool is None:
+                results = system.run(base, hi, sigma, master_seed, noiseless)
+            else:
+                tasks = [(lo, min(lo + step, hi), sigma) for lo in range(base, hi, step)]
+                results = [r for part in pool.map(_run_task, tasks) for r in part]
+            for be, blk, outer_used, calls, iters in results:
+                blocks += 1
+                bit_errors += be
+                block_errors += blk
+                outer_total += outer_used
+                comp_calls += calls
+                comp_iters += iters
+                if block_errors >= stop.min_block_errors:
+                    break
+            base = hi
 
     return CurvePoint(
         ebno_db=ebno_db,
         blocks_run=blocks,
         bit_errors=bit_errors,
         block_errors=block_errors,
-        ber=bit_errors / (blocks * system.source_bits_per_block),
+        ber=bit_errors / (blocks * system.source_bits),
         fer=block_errors / blocks,
         mean_outer_iters=outer_total / blocks,
         mean_component_iters=comp_iters / comp_calls if comp_calls else 0.0,
@@ -297,36 +318,8 @@ def _measure_point(
     )
 
 
-class _maybe_pool:
-    """Context manager yielding a ProcessPoolExecutor or None for workers=1."""
-
-    def __init__(self, config: SimConfig, system: _System):
-        self.config = config
-        self.system = system
-        self.pool = None
-
-    def __enter__(self):
-        if self.config.workers > 1:
-            self.pool = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                initializer=_init_worker,
-                initargs=(self.system, self.config.master_seed, self.config.noiseless),
-            )
-        return self.pool
-
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.shutdown()
-        return False
-
-
-def _chunk_size(workers: int, trials_per_task: int = 1) -> int:
-    """Trials per stop-rule round: 64 in-process, or with a pool at least
-    four tasks per worker."""
-    return 64 if workers == 1 else trials_per_task * max(16, 4 * workers)
-
-
-def _format_row(point: CurvePoint, seed: int) -> str:
+def format_row(point: CurvePoint, seed: int) -> str:
+    """A curve point as one CSV row under CSV_HEADER."""
     return (
         f"{point.ebno_db:g},{point.blocks_run},{point.bit_errors},"
         f"{point.block_errors},{point.ber!r},{point.fer!r},"
@@ -375,24 +368,22 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
 
     points: list[CurvePoint] = []
     seen: set[str] = set()
-    with _maybe_pool(config, system) as pool:
-        for ebno in config.ebno_db:
-            key = f"{ebno:g}"
-            if key in seen:
-                continue
-            seen.add(key)
-            if key in existing:
-                points.append(existing[key])
-                continue
-            point = _measure_point(
-                system, ebno, config.stop, config.master_seed,
-                config.noiseless, pool, _chunk_size(config.workers, system.trials_per_task),
-            )
-            points.append(point)
-            with open(path, "a", encoding="utf-8") as f:
-                f.write(_format_row(point, config.master_seed) + "\n")
-                f.flush()
-                os.fsync(f.fileno())
+    for ebno in config.ebno_db:
+        key = f"{ebno:g}"
+        if key in seen:
+            continue
+        seen.add(key)
+        if key in existing:
+            points.append(existing[key])
+            continue
+        point = measure_point(
+            system, ebno, config.stop, config.master_seed, config.noiseless, config.workers
+        )
+        points.append(point)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(format_row(point, config.master_seed) + "\n")
+            f.flush()
+            os.fsync(f.fileno())
     return points
 
 
@@ -441,10 +432,9 @@ def pilot_select(
     best_key = None
     for i in range(n_candidates):
         perm = random_permutation(outer.K, outer.N, master_seed + i)
-        system = _System("concat", ConcatCode(outer, inner, perm), schedule, None, 0)
-        point = _measure_point(
-            system, pilot_ebno, StopRule(min_block_errors=pilot_blocks + 1, max_blocks=pilot_blocks),
-            master_seed, False, None, _chunk_size(1),
+        point = measure_point(
+            ConcatSystem(ConcatCode(outer, inner, perm), schedule), pilot_ebno,
+            StopRule(min_block_errors=pilot_blocks + 1, max_blocks=pilot_blocks), master_seed,
         )
         scores.append((point.block_errors, point.bit_errors, perm.seed))
         key = (point.block_errors, point.bit_errors, i)

@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "ChannelParams",
     "RngStream",
     "ebno_sigma",
     "modulate",
@@ -29,16 +27,6 @@ def ebno_sigma(ebno_db: float, rate: float) -> float:
     if rate <= 0 or rate > 1:
         raise ValueError("rate must lie in (0, 1]")
     return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0)))
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    ebno_db: float
-    rate: float
-
-    @cached_property
-    def sigma(self) -> float:
-        return ebno_sigma(self.ebno_db, self.rate)
 
 
 @dataclass(frozen=True)

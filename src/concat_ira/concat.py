@@ -125,10 +125,7 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
             prior[:, :k] = prior_mixed[:, cols].T
             res = _decode_batch(cc.inner, lch[:, cols].T, prior, schedule.inner_iters)
             col_ext_mixed[:, cols] = res.extrinsic[:, :k].T
-            if schedule.freeze_converged:
-                col_valid[cols] |= res.valid
-            else:
-                col_valid[cols] = res.valid
+            col_valid[cols] = res.valid
             calls += len(cols)
             iters += int(res.iterations_used.sum())
 
@@ -139,10 +136,7 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
             res = _decode_batch(cc.outer, lch_rows[rows], prior, schedule.inner_iters)
             row_ext[rows] = res.extrinsic
             row_post[rows] = res.posterior
-            if schedule.freeze_converged:
-                row_valid[rows] |= res.valid
-            else:
-                row_valid[rows] = res.valid
+            row_valid[rows] = res.valid
             calls += len(rows)
             iters += int(res.iterations_used.sum())
 

@@ -20,7 +20,6 @@ __all__ = [
     "syndrome",
     "load_alist",
     "save_alist",
-    "enumerate_short_cycles",
 ]
 
 
@@ -182,65 +181,6 @@ class TannerGraph:
     @property
     def n_edges(self) -> int:
         return sum(len(s) for s in self.var_to_checks)
-
-
-def enumerate_short_cycles(
-    graph: TannerGraph, through_variable: int, max_length: int
-) -> list[tuple[int, ...]]:
-    """All simple cycles of length <= max_length through one variable node.
-
-    Cycle length is counted in edges of the bipartite graph, so a 4-cycle is
-    two variables sharing two checks.  Each cycle is returned once as the
-    tuple of its variable nodes starting at ``through_variable``; the search
-    is exhaustive over simple cycles (distinct variables and checks, hence
-    no repeated edges) up to the bound.
-    """
-    if max_length < 4 or max_length % 2 != 0:
-        raise ValueError("max_length must be even and >= 4")
-    v0 = int(through_variable)
-    if not 0 <= v0 < graph.n_vars:
-        raise ValueError(f"variable index {v0} out of range")
-
-    v2c = graph.var_to_checks
-    c2v = graph.check_to_vars
-    found: dict[frozenset, tuple[int, ...]] = {}
-
-    def record(var_path: tuple[int, ...], check_path: tuple[int, ...]) -> None:
-        edges = set()
-        k = len(var_path)
-        for i, c in enumerate(check_path):
-            edges.add((c, var_path[i]))
-            edges.add((c, var_path[(i + 1) % k]))
-        found.setdefault(frozenset(edges), var_path)
-
-    def walk(
-        v: int,
-        var_path: tuple[int, ...],
-        check_path: tuple[int, ...],
-        used_checks: frozenset,
-        used_vars: frozenset,
-    ) -> None:
-        closed_len = 2 * (len(check_path) + 1)
-        for c in v2c[v]:
-            if c in used_checks:
-                continue
-            for u in c2v[c]:
-                if u == v:
-                    continue
-                if u == v0:
-                    if closed_len >= 4:
-                        record(var_path, check_path + (c,))
-                elif u not in used_vars and closed_len + 2 <= max_length:
-                    walk(
-                        u,
-                        var_path + (u,),
-                        check_path + (c,),
-                        used_checks | {c},
-                        used_vars | {u},
-                    )
-
-    walk(v0, (v0,), (), frozenset(), frozenset((v0,)))
-    return list(found.values())
 
 
 # --- alist interchange format -------------------------------------------------

@@ -137,8 +137,6 @@ def design(
     perm0: BlockPermutation,
     sets: SensitiveSets,
     rng: np.random.Generator,
-    max_attempts: int | None = None,
-    validate_each_swap: bool = False,
 ) -> BlockPermutation:
     """Repair a permutation until it has zero bad mappings.
 
@@ -148,12 +146,10 @@ def design(
     swap removes exactly one offender and can never mint a new one; the
     repair count is therefore monotone.  Raises InterleaverInfeasible when
     the counting bound fails up front, when no legal partner remains, or
-    when the attempt budget runs out.
+    when bad mappings remain after repair.
     """
     k, n = perm0.K, perm0.N
     sets.validate_for(k, n)
-    if max_attempts is None:
-        max_attempts = 50 * k * n
 
     demand = k * len(sets.row_code_nodes)
     supply = (k - len(sets.col_code_nodes)) * n
@@ -175,10 +171,6 @@ def design(
     offenders = count_bad_mappings(perm0, sets).positions
     swaps = 0
     for r, c in offenders:
-        if swaps >= max_attempts:
-            raise InterleaverInfeasible(
-                "attempts_exhausted", f"swap budget {max_attempts} exhausted"
-            )
         p1 = r * n + c
         legal = np.flatnonzero(src_col_safe & image_safe)
         if len(legal) == 0:
@@ -190,8 +182,6 @@ def design(
         fwd[p1], fwd[p2] = fwd[p2], fwd[p1]
         image_safe[p1], image_safe[p2] = image_safe[p2], image_safe[p1]
         swaps += 1
-        if validate_each_swap:
-            assert np.array_equal(np.sort(fwd), np.arange(k * n))
 
     result = BlockPermutation(
         K=k, N=n, forward=fwd, seed=perm0.seed,
@@ -211,7 +201,6 @@ def escalate_design(
     perm0: BlockPermutation,
     rng: np.random.Generator,
     step: int = 1,
-    max_attempts: int | None = None,
 ) -> BlockPermutation:
     """Grow the sensitive sets level by level until repair becomes infeasible.
 
@@ -231,7 +220,7 @@ def escalate_design(
             col_code_nodes=frozenset(select_sensitive(hist_col, t, restrict_below=k)),
         )
         try:
-            attempt = design(perm0, sets, rng, max_attempts=max_attempts)
+            attempt = design(perm0, sets, rng)
         except InterleaverInfeasible:
             break
         best = replace(attempt, design_t=t)

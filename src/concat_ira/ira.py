@@ -17,32 +17,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import (
-    SparseBinaryMatrix,
-    TannerGraph,
-    enumerate_short_cycles,
-    load_alist,
-    save_alist,
-    syndrome,
-)
+from .gf2 import SparseBinaryMatrix, TannerGraph, load_alist, save_alist
 
 __all__ = [
     "ConstructionError",
     "SidecarError",
     "DegreeSpec",
     "AceParams",
-    "AceResult",
     "IraCode",
     "build_h2",
     "default_degree_spec",
-    "ace_check",
     "build_h1",
     "build_code",
     "encode",
     "encode_batch",
     "validate_code",
-    "ace_audit",
-    "has_codeword_of_weight_le4",
     "save_code",
     "load_code",
 ]
@@ -116,12 +105,6 @@ class AceParams:
             raise ValueError("max_resample must be >= 1")
 
 
-@dataclass(frozen=True)
-class AceResult:
-    passed: bool
-    min_ace: int | None  # None when no cycle of bounded length exists
-
-
 def build_h2(m: int) -> SparseBinaryMatrix:
     """Dual-diagonal M x M accumulator section.
 
@@ -156,23 +139,9 @@ def default_degree_spec(k: int, m: int, check_degree: int = DEFAULT_CHECK_DEGREE
     return DegreeSpec(degrees, check_degree)
 
 
-def ace_check(graph: TannerGraph, v: int, d_ace: int, eta: int) -> AceResult:
-    """Minimum over cycles of length <= 2*d_ace through v of sum(deg - 2).
-
-    Degree-2 variables contribute nothing, so cycles confined to weight-2
-    columns score 0.  Passes when no such cycle exists or the minimum is at
-    least eta.
-    """
-    cycles = enumerate_short_cycles(graph, v, 2 * d_ace)
-    if not cycles:
-        return AceResult(True, None)
-    v2c = graph.var_to_checks
-    min_ace = min(sum(len(v2c[u]) - 2 for u in cyc) for cyc in cycles)
-    return AceResult(min_ace >= eta, min_ace)
-
-
 def _ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bool:
-    """Decision-equivalent fast path for ``ace_check(...).passed``.
+    """Decision-equivalent fast path for the exhaustive ACE check in
+    ``tests/oracles.py`` (``ace_check(...).passed``).
 
     A cycle through v carries at least deg(v)-2, so the test passes outright
     once that base reaches eta.  Otherwise a violating cycle must keep its
@@ -222,38 +191,9 @@ def _h1_row_budgets(m: int, check_degree: int) -> list[int]:
 _ENUMERATION_CAP = 20000
 
 
-def has_codeword_of_weight_le4(matrix: SparseBinaryMatrix) -> bool:
-    """Exact test for codewords of Hamming weight 2, 3, or 4.
-
-    A weight-w codeword is w columns whose supports XOR to nothing, so it is
-    enough to hash single supports and all pairwise support sums: weight 2 is
-    a duplicated support, weight 3 a pair sum equal to a third support, and
-    weight 4 two disjoint pairs with equal sums.  (Weight 1 would be an empty
-    column.)  Quadratic in columns, exact, and fast at these sizes.
-    """
-    supports = [frozenset(c) for c in matrix.col_support]
-    if any(not s for s in supports):
-        return True
-    if len(set(supports)) != len(supports):
-        return True
-    first_pair: dict[frozenset, tuple[int, int]] = {}
-    by_support = {s: v for v, s in enumerate(supports)}
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            s = supports[a] ^ supports[b]
-            third = by_support.get(s)
-            if third is not None and third not in (a, b):
-                return True
-            other = first_pair.get(s)
-            if other is not None and not set(other) & {a, b}:
-                return True
-            if other is None:
-                first_pair[s] = (a, b)
-    return False
-
-
 class _LowWeightScreen:
-    """Incremental form of :func:`has_codeword_of_weight_le4` for construction.
+    """Incremental form, for construction, of the batch weight <= 4 test
+    ``has_codeword_of_weight_le4`` in ``tests/oracles.py``.
 
     Tracks placed column supports and their pairwise sums; a candidate support
     is rejected when accepting it would create a weight <= 4 codeword.  Pair
@@ -478,14 +418,6 @@ def validate_code(code: IraCode) -> None:
         if len(h.row_support[r]) != target:
             raise ConstructionError(f"row {r} has weight {len(h.row_support[r])} != {target}")
     code.degree_spec.validate_edge_budget(k, m)
-
-
-def ace_audit(code: IraCode) -> bool:
-    """Re-run the ACE acceptance test on every variable of the finished code."""
-    return all(
-        ace_check(code.graph, v, code.ace.d_ace, code.ace.eta).passed
-        for v in range(code.N)
-    )
 
 
 def encode(code: IraCode, s) -> np.ndarray:

@@ -21,8 +21,6 @@ __all__ = [
     "LLR_CLAMP",
     "DecodeResult",
     "BatchDecodeResult",
-    "check_update",
-    "variable_update",
     "decode",
     "decode_batch",
 ]
@@ -49,25 +47,6 @@ class BatchDecodeResult:
     extrinsic: np.ndarray  # (B, N)
     iterations_used: np.ndarray  # (B,)
     valid: np.ndarray  # (B,) bool
-
-
-def check_update(incoming) -> np.ndarray:
-    """Outgoing message per edge of one check: 2*atanh of the product of the
-    other edges' tanh(L/2) terms, with clamp guards."""
-    inc = np.asarray(incoming, dtype=np.float64)
-    if inc.ndim != 1 or inc.size < 1:
-        raise ValueError("check_update needs a flat list of at least one message")
-    t = np.tanh(0.5 * np.clip(inc, -LLR_CLAMP, LLR_CLAMP))
-    prefix = np.concatenate([[1.0], np.cumprod(t)[:-1]])
-    suffix = np.concatenate([np.cumprod(t[::-1])[-2::-1], [1.0]])
-    return 2.0 * np.arctanh(np.clip(prefix * suffix, -_ATANH_GUARD, _ATANH_GUARD))
-
-
-def variable_update(channel: float, prior: float, incoming_checks) -> tuple[np.ndarray, float]:
-    """Messages to each check (total minus that check's input) and the posterior."""
-    inc = np.asarray(incoming_checks, dtype=np.float64)
-    total = float(channel) + float(prior) + inc.sum()
-    return total - inc, total
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,9 +5,11 @@ exhaustive enumeration), deliberately avoiding the package's sparse and
 message-passing code paths.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from concat_ira.spa import BatchDecodeResult
+from concat_ira.spa import LLR_CLAMP, BatchDecodeResult
 
 
 def all_bit_patterns(n: int) -> np.ndarray:
@@ -198,3 +200,141 @@ def reference_decode_batch(matrix, channel, prior=None, max_iter=100, early_stop
             valid[active] = zero_syndrome
 
     return BatchDecodeResult(hard, posterior, extrinsic, iterations, valid)
+
+
+# --- scalar and exhaustive references the package's fast paths replace -------
+
+
+def check_update(incoming) -> np.ndarray:
+    """Outgoing message per edge of one check: 2*atanh of the product of the
+    other edges' tanh(L/2) terms, with clamp guards."""
+    inc = np.asarray(incoming, dtype=np.float64)
+    if inc.ndim != 1 or inc.size < 1:
+        raise ValueError("check_update needs a flat list of at least one message")
+    t = np.tanh(0.5 * np.clip(inc, -LLR_CLAMP, LLR_CLAMP))
+    prefix = np.concatenate([[1.0], np.cumprod(t)[:-1]])
+    suffix = np.concatenate([np.cumprod(t[::-1])[-2::-1], [1.0]])
+    return 2.0 * np.arctanh(np.clip(prefix * suffix, -_REF_ATANH_GUARD, _REF_ATANH_GUARD))
+
+
+def variable_update(channel: float, prior: float, incoming_checks) -> tuple[np.ndarray, float]:
+    """Messages to each check (total minus that check's input) and the posterior."""
+    inc = np.asarray(incoming_checks, dtype=np.float64)
+    total = float(channel) + float(prior) + inc.sum()
+    return total - inc, total
+
+
+def enumerate_short_cycles(graph, through_variable: int, max_length: int) -> list[tuple[int, ...]]:
+    """All simple cycles of length <= max_length through one variable node.
+
+    Cycle length is counted in edges of the bipartite graph, so a 4-cycle is
+    two variables sharing two checks.  Each cycle is returned once as the
+    tuple of its variable nodes starting at ``through_variable``; the search
+    is exhaustive over simple cycles (distinct variables and checks, hence
+    no repeated edges) up to the bound.
+    """
+    if max_length < 4 or max_length % 2 != 0:
+        raise ValueError("max_length must be even and >= 4")
+    v0 = int(through_variable)
+    if not 0 <= v0 < graph.n_vars:
+        raise ValueError(f"variable index {v0} out of range")
+
+    v2c = graph.var_to_checks
+    c2v = graph.check_to_vars
+    found: dict[frozenset, tuple[int, ...]] = {}
+
+    def record(var_path: tuple[int, ...], check_path: tuple[int, ...]) -> None:
+        edges = set()
+        k = len(var_path)
+        for i, c in enumerate(check_path):
+            edges.add((c, var_path[i]))
+            edges.add((c, var_path[(i + 1) % k]))
+        found.setdefault(frozenset(edges), var_path)
+
+    def walk(
+        v: int,
+        var_path: tuple[int, ...],
+        check_path: tuple[int, ...],
+        used_checks: frozenset,
+        used_vars: frozenset,
+    ) -> None:
+        closed_len = 2 * (len(check_path) + 1)
+        for c in v2c[v]:
+            if c in used_checks:
+                continue
+            for u in c2v[c]:
+                if u == v:
+                    continue
+                if u == v0:
+                    if closed_len >= 4:
+                        record(var_path, check_path + (c,))
+                elif u not in used_vars and closed_len + 2 <= max_length:
+                    walk(
+                        u,
+                        var_path + (u,),
+                        check_path + (c,),
+                        used_checks | {c},
+                        used_vars | {u},
+                    )
+
+    walk(v0, (v0,), (), frozenset(), frozenset((v0,)))
+    return list(found.values())
+
+
+@dataclass(frozen=True)
+class AceResult:
+    passed: bool
+    min_ace: int | None  # None when no cycle of bounded length exists
+
+
+def ace_check(graph, v: int, d_ace: int, eta: int) -> AceResult:
+    """Minimum over cycles of length <= 2*d_ace through v of sum(deg - 2).
+
+    Degree-2 variables contribute nothing, so cycles confined to weight-2
+    columns score 0.  Passes when no such cycle exists or the minimum is at
+    least eta.
+    """
+    cycles = enumerate_short_cycles(graph, v, 2 * d_ace)
+    if not cycles:
+        return AceResult(True, None)
+    v2c = graph.var_to_checks
+    min_ace = min(sum(len(v2c[u]) - 2 for u in cyc) for cyc in cycles)
+    return AceResult(min_ace >= eta, min_ace)
+
+
+def ace_audit(code) -> bool:
+    """Re-run the ACE acceptance test on every variable of the finished code."""
+    return all(
+        ace_check(code.graph, v, code.ace.d_ace, code.ace.eta).passed
+        for v in range(code.N)
+    )
+
+
+def has_codeword_of_weight_le4(matrix) -> bool:
+    """Exact test for codewords of Hamming weight 2, 3, or 4.
+
+    A weight-w codeword is w columns whose supports XOR to nothing, so it is
+    enough to hash single supports and all pairwise support sums: weight 2 is
+    a duplicated support, weight 3 a pair sum equal to a third support, and
+    weight 4 two disjoint pairs with equal sums.  (Weight 1 would be an empty
+    column.)  Quadratic in columns, exact, and fast at these sizes.
+    """
+    supports = [frozenset(c) for c in matrix.col_support]
+    if any(not s for s in supports):
+        return True
+    if len(set(supports)) != len(supports):
+        return True
+    first_pair: dict[frozenset, tuple[int, int]] = {}
+    by_support = {s: v for v, s in enumerate(supports)}
+    for a in range(len(supports)):
+        for b in range(a + 1, len(supports)):
+            s = supports[a] ^ supports[b]
+            third = by_support.get(s)
+            if third is not None and third not in (a, b):
+                return True
+            other = first_pair.get(s)
+            if other is not None and not set(other) & {a, b}:
+                return True
+            if other is None:
+                first_pair[s] = (a, b)
+    return False

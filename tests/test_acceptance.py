@@ -17,11 +17,10 @@ import pytest
 
 import concat_ira as ci
 from concat_ira.bench import (
+    ConcatSystem,
     StopRule,
     SimConfig,
-    _System,
-    _chunk_size,
-    _measure_point,
+    measure_point,
     pilot_select,
     run_curve,
     two_proportion_z,
@@ -199,11 +198,8 @@ def test_criterion_8_directional_monte_carlo(paper_codes_with_histograms):
         stop = StopRule(DIRECTIONAL_MIN_BLOCK_ERRORS, DIRECTIONAL_MAX_BLOCKS)
         results = {}
         for name, perm in (("random", pi0), ("designed", designed)):
-            system = _System("concat", ci.ConcatCode(outer, inner, perm), sched, None, 0)
-            point = _measure_point(
-                system, DIRECTIONAL_EBNO_DB, stop, master_seed=801,
-                noiseless=False, pool=None, chunk=_chunk_size(1),
-            )
+            system = ConcatSystem(ci.ConcatCode(outer, inner, perm), sched)
+            point = measure_point(system, DIRECTIONAL_EBNO_DB, stop, master_seed=801)
             results[name] = point
             print(
                 f"  {name}: fer {point.fer:.5f} "

