@@ -133,20 +133,28 @@ class SimConfig:
                     min_block_errors=int(raw.get("min_block_errors", 100)),
                     max_blocks=int(raw.get("max_blocks", 1_000_000)),
                 ),
-                noiseless=bool(raw.get("noiseless", False)),
+                noiseless=_json_bool(raw, "noiseless", False),
                 outer_code=raw.get("outer_code"),
                 inner_code=raw.get("inner_code"),
                 interleaver=raw.get("interleaver"),
                 schedule=Schedule(
                     outer_iters=int(sched.get("outer_iters", 10)),
                     inner_iters=int(sched.get("inner_iters", 10)),
-                    freeze_converged=bool(sched.get("freeze_converged", True)),
+                    freeze_converged=_json_bool(sched, "freeze_converged", True),
                 ),
                 code=raw.get("code"),
                 max_iter=int(raw.get("max_iter", 100)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+
+
+def _json_bool(raw: dict, key: str, default: bool) -> bool:
+    """A JSON boolean; bool() would read the string "false" as True."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, not {value!r}")
+    return value
 
 
 # --- runnable systems ----------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -148,14 +149,15 @@ def _cmd_simulate(args) -> int:
         overrides["workers"] = args.workers
     if args.out is not None:
         overrides["output"] = args.out
-    if args.min_block_errors is not None or args.max_blocks is not None:
-        overrides["stop"] = type(config.stop)(
-            min_block_errors=args.min_block_errors or config.stop.min_block_errors,
-            max_blocks=args.max_blocks or config.stop.max_blocks,
-        )
+    # an explicit 0 must reach StopRule, which refuses it
+    stop = {}
+    if args.min_block_errors is not None:
+        stop["min_block_errors"] = args.min_block_errors
+    if args.max_blocks is not None:
+        stop["max_blocks"] = args.max_blocks
+    if stop:
+        overrides["stop"] = replace(config.stop, **stop)
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     points = run_curve(config)
     for p in points:

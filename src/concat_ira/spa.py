@@ -49,6 +49,42 @@ class BatchDecodeResult:
     valid: np.ndarray  # (B,) bool
 
 
+class _Workspace:
+    """Grow-only working storage of one compiled graph.
+
+    Each buffer is a flat storage of ``rows * capacity`` elements, viewed as
+    a contiguous ``(rows, b)`` array at the current active width ``b``, so
+    neither an iteration nor a row stop allocates a working array.  ``lam``
+    and ``msg_vc``, the only state carried between iterations, have two
+    halves each: a compaction copies the kept columns into the other half.
+    """
+
+    def __init__(self, rows: dict):
+        self.rows = rows  # name -> (rows, dtype)
+        self.capacity = 0
+        self.storage = {name: np.empty(0, dtype) for name, (_, dtype) in rows.items()}
+
+    def reserve(self, batch: int) -> None:
+        if batch > self.capacity:
+            self.storage = {
+                name: np.empty(rows * batch, dtype) for name, (rows, dtype) in self.rows.items()
+            }
+            self.capacity = batch
+
+    def view(self, name: str, b: int) -> np.ndarray:
+        rows = self.rows[name][0]
+        return self.storage[name][: rows * b].reshape(rows, b)
+
+    def working(self, b: int) -> tuple:
+        """The arrays that carry nothing between iterations, at width b, with
+        the zero slot of msg_cv and the zero row of post zeroed again."""
+        msg_cv, post = self.view("msg_cv", b), self.view("post", b)
+        msg_cv[-1] = 0.0
+        post[-1] = 0.0
+        rest = ("ext", "gathered", "bits", "slot_bits", "parity")
+        return msg_cv, post, *(self.view(name, b) for name in rest)
+
+
 @dataclass(frozen=True, eq=False)
 class _CompiledGraph:
     """Slot-major edge numbering for batch-last flooding updates.
@@ -64,8 +100,9 @@ class _CompiledGraph:
     n_vars: int
     check_deg: int
     slot_var: np.ndarray  # (n_slots,) variable of each slot; padding -> zero row n_vars
-    var_slots: np.ndarray  # (n_vars, var_deg) slots of each variable, check order; padding -> zero slot
+    var_slots: np.ndarray  # (var_deg, n_vars) k-th slot of each variable, check order; padding -> zero slot
     pad: np.ndarray  # padded slots, whose tanh term is held at 1.0
+    workspace: _Workspace
 
 
 @lru_cache(maxsize=64)
@@ -75,13 +112,26 @@ def _compile(matrix: SparseBinaryMatrix) -> _CompiledGraph:
     var_deg = max(max(len(c) for c in matrix.col_support), 1)
     n_slots = check_deg * m
     slot_var = np.full(n_slots, n, dtype=np.intp)
-    var_slots = np.full((n, var_deg), n_slots, dtype=np.intp)
+    var_slots = np.full((var_deg, n), n_slots, dtype=np.intp)
     filled = np.zeros(n, dtype=np.intp)
     for c, row in enumerate(matrix.row_support):
         for k, v in enumerate(row):
             slot_var[k * m + c] = v
-            var_slots[v, filled[v]] = k * m + c
+            var_slots[filled[v], v] = k * m + c
             filled[v] += 1
+    workspace = _Workspace({
+        "lam0": (n + 1, np.float64),
+        "lam1": (n + 1, np.float64),
+        "msg_vc0": (n_slots, np.float64),
+        "msg_vc1": (n_slots, np.float64),
+        "msg_cv": (n_slots + 1, np.float64),
+        "post": (n + 1, np.float64),
+        "ext": (n, np.float64),
+        "gathered": (n, np.float64),
+        "bits": (n + 1, bool),
+        "slot_bits": (n_slots, bool),
+        "parity": (m, bool),
+    })
     return _CompiledGraph(
         n_checks=m,
         n_vars=n,
@@ -89,6 +139,7 @@ def _compile(matrix: SparseBinaryMatrix) -> _CompiledGraph:
         slot_var=slot_var,
         var_slots=var_slots,
         pad=np.flatnonzero(slot_var == n),
+        workspace=workspace,
     )
 
 
@@ -117,30 +168,35 @@ def decode_batch(
     Messages are held batch-last, one row per check slot (see
     ``_CompiledGraph``), and every sum and product runs in slot order, so
     the arithmetic does not depend on B.  Stopped rows write their outputs
-    once and leave the working arrays.
+    once and leave the working arrays.  The working arrays live in the
+    graph's ``_Workspace``, which is reused by every call in this process
+    and sized for the largest batch seen; it is not safe to decode on one
+    graph from two threads at once.  The returned arrays are always new.
     """
     h = _as_matrix(code_or_matrix)
     g = _compile(h)
     channel = np.atleast_2d(np.asarray(channel, dtype=np.float64))
     if channel.shape[1] != g.n_vars:
         raise ValueError(f"channel LLR rows must have length {g.n_vars}")
-    if prior is None:
-        prior = np.zeros_like(channel)
-    else:
+    if prior is not None:
         prior = np.atleast_2d(np.asarray(prior, dtype=np.float64))
-    if prior.shape != channel.shape:
-        raise ValueError("prior shape must match channel shape")
+        if prior.shape != channel.shape:
+            raise ValueError("prior shape must match channel shape")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
     batch = channel.shape[0]
     m, n, dc = g.n_checks, g.n_vars, g.check_deg
     n_slots = dc * m
-    lam = np.zeros((n + 1, batch))
-    lam[:n] = (channel + prior).T
-    msg_vc = lam[g.slot_var]
-    msg_cv = np.zeros((n_slots + 1, batch))
-    post = np.zeros((n + 1, batch))
+    ws = g.workspace
+    ws.reserve(batch)
+    b = batch
+    half = 0  # which half of the lam/msg_vc pairs holds the state
+    lam, msg_vc = ws.view("lam0", b), ws.view("msg_vc0", b)
+    # channel + a zero prior, as the prior-free sum has always been formed
+    np.add(channel.T, 0.0 if prior is None else prior.T, out=lam[:n])
+    lam[n] = 0.0
+    np.take(lam, g.slot_var, axis=0, out=msg_vc, mode="clip")
 
     hard = np.empty((batch, n), dtype=np.uint8)
     posterior = np.empty((batch, n))
@@ -149,41 +205,52 @@ def decode_batch(
     valid = np.empty(batch, dtype=bool)
 
     active = np.arange(batch)
+    msg_cv, post, ext, gathered, bits, slot_bits, parity = ws.working(b)
     for it in range(1, max_iter + 1):
         # check update: the product of a check's other tanh terms is a prefix
         # times a suffix running product over its slots, each slot one
-        # contiguous (n_checks, B) block
+        # contiguous (n_checks, b) block.  Prefixes fill p[1:], then a
+        # running suffix held in p[0] multiplies into them from the top; the
+        # products are those of separate prefix and suffix passes starting
+        # from 1.0, without the exact factors of 1.0
         t = np.clip(msg_vc, -LLR_CLAMP, LLR_CLAMP, out=msg_vc)
         t *= 0.5
         np.tanh(t, out=t)
         t[g.pad] = 1.0
-        t = t.reshape(dc, m, -1)
-        prefix = np.empty_like(t)
-        suffix = np.empty_like(t)
-        prefix[0] = suffix[dc - 1] = 1.0
-        for k in range(1, dc):
-            np.multiply(prefix[k - 1], t[k - 1], out=prefix[k])
-            np.multiply(suffix[dc - k], t[dc - k], out=suffix[dc - k - 1])
-        prefix *= suffix
+        t = t.reshape(dc, m, b)
         cv = msg_cv[:n_slots]
-        np.clip(prefix.reshape(n_slots, -1), -_ATANH_GUARD, _ATANH_GUARD, out=cv)
+        p = cv.reshape(dc, m, b)
+        if dc == 1:
+            p[0] = 1.0
+        else:
+            p[1] = t[0]
+            for k in range(2, dc):
+                np.multiply(p[k - 1], t[k - 1], out=p[k])
+            p[0] = t[dc - 1]
+            for k in range(dc - 2, 0, -1):
+                p[k] *= p[0]
+                p[0] *= t[k]
+        np.clip(cv, -_ATANH_GUARD, _ATANH_GUARD, out=cv)
         np.arctanh(cv, out=cv)
         cv *= 2.0
 
-        # variable update: summed in slot order, the zero slot padding the sum
-        ext = msg_cv[g.var_slots[:, 0]]
-        for k in range(1, g.var_slots.shape[1]):
-            ext += msg_cv[g.var_slots[:, k]]
+        # variable update: summed in slot order, the zero slot padding the
+        # sum; every index is in range, and mode="clip" skips take's copy of out
+        np.take(msg_cv, g.var_slots[0], axis=0, out=ext, mode="clip")
+        for slots in g.var_slots[1:]:
+            ext += np.take(msg_cv, slots, axis=0, out=gathered, mode="clip")
         np.add(lam[:n], ext, out=post[:n])
-        msg_vc = post[g.slot_var]
+        np.take(post, g.slot_var, axis=0, out=msg_vc, mode="clip")
         msg_vc -= cv
 
-        bits = post < 0
-        parity = np.bitwise_xor.reduce(bits[g.slot_var].reshape(dc, m, -1), axis=0)
+        np.less(post, 0.0, out=bits)
+        np.take(bits, g.slot_var, axis=0, out=slot_bits, mode="clip")
+        np.bitwise_xor.reduce(slot_bits.reshape(dc, m, b), axis=0, out=parity)
         zero_syndrome = ~parity.any(axis=0)
 
         # a row stops at its first zero syndrome or after max_iter; it then
-        # writes its outputs once and leaves the working arrays
+        # writes its outputs once and leaves the working arrays, of which
+        # only lam and msg_vc carry state to the next iteration
         if it == max_iter:
             stop = np.ones_like(zero_syndrome)
         elif early_stop and zero_syndrome.any():
@@ -196,11 +263,15 @@ def decode_batch(
         extrinsic[rows] = ext[:, stop].T
         iterations[rows] = it
         valid[rows] = zero_syndrome[stop]
-        keep = ~stop
-        if not keep.any():
+        keep = np.flatnonzero(~stop)
+        if not keep.size:
             break
         active = active[keep]
-        lam, msg_vc, msg_cv, post = lam[:, keep], msg_vc[:, keep], msg_cv[:, keep], post[:, keep]
+        b = keep.size
+        half ^= 1
+        lam = np.take(lam, keep, axis=1, out=ws.view(f"lam{half}", b), mode="clip")
+        msg_vc = np.take(msg_vc, keep, axis=1, out=ws.view(f"msg_vc{half}", b), mode="clip")
+        msg_cv, post, ext, gathered, bits, slot_bits, parity = ws.working(b)
 
     return BatchDecodeResult(hard, posterior, extrinsic, iterations, valid)
 

@@ -7,6 +7,7 @@ import pytest
 import concat_ira as ci
 from concat_ira.bench import (
     CSV_HEADER,
+    ConcatSystem,
     ConfigError,
     SimConfig,
     StopRule,
@@ -15,6 +16,9 @@ from concat_ira.bench import (
     run_curve,
     two_proportion_z,
 )
+from concat_ira.spa import decode_batch
+
+from conftest import build_toy
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,28 @@ class TestSimConfig:
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigError, match="JSON"):
             SimConfig.from_json("{nope")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"noiseless": "false"},
+            {"noiseless": 0},
+            {"schedule": {"freeze_converged": "no"}},
+            {"schedule": {"freeze_converged": 1}},
+        ],
+    )
+    def test_non_boolean_flags_rejected(self, extra):
+        # bool() would turn the string "false" into True
+        with pytest.raises(ConfigError, match="true or false"):
+            SimConfig.from_json(json.dumps({"system": "single", "ebno_db": [1.0], **extra}))
+
+    def test_boolean_flags_parse(self):
+        config = SimConfig.from_json(json.dumps({
+            "system": "single", "ebno_db": [1.0], "noiseless": True,
+            "schedule": {"freeze_converged": False},
+        }))
+        assert config.noiseless is True
+        assert config.schedule.freeze_converged is False
 
     def test_empty_ebno_rejected(self):
         with pytest.raises(ConfigError, match="nonempty"):
@@ -197,6 +223,27 @@ class TestRunCurve:
             "ebno_db,blocks,bit_errors,block_errors,ber,fer,"
             "mean_outer_iters,mean_component_iters,seed"
         )
+
+
+class TestTrialIndependence:
+    def test_trials_do_not_depend_on_earlier_decodes(self):
+        # every component decode reuses its graph's workspace, so a trial
+        # must come out the same whatever was decoded before it
+        outer = build_toy(21, k=16, n=24)
+        inner = build_toy(22, k=16, n=24)
+        system = ConcatSystem(
+            ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
+        )
+        sigma = ci.ebno_sigma(4.0, system.rate)
+        together = system.run(0, 6, sigma, 9, False)
+        rng = np.random.default_rng(0)
+        alone = {}
+        for i in rng.permutation(6):
+            for code in (outer, inner):
+                decode_batch(code, rng.normal(1.0, 2.0, size=(40, 24)), None, 7)
+            (alone[i],) = system.run(i, i + 1, sigma, 9, False)
+        assert together == [alone[i] for i in range(6)]
+        assert {trial[1] for trial in together} == {0, 1}  # some blocks fail, some do not
 
 
 class TestPilotSelect:

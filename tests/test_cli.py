@@ -145,6 +145,22 @@ class TestSimulate:
         assert rc == 0
         assert len(other.read_text().strip().split("\n")) == 3
 
+    @pytest.mark.parametrize("flag", ["--min-block-errors", "--max-blocks"])
+    def test_zero_stop_override_gives_one_error_line(self, workspace, tmp_path, capsys, flag):
+        # 0 is refused, not replaced by the config's value
+        config_path, out = self.make_config(workspace, tmp_path)
+        assert run_cli("simulate", "--config", config_path, flag, 0) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_boolean_config_flag_gives_one_error_line(self, workspace, tmp_path, capsys):
+        config_path, out = self.make_config(workspace, tmp_path, noiseless="false")
+        assert run_cli("simulate", "--config", config_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_dir_env_fallback(self, workspace, tmp_path, monkeypatch):
         config_path, out = self.make_config(workspace, tmp_path)
         monkeypatch.setenv("CONCAT_IRA_CONFIG_DIR", str(config_path.parent))

@@ -276,3 +276,60 @@ def test_batch_rows_equal_single_decodes(
         assert np.array_equal(res.extrinsic[i], one.extrinsic)
         assert res.iterations_used[i] == one.iterations_used
         assert res.valid[i] == one.valid
+
+
+class TestWorkspaceReuse:
+    """decode_batch keeps one grow-only workspace per graph; no call may see
+    what an earlier call left in it."""
+
+    def test_sequence_of_widths_and_graphs_matches_reference(self, paper_outer, paper_inner):
+        rng = np.random.default_rng(11)
+        for code, batch in ((paper_outer, 128), (paper_outer, 3), (paper_inner, 40),
+                            (paper_outer, 181), (paper_inner, 181), (paper_outer, 128)):
+            channel = noisy_codewords(code, batch, 2.5, rng)
+            prior = rng.normal(scale=0.5, size=channel.shape)
+            assert_results_identical(
+                decode_batch(code, channel, prior, 20),
+                reference_decode_batch(code, channel, prior, 20),
+            )
+
+    def test_held_result_unchanged_by_later_calls(self, paper_outer):
+        rng = np.random.default_rng(12)
+        held = decode_batch(paper_outer, noisy_codewords(paper_outer, 16, 2.5, rng), None, 30)
+        copies = {name: getattr(held, name).copy() for name in RESULT_FIELDS}
+        for batch in (181, 1, 16):
+            decode_batch(paper_outer, noisy_codewords(paper_outer, batch, 2.0, rng), None, 30)
+        for name in RESULT_FIELDS:
+            assert np.array_equal(getattr(held, name), copies[name]), name
+
+    def test_inputs_not_mutated(self, paper_outer):
+        rng = np.random.default_rng(13)
+        channel = noisy_codewords(paper_outer, 24, 2.5, rng)
+        prior = rng.normal(scale=0.5, size=channel.shape)
+        channel_before, prior_before = channel.copy(), prior.copy()
+        decode_batch(paper_outer, channel, prior, 30)
+        assert np.array_equal(channel, channel_before)
+        assert np.array_equal(prior, prior_before)
+
+    @pytest.mark.parametrize("max_iter", [1, 10])
+    @pytest.mark.parametrize(
+        "n_vars, rows",
+        [
+            (8, [(v, v + 1) for v in range(7)]),  # repetition code: every check of degree 2
+            (8, [(0,), (0, 1, 2), (2, 3), (3, 4, 5, 6, 7)]),  # one degree-1 check
+            (4, [(0,), (1,), (3,)]),  # every check of degree 1, one variable unchecked
+        ],
+        ids=["repetition", "one-degree-1-check", "all-degree-1-checks"],
+    )
+    def test_low_check_degrees_match_reference(self, n_vars, rows, max_iter):
+        h = ci.SparseBinaryMatrix.from_rows(len(rows), n_vars, rows)
+        rng = np.random.default_rng(max_iter)
+        for batch in (5, 1):
+            channel = rng.normal(loc=0.5, scale=1.5, size=(batch, h.n_cols))
+            prior = rng.normal(scale=0.5, size=channel.shape)
+            for pr in (None, prior):
+                for early_stop in (True, False):
+                    assert_results_identical(
+                        decode_batch(h, channel, pr, max_iter, early_stop),
+                        reference_decode_batch(h, channel, pr, max_iter, early_stop),
+                    )
