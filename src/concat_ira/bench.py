@@ -23,7 +23,8 @@ from . import spa
 from .channel import RngStream, awgn, channel_llr, ebno_sigma, gaussian_q, modulate
 from .concat import ConcatCode, Schedule, concat_decode, concat_encode
 from .interleave import BlockPermutation, load_permutation, random_permutation
-from .ira import IraCode, encode, load_code
+# perfbench/layers.py patches bench.encode, so the name stays importable here
+from .ira import IraCode, encode, encode_batch, load_code  # noqa: F401
 
 __all__ = [
     "ConfigError",
@@ -122,38 +123,48 @@ class SimConfig:
         sched = raw.get("schedule", {})
         if not isinstance(sched, dict):
             raise ConfigError("schedule must be an object")
+        ebno = _json_value(raw, "ebno_db", [], list)
+        if any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in ebno):
+            raise ConfigError(f"ebno_db must be a list of numbers, not {ebno!r}")
         try:
             return cls(
                 system=raw.get("system", "concat"),
-                ebno_db=tuple(raw.get("ebno_db", ())),
-                output=raw.get("output", "curve.csv"),
-                master_seed=int(raw.get("master_seed", 0)),
-                workers=int(raw.get("workers", 1)),
+                ebno_db=tuple(ebno),
+                output=_json_value(raw, "output", "curve.csv", str),
+                master_seed=_json_value(raw, "master_seed", 0, int),
+                workers=_json_value(raw, "workers", 1, int),
                 stop=StopRule(
-                    min_block_errors=int(raw.get("min_block_errors", 100)),
-                    max_blocks=int(raw.get("max_blocks", 1_000_000)),
+                    min_block_errors=_json_value(raw, "min_block_errors", 100, int),
+                    max_blocks=_json_value(raw, "max_blocks", 1_000_000, int),
                 ),
-                noiseless=_json_bool(raw, "noiseless", False),
-                outer_code=raw.get("outer_code"),
-                inner_code=raw.get("inner_code"),
-                interleaver=raw.get("interleaver"),
+                noiseless=_json_value(raw, "noiseless", False, bool),
+                outer_code=_json_value(raw, "outer_code", None, str),
+                inner_code=_json_value(raw, "inner_code", None, str),
+                interleaver=_json_value(raw, "interleaver", None, str),
                 schedule=Schedule(
-                    outer_iters=int(sched.get("outer_iters", 10)),
-                    inner_iters=int(sched.get("inner_iters", 10)),
-                    freeze_converged=_json_bool(sched, "freeze_converged", True),
+                    outer_iters=_json_value(sched, "outer_iters", 10, int),
+                    inner_iters=_json_value(sched, "inner_iters", 10, int),
+                    freeze_converged=_json_value(sched, "freeze_converged", True, bool),
                 ),
-                code=raw.get("code"),
-                max_iter=int(raw.get("max_iter", 100)),
+                code=_json_value(raw, "code", None, str),
+                max_iter=_json_value(raw, "max_iter", 100, int),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
-def _json_bool(raw: dict, key: str, default: bool) -> bool:
-    """A JSON boolean; bool() would read the string "false" as True."""
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, not {value!r}")
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", list: "a list of numbers"}
+
+
+def _json_value(raw: dict, key: str, default, kind: type):
+    """raw[key], or default when absent, refused unless it has the JSON type
+    kind: int() would read 1.5 as 1, bool() the string "false" as True, and a
+    JSON true is no integer."""
+    if key not in raw:
+        return default
+    value = raw[key]
+    if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+        raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, not {value!r}")
     return value
 
 
@@ -162,7 +173,8 @@ def _json_bool(raw: dict, key: str, default: bool) -> bool:
 # A system runs trials lo..hi-1 at one noise level and returns, per trial,
 # (bit errors, block error, outer iterations, component decodes, component
 # iterations).  Each trial draws its source bits and noise from its own
-# stream.  trials_per_task is the work of one pool task.
+# stream.  trials_per_task is the work of one pool task, and of one stop-rule
+# round in-process.
 
 
 def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator, noiseless: bool) -> np.ndarray:
@@ -211,12 +223,13 @@ class ConcatSystem:
 
 @dataclass(frozen=True, eq=False)
 class SingleSystem:
-    """One component code; a task's trials decode as one batch, which gives
-    every row the result it would have on its own."""
+    """One component code; a task's trials encode as one batch and decode as
+    one batch, which gives every row the result it would have on its own.
+    Wide tasks let the rows that never converge share their iterations."""
 
     code: IraCode
     max_iter: int
-    trials_per_task = 64
+    trials_per_task = 256
 
     @property
     def rate(self) -> float:
@@ -228,13 +241,15 @@ class SingleSystem:
 
     def run(self, lo: int, hi: int, sigma: float, master_seed: int, noiseless: bool) -> list:
         code = self.code
-        sources, llrs = [], []
-        for index in range(lo, hi):
-            gen = RngStream(master_seed, index).generator()
-            sources.append(gen.integers(0, 2, size=code.K, dtype=np.uint8))
-            llrs.append(_received(encode(code, sources[-1]), sigma, gen, noiseless))
-        res = spa.decode_batch(code, np.stack(llrs), None, self.max_iter)
-        errors = (res.hard_bits[:, : code.K] != np.stack(sources)).sum(axis=1)
+        gens = [RngStream(master_seed, index).generator() for index in range(lo, hi)]
+        # each stream draws its source bits, then its noise, as one trial alone would
+        sources = np.stack([gen.integers(0, 2, size=code.K, dtype=np.uint8) for gen in gens])
+        llrs = np.stack([
+            _received(tx, sigma, gen, noiseless)
+            for tx, gen in zip(encode_batch(code, sources), gens)
+        ])
+        res = spa.decode_batch(code, llrs, None, self.max_iter)
+        errors = (res.hard_bits[:, : code.K] != sources).sum(axis=1)
         return [
             (bit_errors, 1 if bit_errors else 0, 0, 1, iters)
             for bit_errors, iters in zip(errors.tolist(), res.iterations_used.tolist())
@@ -280,11 +295,13 @@ def measure_point(
     workers: int = 1,
 ) -> CurvePoint:
     """Run trials 0, 1, 2, ... until the stop rule holds, scanning results in
-    trial order.  Each stop-rule round runs 64 trials in-process, or with a
-    pool of several workers at least four tasks per worker."""
+    trial order.  Each stop-rule round runs one task in-process (one concat
+    block, or 256 single-code trials), or with a pool of several workers
+    ``trials_per_task * max(16, 4 * workers)`` trials: at least four tasks per
+    worker, so 4,096 single-code trials at up to four workers."""
     sigma = 1.0 if noiseless else ebno_sigma(ebno_db, system.rate)
     step = system.trials_per_task
-    chunk = 64 if workers == 1 else step * max(16, 4 * workers)
+    chunk = step if workers == 1 else step * max(16, 4 * workers)
 
     t0 = time.perf_counter()
     bit_errors = block_errors = blocks = 0

@@ -100,6 +100,15 @@ class SparseBinaryMatrix:
         col_support = _canonical_support(cols, n_cols, n_rows, "column")
         return cls(n_rows, n_cols, _transpose_support(col_support, n_rows), col_support)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # once per instance: decoders look their compiled graph up by matrix
+        # on every call, and hashing the supports costs microseconds
+        return hash((self.n_rows, self.n_cols, self.row_support, self.col_support))
+
     @property
     def n_edges(self) -> int:
         return sum(len(r) for r in self.row_support)

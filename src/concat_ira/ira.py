@@ -358,12 +358,14 @@ class IraCode:
         return self.K / self.N
 
     @cached_property
-    def _h1_dense(self) -> np.ndarray:
-        dense = np.zeros((self.M, self.K), dtype=np.int64)
-        for j in range(self.K):
-            for r in self.H.col_support[j]:
-                dense[r, j] = 1
-        return dense
+    def _h1_index(self) -> np.ndarray:
+        """(w, M): the k-th systematic position of every check, padded with K,
+        the index of a zero row appended to the source bits."""
+        rows = [[j for j in row if j < self.K] for row in self.H.row_support]
+        index = np.full((max(map(len, rows)), self.M), self.K, dtype=np.intp)
+        for check, row in enumerate(rows):
+            index[: len(row), check] = row
+        return index
 
 
 def build_code(
@@ -436,9 +438,15 @@ def encode_batch(code: IraCode, sources) -> np.ndarray:
     sources = np.asarray(sources)
     if sources.ndim != 2 or sources.shape[1] != code.K:
         raise ValueError(f"expected (B, {code.K}) source block, got {sources.shape}")
-    terms = (sources.astype(np.int64) @ code._h1_dense.T) & 1
-    parity = np.cumsum(terms, axis=1) & 1
-    return np.concatenate([sources.astype(np.uint8), parity.astype(np.uint8)], axis=1)
+    # batch-last: each parity term is the XOR of its check's source bits, and
+    # the parities are the running XOR of the terms
+    bits = np.zeros((code.K + 1, sources.shape[0]), dtype=np.uint8)
+    bits[: code.K] = sources.T
+    terms = np.bitwise_xor.reduce(bits[code._h1_index], axis=0)
+    out = np.empty((sources.shape[0], code.N), dtype=np.uint8)
+    out[:, : code.K] = sources
+    out[:, code.K :] = np.bitwise_xor.accumulate(terms, axis=0).T
+    return out
 
 
 # --- code files: canonical alist next to a key-value sidecar -------------------

@@ -196,7 +196,7 @@ def decode_batch(
     # channel + a zero prior, as the prior-free sum has always been formed
     np.add(channel.T, 0.0 if prior is None else prior.T, out=lam[:n])
     lam[n] = 0.0
-    np.take(lam, g.slot_var, axis=0, out=msg_vc, mode="clip")
+    lam.take(g.slot_var, axis=0, out=msg_vc, mode="clip")
 
     hard = np.empty((batch, n), dtype=np.uint8)
     posterior = np.empty((batch, n))
@@ -213,10 +213,11 @@ def decode_batch(
         # running suffix held in p[0] multiplies into them from the top; the
         # products are those of separate prefix and suffix passes starting
         # from 1.0, without the exact factors of 1.0
-        t = np.clip(msg_vc, -LLR_CLAMP, LLR_CLAMP, out=msg_vc)
+        t = msg_vc.clip(-LLR_CLAMP, LLR_CLAMP, out=msg_vc)
         t *= 0.5
         np.tanh(t, out=t)
-        t[g.pad] = 1.0
+        if g.pad.size:
+            t[g.pad] = 1.0
         t = t.reshape(dc, m, b)
         cv = msg_cv[:n_slots]
         p = cv.reshape(dc, m, b)
@@ -230,21 +231,21 @@ def decode_batch(
             for k in range(dc - 2, 0, -1):
                 p[k] *= p[0]
                 p[0] *= t[k]
-        np.clip(cv, -_ATANH_GUARD, _ATANH_GUARD, out=cv)
+        cv.clip(-_ATANH_GUARD, _ATANH_GUARD, out=cv)
         np.arctanh(cv, out=cv)
         cv *= 2.0
 
         # variable update: summed in slot order, the zero slot padding the
         # sum; every index is in range, and mode="clip" skips take's copy of out
-        np.take(msg_cv, g.var_slots[0], axis=0, out=ext, mode="clip")
+        msg_cv.take(g.var_slots[0], axis=0, out=ext, mode="clip")
         for slots in g.var_slots[1:]:
-            ext += np.take(msg_cv, slots, axis=0, out=gathered, mode="clip")
+            ext += msg_cv.take(slots, axis=0, out=gathered, mode="clip")
         np.add(lam[:n], ext, out=post[:n])
-        np.take(post, g.slot_var, axis=0, out=msg_vc, mode="clip")
+        post.take(g.slot_var, axis=0, out=msg_vc, mode="clip")
         msg_vc -= cv
 
         np.less(post, 0.0, out=bits)
-        np.take(bits, g.slot_var, axis=0, out=slot_bits, mode="clip")
+        bits.take(g.slot_var, axis=0, out=slot_bits, mode="clip")
         np.bitwise_xor.reduce(slot_bits.reshape(dc, m, b), axis=0, out=parity)
         zero_syndrome = ~parity.any(axis=0)
 
@@ -269,8 +270,8 @@ def decode_batch(
         active = active[keep]
         b = keep.size
         half ^= 1
-        lam = np.take(lam, keep, axis=1, out=ws.view(f"lam{half}", b), mode="clip")
-        msg_vc = np.take(msg_vc, keep, axis=1, out=ws.view(f"msg_vc{half}", b), mode="clip")
+        lam = lam.take(keep, axis=1, out=ws.view(f"lam{half}", b), mode="clip")
+        msg_vc = msg_vc.take(keep, axis=1, out=ws.view(f"msg_vc{half}", b), mode="clip")
         msg_cv, post, ext, gathered, bits, slot_bits, parity = ws.working(b)
 
     return BatchDecodeResult(hard, posterior, extrinsic, iterations, valid)

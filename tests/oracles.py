@@ -202,6 +202,19 @@ def reference_decode_batch(matrix, channel, prior=None, max_iter=100, early_stop
     return BatchDecodeResult(hard, posterior, extrinsic, iterations, valid)
 
 
+def reference_encode_batch(code, sources) -> np.ndarray:
+    """The dense encoder: parity terms as an int64 product with H1, parities
+    as their running sum mod 2."""
+    h1_dense = np.zeros((code.M, code.K), dtype=np.int64)
+    for j in range(code.K):
+        for r in code.H.col_support[j]:
+            h1_dense[r, j] = 1
+    sources = np.asarray(sources)
+    terms = (sources.astype(np.int64) @ h1_dense.T) & 1
+    parity = np.cumsum(terms, axis=1) & 1
+    return np.concatenate([sources.astype(np.uint8), parity.astype(np.uint8)], axis=1)
+
+
 # --- scalar and exhaustive references the package's fast paths replace -------
 
 

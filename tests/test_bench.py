@@ -10,8 +10,11 @@ from concat_ira.bench import (
     ConcatSystem,
     ConfigError,
     SimConfig,
+    SingleSystem,
     StopRule,
+    format_row,
     load_system,
+    measure_point,
     pilot_select,
     run_curve,
     two_proportion_z,
@@ -89,6 +92,43 @@ class TestSimConfig:
         # bool() would turn the string "false" into True
         with pytest.raises(ConfigError, match="true or false"):
             SimConfig.from_json(json.dumps({"system": "single", "ebno_db": [1.0], **extra}))
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"master_seed": 1.5}, "master_seed"),  # int() would run seed 1
+            ({"master_seed": "3"}, "master_seed"),
+            ({"master_seed": True}, "master_seed"),
+            ({"workers": 2.0}, "workers"),
+            ({"min_block_errors": "10"}, "min_block_errors"),
+            ({"max_blocks": 1e3}, "max_blocks"),
+            ({"max_iter": False}, "max_iter"),
+            ({"schedule": {"outer_iters": 2.5}}, "outer_iters"),
+            ({"schedule": {"inner_iters": "4"}}, "inner_iters"),
+            ({"ebno_db": "35"}, "ebno_db"),  # tuple() would run 3 dB and 5 dB
+            ({"ebno_db": 3.0}, "ebno_db"),
+            ({"ebno_db": [3.0, "4"]}, "ebno_db"),
+            ({"ebno_db": [True]}, "ebno_db"),
+            ({"output": 5}, "output"),
+            ({"code": ["x"]}, "code"),
+            ({"outer_code": 1}, "outer_code"),
+            ({"inner_code": None}, "inner_code"),
+            ({"interleaver": {}}, "interleaver"),
+        ],
+    )
+    def test_values_of_the_wrong_json_type_rejected(self, extra, key):
+        base = {"system": "single", "ebno_db": [1.0], "code": "c"}
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            SimConfig.from_json(json.dumps({**base, **extra}))
+
+    def test_json_integers_and_numbers_parse(self):
+        config = SimConfig.from_json(json.dumps({
+            "system": "single", "ebno_db": [3, 4.5], "code": "c", "master_seed": 12,
+            "workers": 2, "max_iter": 40, "schedule": {"outer_iters": 3, "inner_iters": 6},
+        }))
+        assert config.ebno_db == (3.0, 4.5)
+        assert (config.master_seed, config.workers, config.max_iter) == (12, 2, 40)
+        assert config.schedule == ci.Schedule(3, 6, True)
 
     def test_boolean_flags_parse(self):
         config = SimConfig.from_json(json.dumps({
@@ -225,12 +265,17 @@ class TestRunCurve:
         )
 
 
+def toy_pair():
+    outer = build_toy(21, k=16, n=24)
+    inner = build_toy(22, k=16, n=24)
+    return outer, inner
+
+
 class TestTrialIndependence:
     def test_trials_do_not_depend_on_earlier_decodes(self):
         # every component decode reuses its graph's workspace, so a trial
         # must come out the same whatever was decoded before it
-        outer = build_toy(21, k=16, n=24)
-        inner = build_toy(22, k=16, n=24)
+        outer, inner = toy_pair()
         system = ConcatSystem(
             ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
         )
@@ -244,6 +289,50 @@ class TestTrialIndependence:
             (alone[i],) = system.run(i, i + 1, sigma, 9, False)
         assert together == [alone[i] for i in range(6)]
         assert {trial[1] for trial in together} == {0, 1}  # some blocks fail, some do not
+
+
+class TestTrialRounds:
+    """Single-code tasks encode and decode 256 trials at once, and an
+    in-process stop-rule round is one task; no result may depend on either."""
+
+    def test_wide_task_equals_one_trial_runs_and_narrow_pieces(self):
+        outer, _ = toy_pair()
+        system = SingleSystem(outer, 20)
+        assert system.trials_per_task == 256
+        sigma = ci.ebno_sigma(3.0, system.rate)
+        whole = system.run(0, 600, sigma, 9, False)
+        pieces, alone = [], []
+        for lo in range(0, 600, 64):
+            pieces += system.run(lo, min(lo + 64, 600), sigma, 9, False)
+        for i in range(600):
+            alone += system.run(i, i + 1, sigma, 9, False)
+        assert whole == pieces == alone
+        assert {trial[1] for trial in whole} == {0, 1}
+
+    # rows written by the harness when an in-process round was 64 trials and a
+    # single-code task 64 trials; each stop rule fires inside a round
+    @pytest.mark.parametrize(
+        "kind, ebno, stop, row",
+        [
+            ("concat", 5.0, StopRule(5, 500),
+             "5,56,8,5,0.0005580357142857143,0.08928571428571429,2.267857142857143,1.5864045864045864,9"),
+            ("single", 3.0, StopRule(90, 5000),
+             "3,750,197,90,0.016416666666666666,0.12,0.0,3.3893333333333335,9"),
+            ("single", 5.0, StopRule(10_000, 300),
+             "5,300,14,7,0.002916666666666667,0.023333333333333334,0.0,1.6133333333333333,9"),
+        ],
+        ids=["concat", "single-errors", "single-max-blocks"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_match_the_narrow_round_harness(self, kind, ebno, stop, row, workers):
+        outer, inner = toy_pair()
+        if kind == "concat":
+            system = ConcatSystem(
+                ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
+            )
+        else:
+            system = SingleSystem(outer, 20)
+        assert format_row(measure_point(system, ebno, stop, 9, workers=workers), 9) == row
 
 
 class TestPilotSelect:

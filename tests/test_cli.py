@@ -161,6 +161,20 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra", [{"master_seed": 1.5}, {"ebno_db": "35"}, {"output": 5}],
+        ids=["float-seed", "string-ebno", "number-output"],
+    )
+    def test_config_value_of_wrong_json_type_gives_one_error_line(
+        self, workspace, tmp_path, capsys, extra
+    ):
+        config_path, out = self.make_config(workspace, tmp_path)
+        config_path.write_text(json.dumps({**json.loads(config_path.read_text()), **extra}))
+        assert run_cli("simulate", "--config", config_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_config_dir_env_fallback(self, workspace, tmp_path, monkeypatch):
         config_path, out = self.make_config(workspace, tmp_path)
         monkeypatch.setenv("CONCAT_IRA_CONFIG_DIR", str(config_path.parent))

@@ -40,6 +40,17 @@ class TestSparseBinaryMatrix:
         with pytest.raises(ValueError, match="out of range"):
             ci.SparseBinaryMatrix.from_rows(1, 3, [(3,)])
 
+    def test_equal_matrices_hash_equal(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            m = random_matrix(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+            again = ci.SparseBinaryMatrix.from_cols(m.n_rows, m.n_cols, m.col_support)
+            assert again is not m and again == m and hash(again) == hash(m)
+            assert {m: 1}[again] == 1
+        a = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1), (2,)])
+        b = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1), (1,)])
+        assert a != b and {a: 1}.get(b) is None
+
 
 class TestSyndrome:
     def test_zero_vector(self):

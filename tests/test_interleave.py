@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,44 @@ class TestPermutationFile:
         path.write_text("2 2 0 0\n0 0\n1 1\n")
         with pytest.raises(PermutationFileError, match="mapping lines"):
             ci.load_permutation(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            ("2 2 0\n0 1\n1 0\n2 3\n3 2\n", "header must be 'K N seed t'"),
+            ("2 2 0 x\n0 1\n1 0\n2 3\n3 2\n", "non-integer header field"),
+            ("2 2 0 0\n0 1\n1 0\n2 3\n3 2 9\n", "line 5: expected 'src dst'"),
+            ("2 2 0 0\n0 1\n\n2 3\n3 2\n", "line 3: expected 'src dst'"),
+            ("2 2 0 0\n0 1\n1 x\n2 3\n3 2\n", "line 3: non-integer"),
+            ("2 2 0 0\n0 1\n1 1.0\n2 3\n3 2\n", "line 3: non-integer"),
+            ("2 2 0 0\n0 1\n1 4\n2 3\n3 2\n", "line 3: index out of range"),
+            ("2 2 0 0\n0 1\n-1 0\n2 3\n3 2\n", "line 3: index out of range"),
+            ("2 2 0 0\n0 1\n1 99999999999999999999\n2 3\n3 2\n", "line 3: index out of range"),
+            ("2 2 0 0\n0 1\n0 0\n2 3\n3 2\n", "line 3: duplicate source 0"),
+            ("2 2 0 0\n0 1\n1 0\n2 1\n3 2\n", "forward map is not a bijection"),
+            # the first refused line wins, and within a line the earlier check
+            ("2 2 0 0\n0 1\n0 0\n2 x\n3\n", "line 3: duplicate source 0"),
+            ("2 2 0 0\n0 1\nx 0\n2 9\n3\n", "line 3: non-integer"),
+            ("2 2 0 0\n0 1\n0 7\n2 3\n3 2\n", "line 3: index out of range"),
+            ("2 2 0 0\n0 1\n1 0\n2 3\n1 2\n", "line 5: duplicate source 1"),
+        ],
+    )
+    def test_each_refusal_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "pi.perm"
+        path.write_text(text)
+        with pytest.raises(PermutationFileError, match=re.escape(f"{path}: {message}")):
+            ci.load_permutation(path)
+
+    def test_any_integer_form_and_spacing_accepted(self, tmp_path):
+        path = tmp_path / "pi.perm"
+        path.write_bytes(b"2 2 4 1\r\n0\t1\r\n  1   0 \r\n+2 3\r\n3 0_2\r\n")
+        perm = ci.load_permutation(path)
+        assert perm.forward.tolist() == [1, 0, 3, 2]
+        assert (perm.K, perm.N, perm.seed, perm.design_t) == (2, 2, 4, 1)
+
+    def test_paper_size_round_trip(self, tmp_path):
+        perm = ci.random_permutation(128, 181, 7)
+        path = tmp_path / "pi.perm"
+        ci.save_permutation(perm, path)
+        assert np.array_equal(ci.load_permutation(path).forward, perm.forward)

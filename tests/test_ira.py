@@ -6,7 +6,9 @@ import concat_ira as ci
 from concat_ira.ira import ConstructionError
 
 from conftest import TOY_ACE
-from oracles import ace_audit, ace_check, dense_syndrome, has_codeword_of_weight_le4
+from oracles import (
+    ace_audit, ace_check, dense_syndrome, has_codeword_of_weight_le4, reference_encode_batch,
+)
 
 
 class TestBuildH2:
@@ -149,6 +151,16 @@ class TestEncode:
     def test_wrong_length_rejected(self, toy_outer):
         with pytest.raises(ValueError):
             ci.encode(toy_outer, np.zeros(9, dtype=np.uint8))
+
+    @pytest.mark.parametrize("which", ["paper_outer", "paper_inner", "toy_outer"])
+    @pytest.mark.parametrize("batch", [1, 7, 181])
+    def test_batch_matches_dense_reference(self, which, batch, request):
+        code = request.getfixturevalue(which)
+        rng = np.random.default_rng(batch)
+        sources = rng.integers(0, 2, (batch, code.K), dtype=np.uint8)
+        words = ci.encode_batch(code, sources)
+        expected = reference_encode_batch(code, sources)
+        assert words.dtype == expected.dtype and np.array_equal(words, expected)
 
 
 class TestLowWeightScreen:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import concat_ira as ci
-from concat_ira.spa import decode_batch
+from concat_ira.spa import _compile, decode_batch
 
 from oracles import (
     check_update,
@@ -292,6 +292,18 @@ class TestWorkspaceReuse:
                 decode_batch(code, channel, prior, 20),
                 reference_decode_batch(code, channel, prior, 20),
             )
+
+    def test_reloaded_equal_code_reuses_compiled_graph(self, paper_outer, tmp_path):
+        ci.save_code(paper_outer, tmp_path / "outer")
+        reloaded = ci.load_code(tmp_path / "outer")
+        assert reloaded.H is not paper_outer.H and reloaded.H == paper_outer.H
+        channel = noisy_codewords(paper_outer, 4, 2.5, np.random.default_rng(14))
+        first = decode_batch(paper_outer, channel, None, 20)
+        hits, misses = _compile.cache_info().hits, _compile.cache_info().misses
+        assert_results_identical(decode_batch(reloaded, channel, None, 20), first)
+        assert _compile.cache_info().hits == hits + 1
+        assert _compile.cache_info().misses == misses
+        assert _compile(reloaded.H) is _compile(paper_outer.H)
 
     def test_held_result_unchanged_by_later_calls(self, paper_outer):
         rng = np.random.default_rng(12)
