@@ -13,8 +13,10 @@ import json
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,8 @@ class SimConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         object.__setattr__(self, "ebno_db", tuple(float(e) for e in self.ebno_db))
+        if not all(map(math.isfinite, self.ebno_db)):
+            raise ConfigError(f"ebno_db must be finite, not {self.ebno_db!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
@@ -173,8 +177,7 @@ def _json_value(raw: dict, key: str, default, kind: type):
 # A system runs trials lo..hi-1 at one noise level and returns, per trial,
 # (bit errors, block error, outer iterations, component decodes, component
 # iterations).  Each trial draws its source bits and noise from its own
-# stream.  trials_per_task is the work of one pool task, and of one stop-rule
-# round in-process.
+# stream.  trials_per_task is the work of one task, in-process or on a pool.
 
 
 def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator, noiseless: bool) -> np.ndarray:
@@ -286,6 +289,24 @@ def _run_task(args: tuple[int, int, float]) -> list:
     return system.run(lo, hi, sigma, master_seed, noiseless)
 
 
+def _trial_results(system, sigma: float, max_blocks: int, master_seed: int, noiseless: bool, workers: int):
+    """Results of trials 0 .. max_blocks-1 in trial order: in-process one task at a time, on a
+    pool at most 2 * workers tasks in flight, the queued ones cancelled when the generator closes."""
+    step = system.trials_per_task
+    tasks = ((lo, min(lo + step, max_blocks), sigma) for lo in range(0, max_blocks, step))
+    if workers == 1:
+        yield from chain.from_iterable(system.run(*task, master_seed, noiseless) for task in tasks)
+        return
+    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(system, master_seed, noiseless))
+    try:
+        in_flight = deque(pool.submit(_run_task, task) for task in islice(tasks, 2 * workers - 1))
+        while in_flight:
+            in_flight.extend(pool.submit(_run_task, task) for task in islice(tasks, 1))
+            yield from in_flight.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def measure_point(
     system: ConcatSystem | SingleSystem,
     ebno_db: float,
@@ -295,41 +316,22 @@ def measure_point(
     workers: int = 1,
 ) -> CurvePoint:
     """Run trials 0, 1, 2, ... until the stop rule holds, scanning results in
-    trial order.  Each stop-rule round runs one task in-process (one concat
-    block, or 256 single-code trials), or with a pool of several workers
-    ``trials_per_task * max(16, 4 * workers)`` trials: at least four tasks per
-    worker, so 4,096 single-code trials at up to four workers."""
+    trial order, in-process or on a pool of several workers."""
     sigma = 1.0 if noiseless else ebno_sigma(ebno_db, system.rate)
-    step = system.trials_per_task
-    chunk = step if workers == 1 else step * max(16, 4 * workers)
-
     t0 = time.perf_counter()
     bit_errors = block_errors = blocks = 0
     outer_total = comp_calls = comp_iters = 0
-    base = 0
-    with (
-        ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(system, master_seed, noiseless))
-        if workers > 1
-        else contextlib.nullcontext()
-    ) as pool:
-        while base < stop.max_blocks and block_errors < stop.min_block_errors:
-            hi = min(base + chunk, stop.max_blocks)
-            if pool is None:
-                results = system.run(base, hi, sigma, master_seed, noiseless)
-            else:
-                tasks = [(lo, min(lo + step, hi), sigma) for lo in range(base, hi, step)]
-                results = [r for part in pool.map(_run_task, tasks) for r in part]
-            for be, blk, outer_used, calls, iters in results:
-                blocks += 1
-                bit_errors += be
-                block_errors += blk
-                outer_total += outer_used
-                comp_calls += calls
-                comp_iters += iters
-                if block_errors >= stop.min_block_errors:
-                    break
-            base = hi
-
+    trials = _trial_results(system, sigma, stop.max_blocks, master_seed, noiseless, workers)
+    with contextlib.closing(trials):
+        for be, blk, outer_used, calls, iters in trials:
+            blocks += 1
+            bit_errors += be
+            block_errors += blk
+            outer_total += outer_used
+            comp_calls += calls
+            comp_iters += iters
+            if block_errors >= stop.min_block_errors:
+                break
     return CurvePoint(
         ebno_db=ebno_db,
         blocks_run=blocks,

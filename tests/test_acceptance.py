@@ -2,8 +2,8 @@
 PASS/FAIL line with its runtime (run with -s to see them inline).
 
 Criterion 8 carries the slow marker: it is a directional Monte Carlo
-comparison at a mid-waterfall operating point that takes hours of CPU;
-everything else completes in a couple of minutes.  scripts/directional_check.py
+comparison at a mid-waterfall operating point that takes about 90 s on a
+2-vCPU VM; everything else completes in seconds.  scripts/directional_check.py
 runs criterion 8 standalone with progress output.
 """
 

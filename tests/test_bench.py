@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,12 @@ class TestSimConfig:
         base = {"system": "single", "ebno_db": [1.0], "code": "c"}
         with pytest.raises(ConfigError, match=f"^{key} must be "):
             SimConfig.from_json(json.dumps({**base, **extra}))
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_ebno_rejected(self, value):
+        # json.loads reads these three as floats; none is an operating point
+        with pytest.raises(ConfigError, match="^ebno_db must be finite"):
+            SimConfig.from_json(f'{{"system": "single", "ebno_db": [3.0, {value}], "code": "c"}}')
 
     def test_json_integers_and_numbers_parse(self):
         config = SimConfig.from_json(json.dumps({
@@ -291,9 +298,33 @@ class TestTrialIndependence:
         assert {trial[1] for trial in together} == {0, 1}  # some blocks fail, some do not
 
 
+@dataclass(frozen=True)
+class TaskLog:
+    """A system whose every trial is a block error and whose every task
+    appends its first trial index to the file at path."""
+
+    path: str
+    rate = 0.5
+    source_bits = 1
+    trials_per_task = 1
+
+    def run(self, lo: int, hi: int, sigma: float, master_seed: int, noiseless: bool) -> list:
+        with open(self.path, "a", encoding="utf-8") as f:
+            f.write(f"{lo}\n")
+        return [(1, 1, 0, 1, 1)] * (hi - lo)
+
+
 class TestTrialRounds:
-    """Single-code tasks encode and decode 256 trials at once, and an
-    in-process stop-rule round is one task; no result may depend on either."""
+    """Single-code tasks encode and decode 256 trials at once, and tasks run
+    in trial order, one at a time in-process and at most 2 x workers at once
+    on a pool; no result may depend on either."""
+
+    def test_pool_runs_at_most_two_tasks_per_worker_past_the_stop(self, tmp_path):
+        log = tmp_path / "tasks.txt"
+        point = measure_point(TaskLog(str(log)), 3.0, StopRule(1, 1000), 9, workers=2)
+        assert point.blocks_run == 1
+        ran = [int(lo) for lo in log.read_text(encoding="utf-8").split()]
+        assert 0 in ran and len(ran) <= 2 * 2
 
     def test_wide_task_equals_one_trial_runs_and_narrow_pieces(self):
         outer, _ = toy_pair()
@@ -323,7 +354,7 @@ class TestTrialRounds:
         ],
         ids=["concat", "single-errors", "single-max-blocks"],
     )
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_rows_match_the_narrow_round_harness(self, kind, ebno, stop, row, workers):
         outer, inner = toy_pair()
         if kind == "concat":

@@ -154,6 +154,14 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("ebno", [["--ebno", "nan"], ["--ebno=-inf"]], ids=["nan", "-inf"])
+    def test_non_finite_ebno_override_gives_one_error_line(self, workspace, tmp_path, capsys, ebno):
+        config_path, out = self.make_config(workspace, tmp_path)
+        assert run_cli("simulate", "--config", config_path, *ebno) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_boolean_config_flag_gives_one_error_line(self, workspace, tmp_path, capsys):
         config_path, out = self.make_config(workspace, tmp_path, noiseless="false")
         assert run_cli("simulate", "--config", config_path) == 1
@@ -226,9 +234,11 @@ class TestCliContract:
         assert exc.value.code == 2
 
     def test_module_entry_point(self):
+        # run from the directory the package was imported from, which a bare
+        # pytest finds through its pythonpath setting, not the environment
         proc = subprocess.run(
             [sys.executable, "-m", "concat_ira.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, cwd=Path(ci.__file__).resolve().parents[1],
         )
         assert proc.returncode == 0
         assert "concat-ira" in proc.stdout
