@@ -82,6 +82,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_design_interleaver(args) -> int:
+    if args.step < 1:
+        raise ConfigError(f"--step must be >= 1, got {args.step}")
     outer = load_code(args.outer)
     inner = load_code(args.inner)
     k, n = outer.K, outer.N

@@ -144,9 +144,12 @@ def design(
     uniformly among positions whose own source column is not row-code
     sensitive and whose current image row is not column-code sensitive, so a
     swap removes exactly one offender and can never mint a new one; the
-    repair count is therefore monotone.  Raises InterleaverInfeasible when
-    the counting bound fails up front, when no legal partner remains, or
-    when bad mappings remain after repair.
+    repair count is therefore monotone.  The ascending pool of such partners
+    is built once: a swap only removes its partner, which takes the
+    offender's sensitive image, and never adds the offender, whose own
+    column is sensitive.  Raises InterleaverInfeasible when the counting
+    bound fails up front, when no legal partner remains, or when bad
+    mappings remain after repair.
     """
     k, n = perm0.K, perm0.N
     sets.validate_for(k, n)
@@ -166,26 +169,22 @@ def design(
     row_sensitive = np.zeros(k, dtype=bool)
     row_sensitive[list(sets.col_code_nodes)] = True
     src_col_safe = ~col_sensitive[np.arange(k * n) % n]
-    image_safe = ~row_sensitive[fwd // n]  # maintained across swaps
+    legal = np.flatnonzero(src_col_safe & ~row_sensitive[fwd // n]).tolist()
 
     offenders = count_bad_mappings(perm0, sets).positions
-    swaps = 0
     for r, c in offenders:
         p1 = r * n + c
-        legal = np.flatnonzero(src_col_safe & image_safe)
-        if len(legal) == 0:
+        if not legal:
             raise InterleaverInfeasible(
                 "no_legal_partner",
                 "every safe image is held by a sensitive-column position",
             )
-        p2 = int(legal[rng.integers(len(legal))])
+        p2 = legal.pop(rng.integers(len(legal)))
         fwd[p1], fwd[p2] = fwd[p2], fwd[p1]
-        image_safe[p1], image_safe[p2] = image_safe[p2], image_safe[p1]
-        swaps += 1
 
     result = BlockPermutation(
         K=k, N=n, forward=fwd, seed=perm0.seed,
-        design_t=perm0.design_t, repairs=swaps, sets=sets,
+        design_t=perm0.design_t, repairs=len(offenders), sets=sets,
     )
     remaining = count_bad_mappings(result, sets).count
     if remaining:
@@ -235,7 +234,7 @@ def save_permutation(perm: BlockPermutation, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{perm.K} {perm.N} {perm.seed} {perm.design_t}"]
-    lines.extend(f"{src} {int(dst)}" for src, dst in enumerate(perm.forward))
+    lines.extend(f"{src} {dst}" for src, dst in enumerate(perm.forward.tolist()))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

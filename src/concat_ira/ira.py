@@ -198,17 +198,18 @@ class _LowWeightScreen:
     Tracks placed column supports and their pairwise sums; a candidate support
     is rejected when accepting it would create a weight <= 4 codeword.  Pair
     sums that collide between overlapping pairs imply a duplicate support, so
-    keeping one flat set of sums is enough.
+    keeping one flat set of sums is enough.  A support is a bitmask of its
+    rows (bit r set for row r), so a support sum is one integer XOR.
     """
 
-    def __init__(self, initial: Sequence[frozenset]):
-        self.supports: set[frozenset] = set()
-        self.placed: list[frozenset] = []
-        self.pair_sums: set[frozenset] = set()
+    def __init__(self, initial: Sequence[int]):
+        self.supports: set[int] = set()
+        self.placed: list[int] = []
+        self.pair_sums: set[int] = set()
         for s in initial:
             self.register(s)
 
-    def clashes(self, cand: frozenset) -> bool:
+    def clashes(self, cand: int) -> bool:
         if cand in self.supports or cand in self.pair_sums:
             return True  # weight 2 or 3
         for s in self.placed:
@@ -217,11 +218,18 @@ class _LowWeightScreen:
                 return True  # weight 3 or 4
         return False
 
-    def register(self, cand: frozenset) -> None:
+    def register(self, cand: int) -> None:
         for s in self.placed:
             self.pair_sums.add(cand ^ s)
         self.placed.append(cand)
         self.supports.add(cand)
+
+
+def _row_mask(rows) -> int:
+    mask = 0
+    for r in rows:
+        mask |= 1 << int(r)
+    return mask
 
 
 def build_h1(
@@ -268,17 +276,17 @@ def build_h1(
             var_to_checks=h1_cols + h2_cols, check_to_vars=rows_work
         )
         screen = (
-            _LowWeightScreen([frozenset(s) for s in h2_cols])
+            _LowWeightScreen([_row_mask(s) for s in h2_cols])
             if screen_low_weight
             else None
         )
 
         # the graph view aliases the per-column lists, so mutate them in place
         def attempt(j: int, rows) -> bool:
-            cand = frozenset(int(r) for r in rows)
+            cand = _row_mask(rows)
             if screen is not None and screen.clashes(cand):
                 return False
-            h1_cols[j][:] = sorted(cand)
+            h1_cols[j][:] = sorted(int(r) for r in rows)
             for r in h1_cols[j]:
                 rows_work[r].append(j)
                 budgets[r] -= 1

@@ -9,6 +9,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from concat_ira.interleave import (
+    BlockPermutation,
+    InterleaverInfeasible,
+    SensitiveSets,
+    count_bad_mappings,
+)
 from concat_ira.spa import LLR_CLAMP, BatchDecodeResult
 
 
@@ -351,3 +357,68 @@ def has_codeword_of_weight_le4(matrix) -> bool:
             if other is None:
                 first_pair[s] = (a, b)
     return False
+
+
+def reference_design(
+    perm0: BlockPermutation,
+    sets: SensitiveSets,
+    rng: np.random.Generator,
+) -> BlockPermutation:
+    """Reference for ``interleave.design``: the same repair, rescanning the
+    whole block for the legal partners of every offender.
+
+    Repair a permutation until it has zero bad mappings.
+
+    Offenders are fixed in ascending flat order.  Each swap partner is drawn
+    uniformly among positions whose own source column is not row-code
+    sensitive and whose current image row is not column-code sensitive, so a
+    swap removes exactly one offender and can never mint a new one; the
+    repair count is therefore monotone.  Raises InterleaverInfeasible when
+    the counting bound fails up front, when no legal partner remains, or
+    when bad mappings remain after repair.
+    """
+    k, n = perm0.K, perm0.N
+    sets.validate_for(k, n)
+
+    demand = k * len(sets.row_code_nodes)
+    supply = (k - len(sets.col_code_nodes)) * n
+    if demand > supply:
+        raise InterleaverInfeasible(
+            "counting_bound",
+            f"{demand} sensitive-column positions cannot all avoid "
+            f"{len(sets.col_code_nodes)} sensitive rows ({supply} safe slots)",
+        )
+
+    fwd = np.array(perm0.forward)
+    col_sensitive = np.zeros(n, dtype=bool)
+    col_sensitive[list(sets.row_code_nodes)] = True
+    row_sensitive = np.zeros(k, dtype=bool)
+    row_sensitive[list(sets.col_code_nodes)] = True
+    src_col_safe = ~col_sensitive[np.arange(k * n) % n]
+    image_safe = ~row_sensitive[fwd // n]  # maintained across swaps
+
+    offenders = count_bad_mappings(perm0, sets).positions
+    swaps = 0
+    for r, c in offenders:
+        p1 = r * n + c
+        legal = np.flatnonzero(src_col_safe & image_safe)
+        if len(legal) == 0:
+            raise InterleaverInfeasible(
+                "no_legal_partner",
+                "every safe image is held by a sensitive-column position",
+            )
+        p2 = int(legal[rng.integers(len(legal))])
+        fwd[p1], fwd[p2] = fwd[p2], fwd[p1]
+        image_safe[p1], image_safe[p2] = image_safe[p2], image_safe[p1]
+        swaps += 1
+
+    result = BlockPermutation(
+        K=k, N=n, forward=fwd, seed=perm0.seed,
+        design_t=perm0.design_t, repairs=swaps, sets=sets,
+    )
+    remaining = count_bad_mappings(result, sets).count
+    if remaining:
+        raise InterleaverInfeasible(
+            "attempts_exhausted", f"{remaining} bad mappings remain after repair"
+        )
+    return result

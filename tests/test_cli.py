@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import concat_ira as ci
+from concat_ira import cli
 from concat_ira.cli import main
 
 
@@ -105,6 +106,26 @@ class TestDesignInterleaver:
         assert rc == 0
         assert "pilot block errors" in capsys.readouterr().out
         ci.load_permutation(out)
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_step_below_one_refused_before_the_pilot(self, workspace, capsys, monkeypatch, step):
+        piloted = []
+
+        def pilot_select(*args):
+            piloted.append(args)
+            raise RuntimeError("the pilot ran")
+
+        monkeypatch.setattr(cli, "pilot_select", pilot_select)
+        rc = run_cli(
+            "design-interleaver", "--outer", workspace / "outer",
+            "--inner", workspace / "inner", "--step", step,
+            "--out", workspace / "step.perm",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --step must be >= 1, got {step}\n"
+        assert piloted == []
+        assert not (workspace / "step.perm").exists()
 
 
 class TestSimulate:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import concat_ira as ci
+from concat_ira import interleave
 from concat_ira.interleave import InterleaverInfeasible, PermutationFileError
+from oracles import reference_design
 
 
 class TestRandomPermutation:
@@ -252,3 +254,107 @@ class TestPermutationFile:
         path = tmp_path / "pi.perm"
         ci.save_permutation(perm, path)
         assert np.array_equal(ci.load_permutation(path).forward, perm.forward)
+
+
+def _paper_sets(hist_row, hist_col, t):
+    return ci.SensitiveSets(
+        frozenset(ci.select_sensitive(hist_row, t)),
+        frozenset(ci.select_sensitive(hist_col, t, restrict_below=128)),
+    )
+
+
+class TestDesignMatchesReference:
+    """`design` keeps its legal-partner pool incrementally; the rescanning
+    `reference_design` must give the same permutation from the same draws."""
+
+    @staticmethod
+    def assert_same(perm0, sets, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ci.design(perm0, sets, rng)
+        want = reference_design(perm0, sets, ref_rng)
+        assert np.array_equal(got.forward, want.forward)
+        assert (got.repairs, got.sets, got.design_t, got.seed) == (
+            want.repairs, want.sets, want.design_t, want.seed,
+        )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    @pytest.mark.parametrize("t", [1, 6, 25, 50, 74])
+    def test_paper_shape(self, paper_codes_with_histograms, t, seed):
+        _, _, hist_row, hist_col = paper_codes_with_histograms
+        perm0 = ci.random_permutation(128, 181, 7)
+        self.assert_same(perm0, _paper_sets(hist_row, hist_col, t), seed)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_toy_shape(self, toy_outer, toy_inner, t, seed):
+        hist_row = ci.sensitivity_histogram(toy_outer.graph)
+        hist_col = ci.sensitivity_histogram(toy_inner.graph)
+        sets = ci.SensitiveSets(
+            frozenset(ci.select_sensitive(hist_row, t)),
+            frozenset(ci.select_sensitive(hist_col, t, restrict_below=8)),
+        )
+        self.assert_same(ci.random_permutation(8, 12, 5 + seed), sets, seed)
+
+    def test_counting_bound_refusal(self, paper_codes_with_histograms):
+        _, _, hist_row, hist_col = paper_codes_with_histograms
+        perm0 = ci.random_permutation(128, 181, 7)
+        sets = _paper_sets(hist_row, hist_col, 75)
+        for repair in (ci.design, reference_design):
+            rng = np.random.default_rng(7)
+            before = rng.bit_generator.state
+            with pytest.raises(InterleaverInfeasible) as exc:
+                repair(perm0, sets, rng)
+            assert exc.value.reason == "counting_bound"
+            assert rng.bit_generator.state == before
+
+    def test_no_legal_partner_refusal(self):
+        # Past the counting bound the pool always holds at least as many
+        # partners as there are offenders, so the bound is made to see no
+        # sensitive columns.  In the identity 4x4 block, columns 0-1 meet
+        # rows 0-2 in 6 offenders, and only (3, 2) and (3, 3) are partners:
+        # two swaps, then the refusal.
+        class Uncounted(frozenset):
+            def __len__(self):
+                return 0
+
+        perm0 = ci.BlockPermutation(K=4, N=4, forward=np.arange(16), seed=0)
+        sets = ci.SensitiveSets(frozenset({0, 1}), frozenset({0, 1, 2}))
+        object.__setattr__(sets, "row_code_nodes", Uncounted({0, 1}))
+        states = []
+        for repair in (ci.design, reference_design):
+            rng = np.random.default_rng(1)
+            with pytest.raises(InterleaverInfeasible) as exc:
+                repair(perm0, sets, rng)
+            assert exc.value.reason == "no_legal_partner"
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1] != np.random.default_rng(1).bit_generator.state
+
+    def test_benchmark_case_escalates_as_the_reference(
+        self, paper_codes_with_histograms, monkeypatch
+    ):
+        """The concat-floor set-up: seed-1/seed-2 codes, the seed-7 block and
+        generator.  The last feasible level is replayed through the reference
+        from the generator state it started from."""
+        _, _, hist_row, hist_col = paper_codes_with_histograms
+        perm0 = ci.random_permutation(128, 181, 7)
+        calls = []
+
+        def recording_design(perm, sets, rng):
+            calls.append((sets, rng.bit_generator.state))
+            return ci.design(perm, sets, rng)
+
+        monkeypatch.setattr(interleave, "design", recording_design)
+        rng = np.random.default_rng(7)
+        out = ci.escalate_design(hist_row, hist_col, perm0, rng)
+        assert (out.design_t, out.repairs) == (74, 5488)
+        assert len(calls) == 75  # level 75 fails the counting bound
+
+        sets, state = calls[73]
+        assert sets == out.sets
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = state
+        want = reference_design(perm0, sets, ref_rng)
+        assert np.array_equal(out.forward, want.forward)
+        assert out.repairs == want.repairs
+        assert ref_rng.bit_generator.state == calls[74][1] == rng.bit_generator.state
