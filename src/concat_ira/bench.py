@@ -104,6 +104,8 @@ class SimConfig:
             raise ConfigError("ebno_db list must be nonempty")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, not {self.max_iter}")
         object.__setattr__(self, "ebno_db", tuple(float(e) for e in self.ebno_db))
         if not all(map(math.isfinite, self.ebno_db)):
             raise ConfigError(f"ebno_db must be finite, not {self.ebno_db!r}")

@@ -39,10 +39,10 @@ def _version_string() -> str:
 
 def _parse_schedule(text: str) -> Schedule:
     try:
-        outer, inner = text.lower().split("x")
-        return Schedule(outer_iters=int(outer), inner_iters=int(inner))
+        outer, inner = (int(part) for part in text.lower().split("x"))
     except ValueError as exc:
         raise ConfigError(f"schedule must look like '10x10', got {text!r}") from exc
+    return Schedule(outer_iters=outer, inner_iters=inner)
 
 
 def _cmd_construct(args) -> int:
@@ -84,6 +84,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_design_interleaver(args) -> int:
     if args.step < 1:
         raise ConfigError(f"--step must be >= 1, got {args.step}")
+    schedule = _parse_schedule(args.schedule)
     outer = load_code(args.outer)
     inner = load_code(args.inner)
     k, n = outer.K, outer.N
@@ -92,7 +93,7 @@ def _cmd_design_interleaver(args) -> int:
         pi0 = random_permutation(k, n, args.seed)
     else:
         pi0, scores = pilot_select(
-            outer, inner, _parse_schedule(args.schedule), args.candidates,
+            outer, inner, schedule, args.candidates,
             args.pilot_ebno, args.pilot_blocks, args.seed,
         )
         print(

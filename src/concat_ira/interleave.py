@@ -121,16 +121,23 @@ class BadMappings(NamedTuple):
     positions: list[tuple[int, int]]  # offending source positions (r, c)
 
 
+def _sensitivity_tables(sets: SensitiveSets, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per flat position: its column is row-code sensitive; per row: it is column-code sensitive."""
+    col_sensitive = np.zeros(n, dtype=bool)
+    col_sensitive[list(sets.row_code_nodes)] = True
+    row_sensitive = np.zeros(k, dtype=bool)
+    row_sensitive[list(sets.col_code_nodes)] = True
+    return np.tile(col_sensitive, k), row_sensitive
+
+
 def count_bad_mappings(perm: BlockPermutation, sets: SensitiveSets) -> BadMappings:
     """Source positions in a sensitive row-code column whose image lands in a
     sensitive column-code row."""
     sets.validate_for(perm.K, perm.N)
-    src = np.arange(perm.K * perm.N)
-    col_sensitive = np.isin(src % perm.N, list(sets.row_code_nodes), assume_unique=False)
-    image_rows = perm.forward // perm.N
-    lands_sensitive = np.isin(image_rows, list(sets.col_code_nodes))
-    bad = np.flatnonzero(col_sensitive & lands_sensitive)
-    return BadMappings(len(bad), [(int(p) // perm.N, int(p) % perm.N) for p in bad])
+    src_sensitive, row_sensitive = _sensitivity_tables(sets, perm.K, perm.N)
+    bad = np.flatnonzero(src_sensitive & row_sensitive[perm.forward // perm.N])
+    rows, cols = np.divmod(bad, perm.N)
+    return BadMappings(len(bad), list(zip(rows.tolist(), cols.tolist())))
 
 
 def design(
@@ -143,13 +150,11 @@ def design(
     Offenders are fixed in ascending flat order.  Each swap partner is drawn
     uniformly among positions whose own source column is not row-code
     sensitive and whose current image row is not column-code sensitive, so a
-    swap removes exactly one offender and can never mint a new one; the
-    repair count is therefore monotone.  The ascending pool of such partners
-    is built once: a swap only removes its partner, which takes the
-    offender's sensitive image, and never adds the offender, whose own
-    column is sensitive.  Raises InterleaverInfeasible when the counting
-    bound fails up front, when no legal partner remains, or when bad
-    mappings remain after repair.
+    swap removes exactly one offender and can never mint a new one.  A swap
+    only takes its partner out of the ascending partner pool (the offender's
+    column is sensitive), so one call draws every partner and the disjoint
+    swaps apply at once.  Raises InterleaverInfeasible when the counting bound
+    fails, when no legal partner remains, or when bad mappings remain.
     """
     k, n = perm0.K, perm0.N
     sets.validate_for(k, n)
@@ -164,34 +169,29 @@ def design(
         )
 
     fwd = np.array(perm0.forward)
-    col_sensitive = np.zeros(n, dtype=bool)
-    col_sensitive[list(sets.row_code_nodes)] = True
-    row_sensitive = np.zeros(k, dtype=bool)
-    row_sensitive[list(sets.col_code_nodes)] = True
-    src_col_safe = ~col_sensitive[np.arange(k * n) % n]
-    legal = np.flatnonzero(src_col_safe & ~row_sensitive[fwd // n]).tolist()
+    src_sensitive, row_sensitive = _sensitivity_tables(sets, k, n)
+    lands_sensitive = row_sensitive[fwd // n]
+    offenders = np.flatnonzero(src_sensitive & lands_sensitive)
+    legal = np.flatnonzero(~(src_sensitive | lands_sensitive)).tolist()
+    # descending bounds draw what one scalar call per swap would, and a pool
+    # that runs dry first still gets one draw per partner it held
+    draws = rng.integers(0, np.arange(len(legal), max(len(legal) - len(offenders), 0), -1))
+    if len(draws) < len(offenders):
+        raise InterleaverInfeasible(
+            "no_legal_partner", "every safe image is held by a sensitive-column position"
+        )
+    partners = [legal.pop(d) for d in draws.tolist()]
+    fwd[offenders], fwd[partners] = fwd[partners], fwd[offenders]
 
-    offenders = count_bad_mappings(perm0, sets).positions
-    for r, c in offenders:
-        p1 = r * n + c
-        if not legal:
-            raise InterleaverInfeasible(
-                "no_legal_partner",
-                "every safe image is held by a sensitive-column position",
-            )
-        p2 = legal.pop(rng.integers(len(legal)))
-        fwd[p1], fwd[p2] = fwd[p2], fwd[p1]
-
-    result = BlockPermutation(
-        K=k, N=n, forward=fwd, seed=perm0.seed,
-        design_t=perm0.design_t, repairs=len(offenders), sets=sets,
-    )
-    remaining = count_bad_mappings(result, sets).count
+    remaining = np.count_nonzero(src_sensitive & row_sensitive[fwd // n])
     if remaining:
         raise InterleaverInfeasible(
             "attempts_exhausted", f"{remaining} bad mappings remain after repair"
         )
-    return result
+    return BlockPermutation(
+        K=k, N=n, forward=fwd, seed=perm0.seed,
+        design_t=perm0.design_t, repairs=len(offenders), sets=sets,
+    )
 
 
 def escalate_design(

@@ -127,6 +127,32 @@ class TestDesignInterleaver:
         assert piloted == []
         assert not (workspace / "step.perm").exists()
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [("bogus", "schedule must look like '10x10', got 'bogus'"),
+         ("0x10", "iteration counts must be >= 1")],
+        ids=["bogus", "0x10"],
+    )
+    def test_bad_schedule_refused_before_any_code_is_loaded(
+        self, workspace, capsys, monkeypatch, schedule, message
+    ):
+        loaded = []
+
+        def load_code(path):
+            loaded.append(path)
+            raise RuntimeError("a code was loaded")
+
+        monkeypatch.setattr(cli, "load_code", load_code)
+        rc = run_cli(
+            "design-interleaver", "--outer", workspace / "outer",
+            "--inner", workspace / "inner", "--schedule", schedule, "--no-pilot",
+            "--out", workspace / "schedule.perm",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert loaded == []
+        assert not (workspace / "schedule.perm").exists()
+
 
 class TestSimulate:
     def make_config(self, workspace, tmp_path, **extra):
@@ -202,6 +228,17 @@ class TestSimulate:
         assert run_cli("simulate", "--config", config_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_max_iter_below_one_gives_one_error_line(self, workspace, tmp_path, capsys, max_iter):
+        config_path, out = self.make_config(
+            workspace, tmp_path, system="single", code=str(workspace / "outer"),
+            max_iter=max_iter, workers=2,
+        )
+        assert run_cli("simulate", "--config", config_path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: max_iter must be >= 1, not {max_iter}\n"
         assert not out.exists()
 
     def test_config_dir_env_fallback(self, workspace, tmp_path, monkeypatch):

@@ -87,12 +87,55 @@ class TestCountBadMappings:
         assert got.count == 1
         assert got.positions == [(0, 0)]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_position_by_position_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        perm = ci.random_permutation(9, 13, seed)
+        sets = ci.SensitiveSets(
+            frozenset(rng.choice(13, size=4, replace=False).tolist()),
+            frozenset(rng.choice(9, size=3, replace=False).tolist()),
+        )
+        want = [
+            (r, c)
+            for r in range(9)
+            for c in range(13)
+            if c in sets.row_code_nodes
+            and int(perm.forward[r * 13 + c]) // 13 in sets.col_code_nodes
+        ]
+        got = ci.count_bad_mappings(perm, sets)
+        assert got == (len(want), want)
+        assert all(type(i) is int for pos in got.positions for i in pos)
+
     def test_out_of_range_sets_rejected(self):
         perm = ci.random_permutation(2, 2, 0)
         with pytest.raises(ValueError):
             ci.count_bad_mappings(perm, ci.SensitiveSets(frozenset({5}), frozenset()))
         with pytest.raises(ValueError):
             ci.count_bad_mappings(perm, ci.SensitiveSets(frozenset(), frozenset({1, 9})))
+
+
+class TestGeneratorContract:
+    """`design` draws every swap partner of a level in one call with bounds
+    L, L-1, ..., L-m+1.  That is only the same repair as m scalar draws while
+    numpy keeps the array draw and the sequential scalar draws identical."""
+
+    @pytest.mark.parametrize(
+        "highs",
+        [[7, 6, 5, 4, 3, 2, 1], list(range(23_000, 17_000, -1)),
+         [2**40 + 5, 2**40 + 4, 2**33, 2**32 + 1, 3], []],
+    )
+    def test_array_bounds_draw_as_scalar_calls(self, highs):
+        one, many = np.random.default_rng(12), np.random.default_rng(12)
+        drawn = one.integers(0, np.array(highs, dtype=np.int64))
+        assert drawn.tolist() == [int(many.integers(h)) for h in highs]
+        assert one.bit_generator.state == many.bit_generator.state
+
+    def test_empty_bounds_leave_the_state(self):
+        rng = np.random.default_rng(12)
+        rng.integers(5)  # leave a buffered half-word behind
+        before = rng.bit_generator.state
+        assert rng.integers(0, np.arange(0)).size == 0
+        assert rng.bit_generator.state == before
 
 
 class TestDesign:
