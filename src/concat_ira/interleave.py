@@ -207,24 +207,26 @@ def escalate_design(
     restricted to the systematic range) and repairs the original permutation
     against them; the last feasible level's result is returned with t in its
     metadata, falling back to ``perm0`` when the first level already fails.
+    Each histogram is ranked once, and t is stamped on the result once.
     """
     if step < 1:
         raise ValueError("step must be >= 1")
     k, n = perm0.K, perm0.N
-    best = perm0
+    row_ranked = select_sensitive(hist_row, len(hist_row.counts))
+    col_ranked = select_sensitive(hist_col, k, restrict_below=k)
+    best, best_t = perm0, 0
     t = step
     while t <= max(n, k):
         sets = SensitiveSets(
-            row_code_nodes=frozenset(select_sensitive(hist_row, t)),
-            col_code_nodes=frozenset(select_sensitive(hist_col, t, restrict_below=k)),
+            row_code_nodes=frozenset(row_ranked[:t]),
+            col_code_nodes=frozenset(col_ranked[:t]),
         )
         try:
-            attempt = design(perm0, sets, rng)
+            best, best_t = design(perm0, sets, rng), t
         except InterleaverInfeasible:
             break
-        best = replace(attempt, design_t=t)
         t += step
-    return best
+    return best if best is perm0 else replace(best, design_t=best_t)
 
 
 # --- permutation file: "K N seed t" header then one "src dst" pair per line ----

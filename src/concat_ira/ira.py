@@ -9,9 +9,11 @@ generator matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 from pathlib import Path
 from typing import Sequence
 
@@ -147,16 +149,22 @@ def _ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bool:
     once that base reaches eta.  Otherwise a violating cycle must keep its
     running degree-sum below eta at every variable along the way (the terms
     are nonnegative), which lets the search prune aggressively and stop at
-    the first violation instead of enumerating everything.
+    the first violation instead of enumerating everything.  At the last
+    depth a path can only close back to v, so that level is one set
+    intersection with v's checks.
     """
     v2c = graph.var_to_checks
     c2v = graph.check_to_vars
     base = len(v2c[v]) - 2
     if base >= eta:
         return True
+    v_checks = frozenset(v2c[v])
 
     def ok(u: int, partial: int, used_checks: frozenset, used_vars: frozenset) -> bool:
         closed_len = 2 * (len(used_checks) + 1)
+        if closed_len + 2 > 2 * d_ace:
+            # closed_len >= 4 here: any unused check shared with v closes a cycle
+            return v_checks.intersection(v2c[u]) <= used_checks
         for c in v2c[u]:
             if c in used_checks:
                 continue
@@ -166,7 +174,7 @@ def _ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bool:
                 if w == v:
                     if closed_len >= 4:
                         return False  # cycle closed with total ACE == partial < eta
-                elif w not in used_vars and closed_len + 2 <= 2 * d_ace:
+                elif w not in used_vars:
                     p = partial + len(v2c[w]) - 2
                     if p < eta and not ok(w, p, used_checks | {c}, used_vars | {w}):
                         return False
@@ -232,6 +240,34 @@ def _row_mask(rows) -> int:
     return mask
 
 
+def _weighted_sample(
+    rng: np.random.Generator, avail: list[int], weights: list[int], size: int
+) -> list[int]:
+    """``rng.choice(avail, size, replace=False, p=w / w.sum())`` without its
+    per-call overhead: the same values, leaving the same generator state.
+
+    As numpy does, draw one uniform per missing index, bisect each into the
+    cumulative probabilities (already drawn indices zeroed, scaled by the
+    last entry), keep first sightings in draw order and repeat until size
+    distinct indices are found.  Integer weights sum exactly, so w / total
+    is numpy's p to the bit.
+    """
+    total = sum(weights)
+    p = [w / total for w in weights]
+    found: list[int] = []
+    while len(found) < size:
+        for i in found:
+            p[i] = 0.0
+        cdf = list(accumulate(p))
+        last = cdf[-1]
+        cdf = [c / last for c in cdf]
+        for x in rng.random(size - len(found)).tolist():
+            i = bisect_right(cdf, x)
+            if i not in found:
+                found.append(i)
+    return [avail[i] for i in found]
+
+
 def build_h1(
     k: int,
     m: int,
@@ -250,8 +286,9 @@ def build_h1(
     not forced into conflicting rows; every row of [H1|H2] ends at exactly
     the target check degree.  A column that exhausts its resample budget
     falls back to enumerating all remaining row combinations before being
-    declared stuck; a stuck column restarts the whole construction with the
-    next derived seed.  Running out of restarts raises with the constraint
+    declared stuck, and is stuck at once when every row set has failed; a
+    stuck column restarts the whole construction with the next derived
+    seed.  Running out of restarts raises with the constraint
     that bound.
 
     The low-weight screen guarantees minimum distance >= 5, which matters
@@ -259,6 +296,10 @@ def build_h1(
     non-convergence events that stopping-set analysis targets.  Dense tiny
     codes cannot satisfy it; pass screen_low_weight=False there.
     """
+    if max_restarts < 1:
+        raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     spec.validate_edge_budget(k, m)
     order = sorted(range(k), key=lambda j: (-spec.h1_column_degrees[j], j))
     h2_cols = [[j, j + 1] for j in range(m - 1)] + [[m - 1]]
@@ -266,7 +307,7 @@ def build_h1(
     last_blocker = "ACE resample budget exhausted"
     for restart in range(max_restarts):
         rng = np.random.default_rng(seed + restart)
-        budgets = np.array(_h1_row_budgets(m, spec.check_degree_target))
+        budgets = _h1_row_budgets(m, spec.check_degree_target)
         h1_cols: list[list[int]] = [[] for _ in range(k)]
         rows_work: list[list[int]] = [[] for _ in range(m)]
         for r, sup in enumerate(h2_cols):
@@ -281,60 +322,60 @@ def build_h1(
             else None
         )
 
-        # the graph view aliases the per-column lists, so mutate them in place
+        # the graph view aliases the per-column lists, so mutate them in place;
+        # ACE runs first because it rejects far more candidates than the screen,
+        # and a row set in the current column's failed set would fail again
         def attempt(j: int, rows) -> bool:
             cand = _row_mask(rows)
-            if screen is not None and screen.clashes(cand):
+            if cand in failed:
                 return False
-            h1_cols[j][:] = sorted(int(r) for r in rows)
+            h1_cols[j][:] = sorted(rows)
             for r in h1_cols[j]:
                 rows_work[r].append(j)
-                budgets[r] -= 1
-            if _ace_passes(graph, j, ace.d_ace, ace.eta):
+            if _ace_passes(graph, j, ace.d_ace, ace.eta) and (
+                screen is None or not screen.clashes(cand)
+            ):
+                for r in h1_cols[j]:
+                    budgets[r] -= 1
                 if screen is not None:
                     screen.register(cand)
                 return True
             for r in h1_cols[j]:
                 rows_work[r].remove(j)
-                budgets[r] += 1
             h1_cols[j].clear()
+            failed.add(cand)
             return False
 
-        failed = False
         for j in order:
             degree = spec.h1_column_degrees[j]
+            # budgets change only on acceptance, so while this column resamples
+            # its rows with capacity are fixed and a row set that failed fails again
+            avail = [r for r, b in enumerate(budgets) if b > 0]
+            if len(avail) < degree:
+                last_blocker = (
+                    f"only {len(avail)} rows with remaining budget for a "
+                    f"degree-{degree} column"
+                )
+                break
+            weights = [budgets[r] for r in avail]
+            n_sets = comb(len(avail), degree)
+            failed: set[int] = set()  # row masks that attempt() rejected
             accepted = False
             for _ in range(ace.max_resample):
-                avail = np.flatnonzero(budgets > 0)
-                if len(avail) < degree:
-                    break
-                weights = budgets[avail].astype(np.float64)
-                rows = rng.choice(
-                    avail, size=degree, replace=False, p=weights / weights.sum()
-                )
-                if attempt(j, rows):
+                if attempt(j, _weighted_sample(rng, avail, weights, degree)):
                     accepted = True
                     break
+                if len(failed) == n_sets:
+                    break  # no row set is left to try
+            if not accepted and len(failed) < n_sets <= _ENUMERATION_CAP:
+                combos = list(combinations(avail, degree))
+                rng.shuffle(combos)
+                accepted = any(attempt(j, rows) for rows in combos)
             if not accepted:
-                avail = [int(r) for r in np.flatnonzero(budgets > 0)]
-                if len(avail) < degree:
-                    last_blocker = (
-                        f"only {len(avail)} rows with remaining budget for a "
-                        f"degree-{degree} column"
-                    )
-                else:
-                    combos = list(combinations(avail, degree))
-                    if len(combos) <= _ENUMERATION_CAP:
-                        rng.shuffle(combos)
-                        for rows in combos:
-                            if attempt(j, rows):
-                                accepted = True
-                                break
-                    last_blocker = "ACE resample budget exhausted"
-            if not accepted:
-                failed = True
+                # this generator dies with the restart, so skipped draws change nothing
+                last_blocker = "ACE resample budget exhausted"
                 break
-        if not failed:
+        else:
             assert all(b == 0 for b in budgets)
             return SparseBinaryMatrix.from_cols(m, k, h1_cols)
 

@@ -6,14 +6,25 @@ message-passing code paths.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
+from concat_ira.gf2 import SparseBinaryMatrix, TannerGraph
 from concat_ira.interleave import (
     BlockPermutation,
     InterleaverInfeasible,
     SensitiveSets,
     count_bad_mappings,
+)
+from concat_ira.ira import (
+    _ENUMERATION_CAP,
+    AceParams,
+    ConstructionError,
+    DegreeSpec,
+    _h1_row_budgets,
+    _LowWeightScreen,
+    _row_mask,
 )
 from concat_ira.spa import LLR_CLAMP, BatchDecodeResult
 
@@ -422,3 +433,157 @@ def reference_design(
             "attempts_exhausted", f"{remaining} bad mappings remain after repair"
         )
     return result
+
+
+def reference_ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bool:
+    """Reference for ``ira._ace_passes``: the pruned search that descends to
+    the last depth before testing for a closing check.
+
+    A cycle through v carries at least deg(v)-2, so the test passes outright
+    once that base reaches eta.  Otherwise a violating cycle must keep its
+    running degree-sum below eta at every variable along the way (the terms
+    are nonnegative), which lets the search prune aggressively and stop at
+    the first violation instead of enumerating everything.
+    """
+    v2c = graph.var_to_checks
+    c2v = graph.check_to_vars
+    base = len(v2c[v]) - 2
+    if base >= eta:
+        return True
+
+    def ok(u: int, partial: int, used_checks: frozenset, used_vars: frozenset) -> bool:
+        closed_len = 2 * (len(used_checks) + 1)
+        for c in v2c[u]:
+            if c in used_checks:
+                continue
+            for w in c2v[c]:
+                if w == u:
+                    continue
+                if w == v:
+                    if closed_len >= 4:
+                        return False  # cycle closed with total ACE == partial < eta
+                elif w not in used_vars and closed_len + 2 <= 2 * d_ace:
+                    p = partial + len(v2c[w]) - 2
+                    if p < eta and not ok(w, p, used_checks | {c}, used_vars | {w}):
+                        return False
+        return True
+
+    return ok(v, base, frozenset(), frozenset((v,)))
+
+
+def reference_build_h1(
+    k: int,
+    m: int,
+    spec: DegreeSpec,
+    ace: AceParams,
+    seed: int,
+    max_restarts: int = 256,
+    screen_low_weight: bool = True,
+) -> SparseBinaryMatrix:
+    """Reference for ``ira.build_h1``: the same construction, resampling a
+    column's row set even after every set has failed, screening before ACE
+    and drawing rows with ``Generator.choice``.
+
+    Place the irregular systematic columns one at a time, highest degree
+    first, resampling any placement whose short-cycle ACE falls below eta or
+    (by default) whose support would complete a codeword of weight <= 4.
+
+    Rows are drawn without replacement with probability proportional to
+    remaining budget, which keeps consumption even so the final columns are
+    not forced into conflicting rows; every row of [H1|H2] ends at exactly
+    the target check degree.  A column that exhausts its resample budget
+    falls back to enumerating all remaining row combinations before being
+    declared stuck; a stuck column restarts the whole construction with the
+    next derived seed.  Running out of restarts raises with the constraint
+    that bound.
+
+    The low-weight screen guarantees minimum distance >= 5, which matters
+    for floor studies: without it, undetected few-bit errors drown out the
+    non-convergence events that stopping-set analysis targets.  Dense tiny
+    codes cannot satisfy it; pass screen_low_weight=False there.
+    """
+    spec.validate_edge_budget(k, m)
+    order = sorted(range(k), key=lambda j: (-spec.h1_column_degrees[j], j))
+    h2_cols = [[j, j + 1] for j in range(m - 1)] + [[m - 1]]
+
+    last_blocker = "ACE resample budget exhausted"
+    for restart in range(max_restarts):
+        rng = np.random.default_rng(seed + restart)
+        budgets = np.array(_h1_row_budgets(m, spec.check_degree_target))
+        h1_cols: list[list[int]] = [[] for _ in range(k)]
+        rows_work: list[list[int]] = [[] for _ in range(m)]
+        for r, sup in enumerate(h2_cols):
+            for c in sup:
+                rows_work[c].append(k + r)
+        graph = TannerGraph(
+            var_to_checks=h1_cols + h2_cols, check_to_vars=rows_work
+        )
+        screen = (
+            _LowWeightScreen([_row_mask(s) for s in h2_cols])
+            if screen_low_weight
+            else None
+        )
+
+        # the graph view aliases the per-column lists, so mutate them in place
+        def attempt(j: int, rows) -> bool:
+            cand = _row_mask(rows)
+            if screen is not None and screen.clashes(cand):
+                return False
+            h1_cols[j][:] = sorted(int(r) for r in rows)
+            for r in h1_cols[j]:
+                rows_work[r].append(j)
+                budgets[r] -= 1
+            if reference_ace_passes(graph, j, ace.d_ace, ace.eta):
+                if screen is not None:
+                    screen.register(cand)
+                return True
+            for r in h1_cols[j]:
+                rows_work[r].remove(j)
+                budgets[r] += 1
+            h1_cols[j].clear()
+            return False
+
+        failed = False
+        for j in order:
+            degree = spec.h1_column_degrees[j]
+            accepted = False
+            for _ in range(ace.max_resample):
+                avail = np.flatnonzero(budgets > 0)
+                if len(avail) < degree:
+                    break
+                weights = budgets[avail].astype(np.float64)
+                rows = rng.choice(
+                    avail, size=degree, replace=False, p=weights / weights.sum()
+                )
+                if attempt(j, rows):
+                    accepted = True
+                    break
+            if not accepted:
+                avail = [int(r) for r in np.flatnonzero(budgets > 0)]
+                if len(avail) < degree:
+                    last_blocker = (
+                        f"only {len(avail)} rows with remaining budget for a "
+                        f"degree-{degree} column"
+                    )
+                else:
+                    combos = list(combinations(avail, degree))
+                    if len(combos) <= _ENUMERATION_CAP:
+                        rng.shuffle(combos)
+                        for rows in combos:
+                            if attempt(j, rows):
+                                accepted = True
+                                break
+                    last_blocker = "ACE resample budget exhausted"
+            if not accepted:
+                failed = True
+                break
+        if not failed:
+            assert all(b == 0 for b in budgets)
+            return SparseBinaryMatrix.from_cols(m, k, h1_cols)
+
+    screen_note = ", low-weight screen on" if screen_low_weight else ""
+    raise ConstructionError(
+        f"no placement satisfied ACE(d_ace={ace.d_ace}, eta={ace.eta}){screen_note} "
+        f"within {max_restarts} restarts: {last_blocker}"
+    )
+

@@ -58,6 +58,26 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--max-restarts", 0, "max_restarts must be >= 1, got 0"),
+         ("--seed", -1, "seed must be >= 0, got -1")],
+        ids=["max-restarts-0", "seed-negative"],
+    )
+    def test_bad_restart_arguments_give_one_error_line(
+        self, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        def default_rng(*args):
+            raise RuntimeError("a restart generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        rc = run_cli(
+            "construct", "--k", 128, "--n", 181, flag, value, "--out", tmp_path / "code",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAnalyze:
     def test_outputs_csv_and_report(self, workspace, capsys):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import concat_ira as ci
-from concat_ira.ira import ConstructionError
+from concat_ira.ira import ConstructionError, _ace_passes, _weighted_sample
 
 from conftest import TOY_ACE
 from oracles import (
-    ace_audit, ace_check, dense_syndrome, has_codeword_of_weight_le4, reference_encode_batch,
+    ace_audit, ace_check, dense_syndrome, has_codeword_of_weight_le4, reference_build_h1,
+    reference_encode_batch,
 )
 
 
@@ -83,6 +84,143 @@ class TestBuildH1:
         a = ci.build_code(16, 24, check_degree=8, ace=TOY_ACE, seed=3, screen_low_weight=False)
         b = ci.build_code(16, 24, check_degree=8, ace=TOY_ACE, seed=3, screen_low_weight=False)
         assert a.H.row_support == b.H.row_support
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"max_restarts": 0}, "max_restarts must be >= 1, got 0"),
+         ({"max_restarts": -3}, "max_restarts must be >= 1, got -3"),
+         ({"seed": -1}, "seed must be >= 0, got -1")],
+        ids=["restarts-0", "restarts-negative", "seed-negative"],
+    )
+    def test_bad_restart_arguments_refused_before_any_work(self, kwargs, message):
+        # the spec would fail its own edge-budget check if it were reached
+        args = {"seed": 0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ci.build_h1(8, 4, ci.DegreeSpec((3,), 8), TOY_ACE, **args)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="restart seeds seed + restart overlap, and the seed-1 and seed-2 codes "
+        "both first succeed at restart seed 7, so they are one matrix",
+    )
+    def test_seed_one_and_seed_two_codes_differ(self, paper_outer, paper_inner):
+        assert paper_outer.H.col_support != paper_inner.H.col_support
+
+
+def _build_outcome(build, k, n, check_degree, ace, seed, screen, max_restarts):
+    """The matrix's column supports, or the refusal's text."""
+    spec = ci.default_degree_spec(k, n - k, check_degree)
+    try:
+        h = build(k, n - k, spec, ace, seed, max_restarts=max_restarts,
+                  screen_low_weight=screen)
+    except ConstructionError as exc:
+        return f"ConstructionError: {exc}"
+    return h.col_support
+
+
+# (k, n, check degree, AceParams, screen, restarts); every case runs at 3 seeds
+_SMALL_BUILDS = [
+    (8, 12, 8, TOY_ACE, False, 256),
+    (6, 10, 7, ci.AceParams(2, 0, 10), False, 256),
+    (16, 24, 8, TOY_ACE, False, 256),
+    # one resample per column: the enumeration fallback places most columns
+    (16, 24, 8, ci.AceParams(2, 2, 1), False, 256),
+    (32, 48, 8, ci.AceParams(2, 0, 1), True, 256),
+    (16, 24, 8, ci.AceParams(2, 3, 20), False, 8),
+    (16, 24, 8, ci.AceParams(3, 3, 20), False, 8),
+    (32, 48, 8, ci.AceParams(2, 5, 30), True, 8),
+    (32, 48, 8, ci.AceParams(3, 5, 30), True, 8),
+    (32, 48, 8, ci.AceParams(3, 6, 30), False, 8),
+    (32, 48, 8, ci.AceParams(4, 5, 10), True, 4),
+    (32, 48, 8, ci.AceParams(4, 7, 10), False, 4),
+    (128, 181, 10, ci.AceParams(), False, 256),
+    (128, 181, 10, ci.AceParams(3, 5, 30), True, 3),
+    (128, 181, 10, ci.AceParams(4, 5, 10), True, 2),
+    (8, 12, 8, ci.AceParams(d_ace=4, eta=10**6, max_resample=5), False, 2),
+    (32, 48, 8, ci.AceParams(d_ace=2, eta=10**6, max_resample=5), True, 2),
+]
+
+
+class TestBuildH1MatchesReference:
+    """``build_h1`` skips a column's resamples once every row set has failed,
+    tests ACE before the low-weight screen and draws rows without
+    ``Generator.choice``.  It must still give exactly the matrix, or the
+    refusal, of the construction in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_paper_shape(self, seed):
+        assert _build_outcome(ci.build_h1, 128, 181, 10, ci.AceParams(), seed, True, 256) == \
+            _build_outcome(reference_build_h1, 128, 181, 10, ci.AceParams(), seed, True, 256)
+
+    @pytest.mark.parametrize(
+        "case", _SMALL_BUILDS,
+        ids=[f"{k}-{n}-cd{cd}-d{a.d_ace}-eta{a.eta}-{'screen' if on else 'open'}"
+             for k, n, cd, a, on, _ in _SMALL_BUILDS],
+    )
+    def test_other_shapes_and_conditioning(self, case):
+        for seed in range(3):
+            assert _build_outcome(ci.build_h1, *case[:4], seed, *case[4:]) == \
+                _build_outcome(reference_build_h1, *case[:4], seed, *case[4:])
+
+
+class TestAcePasses:
+    """The construction's pruned ACE test against the exhaustive oracle."""
+
+    @pytest.mark.parametrize("graph_seed", range(12))
+    def test_matches_exhaustive_check(self, graph_seed):
+        rng = np.random.default_rng(graph_seed)
+        n_rows = int(rng.integers(4, 9))
+        n_cols = int(rng.integers(5, 12))
+        cols = [
+            sorted(rng.choice(n_rows, size=int(rng.integers(1, 4)), replace=False).tolist())
+            for _ in range(n_cols)
+        ]
+        g = ci.TannerGraph.from_matrix(ci.SparseBinaryMatrix.from_cols(n_rows, n_cols, cols))
+        for d_ace in (2, 3, 4):
+            for eta in range(9):
+                for v in range(n_cols):
+                    assert _ace_passes(g, v, d_ace, eta) == ace_check(g, v, d_ace, eta).passed
+
+
+class TestWeightedSampleContract:
+    """``build_h1`` draws each row set with ``_weighted_sample``.  The codes
+    stay the same only while it gives what ``Generator.choice`` gives, and
+    leaves the generator where ``choice`` leaves it."""
+
+    @staticmethod
+    def both(seed, avail, weights, size):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _weighted_sample(ours, avail, weights, size)
+        w = np.array(weights, dtype=np.float64)
+        want = numpys.choice(np.array(avail), size=size, replace=False, p=w / w.sum())
+        assert got == want.tolist()
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        return ours
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_random_budgets(self, size):
+        rng = np.random.default_rng(size)
+        for seed in range(300):
+            n_avail = int(rng.integers(size, 54))
+            avail = sorted(rng.choice(60, size=n_avail, replace=False).tolist())
+            weights = rng.integers(1, 10, n_avail).tolist()
+            self.both(seed, avail, weights, size)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_every_row_taken(self, size):
+        for seed in range(50):
+            self.both(seed, list(range(10, 10 + size)), [1 + seed % 3] * size, size)
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_skewed_weights_force_redraws(self, size):
+        redrawn = 0
+        for seed in range(100):
+            weights = [1000] + [1] * (size + 2)
+            rng = self.both(seed, list(range(size + 3)), weights, size)
+            once = np.random.default_rng(seed)
+            once.random(size)
+            redrawn += rng.bit_generator.state != once.bit_generator.state
+        assert redrawn > 50
 
 
 class TestAceCheck:
