@@ -1,32 +1,18 @@
 """Two-arm FER comparison: designed interleaver vs its random starting point.
 
-Builds (or loads) the two [181,128] component codes, pilot-selects a random
-permutation, repairs it against the escalated sensitive sets, then measures
-FER for both permutations at one Eb/N0 with a shared trial-stream seed and
-reports the one-sided two-proportion test.  Writes both curve points to CSV
-files next to the chosen output prefix.
-
-This is the long-running directional acceptance experiment; with default
-settings it decodes a few hundred thousand component codewords.
+Runs `concat-ira construct` twice and `design-interleaver` (seeded by --pilot-seed),
+measures both arms at one Eb/N0 on shared trial streams as `simulate` does, and
+reports the one-sided two-proportion test: exit 0 if the designed arm wins at 95%
+confidence, 1 if not, 2 if a step fails.  Files go next to --out-prefix.
 """
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
 import concat_ira as ci
-from concat_ira.bench import (
-    CSV_HEADER,
-    ConcatSystem,
-    StopRule,
-    format_row,
-    measure_point,
-    pilot_select,
-    two_proportion_z,
-)
+from concat_ira.bench import SimConfig, StopRule, run_curve, two_proportion_z
+from concat_ira.cli import main as cli_main
 
 
 def main(argv=None) -> int:
@@ -40,57 +26,40 @@ def main(argv=None) -> int:
     parser.add_argument("--pilot-blocks", type=int, default=24)
     parser.add_argument("--pilot-seed", type=int, default=800)
     parser.add_argument("--trial-seed", type=int, default=801)
-    parser.add_argument("--schedule", default="10x10")
     parser.add_argument("--out-prefix", default="directional")
     args = parser.parse_args(argv)
+    prefix = args.out_prefix
 
-    outer_it, inner_it = (int(x) for x in args.schedule.lower().split("x"))
-    sched = ci.Schedule(outer_it, inner_it)
+    try:  # refuse a bad stop rule or Eb/N0 before any work
+        configs = {arm: SimConfig(
+            system="concat", outer_code=f"{prefix}_outer", inner_code=f"{prefix}_inner",
+            interleaver=f"{prefix}_{arm}.perm", ebno_db=(args.ebno,), master_seed=args.trial_seed,
+            stop=StopRule(args.min_block_errors, args.max_blocks), output=f"{prefix}_{arm}.csv",
+        ) for arm in ("random", "designed")}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    steps = [["construct", "--k", "128", "--n", "181", "--seed", str(seed), "--out", f"{prefix}_{name}"]
+             for name, seed in (("outer", args.outer_seed), ("inner", args.inner_seed))]
+    steps.append(["design-interleaver", "--outer", f"{prefix}_outer", "--inner", f"{prefix}_inner",
+                  "--seed", str(args.pilot_seed), "--candidates", str(args.pilot_candidates),
+                  "--pilot-blocks", str(args.pilot_blocks), "--pilot-ebno", str(args.ebno),
+                  "--out", f"{prefix}_designed.perm"])
+    if any(cli_main(step) for step in steps):
+        return 2
+    start = ci.load_permutation(f"{prefix}_designed.perm").seed
+    ci.save_permutation(ci.random_permutation(128, 181, start), f"{prefix}_random.perm")
 
-    print(f"building [181,128] component codes (seeds {args.outer_seed}, {args.inner_seed})")
-    outer = ci.build_code(128, 181, seed=args.outer_seed)
-    inner = ci.build_code(128, 181, seed=args.inner_seed)
-
-    print(f"pilot: {args.pilot_candidates} random permutations x {args.pilot_blocks} blocks")
-    pi0, scores = pilot_select(
-        outer, inner, sched, args.pilot_candidates,
-        args.ebno, args.pilot_blocks, args.pilot_seed,
-    )
-    print("  pilot block errors:", " ".join(f"seed{s}:{b}" for b, _, s in scores))
-    print(f"  starting point: random permutation seed {pi0.seed}")
-
-    hist_row = ci.sensitivity_histogram(outer.graph)
-    hist_col = ci.sensitivity_histogram(inner.graph)
-    designed = ci.escalate_design(hist_row, hist_col, pi0, np.random.default_rng(80))
-    print(
-        f"designed: escalation level t={designed.design_t}, {designed.repairs} repairs, "
-        f"{len(designed.sets.row_code_nodes)} row / {len(designed.sets.col_code_nodes)} column sensitive nodes"
-    )
-
-    stop = StopRule(args.min_block_errors, args.max_blocks)
     points = {}
-    for name, perm in (("random", pi0), ("designed", designed)):
-        system = ConcatSystem(ci.ConcatCode(outer, inner, perm), sched)
-        t0 = time.time()
-        point = measure_point(system, args.ebno, stop, master_seed=args.trial_seed)
-        points[name] = point
-        print(
-            f"{name}: fer {point.fer:.5f} ber {point.ber:.3e} "
-            f"({point.block_errors}/{point.blocks_run} blocks, {time.time()-t0:.0f}s)",
-            flush=True,
-        )
-        out = Path(f"{args.out_prefix}_{name}.csv")
-        out.write_text(
-            CSV_HEADER + "\n" + format_row(point, args.trial_seed) + "\n",
-            encoding="utf-8",
-        )
+    for arm, config in configs.items():
+        Path(config.output).unlink(missing_ok=True)  # never resume a row of another stop rule
+        points[arm] = point = run_curve(config)[0]
+        print(f"{arm}: fer {point.fer:.5f} ber {point.ber:.3e} "
+              f"({point.block_errors}/{point.blocks_run} blocks, {point.wall_seconds:.0f}s)", flush=True)
 
     rand, des = points["random"], points["designed"]
-    z, p_value = two_proportion_z(
-        des.block_errors, des.blocks_run, rand.block_errors, rand.blocks_run
-    )
-    ratio = rand.fer / des.fer if des.fer else float("inf")
-    print(f"FER ratio random/designed: {ratio:.2f}")
+    z, p_value = two_proportion_z(des.block_errors, des.blocks_run, rand.block_errors, rand.blocks_run)
+    print(f"FER ratio random/designed: {rand.fer / des.fer if des.fer else float('inf'):.2f}")
     print(f"one-sided z = {z:.2f}, p = {p_value:.5f}")
     ok = des.fer <= rand.fer and p_value < 0.05
     print("designed <= random at 95% confidence:", "YES" if ok else "NO")

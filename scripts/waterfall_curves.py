@@ -1,6 +1,7 @@
-"""End-to-end curve workflow: construct codes, design an interleaver, and
-measure BER/FER curves for the single component code and the concatenated
-system (random and designed interleavers) over an Eb/N0 sweep.
+"""End-to-end curve workflow: construct codes and design an interleaver with
+the concat-ira CLI, then measure BER/FER curves for the single component code
+and the concatenated system (random and designed interleavers) over an Eb/N0
+sweep.
 
 Emits one curve CSV per system plus a merged plot-ready table, all under
 --workdir.  Runtime grows quickly with --min-block-errors and the highest
@@ -8,11 +9,8 @@ Eb/N0 points; the defaults stay in the waterfall region.
 """
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 import concat_ira as ci
 from concat_ira.bench import SimConfig, StopRule, run_curve
@@ -36,18 +34,21 @@ def main(argv=None) -> int:
     single_ebno = tuple(float(x) for x in args.single_ebno.split(","))
     stop = StopRule(args.min_block_errors, args.max_blocks)
 
-    for name, seed in (("outer", 1), ("inner", 2)):
-        if not (work / f"{name}.alist").exists():
-            code = ci.build_code(128, 181, seed=seed)
-            ci.save_code(code, work / name)
-    rc = cli_main(
+    steps = [
+        ["construct", "--k", "128", "--n", "181", "--seed", str(seed), "--out", str(work / name)]
+        for name, seed in (("outer", 1), ("inner", 2))
+        if not (work / f"{name}.alist").exists()
+    ]
+    steps.append(
         ["design-interleaver", "--outer", str(work / "outer"),
          "--inner", str(work / "inner"), "--seed", "7", "--no-pilot",
          "--out", str(work / "designed.perm")]
     )
-    if rc:
-        return rc
-    ci.save_permutation(ci.random_permutation(128, 181, 7), work / "random.perm")
+    for rc in map(cli_main, steps):
+        if rc:
+            return rc
+    start = ci.load_permutation(work / "designed.perm").seed
+    ci.save_permutation(ci.random_permutation(128, 181, start), work / "random.perm")
 
     runs = [
         ("single", SimConfig(

@@ -39,6 +39,7 @@ __all__ = [
     "load_system",
     "measure_point",
     "format_row",
+    "read_curve",
     "run_curve",
     "pilot_select",
     "two_proportion_z",
@@ -118,60 +119,55 @@ class SimConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "system", "ebno_db", "output", "master_seed", "workers",
-            "min_block_errors", "max_blocks", "noiseless", "outer_code",
-            "inner_code", "interleaver", "schedule", "code", "max_iter",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {"system", "ebno_db", "schedule", *_CONFIG_KEYS, *_STOP_KEYS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         sched = raw.get("schedule", {})
         if not isinstance(sched, dict):
             raise ConfigError("schedule must be an object")
-        ebno = _json_value(raw, "ebno_db", [], list)
-        if any(isinstance(e, bool) or not isinstance(e, (int, float)) for e in ebno):
+        unknown = set(sched) - set(_SCHEDULE_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
+        ebno = raw.get("ebno_db", [])
+        if not isinstance(ebno, list) or any(
+            isinstance(e, bool) or not isinstance(e, (int, float)) for e in ebno
+        ):
             raise ConfigError(f"ebno_db must be a list of numbers, not {ebno!r}")
         try:
             return cls(
                 system=raw.get("system", "concat"),
                 ebno_db=tuple(ebno),
-                output=_json_value(raw, "output", "curve.csv", str),
-                master_seed=_json_value(raw, "master_seed", 0, int),
-                workers=_json_value(raw, "workers", 1, int),
-                stop=StopRule(
-                    min_block_errors=_json_value(raw, "min_block_errors", 100, int),
-                    max_blocks=_json_value(raw, "max_blocks", 1_000_000, int),
-                ),
-                noiseless=_json_value(raw, "noiseless", False, bool),
-                outer_code=_json_value(raw, "outer_code", None, str),
-                inner_code=_json_value(raw, "inner_code", None, str),
-                interleaver=_json_value(raw, "interleaver", None, str),
-                schedule=Schedule(
-                    outer_iters=_json_value(sched, "outer_iters", 10, int),
-                    inner_iters=_json_value(sched, "inner_iters", 10, int),
-                    freeze_converged=_json_value(sched, "freeze_converged", True, bool),
-                ),
-                code=_json_value(raw, "code", None, str),
-                max_iter=_json_value(raw, "max_iter", 100, int),
+                **{"output": "curve.csv", **_json_fields(raw, _CONFIG_KEYS)},
+                stop=StopRule(**_json_fields(raw, _STOP_KEYS)),
+                schedule=Schedule(**_json_fields(sched, _SCHEDULE_KEYS)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
-_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", list: "a list of numbers"}
+# JSON key -> type, one table per level.  A key that is absent takes its
+# dataclass default; system, ebno_db and schedule are read on their own.
+_CONFIG_KEYS = {
+    "output": str, "master_seed": int, "workers": int, "noiseless": bool, "outer_code": str,
+    "inner_code": str, "interleaver": str, "code": str, "max_iter": int,
+}
+_STOP_KEYS = {"min_block_errors": int, "max_blocks": int}
+_SCHEDULE_KEYS = {"outer_iters": int, "inner_iters": int, "freeze_converged": bool}
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false"}
 
 
-def _json_value(raw: dict, key: str, default, kind: type):
-    """raw[key], or default when absent, refused unless it has the JSON type
-    kind: int() would read 1.5 as 1, bool() the string "false" as True, and a
-    JSON true is no integer."""
-    if key not in raw:
-        return default
-    value = raw[key]
-    if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
-        raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, not {value!r}")
-    return value
+def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
+    """The keys of kinds that raw holds, each refused unless its value has
+    its JSON type: int() would read 1.5 as 1, bool() the string "false" as
+    True, and a JSON true is no integer."""
+    fields = {}
+    for key, kind in kinds.items():
+        if key in raw:
+            value = raw[key]
+            if not isinstance(value, kind) or isinstance(value, bool) is not (kind is bool):
+                raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, not {value!r}")
+            fields[key] = value
+    return fields
 
 
 # --- runnable systems ----------------------------------------------------------
@@ -356,31 +352,24 @@ def format_row(point: CurvePoint, seed: int) -> str:
     )
 
 
-def _existing_rows(path: Path, seed: int) -> dict[str, CurvePoint]:
-    """Map ebno key -> point for an existing curve file.  A file whose last
-    write tore, or that holds a row of another master seed, is refused."""
-    if not path.exists():
-        return {}
+def read_curve(path: Path) -> list[tuple[int, str, CurvePoint, int]]:
+    """The rows of a curve file as (line number, row, point, seed).  A file
+    with another header, whose last write tore, or with a row that does not
+    parse is refused."""
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path}: existing output has a different header")
+        raise ConfigError(f"{path}: not a curve CSV (header mismatch)")
     if not text.endswith("\n"):
-        raise ConfigError(f"{path}: last row {lines[-1]!r} is torn; remove it to resume")
-    rows = {}
+        raise ConfigError(f"{path}: last row {lines[-1]!r} is torn; remove it first")
+    rows = []
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         try:
-            point, row_seed = _parse_row(raw)
+            rows.append((line_no, raw, *_parse_row(raw)))
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: malformed row {raw!r}") from exc
-        if row_seed != seed:
-            raise ConfigError(
-                f"{path}:{line_no}: row was measured with seed {row_seed}, "
-                f"the config has master_seed {seed}"
-            )
-        rows[raw.split(",", 1)[0]] = point
     return rows
 
 
@@ -391,8 +380,16 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
     system = load_system(config)
     path = Path(config.output)
     path.parent.mkdir(parents=True, exist_ok=True)
-    existing = _existing_rows(path, config.master_seed)
-    if not path.exists():
+    existing: dict[str, CurvePoint] = {}
+    if path.exists():
+        for line_no, row, point, seed in read_curve(path):
+            if seed != config.master_seed:
+                raise ConfigError(
+                    f"{path}:{line_no}: row was measured with seed {seed}, "
+                    f"the config has master_seed {config.master_seed}"
+                )
+            existing[row.split(",", 1)[0]] = point
+    else:
         path.write_text(CSV_HEADER + "\n", encoding="utf-8")
 
     points: list[CurvePoint] = []

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import FORMAT_VERSIONS, __version__
-from .bench import CSV_HEADER, ConfigError, SimConfig, pilot_select, run_curve
+from .bench import CSV_HEADER, ConfigError, SimConfig, pilot_select, read_curve, run_curve
 from .concat import Schedule
 from .interleave import (
     count_bad_mappings,
@@ -176,11 +176,7 @@ def _cmd_report(args) -> int:
     out_lines = ["label," + CSV_HEADER]
     for input_path in args.inputs:
         path = Path(input_path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        if not lines or lines[0] != CSV_HEADER:
-            raise ConfigError(f"{path}: not a curve CSV (header mismatch)")
-        label = path.stem
-        out_lines.extend(f"{label},{row}" for row in lines[1:] if row.strip())
+        out_lines.extend(f"{path.stem},{row}" for _, row, _, _ in read_curve(path))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(out_lines) + "\n", encoding="utf-8")

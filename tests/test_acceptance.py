@@ -3,8 +3,10 @@ PASS/FAIL line with its runtime (run with -s to see them inline).
 
 Criterion 8 carries the slow marker: it is a directional Monte Carlo
 comparison at a mid-waterfall operating point that takes about 90 s on a
-2-vCPU VM; everything else completes in seconds.  scripts/directional_check.py
-runs criterion 8 standalone with progress output.
+2-vCPU VM; everything else completes in seconds.  It runs alone with
+`pytest -m slow -s -k criterion_8`.  scripts/directional_check.py runs the
+same comparison through the CLI, with the design generator seeded by
+--pilot-seed, so it does not replay criterion 8's design draw.
 """
 
 import json

@@ -76,6 +76,19 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             SimConfig.from_json('{"system": "concat", "ebno": [1]}')
 
+    def test_unknown_schedule_key_rejected(self):
+        # these would run Schedule(10, 4, True), which the config did not ask for
+        text = json.dumps({
+            "system": "single", "ebno_db": [1.0], "code": "c",
+            "schedule": {"outer_iter": 3, "inner_iters": 4, "freeze": False},
+        })
+        with pytest.raises(ConfigError, match=r"^unknown schedule keys: \['freeze', 'outer_iter'\]$"):
+            SimConfig.from_json(text)
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        config = SimConfig.from_json('{"ebno_db": [1.0]}')
+        assert config == SimConfig(system="concat", ebno_db=(1.0,), output="curve.csv")
+
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigError, match="JSON"):
             SimConfig.from_json("{nope")

@@ -261,6 +261,15 @@ class TestSimulate:
         assert err == f"error: max_iter must be >= 1, not {max_iter}\n"
         assert not out.exists()
 
+    def test_unknown_schedule_key_gives_one_error_line(self, workspace, tmp_path, capsys):
+        config_path, out = self.make_config(
+            workspace, tmp_path, schedule={"outer_iter": 3, "freeze": False}
+        )
+        assert run_cli("simulate", "--config", config_path) == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown schedule keys: ['freeze', 'outer_iter']\n"
+        assert not out.exists()
+
     def test_config_dir_env_fallback(self, workspace, tmp_path, monkeypatch):
         config_path, out = self.make_config(workspace, tmp_path)
         monkeypatch.setenv("CONCAT_IRA_CONFIG_DIR", str(config_path.parent))
@@ -296,6 +305,31 @@ class TestReport:
         rc = run_cli("report", "--out", tmp_path / "m.csv", bad)
         assert rc == 1
         assert "header" in capsys.readouterr().err
+
+
+    def test_merges_rows_of_any_seed(self, tmp_path):
+        # resume refuses rows of another seed; a merged table legitimately mixes them
+        rows = {"a": "3,10,0,0,0.0,0.0,1.0,2.0,1", "b": "3,10,0,0,0.0,0.0,1.0,2.0,7"}
+        for name, row in rows.items():
+            (tmp_path / f"{name}.csv").write_text(ci.bench.CSV_HEADER + "\n" + row + "\n")
+        merged = tmp_path / "m.csv"
+        assert run_cli("report", "--out", merged, tmp_path / "a.csv", tmp_path / "b.csv") == 0
+        assert merged.read_text().splitlines()[1:] == [f"{k},{v}" for k, v in rows.items()]
+
+    @pytest.mark.parametrize(
+        "body, word",
+        [("3,10,0,0,0.0,0.0,1.0,2.0,1\n3,10,2", "torn"), ("3,10,2\n", "malformed")],
+        ids=["torn-tail", "malformed-row"],
+    )
+    def test_refuses_torn_and_malformed_rows(self, tmp_path, capsys, body, word):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(ci.bench.CSV_HEADER + "\n" + body)
+        merged = tmp_path / "merged.csv"
+        assert run_cli("report", "--out", merged, curve) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert word in err
+        assert not merged.exists()
 
 
 class TestCliContract:
