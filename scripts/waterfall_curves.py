@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     ]
     steps.append(
         ["design-interleaver", "--outer", str(work / "outer"),
-         "--inner", str(work / "inner"), "--seed", "7", "--no-pilot",
+         "--inner", str(work / "inner"), "--seed", "7", "--candidates", "1",
          "--out", str(work / "designed.perm")]
     )
     for rc in map(cli_main, steps):

@@ -31,7 +31,6 @@ from .ira import (
 from .spa import DecodeResult, decode, decode_batch
 from .stopping import (
     SensitivityHistogram,
-    StoppingSet,
     detect_from,
     is_stopping_set,
     select_sensitive,

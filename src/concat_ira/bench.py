@@ -49,7 +49,6 @@ CSV_HEADER = (
     "ebno_db,blocks,bit_errors,block_errors,ber,fer,"
     "mean_outer_iters,mean_component_iters,seed"
 )
-NOISELESS_LLR = 20.0
 
 
 class ConfigError(ValueError):
@@ -90,7 +89,6 @@ class SimConfig:
     master_seed: int = 0
     workers: int = 1
     stop: StopRule = field(default_factory=StopRule)
-    noiseless: bool = False
     outer_code: str | None = None
     inner_code: str | None = None
     interleaver: str | None = None
@@ -148,8 +146,8 @@ class SimConfig:
 # JSON key -> type, one table per level.  A key that is absent takes its
 # dataclass default; system, ebno_db and schedule are read on their own.
 _CONFIG_KEYS = {
-    "output": str, "master_seed": int, "workers": int, "noiseless": bool, "outer_code": str,
-    "inner_code": str, "interleaver": str, "code": str, "max_iter": int,
+    "output": str, "master_seed": int, "workers": int, "outer_code": str, "inner_code": str,
+    "interleaver": str, "code": str, "max_iter": int,
 }
 _STOP_KEYS = {"min_block_errors": int, "max_blocks": int}
 _SCHEDULE_KEYS = {"outer_iters": int, "inner_iters": int, "freeze_converged": bool}
@@ -178,12 +176,9 @@ def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
 # stream.  trials_per_task is the work of one task, in-process or on a pool.
 
 
-def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator, noiseless: bool) -> np.ndarray:
+def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator) -> np.ndarray:
     """Channel LLRs of a transmitted bit array."""
-    symbols = modulate(tx)
-    if noiseless:
-        return NOISELESS_LLR * symbols
-    return channel_llr(awgn(symbols, sigma, gen), sigma)
+    return channel_llr(awgn(modulate(tx), sigma, gen), sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,14 +198,14 @@ class ConcatSystem:
     def source_bits(self) -> int:
         return self.code.K * self.code.K
 
-    def run(self, lo: int, hi: int, sigma: float, master_seed: int, noiseless: bool) -> list:
+    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> list:
         cc = self.code
         results = []
         for index in range(lo, hi):
             gen = RngStream(master_seed, index).generator()
             source = gen.integers(0, 2, size=(cc.K, cc.K), dtype=np.uint8)
             tx = concat_encode(cc, source)
-            res = concat_decode(cc, _received(tx, sigma, gen, noiseless), self.schedule)
+            res = concat_decode(cc, _received(tx, sigma, gen), self.schedule)
             bit_errors = int((res.source_bits != source).sum())
             results.append((
                 bit_errors,
@@ -240,13 +235,13 @@ class SingleSystem:
     def source_bits(self) -> int:
         return self.code.K
 
-    def run(self, lo: int, hi: int, sigma: float, master_seed: int, noiseless: bool) -> list:
+    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> list:
         code = self.code
         gens = [RngStream(master_seed, index).generator() for index in range(lo, hi)]
         # each stream draws its source bits, then its noise, as one trial alone would
         sources = np.stack([gen.integers(0, 2, size=code.K, dtype=np.uint8) for gen in gens])
         llrs = np.stack([
-            _received(tx, sigma, gen, noiseless)
+            _received(tx, sigma, gen)
             for tx, gen in zip(encode_batch(code, sources), gens)
         ])
         res = spa.decode_batch(code, llrs, None, self.max_iter)
@@ -273,29 +268,29 @@ def load_system(config: SimConfig) -> ConcatSystem | SingleSystem:
 
 # --- curve points ----------------------------------------------------------------
 
-_WORKER: tuple = ()  # (system, master_seed, noiseless) inside a pool worker
+_WORKER: tuple = ()  # (system, master_seed) inside a pool worker
 
 
-def _init_worker(system: ConcatSystem | SingleSystem, master_seed: int, noiseless: bool) -> None:
+def _init_worker(system: ConcatSystem | SingleSystem, master_seed: int) -> None:
     global _WORKER
-    _WORKER = (system, master_seed, noiseless)
+    _WORKER = (system, master_seed)
 
 
 def _run_task(args: tuple[int, int, float]) -> list:
     lo, hi, sigma = args
-    system, master_seed, noiseless = _WORKER
-    return system.run(lo, hi, sigma, master_seed, noiseless)
+    system, master_seed = _WORKER
+    return system.run(lo, hi, sigma, master_seed)
 
 
-def _trial_results(system, sigma: float, max_blocks: int, master_seed: int, noiseless: bool, workers: int):
+def _trial_results(system, sigma: float, max_blocks: int, master_seed: int, workers: int):
     """Results of trials 0 .. max_blocks-1 in trial order: in-process one task at a time, on a
     pool at most 2 * workers tasks in flight, the queued ones cancelled when the generator closes."""
     step = system.trials_per_task
     tasks = ((lo, min(lo + step, max_blocks), sigma) for lo in range(0, max_blocks, step))
     if workers == 1:
-        yield from chain.from_iterable(system.run(*task, master_seed, noiseless) for task in tasks)
+        yield from chain.from_iterable(system.run(*task, master_seed) for task in tasks)
         return
-    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(system, master_seed, noiseless))
+    pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(system, master_seed))
     try:
         in_flight = deque(pool.submit(_run_task, task) for task in islice(tasks, 2 * workers - 1))
         while in_flight:
@@ -310,16 +305,15 @@ def measure_point(
     ebno_db: float,
     stop: StopRule,
     master_seed: int,
-    noiseless: bool = False,
     workers: int = 1,
 ) -> CurvePoint:
     """Run trials 0, 1, 2, ... until the stop rule holds, scanning results in
     trial order, in-process or on a pool of several workers."""
-    sigma = 1.0 if noiseless else ebno_sigma(ebno_db, system.rate)
+    sigma = ebno_sigma(ebno_db, system.rate)
     t0 = time.perf_counter()
     bit_errors = block_errors = blocks = 0
     outer_total = comp_calls = comp_iters = 0
-    trials = _trial_results(system, sigma, stop.max_blocks, master_seed, noiseless, workers)
+    trials = _trial_results(system, sigma, stop.max_blocks, master_seed, workers)
     with contextlib.closing(trials):
         for be, blk, outer_used, calls, iters in trials:
             blocks += 1
@@ -402,9 +396,7 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
         if key in existing:
             points.append(existing[key])
             continue
-        point = measure_point(
-            system, ebno, config.stop, config.master_seed, config.noiseless, config.workers
-        )
+        point = measure_point(system, ebno, config.stop, config.master_seed, config.workers)
         points.append(point)
         with open(path, "a", encoding="utf-8") as f:
             f.write(format_row(point, config.master_seed) + "\n")

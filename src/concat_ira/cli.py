@@ -82,14 +82,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_design_interleaver(args) -> int:
-    if args.step < 1:
-        raise ConfigError(f"--step must be >= 1, got {args.step}")
     schedule = _parse_schedule(args.schedule)
     outer = load_code(args.outer)
     inner = load_code(args.inner)
     k, n = outer.K, outer.N
 
-    if args.no_pilot or args.candidates == 1:
+    if args.candidates == 1:
         pi0 = random_permutation(k, n, args.seed)
     else:
         pi0, scores = pilot_select(
@@ -104,7 +102,7 @@ def _cmd_design_interleaver(args) -> int:
     hist_row = sensitivity_histogram(outer.graph)
     hist_col = sensitivity_histogram(inner.graph)
     rng = np.random.default_rng(args.seed)
-    designed = escalate_design(hist_row, hist_col, pi0, rng, step=args.step)
+    designed = escalate_design(hist_row, hist_col, pi0, rng)
 
     out = Path(args.out)
     save_permutation(designed, out)
@@ -173,9 +171,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    paths = [Path(p) for p in args.inputs]
+    for i, path in enumerate(paths):
+        for earlier in paths[:i]:
+            if earlier.stem == path.stem:
+                raise ConfigError(f"inputs {earlier} and {path} share the label {path.stem!r}")
     out_lines = ["label," + CSV_HEADER]
-    for input_path in args.inputs:
-        path = Path(input_path)
+    for path in paths:
         out_lines.extend(f"{path.stem},{row}" for _, row, _, _ in read_curve(path))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -217,12 +219,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", required=True, help="row code file prefix")
     p.add_argument("--inner", required=True, help="column code file prefix")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=int, default=1, help="sensitive-set escalation step")
-    p.add_argument("--candidates", type=int, default=16, help="random permutations to pilot")
+    p.add_argument("--candidates", type=int, default=16, help="random permutations to pilot; 1 skips it")
     p.add_argument("--pilot-blocks", type=int, default=12)
     p.add_argument("--pilot-ebno", type=float, default=3.0)
     p.add_argument("--schedule", default="10x10", help="pilot schedule, outerxinner")
-    p.add_argument("--no-pilot", action="store_true", help="skip the pilot, use --seed directly")
     p.add_argument("--out", required=True, help="permutation file path")
     p.set_defaults(func=_cmd_design_interleaver)
 

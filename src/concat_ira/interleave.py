@@ -38,7 +38,7 @@ class InterleaverInfeasible(RuntimeError):
 
     def __init__(self, reason: str, message: str):
         super().__init__(message)
-        self.reason = reason  # "counting_bound" | "no_legal_partner" | "attempts_exhausted"
+        self.reason = reason  # "counting_bound"
 
 
 class PermutationFileError(ValueError):
@@ -81,6 +81,8 @@ class BlockPermutation:
     sets: SensitiveSets | None = None
 
     def __post_init__(self):
+        if self.K < 1 or self.N < 1:
+            raise ValueError("block shape must be positive")
         fwd = np.asarray(self.forward, dtype=np.int64)
         size = self.K * self.N
         if fwd.shape != (size,) or not np.array_equal(np.sort(fwd), np.arange(size)):
@@ -110,8 +112,6 @@ class BlockPermutation:
 
 def random_permutation(k: int, n: int, seed: int) -> BlockPermutation:
     """Uniform random bijection from an unbiased shuffle, deterministic in seed."""
-    if k < 1 or n < 1:
-        raise ValueError("block shape must be positive")
     forward = np.random.default_rng(seed).permutation(k * n)
     return BlockPermutation(K=k, N=n, forward=forward, seed=seed)
 
@@ -154,7 +154,8 @@ def design(
     only takes its partner out of the ascending partner pool (the offender's
     column is sensitive), so one call draws every partner and the disjoint
     swaps apply at once.  Raises InterleaverInfeasible when the counting bound
-    fails, when no legal partner remains, or when bad mappings remain.
+    fails; once it holds, the pool starts with supply - demand + offenders >=
+    offenders partners, so every offender gets one.
     """
     k, n = perm0.K, perm0.N
     sets.validate_for(k, n)
@@ -173,21 +174,10 @@ def design(
     lands_sensitive = row_sensitive[fwd // n]
     offenders = np.flatnonzero(src_sensitive & lands_sensitive)
     legal = np.flatnonzero(~(src_sensitive | lands_sensitive)).tolist()
-    # descending bounds draw what one scalar call per swap would, and a pool
-    # that runs dry first still gets one draw per partner it held
-    draws = rng.integers(0, np.arange(len(legal), max(len(legal) - len(offenders), 0), -1))
-    if len(draws) < len(offenders):
-        raise InterleaverInfeasible(
-            "no_legal_partner", "every safe image is held by a sensitive-column position"
-        )
+    # descending bounds draw what one scalar call per swap would
+    draws = rng.integers(0, np.arange(len(legal), len(legal) - len(offenders), -1))
     partners = [legal.pop(d) for d in draws.tolist()]
     fwd[offenders], fwd[partners] = fwd[partners], fwd[offenders]
-
-    remaining = np.count_nonzero(src_sensitive & row_sensitive[fwd // n])
-    if remaining:
-        raise InterleaverInfeasible(
-            "attempts_exhausted", f"{remaining} bad mappings remain after repair"
-        )
     return BlockPermutation(
         K=k, N=n, forward=fwd, seed=perm0.seed,
         design_t=perm0.design_t, repairs=len(offenders), sets=sets,
@@ -199,7 +189,6 @@ def escalate_design(
     hist_col: SensitivityHistogram,
     perm0: BlockPermutation,
     rng: np.random.Generator,
-    step: int = 1,
 ) -> BlockPermutation:
     """Grow the sensitive sets level by level until repair becomes infeasible.
 
@@ -209,14 +198,11 @@ def escalate_design(
     metadata, falling back to ``perm0`` when the first level already fails.
     Each histogram is ranked once, and t is stamped on the result once.
     """
-    if step < 1:
-        raise ValueError("step must be >= 1")
     k, n = perm0.K, perm0.N
     row_ranked = select_sensitive(hist_row, len(hist_row.counts))
     col_ranked = select_sensitive(hist_col, k, restrict_below=k)
     best, best_t = perm0, 0
-    t = step
-    while t <= max(n, k):
+    for t in range(1, max(n, k) + 1):
         sets = SensitiveSets(
             row_code_nodes=frozenset(row_ranked[:t]),
             col_code_nodes=frozenset(col_ranked[:t]),
@@ -225,7 +211,6 @@ def escalate_design(
             best, best_t = design(perm0, sets, rng), t
         except InterleaverInfeasible:
             break
-        t += step
     return best if best is perm0 else replace(best, design_t=best_t)
 
 

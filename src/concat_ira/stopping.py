@@ -8,7 +8,6 @@ useful proxy for how exposed each variable is.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,24 +16,13 @@ import numpy as np
 from .gf2 import TannerGraph
 
 __all__ = [
-    "StoppingSet",
     "SensitivityHistogram",
     "is_stopping_set",
     "detect_from",
     "sensitivity_histogram",
     "select_sensitive",
-    "histogram_csv",
     "save_histogram",
-    "load_histogram",
 ]
-
-
-@dataclass(frozen=True)
-class StoppingSet:
-    """A detected variable set together with the start node that seeded it."""
-
-    members: frozenset[int]
-    origin: int
 
 
 @dataclass(frozen=True)
@@ -64,26 +52,23 @@ def is_stopping_set(graph: TannerGraph, members) -> bool:
     return not np.any(touched == 1)
 
 
-def detect_from(graph: TannerGraph, start: int, size_cap: int | None = None) -> StoppingSet:
+def detect_from(graph: TannerGraph, start: int) -> frozenset[int]:
     """Greedy expansion of a stopping set containing ``start``.
 
     While some check sees the set exactly once, take the lowest-index such
     deficient check and add its outside neighbor that creates the fewest
     newly deficient checks (ties to the lowest variable index).  Expansion
-    halts when no check is deficient, when the set exceeds ``size_cap``
-    (default: all variables), or when a deficient check has no neighbor left
-    to add; in that last case (a degree-1 check) no proper superset works and
-    the accumulated set is returned as is, so callers should verify with
-    :func:`is_stopping_set` when the graph may have degree-1 checks.
+    halts when no check is deficient, or when a deficient check has no
+    neighbor left to add; in that last case (a degree-1 check) no proper
+    superset works and the accumulated set is returned as is, so callers
+    should verify with :func:`is_stopping_set` when the graph may have
+    degree-1 checks.
 
     The result is deterministic and generally not minimal.
     """
     n = graph.n_vars
     if not 0 <= start < n:
         raise ValueError(f"start variable {start} out of range")
-    cap = n if size_cap is None else int(size_cap)
-    if cap < 1:
-        raise ValueError("size_cap must be >= 1")
 
     v2c = graph.var_to_checks
     c2v = graph.check_to_vars
@@ -92,7 +77,7 @@ def detect_from(graph: TannerGraph, start: int, size_cap: int | None = None) -> 
     for c in v2c[start]:
         counts[c] += 1
 
-    while len(members) <= cap:
+    while True:
         deficient = np.flatnonzero(counts == 1)
         if len(deficient) == 0:
             break
@@ -108,7 +93,7 @@ def detect_from(graph: TannerGraph, start: int, size_cap: int | None = None) -> 
         for c in v2c[best]:
             counts[c] += 1
 
-    return StoppingSet(members=frozenset(members), origin=start)
+    return frozenset(members)
 
 
 def sensitivity_histogram(graph: TannerGraph) -> SensitivityHistogram:
@@ -119,7 +104,7 @@ def sensitivity_histogram(graph: TannerGraph) -> SensitivityHistogram:
     """
     acc = np.zeros(graph.n_vars, dtype=np.int64)
     for start in range(graph.n_vars):
-        for u in detect_from(graph, start).members:
+        for u in detect_from(graph, start):
             acc[u] += 1
     return SensitivityHistogram(counts=tuple(int(c) for c in acc), runs=graph.n_vars)
 
@@ -136,28 +121,9 @@ def select_sensitive(
     return ranked[:t]
 
 
-def histogram_csv(hist: SensitivityHistogram) -> str:
+def save_histogram(hist: SensitivityHistogram, path: str | Path) -> None:
+    """Write the counts as an index,count CSV."""
     lines = ["index,count"]
     lines.extend(f"{i},{c}" for i, c in enumerate(hist.counts))
-    return "\n".join(lines) + "\n"
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def save_histogram(hist: SensitivityHistogram, path: str | Path) -> None:
-    Path(path).write_text(histogram_csv(hist), encoding="utf-8")
-
-
-def load_histogram(path: str | Path, runs: int | None = None) -> SensitivityHistogram:
-    """Read an index,count CSV back; runs defaults to the row count."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["index", "count"]:
-            raise ValueError(f"{path}: expected 'index,count' header, got {header}")
-        counts = []
-        for row_no, row in enumerate(reader):
-            if int(row[0]) != row_no:
-                raise ValueError(f"{path}: non-contiguous index at data row {row_no}")
-            counts.append(int(row[1]))
-    return SensitivityHistogram(
-        counts=tuple(counts), runs=len(counts) if runs is None else runs
-    )

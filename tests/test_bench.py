@@ -1,5 +1,5 @@
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,14 @@ def concat_config(root: Path, **overrides) -> SimConfig:
 
 
 class TestSimConfig:
+    def test_json_key_tables_name_every_field(self):
+        def names(cls):
+            return {f.name for f in fields(cls)}
+
+        assert set(ci.bench._CONFIG_KEYS) | {"system", "ebno_db", "schedule", "stop"} == names(SimConfig)
+        assert set(ci.bench._STOP_KEYS) == names(StopRule)
+        assert set(ci.bench._SCHEDULE_KEYS) == names(ci.Schedule)
+
     def test_json_round_trip(self, toy_files):
         text = json.dumps(
             {
@@ -96,8 +104,8 @@ class TestSimConfig:
     @pytest.mark.parametrize(
         "extra",
         [
-            {"noiseless": "false"},
-            {"noiseless": 0},
+            {"schedule": {"freeze_converged": "false"}},
+            {"schedule": {"freeze_converged": 0}},
             {"schedule": {"freeze_converged": "no"}},
             {"schedule": {"freeze_converged": 1}},
         ],
@@ -152,11 +160,13 @@ class TestSimConfig:
 
     def test_boolean_flags_parse(self):
         config = SimConfig.from_json(json.dumps({
-            "system": "single", "ebno_db": [1.0], "noiseless": True,
-            "schedule": {"freeze_converged": False},
+            "system": "single", "ebno_db": [1.0], "schedule": {"freeze_converged": False},
         }))
-        assert config.noiseless is True
         assert config.schedule.freeze_converged is False
+        config = SimConfig.from_json(json.dumps({
+            "system": "single", "ebno_db": [1.0], "schedule": {"freeze_converged": True},
+        }))
+        assert config.schedule.freeze_converged is True
 
     def test_empty_ebno_rejected(self):
         with pytest.raises(ConfigError, match="nonempty"):
@@ -173,8 +183,9 @@ class TestSimConfig:
 
 class TestRunCurve:
     def test_noiseless_debug_flag_gives_zero_errors(self, toy_files, tmp_path):
+        # at 12 dB the toy code sees no noise that matters
         config = concat_config(
-            toy_files, noiseless=True, output=str(tmp_path / "clean.csv"),
+            toy_files, ebno_db=(12.0,), output=str(tmp_path / "clean.csv"),
             stop=StopRule(min_block_errors=1, max_blocks=12),
         )
         (point,) = run_curve(config)
@@ -300,13 +311,13 @@ class TestTrialIndependence:
             ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
         )
         sigma = ci.ebno_sigma(4.0, system.rate)
-        together = system.run(0, 6, sigma, 9, False)
+        together = system.run(0, 6, sigma, 9)
         rng = np.random.default_rng(0)
         alone = {}
         for i in rng.permutation(6):
             for code in (outer, inner):
                 decode_batch(code, rng.normal(1.0, 2.0, size=(40, 24)), None, 7)
-            (alone[i],) = system.run(i, i + 1, sigma, 9, False)
+            (alone[i],) = system.run(i, i + 1, sigma, 9)
         assert together == [alone[i] for i in range(6)]
         assert {trial[1] for trial in together} == {0, 1}  # some blocks fail, some do not
 
@@ -321,7 +332,7 @@ class TaskLog:
     source_bits = 1
     trials_per_task = 1
 
-    def run(self, lo: int, hi: int, sigma: float, master_seed: int, noiseless: bool) -> list:
+    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> list:
         with open(self.path, "a", encoding="utf-8") as f:
             f.write(f"{lo}\n")
         return [(1, 1, 0, 1, 1)] * (hi - lo)
@@ -344,12 +355,12 @@ class TestTrialRounds:
         system = SingleSystem(outer, 20)
         assert system.trials_per_task == 256
         sigma = ci.ebno_sigma(3.0, system.rate)
-        whole = system.run(0, 600, sigma, 9, False)
+        whole = system.run(0, 600, sigma, 9)
         pieces, alone = [], []
         for lo in range(0, 600, 64):
-            pieces += system.run(lo, min(lo + 64, 600), sigma, 9, False)
+            pieces += system.run(lo, min(lo + 64, 600), sigma, 9)
         for i in range(600):
-            alone += system.run(i, i + 1, sigma, 9, False)
+            alone += system.run(i, i + 1, sigma, 9)
         assert whole == pieces == alone
         assert {trial[1] for trial in whole} == {0, 1}
 

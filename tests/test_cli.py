@@ -103,7 +103,7 @@ class TestDesignInterleaver:
         out = workspace / "designed.perm"
         rc = run_cli(
             "design-interleaver", "--outer", workspace / "outer",
-            "--inner", workspace / "inner", "--seed", 5, "--no-pilot",
+            "--inner", workspace / "inner", "--seed", 5, "--candidates", 1,
             "--out", out,
         )
         assert rc == 0
@@ -127,26 +127,6 @@ class TestDesignInterleaver:
         assert "pilot block errors" in capsys.readouterr().out
         ci.load_permutation(out)
 
-    @pytest.mark.parametrize("step", [0, -1])
-    def test_step_below_one_refused_before_the_pilot(self, workspace, capsys, monkeypatch, step):
-        piloted = []
-
-        def pilot_select(*args):
-            piloted.append(args)
-            raise RuntimeError("the pilot ran")
-
-        monkeypatch.setattr(cli, "pilot_select", pilot_select)
-        rc = run_cli(
-            "design-interleaver", "--outer", workspace / "outer",
-            "--inner", workspace / "inner", "--step", step,
-            "--out", workspace / "step.perm",
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err == f"error: --step must be >= 1, got {step}\n"
-        assert piloted == []
-        assert not (workspace / "step.perm").exists()
-
     @pytest.mark.parametrize(
         "schedule, message",
         [("bogus", "schedule must look like '10x10', got 'bogus'"),
@@ -165,7 +145,7 @@ class TestDesignInterleaver:
         monkeypatch.setattr(cli, "load_code", load_code)
         rc = run_cli(
             "design-interleaver", "--outer", workspace / "outer",
-            "--inner", workspace / "inner", "--schedule", schedule, "--no-pilot",
+            "--inner", workspace / "inner", "--schedule", schedule, "--candidates", 1,
             "--out", workspace / "schedule.perm",
         )
         assert rc == 1
@@ -230,7 +210,10 @@ class TestSimulate:
         assert not out.exists()
 
     def test_non_boolean_config_flag_gives_one_error_line(self, workspace, tmp_path, capsys):
-        config_path, out = self.make_config(workspace, tmp_path, noiseless="false")
+        config_path, out = self.make_config(
+            workspace, tmp_path,
+            schedule={"outer_iters": 3, "inner_iters": 3, "freeze_converged": "false"},
+        )
         assert run_cli("simulate", "--config", config_path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -306,6 +289,18 @@ class TestReport:
         assert rc == 1
         assert "header" in capsys.readouterr().err
 
+    def test_refuses_inputs_that_share_a_label(self, tmp_path, capsys):
+        row = "3,10,0,0,0.0,0.0,1.0,2.0,1"
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "curve.csv").write_text(ci.bench.CSV_HEADER + "\n" + row + "\n")
+        merged = tmp_path / "m.csv"
+        rc = run_cli("report", "--out", merged, tmp_path / "a/curve.csv", tmp_path / "b/curve.csv")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "share the label 'curve'" in err
+        assert not merged.exists()
 
     def test_merges_rows_of_any_seed(self, tmp_path):
         # resume refuses rows of another seed; a merged table legitimately mixes them

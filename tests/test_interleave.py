@@ -272,6 +272,8 @@ class TestPermutationFile:
             ("2 2 0 0\n0 1\n1 99999999999999999999\n2 3\n3 2\n", "line 3: index out of range"),
             ("2 2 0 0\n0 1\n0 0\n2 3\n3 2\n", "line 3: duplicate source 0"),
             ("2 2 0 0\n0 1\n1 0\n2 1\n3 2\n", "forward map is not a bijection"),
+            ("0 5 0 0\n", "block shape must be positive"),
+            ("-1 -1 3 0\n0 0\n", "block shape must be positive"),
             # the first refused line wins, and within a line the earlier check
             ("2 2 0 0\n0 1\n0 0\n2 x\n3\n", "line 3: duplicate source 0"),
             ("2 2 0 0\n0 1\nx 0\n2 9\n3\n", "line 3: non-integer"),
@@ -350,28 +352,6 @@ class TestDesignMatchesReference:
                 repair(perm0, sets, rng)
             assert exc.value.reason == "counting_bound"
             assert rng.bit_generator.state == before
-
-    def test_no_legal_partner_refusal(self):
-        # Past the counting bound the pool always holds at least as many
-        # partners as there are offenders, so the bound is made to see no
-        # sensitive columns.  In the identity 4x4 block, columns 0-1 meet
-        # rows 0-2 in 6 offenders, and only (3, 2) and (3, 3) are partners:
-        # two swaps, then the refusal.
-        class Uncounted(frozenset):
-            def __len__(self):
-                return 0
-
-        perm0 = ci.BlockPermutation(K=4, N=4, forward=np.arange(16), seed=0)
-        sets = ci.SensitiveSets(frozenset({0, 1}), frozenset({0, 1, 2}))
-        object.__setattr__(sets, "row_code_nodes", Uncounted({0, 1}))
-        states = []
-        for repair in (ci.design, reference_design):
-            rng = np.random.default_rng(1)
-            with pytest.raises(InterleaverInfeasible) as exc:
-                repair(perm0, sets, rng)
-            assert exc.value.reason == "no_legal_partner"
-            states.append(rng.bit_generator.state)
-        assert states[0] == states[1] != np.random.default_rng(1).bit_generator.state
 
     def test_benchmark_case_escalates_as_the_reference(
         self, paper_codes_with_histograms, monkeypatch
