@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -91,6 +92,18 @@ class TestAnalyze:
         assert max(counts) <= 12
         report = (workspace / "outer_an.report.txt").read_text()
         assert "detection runs: 12" in report
+
+    def test_paper_code_outputs_are_pinned(self, paper_outer, tmp_path):
+        ci.save_code(paper_outer, tmp_path / "outer")
+        assert run_cli("analyze", "--code", tmp_path / "outer", "--out", tmp_path / "an") == 0
+        digests = {
+            suffix: hashlib.sha256((tmp_path / f"an{suffix}").read_bytes()).hexdigest()
+            for suffix in (".sensitivity.csv", ".report.txt")
+        }
+        assert digests == {
+            ".sensitivity.csv": "cc81ae76819e5c083de446ee4b7204b005d9ac5457fe444fd364fc852f80daa0",
+            ".report.txt": "5f0d8730528807cca2d4104f9c048f03f3f7d5287492d4a31b953872314debd5",
+        }
 
     def test_missing_code_errors(self, tmp_path, capsys):
         rc = run_cli("analyze", "--code", tmp_path / "ghost", "--out", tmp_path / "x")
