@@ -5,14 +5,7 @@ interleaver design, iterative decoding, and a reproducible Monte Carlo
 BER/FER harness.
 """
 
-from .gf2 import (
-    AlistError,
-    SparseBinaryMatrix,
-    TannerGraph,
-    load_alist,
-    save_alist,
-    syndrome,
-)
+from .gf2 import AlistError, SparseBinaryMatrix, load_alist, save_alist
 from .ira import (
     AceParams,
     ConstructionError,
@@ -29,13 +22,7 @@ from .ira import (
     validate_code,
 )
 from .spa import DecodeResult, decode, decode_batch
-from .stopping import (
-    SensitivityHistogram,
-    detect_from,
-    is_stopping_set,
-    select_sensitive,
-    sensitivity_histogram,
-)
+from .stopping import detect_from, is_stopping_set, select_sensitive, sensitivity_histogram
 from .interleave import (
     BlockPermutation,
     InterleaverInfeasible,

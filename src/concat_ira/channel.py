@@ -23,10 +23,20 @@ __all__ = [
 
 
 def ebno_sigma(ebno_db: float, rate: float) -> float:
-    """Noise standard deviation per real dimension for BPSK at a given rate."""
+    """Noise standard deviation per real dimension for BPSK at a given rate.
+
+    Raises ValueError for an Eb/N0 whose sigma is not a finite positive
+    number: NaN, infinities, and magnitudes that overflow or underflow.
+    """
     if rate <= 0 or rate > 1:
         raise ValueError("rate must lie in (0, 1]")
-    return math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0)))
+    try:
+        sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"Eb/N0 of {ebno_db} dB gives no usable noise level")
+    return sigma
 
 
 @dataclass(frozen=True)

@@ -59,19 +59,18 @@ def _cmd_construct(args) -> int:
 
 def _cmd_analyze(args) -> int:
     code = load_code(args.code)
-    hist = sensitivity_histogram(code.graph)
+    counts = sensitivity_histogram(code.H)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out.with_suffix(".sensitivity.csv")
     report_path = out.with_suffix(".report.txt")
-    save_histogram(hist, csv_path)
+    save_histogram(counts, csv_path)
 
-    counts = hist.as_array()
-    top = select_sensitive(hist, min(10, code.N))
+    top = select_sensitive(counts, min(10, code.N))
     lines = [
         f"stopping-set sensitivity report for [{code.N},{code.K}] code seed {code.seed}",
-        f"detection runs: {hist.runs} (one per start variable)",
-        f"count range: {counts.min()}..{counts.max()} (bound {hist.runs})",
+        f"detection runs: {len(counts)} (one per start variable)",
+        f"count range: {counts.min()}..{counts.max()} (bound {len(counts)})",
         f"mean count: systematic {counts[:code.K].mean():.2f}, parity {counts[code.K:].mean():.2f}",
         "top sensitive variables (index:count): "
         + " ".join(f"{i}:{counts[i]}" for i in top),
@@ -99,8 +98,8 @@ def _cmd_design_interleaver(args) -> int:
             + " ".join(f"seed{seed}:{blk}" for blk, _, seed in scores)
         )
 
-    hist_row = sensitivity_histogram(outer.graph)
-    hist_col = sensitivity_histogram(inner.graph)
+    hist_row = sensitivity_histogram(outer.H)
+    hist_col = sensitivity_histogram(inner.H)
     rng = np.random.default_rng(args.seed)
     designed = escalate_design(hist_row, hist_col, pi0, rng)
 

@@ -1,4 +1,4 @@
-"""Sparse GF(2) matrices, Tanner graph views, and alist text I/O.
+"""Sparse GF(2) matrices and alist text I/O.
 
 Rows are parity checks, columns are variable nodes.  All in-memory indices
 are 0-based; the 1-based convention of the alist interchange format is
@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "AlistError",
     "SparseBinaryMatrix",
-    "TannerGraph",
-    "syndrome",
     "load_alist",
     "save_alist",
 ]
@@ -113,83 +111,11 @@ class SparseBinaryMatrix:
     def n_edges(self) -> int:
         return sum(len(r) for r in self.row_support)
 
-    @cached_property
-    def _edge_rows(self) -> np.ndarray:
-        """Row index of every incidence, in row-major order."""
-        return np.repeat(
-            np.arange(self.n_rows), [len(r) for r in self.row_support]
-        ).astype(np.intp)
-
-    @cached_property
-    def _edge_cols(self) -> np.ndarray:
-        """Column index of every incidence, matching ``_edge_rows``."""
-        flat = [c for r in self.row_support for c in r]
-        return np.asarray(flat, dtype=np.intp)
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        if self.n_edges:
-            dense[self._edge_rows, self._edge_cols] = 1
+        for r, sup in enumerate(self.row_support):
+            dense[r, list(sup)] = 1
         return dense
-
-
-def syndrome(h: SparseBinaryMatrix, x) -> np.ndarray:
-    """GF(2) product H·x for a length ``n_cols`` bit vector.
-
-    Component m is the XOR of x over ``row_support[m]``.
-    """
-    x = np.asarray(x)
-    if x.shape != (h.n_cols,):
-        raise ValueError(f"expected bit vector of length {h.n_cols}, got shape {x.shape}")
-    if h.n_edges == 0:
-        return np.zeros(h.n_rows, dtype=np.uint8)
-    sums = np.bincount(
-        h._edge_rows, weights=x[h._edge_cols].astype(np.float64), minlength=h.n_rows
-    )
-    return (sums.astype(np.int64) & 1).astype(np.uint8)
-
-
-@dataclass(frozen=True, eq=False)
-class TannerGraph:
-    """Bipartite adjacency view: variables (columns) vs checks (rows).
-
-    Holds references to the underlying support lists rather than copies, so
-    it is cheap to create and can also wrap the mutable working lists used
-    during code construction.
-    """
-
-    var_to_checks: Sequence[Sequence[int]]
-    check_to_vars: Sequence[Sequence[int]]
-
-    def __post_init__(self):
-        ev = sum(len(s) for s in self.var_to_checks)
-        ec = sum(len(s) for s in self.check_to_vars)
-        if ev != ec:
-            raise ValueError(f"edge count mismatch: {ev} variable-side vs {ec} check-side")
-
-    @classmethod
-    def from_matrix(cls, m: SparseBinaryMatrix) -> "TannerGraph":
-        return cls(var_to_checks=m.col_support, check_to_vars=m.row_support)
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.var_to_checks)
-
-    @property
-    def n_checks(self) -> int:
-        return len(self.check_to_vars)
-
-    @property
-    def variable_degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.var_to_checks)
-
-    @property
-    def check_degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.check_to_vars)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(s) for s in self.var_to_checks)
 
 
 # --- alist interchange format -------------------------------------------------

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stopping import SensitivityHistogram, select_sensitive
+from .stopping import select_sensitive
 
 __all__ = [
     "InterleaverInfeasible",
@@ -68,6 +68,11 @@ class SensitiveSets:
             raise ValueError("column-code sensitive row index not in systematic range")
 
 
+def _check_block_shape(k: int, n: int) -> None:
+    if k < 1 or n < 1:
+        raise ValueError("block shape must be positive")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockPermutation:
     """Bijection on the K*N flat positions (flat index = r*N + c)."""
@@ -81,8 +86,7 @@ class BlockPermutation:
     sets: SensitiveSets | None = None
 
     def __post_init__(self):
-        if self.K < 1 or self.N < 1:
-            raise ValueError("block shape must be positive")
+        _check_block_shape(self.K, self.N)
         fwd = np.asarray(self.forward, dtype=np.int64)
         size = self.K * self.N
         if fwd.shape != (size,) or not np.array_equal(np.sort(fwd), np.arange(size)):
@@ -185,8 +189,8 @@ def design(
 
 
 def escalate_design(
-    hist_row: SensitivityHistogram,
-    hist_col: SensitivityHistogram,
+    hist_row: np.ndarray,
+    hist_col: np.ndarray,
     perm0: BlockPermutation,
     rng: np.random.Generator,
 ) -> BlockPermutation:
@@ -199,8 +203,8 @@ def escalate_design(
     Each histogram is ranked once, and t is stamped on the result once.
     """
     k, n = perm0.K, perm0.N
-    row_ranked = select_sensitive(hist_row, len(hist_row.counts))
-    col_ranked = select_sensitive(hist_col, k, restrict_below=k)
+    row_ranked = select_sensitive(hist_row, len(hist_row))
+    col_ranked = select_sensitive(hist_col[:k], k)
     best, best_t = perm0, 0
     for t in range(1, max(n, k) + 1):
         sets = SensitiveSets(
@@ -237,6 +241,10 @@ def load_permutation(path: str | Path) -> BlockPermutation:
         k, n, seed, t = (int(x) for x in header)
     except ValueError as exc:
         raise PermutationFileError(f"{path}: non-integer header field") from exc
+    try:
+        _check_block_shape(k, n)
+    except ValueError as exc:
+        raise PermutationFileError(f"{path}: {exc}") from exc
     size = k * n
     if len(lines) != 1 + size:
         raise PermutationFileError(

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import SparseBinaryMatrix, TannerGraph, load_alist, save_alist
+from .gf2 import SparseBinaryMatrix, load_alist, save_alist
 
 __all__ = [
     "ConstructionError",
@@ -141,7 +141,9 @@ def default_degree_spec(k: int, m: int, check_degree: int = DEFAULT_CHECK_DEGREE
     return DegreeSpec(degrees, check_degree)
 
 
-def _ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bool:
+def _ace_passes(
+    v2c: Sequence[Sequence[int]], c2v: Sequence[Sequence[int]], v: int, d_ace: int, eta: int
+) -> bool:
     """Decision-equivalent fast path for the exhaustive ACE check in
     ``tests/oracles.py`` (``ace_check(...).passed``).
 
@@ -151,10 +153,9 @@ def _ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bool:
     are nonnegative), which lets the search prune aggressively and stop at
     the first violation instead of enumerating everything.  At the last
     depth a path can only close back to v, so that level is one set
-    intersection with v's checks.
+    intersection with v's checks.  ``v2c`` lists each variable's checks and
+    ``c2v`` each check's variables.
     """
-    v2c = graph.var_to_checks
-    c2v = graph.check_to_vars
     base = len(v2c[v]) - 2
     if base >= eta:
         return True
@@ -313,16 +314,14 @@ def build_h1(
         for r, sup in enumerate(h2_cols):
             for c in sup:
                 rows_work[c].append(k + r)
-        graph = TannerGraph(
-            var_to_checks=h1_cols + h2_cols, check_to_vars=rows_work
-        )
+        cols_work = h1_cols + h2_cols
         screen = (
             _LowWeightScreen([_row_mask(s) for s in h2_cols])
             if screen_low_weight
             else None
         )
 
-        # the graph view aliases the per-column lists, so mutate them in place;
+        # cols_work aliases the per-column lists, so mutate them in place;
         # ACE runs first because it rejects far more candidates than the screen,
         # and a row set in the current column's failed set would fail again
         def attempt(j: int, rows) -> bool:
@@ -332,7 +331,7 @@ def build_h1(
             h1_cols[j][:] = sorted(rows)
             for r in h1_cols[j]:
                 rows_work[r].append(j)
-            if _ace_passes(graph, j, ace.d_ace, ace.eta) and (
+            if _ace_passes(cols_work, rows_work, j, ace.d_ace, ace.eta) and (
                 screen is None or not screen.clashes(cand)
             ):
                 for r in h1_cols[j]:
@@ -398,9 +397,10 @@ class IraCode:
     ace: AceParams
     seed: int
 
-    @cached_property
-    def graph(self) -> TannerGraph:
-        return TannerGraph.from_matrix(self.H)
+    @property
+    def graph(self) -> SparseBinaryMatrix:
+        # kept for perfbench/run.py, which passes it to sensitivity_histogram
+        return self.H
 
     @property
     def rate(self) -> float:
@@ -474,7 +474,7 @@ def validate_code(code: IraCode) -> None:
 def encode(code: IraCode, s) -> np.ndarray:
     """Systematic encode: parity m is the running XOR of <H1 row, s> terms.
 
-    The output always satisfies syndrome(H, output) = 0.
+    The output always satisfies H·output = 0 over GF(2).
     """
     s = np.asarray(s)
     if s.shape != (code.K,):

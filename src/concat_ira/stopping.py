@@ -8,15 +8,13 @@ useful proxy for how exposed each variable is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .gf2 import TannerGraph
+from .gf2 import SparseBinaryMatrix
 
 __all__ = [
-    "SensitivityHistogram",
     "is_stopping_set",
     "detect_from",
     "sensitivity_histogram",
@@ -25,34 +23,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SensitivityHistogram:
-    counts: tuple[int, ...]
-    runs: int
-
-    def __post_init__(self):
-        if any(c < 0 or c > self.runs for c in self.counts):
-            raise ValueError("counts must lie in 0..runs")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.int64)
-
-
-def is_stopping_set(graph: TannerGraph, members) -> bool:
+def is_stopping_set(h: SparseBinaryMatrix, members) -> bool:
     """True iff every check adjacent to the set has >= 2 edges into it."""
     members = set(int(v) for v in members)
     if not members:
         raise ValueError("a stopping set must be nonempty")
-    if any(v < 0 or v >= graph.n_vars for v in members):
+    if any(v < 0 or v >= h.n_cols for v in members):
         raise ValueError("variable index out of range")
-    touched = np.zeros(graph.n_checks, dtype=np.int64)
+    touched = np.zeros(h.n_rows, dtype=np.int64)
     for v in members:
-        for c in graph.var_to_checks[v]:
+        for c in h.col_support[v]:
             touched[c] += 1
     return not np.any(touched == 1)
 
 
-def detect_from(graph: TannerGraph, start: int) -> frozenset[int]:
+def detect_from(h: SparseBinaryMatrix, start: int) -> frozenset[int]:
     """Greedy expansion of a stopping set containing ``start``.
 
     While some check sees the set exactly once, take the lowest-index such
@@ -66,13 +51,12 @@ def detect_from(graph: TannerGraph, start: int) -> frozenset[int]:
 
     The result is deterministic and generally not minimal.
     """
-    n = graph.n_vars
-    if not 0 <= start < n:
+    if not 0 <= start < h.n_cols:
         raise ValueError(f"start variable {start} out of range")
 
-    v2c = graph.var_to_checks
-    c2v = graph.check_to_vars
-    counts = np.zeros(graph.n_checks, dtype=np.int64)
+    v2c = h.col_support
+    c2v = h.row_support
+    counts = np.zeros(h.n_rows, dtype=np.int64)
     members = {start}
     for c in v2c[start]:
         counts[c] += 1
@@ -96,34 +80,30 @@ def detect_from(graph: TannerGraph, start: int) -> frozenset[int]:
     return frozenset(members)
 
 
-def sensitivity_histogram(graph: TannerGraph) -> SensitivityHistogram:
+def sensitivity_histogram(h: SparseBinaryMatrix) -> np.ndarray:
     """Run detection from every variable and count set memberships.
 
     One deterministic detection run per start node; counts[u] is the number
-    of start nodes whose detected set contains u, bounded by runs = n_vars.
+    of start nodes whose detected set contains u, bounded by the n_cols runs.
     """
-    acc = np.zeros(graph.n_vars, dtype=np.int64)
-    for start in range(graph.n_vars):
-        for u in detect_from(graph, start):
-            acc[u] += 1
-    return SensitivityHistogram(counts=tuple(int(c) for c in acc), runs=graph.n_vars)
+    counts = np.zeros(h.n_cols, dtype=np.int64)
+    for start in range(h.n_cols):
+        for u in detect_from(h, start):
+            counts[u] += 1
+    return counts
 
 
-def select_sensitive(
-    hist: SensitivityHistogram, t: int, restrict_below: int | None = None
-) -> list[int]:
-    """The t highest-count indices, ties to the lower index, optionally
-    restricted to indices < restrict_below.  Ordered by that same rule."""
+def select_sensitive(counts, t: int) -> list[int]:
+    """The t highest-count indices, ties to the lower index, ordered by that
+    same rule."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    indices = range(len(hist.counts) if restrict_below is None else min(restrict_below, len(hist.counts)))
-    ranked = sorted(indices, key=lambda i: (-hist.counts[i], i))
+    ranked = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
     return ranked[:t]
 
 
-def save_histogram(hist: SensitivityHistogram, path: str | Path) -> None:
+def save_histogram(counts, path: str | Path) -> None:
     """Write the counts as an index,count CSV."""
     lines = ["index,count"]
-    lines.extend(f"{i},{c}" for i, c in enumerate(hist.counts))
+    lines.extend(f"{i},{c}" for i, c in enumerate(counts))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-

@@ -55,6 +55,6 @@ def tree_matrix() -> ci.SparseBinaryMatrix:
 
 @pytest.fixture(scope="session")
 def paper_codes_with_histograms(paper_outer, paper_inner):
-    hist_row = ci.sensitivity_histogram(paper_outer.graph)
-    hist_col = ci.sensitivity_histogram(paper_inner.graph)
+    hist_row = ci.sensitivity_histogram(paper_outer.H)
+    hist_col = ci.sensitivity_histogram(paper_inner.H)
     return paper_outer, paper_inner, hist_row, hist_col

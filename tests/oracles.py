@@ -7,10 +7,11 @@ message-passing code paths.
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from concat_ira.gf2 import SparseBinaryMatrix, TannerGraph
+from concat_ira.gf2 import SparseBinaryMatrix
 from concat_ira.interleave import (
     BlockPermutation,
     InterleaverInfeasible,
@@ -27,6 +28,21 @@ from concat_ira.ira import (
     _row_mask,
 )
 from concat_ira.spa import LLR_CLAMP, BatchDecodeResult
+
+
+class TannerGraph(NamedTuple):
+    """Adjacency lists of a Tanner graph: variables (columns) vs checks (rows)."""
+
+    var_to_checks: Sequence[Sequence[int]]
+    check_to_vars: Sequence[Sequence[int]]
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.var_to_checks)
+
+
+def tanner_graph(h: SparseBinaryMatrix) -> TannerGraph:
+    return TannerGraph(h.col_support, h.row_support)
 
 
 def all_bit_patterns(n: int) -> np.ndarray:
@@ -335,7 +351,7 @@ def ace_check(graph, v: int, d_ace: int, eta: int) -> AceResult:
 def ace_audit(code) -> bool:
     """Re-run the ACE acceptance test on every variable of the finished code."""
     return all(
-        ace_check(code.graph, v, code.ace.d_ace, code.ace.eta).passed
+        ace_check(tanner_graph(code.H), v, code.ace.d_ace, code.ace.eta).passed
         for v in range(code.N)
     )
 

@@ -14,6 +14,16 @@ class TestSigma:
         with pytest.raises(ValueError):
             ci.ebno_sigma(0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "ebno, shown",
+        [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (4000.0, "4000.0"),
+         (-4000.0, "-4000.0")],
+        ids=["nan", "inf", "-inf", "4000", "-4000"],
+    )
+    def test_ebno_without_usable_noise_level_rejected(self, ebno, shown):
+        with pytest.raises(ValueError, match=f"Eb/N0 of {shown} dB gives no usable noise level"):
+            ci.ebno_sigma(ebno, 0.5)
+
 
 class TestModulate:
     def test_bit_map(self):

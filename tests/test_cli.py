@@ -141,6 +141,21 @@ class TestDesignInterleaver:
         ci.load_permutation(out)
 
     @pytest.mark.parametrize(
+        "ebno", [["--pilot-ebno", "nan"], ["--pilot-ebno=-inf"]], ids=["nan", "-inf"]
+    )
+    def test_pilot_ebno_without_noise_level_gives_one_error_line(self, workspace, capsys, ebno):
+        out = workspace / "noiseless_pilot.perm"
+        rc = run_cli(
+            "design-interleaver", "--outer", workspace / "outer",
+            "--inner", workspace / "inner", "--seed", 5,
+            "--candidates", 3, "--pilot-blocks", 4, *ebno, "--out", out,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "schedule, message",
         [("bogus", "schedule must look like '10x10', got 'bogus'"),
          ("0x10", "iteration counts must be >= 1")],
@@ -221,6 +236,11 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_overflowing_ebno_gives_one_error_line(self, workspace, tmp_path, capsys):
+        config_path, _ = self.make_config(workspace, tmp_path, ebno_db=[4000])
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == "error: Eb/N0 of 4000.0 dB gives no usable noise level\n"
 
     def test_non_boolean_config_flag_gives_one_error_line(self, workspace, tmp_path, capsys):
         config_path, out = self.make_config(

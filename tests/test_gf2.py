@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import concat_ira as ci
 from concat_ira.gf2 import AlistError
 
-from oracles import brute_force_cycles_through, enumerate_short_cycles
+from oracles import brute_force_cycles_through, enumerate_short_cycles, tanner_graph
 
 
 def dual_diagonal_3x3():
@@ -50,40 +49,6 @@ class TestSparseBinaryMatrix:
         a = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1), (2,)])
         b = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1), (1,)])
         assert a != b and {a: 1}.get(b) is None
-
-
-class TestSyndrome:
-    def test_zero_vector(self):
-        m = dual_diagonal_3x3()
-        assert not ci.syndrome(m, np.zeros(3, dtype=np.uint8)).any()
-
-    def test_hand_worked_dual_diagonal(self):
-        # rows {0}, {0,1}, {1,2} applied to (1,1,0): (1, 1^1, 1^0) = (1,0,1)
-        m = dual_diagonal_3x3()
-        assert ci.syndrome(m, np.array([1, 1, 0])).tolist() == [1, 0, 1]
-
-    def test_matches_dense_multiply(self):
-        rng = np.random.default_rng(1)
-        for _ in range(25):
-            m = random_matrix(rng, int(rng.integers(1, 10)), int(rng.integers(1, 10)))
-            x = rng.integers(0, 2, m.n_cols)
-            expect = (m.to_dense().astype(int) @ x) % 2
-            assert np.array_equal(ci.syndrome(m, x), expect)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length 3"):
-            ci.syndrome(dual_diagonal_3x3(), np.zeros(4))
-
-    @given(st.integers(0, 2**60))
-    @settings(max_examples=40, deadline=None)
-    def test_gf2_linearity(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_matrix(rng, 6, 9)
-        a = rng.integers(0, 2, 9)
-        b = rng.integers(0, 2, 9)
-        lhs = ci.syndrome(m, a ^ b)
-        rhs = ci.syndrome(m, a) ^ ci.syndrome(m, b)
-        assert np.array_equal(lhs, rhs)
 
 
 class TestAlist:
@@ -146,13 +111,13 @@ class TestAlist:
 
 class TestCycleEnumeration:
     def test_tree_has_no_cycles(self, tree_matrix):
-        graph = ci.TannerGraph.from_matrix(tree_matrix)
+        graph = tanner_graph(tree_matrix)
         for v in range(tree_matrix.n_cols):
             assert enumerate_short_cycles(graph, v, 8) == []
 
     def test_two_by_two_all_ones(self):
         m = ci.SparseBinaryMatrix.from_rows(2, 2, [(0, 1), (0, 1)])
-        graph = ci.TannerGraph.from_matrix(m)
+        graph = tanner_graph(m)
         for v in (0, 1):
             cycles = enumerate_short_cycles(graph, v, 4)
             assert len(cycles) == 1
@@ -165,7 +130,7 @@ class TestCycleEnumeration:
             m = random_matrix(rng, n_rows, n_cols, density=0.5)
             if m.n_edges > 10:
                 continue
-            graph = ci.TannerGraph.from_matrix(m)
+            graph = tanner_graph(m)
             for v in range(n_cols):
                 got = enumerate_short_cycles(graph, v, 8)
                 expect = brute_force_cycles_through(
@@ -174,17 +139,7 @@ class TestCycleEnumeration:
                 assert len(got) == len(expect)
 
     def test_requires_even_length(self):
-        graph = ci.TannerGraph.from_matrix(dual_diagonal_3x3())
+        graph = tanner_graph(dual_diagonal_3x3())
         with pytest.raises(ValueError):
             enumerate_short_cycles(graph, 0, 5)
 
-
-class TestTannerGraph:
-    def test_degree_sums_match(self, tree_matrix):
-        g = ci.TannerGraph.from_matrix(tree_matrix)
-        assert sum(g.variable_degrees) == sum(g.check_degrees) == tree_matrix.n_edges
-
-    def test_adjacency_is_a_view(self, tree_matrix):
-        g = ci.TannerGraph.from_matrix(tree_matrix)
-        assert g.var_to_checks is tree_matrix.col_support
-        assert g.check_to_vars is tree_matrix.row_support

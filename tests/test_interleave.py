@@ -159,7 +159,7 @@ class TestDesign:
         perm0 = ci.random_permutation(128, 181, 7)
         sets = ci.SensitiveSets(
             frozenset(ci.select_sensitive(hist_row, 10)),
-            frozenset(ci.select_sensitive(hist_col, 10, restrict_below=128)),
+            frozenset(ci.select_sensitive(hist_col[:128], 10)),
         )
         before = ci.count_bad_mappings(perm0, sets).count
         designed = ci.design(perm0, sets, np.random.default_rng(3))
@@ -172,7 +172,7 @@ class TestDesign:
         perm0 = ci.random_permutation(128, 181, 7)
         sets = ci.SensitiveSets(
             frozenset(ci.select_sensitive(hist_row, 8)),
-            frozenset(ci.select_sensitive(hist_col, 8, restrict_below=128)),
+            frozenset(ci.select_sensitive(hist_col[:128], 8)),
         )
         designed = ci.design(perm0, sets, np.random.default_rng(4))
         lit = np.zeros((128, 181))
@@ -185,7 +185,7 @@ class TestDesign:
         perm0 = ci.random_permutation(128, 181, 7)
         sets = ci.SensitiveSets(
             frozenset(ci.select_sensitive(hist_row, 6)),
-            frozenset(ci.select_sensitive(hist_col, 6, restrict_below=128)),
+            frozenset(ci.select_sensitive(hist_col[:128], 6)),
         )
         a = ci.design(perm0, sets, np.random.default_rng(5))
         b = ci.design(perm0, sets, np.random.default_rng(5))
@@ -196,15 +196,15 @@ class TestEscalateDesign:
     def test_returns_last_feasible_level(self):
         # counting bound: 6t <= (6 - t) * 8 fails first at t = 4
         k, n = 6, 8
-        hist_row = ci.SensitivityHistogram(tuple(range(n, 0, -1)), runs=n)
-        hist_col = ci.SensitivityHistogram(tuple(range(n, 0, -1)), runs=n)
+        hist_row = np.arange(n, 0, -1)
+        hist_col = np.arange(n, 0, -1)
         perm0 = ci.random_permutation(k, n, 1)
         out = ci.escalate_design(hist_row, hist_col, perm0, np.random.default_rng(0))
         assert out.design_t == 3
         # cross-check: level 3 designs fine, level 4 is infeasible
         sets4 = ci.SensitiveSets(
             frozenset(ci.select_sensitive(hist_row, 4)),
-            frozenset(ci.select_sensitive(hist_col, 4, restrict_below=k)),
+            frozenset(ci.select_sensitive(hist_col[:k], 4)),
         )
         with pytest.raises(InterleaverInfeasible):
             ci.design(perm0, sets4, np.random.default_rng(0))
@@ -219,7 +219,7 @@ class TestEscalateDesign:
 
     def test_zero_histograms_still_return_a_permutation(self):
         k, n = 4, 6
-        hist = ci.SensitivityHistogram((0,) * n, runs=n)
+        hist = np.zeros(n, dtype=np.int64)
         perm0 = ci.random_permutation(k, n, 2)
         out = ci.escalate_design(hist, hist, perm0, np.random.default_rng(2))
         assert np.array_equal(np.sort(out.forward), np.arange(k * n))
@@ -274,6 +274,8 @@ class TestPermutationFile:
             ("2 2 0 0\n0 1\n1 0\n2 1\n3 2\n", "forward map is not a bijection"),
             ("0 5 0 0\n", "block shape must be positive"),
             ("-1 -1 3 0\n0 0\n", "block shape must be positive"),
+            ("-1 2 0 0\n", "block shape must be positive"),
+            ("2 -1 0 0\n0 0\n", "block shape must be positive"),
             # the first refused line wins, and within a line the earlier check
             ("2 2 0 0\n0 1\n0 0\n2 x\n3\n", "line 3: duplicate source 0"),
             ("2 2 0 0\n0 1\nx 0\n2 9\n3\n", "line 3: non-integer"),
@@ -304,7 +306,7 @@ class TestPermutationFile:
 def _paper_sets(hist_row, hist_col, t):
     return ci.SensitiveSets(
         frozenset(ci.select_sensitive(hist_row, t)),
-        frozenset(ci.select_sensitive(hist_col, t, restrict_below=128)),
+        frozenset(ci.select_sensitive(hist_col[:128], t)),
     )
 
 
@@ -333,11 +335,11 @@ class TestDesignMatchesReference:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_toy_shape(self, toy_outer, toy_inner, t, seed):
-        hist_row = ci.sensitivity_histogram(toy_outer.graph)
-        hist_col = ci.sensitivity_histogram(toy_inner.graph)
+        hist_row = ci.sensitivity_histogram(toy_outer.H)
+        hist_col = ci.sensitivity_histogram(toy_inner.H)
         sets = ci.SensitiveSets(
             frozenset(ci.select_sensitive(hist_row, t)),
-            frozenset(ci.select_sensitive(hist_col, t, restrict_below=8)),
+            frozenset(ci.select_sensitive(hist_col[:8], t)),
         )
         self.assert_same(ci.random_permutation(8, 12, 5 + seed), sets, seed)
 
