@@ -372,6 +372,8 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
     completes.  Points already present in a compatible output file are kept
     as they are, so interrupted runs resume and finished runs are no-ops."""
     system = load_system(config)
+    for ebno in config.ebno_db:
+        ebno_sigma(ebno, system.rate)  # refuse before the output file is made
     path = Path(config.output)
     path.parent.mkdir(parents=True, exist_ok=True)
     existing: dict[str, CurvePoint] = {}

@@ -25,16 +25,17 @@ __all__ = [
 def ebno_sigma(ebno_db: float, rate: float) -> float:
     """Noise standard deviation per real dimension for BPSK at a given rate.
 
-    Raises ValueError for an Eb/N0 whose sigma is not a finite positive
-    number: NaN, infinities, and magnitudes that overflow or underflow.
+    Raises ValueError for an Eb/N0 whose LLR scale 2/sigma^2 is not a finite
+    positive number: NaN, infinities, and magnitudes past about +-3080 dB.
     """
     if rate <= 0 or rate > 1:
         raise ValueError("rate must lie in (0, 1]")
     try:
         sigma = math.sqrt(1.0 / (2.0 * rate * 10.0 ** (ebno_db / 10.0)))
+        llr_scale = 2.0 / (sigma * sigma)
     except (OverflowError, ZeroDivisionError):
-        sigma = math.nan
-    if not 0.0 < sigma < math.inf:
+        llr_scale = math.nan
+    if not 0.0 < llr_scale < math.inf:
         raise ValueError(f"Eb/N0 of {ebno_db} dB gives no usable noise level")
     return sigma
 

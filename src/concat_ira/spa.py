@@ -6,6 +6,15 @@ first iteration whose hard decision satisfies every check.  The extrinsic
 output for a variable is the sum of its final check-to-variable messages,
 excluding both the channel and the prior term, so the value can be handed
 to another decoder that holds its own copy of the channel observation.
+
+Inside the loop every LLR is at half scale: channel + prior is halved on
+entry, a check output is the ``arctanh`` of its product without the factor
+2, and the extrinsic output is doubled on exit.  A power-of-two scale
+commutes with rounding, so outputs are bit-identical to full-scale
+``2 * arctanh(prod tanh(L/2))`` unless ``|channel + prior| < 2**-1021``.
+There is no clamp before ``tanh``: NumPy's float64 ``tanh`` is exactly +-1.0
+for |x| >= 19.1 and at +-inf, so a +-50 clamp (+-25 at half scale) changes
+no output.
 """
 
 from __future__ import annotations
@@ -18,14 +27,12 @@ import numpy as np
 from .gf2 import SparseBinaryMatrix
 
 __all__ = [
-    "LLR_CLAMP",
     "DecodeResult",
     "BatchDecodeResult",
     "decode",
     "decode_batch",
 ]
 
-LLR_CLAMP = 50.0  # applied to variable-to-check messages before tanh
 _ATANH_GUARD = 1.0 - 1e-12  # keeps products away from +-1 before arctanh
 
 
@@ -81,7 +88,7 @@ class _Workspace:
         msg_cv, post = self.view("msg_cv", b), self.view("post", b)
         msg_cv[-1] = 0.0
         post[-1] = 0.0
-        rest = ("ext", "gathered", "bits", "slot_bits", "parity")
+        rest = ("ext", "gathered", "slot_bits", "parity")
         return msg_cv, post, *(self.view(name, b) for name in rest)
 
 
@@ -128,7 +135,6 @@ def _compile(matrix: SparseBinaryMatrix) -> _CompiledGraph:
         "post": (n + 1, np.float64),
         "ext": (n, np.float64),
         "gathered": (n, np.float64),
-        "bits": (n + 1, bool),
         "slot_bits": (n_slots, bool),
         "parity": (m, bool),
     })
@@ -167,7 +173,7 @@ def decode_batch(
 
     Messages are held batch-last, one row per check slot (see
     ``_CompiledGraph``), and every sum and product runs in slot order, so
-    the arithmetic does not depend on B.  Stopped rows write their outputs
+    the arithmetic does not depend on B.  Stopped rows write their extrinsic
     once and leave the working arrays.  The working arrays live in the
     graph's ``_Workspace``, which is reused by every call in this process
     and sized for the largest batch seen; it is not safe to decode on one
@@ -193,19 +199,18 @@ def decode_batch(
     b = batch
     half = 0  # which half of the lam/msg_vc pairs holds the state
     lam, msg_vc = ws.view("lam0", b), ws.view("msg_vc0", b)
-    # channel + a zero prior, as the prior-free sum has always been formed
+    # channel + a zero prior, as the prior-free sum has always been formed, halved
     np.add(channel.T, 0.0 if prior is None else prior.T, out=lam[:n])
+    lam[:n] *= 0.5
     lam[n] = 0.0
     lam.take(g.slot_var, axis=0, out=msg_vc, mode="clip")
 
-    hard = np.empty((batch, n), dtype=np.uint8)
-    posterior = np.empty((batch, n))
     extrinsic = np.empty((batch, n))
     iterations = np.empty(batch, dtype=np.int64)
     valid = np.empty(batch, dtype=bool)
 
     active = np.arange(batch)
-    msg_cv, post, ext, gathered, bits, slot_bits, parity = ws.working(b)
+    msg_cv, post, ext, gathered, slot_bits, parity = ws.working(b)
     for it in range(1, max_iter + 1):
         # check update: the product of a check's other tanh terms is a prefix
         # times a suffix running product over its slots, each slot one
@@ -213,9 +218,7 @@ def decode_batch(
         # running suffix held in p[0] multiplies into them from the top; the
         # products are those of separate prefix and suffix passes starting
         # from 1.0, without the exact factors of 1.0
-        t = msg_vc.clip(-LLR_CLAMP, LLR_CLAMP, out=msg_vc)
-        t *= 0.5
-        np.tanh(t, out=t)
+        t = np.tanh(msg_vc, out=msg_vc)
         if g.pad.size:
             t[g.pad] = 1.0
         t = t.reshape(dc, m, b)
@@ -233,7 +236,6 @@ def decode_batch(
                 p[0] *= t[k]
         cv.clip(-_ATANH_GUARD, _ATANH_GUARD, out=cv)
         np.arctanh(cv, out=cv)
-        cv *= 2.0
 
         # variable update: summed in slot order, the zero slot padding the
         # sum; every index is in range, and mode="clip" skips take's copy of out
@@ -242,16 +244,15 @@ def decode_batch(
             ext += msg_cv.take(slots, axis=0, out=gathered, mode="clip")
         np.add(lam[:n], ext, out=post[:n])
         post.take(g.slot_var, axis=0, out=msg_vc, mode="clip")
+        np.less(msg_vc, 0.0, out=slot_bits)  # hard decisions by slot, padding 0
         msg_vc -= cv
 
-        np.less(post, 0.0, out=bits)
-        bits.take(g.slot_var, axis=0, out=slot_bits, mode="clip")
         np.bitwise_xor.reduce(slot_bits.reshape(dc, m, b), axis=0, out=parity)
         zero_syndrome = ~parity.any(axis=0)
 
         # a row stops at its first zero syndrome or after max_iter; it then
-        # writes its outputs once and leaves the working arrays, of which
-        # only lam and msg_vc carry state to the next iteration
+        # writes its extrinsic, iterations and validity once and leaves the
+        # working arrays, of which only lam and msg_vc carry state onwards
         if it == max_iter:
             stop = np.ones_like(zero_syndrome)
         elif early_stop and zero_syndrome.any():
@@ -259,8 +260,6 @@ def decode_batch(
         else:
             continue
         rows = active[stop]
-        hard[rows] = bits[:n, stop].T
-        posterior[rows] = post[:n, stop].T
         extrinsic[rows] = ext[:, stop].T
         iterations[rows] = it
         valid[rows] = zero_syndrome[stop]
@@ -272,8 +271,12 @@ def decode_batch(
         half ^= 1
         lam = lam.take(keep, axis=1, out=ws.view(f"lam{half}", b), mode="clip")
         msg_vc = msg_vc.take(keep, axis=1, out=ws.view(f"msg_vc{half}", b), mode="clip")
-        msg_cv, post, ext, gathered, bits, slot_bits, parity = ws.working(b)
+        msg_cv, post, ext, gathered, slot_bits, parity = ws.working(b)
 
+    extrinsic *= 2.0  # full scale: this posterior rounds as the loop's post did
+    posterior = np.add(channel, 0.0 if prior is None else prior, order="C")
+    posterior += extrinsic
+    hard = (posterior < 0.0).view(np.uint8)
     return BatchDecodeResult(hard, posterior, extrinsic, iterations, valid)
 
 
@@ -288,13 +291,7 @@ def decode(
     channel = np.asarray(channel, dtype=np.float64)
     if channel.ndim != 1:
         raise ValueError("decode expects a flat LLR vector")
-    res = decode_batch(
-        code_or_matrix,
-        channel[np.newaxis, :],
-        None if prior is None else np.asarray(prior, dtype=np.float64)[np.newaxis, :],
-        max_iter=max_iter,
-        early_stop=early_stop,
-    )
+    res = decode_batch(code_or_matrix, channel[np.newaxis, :], prior, max_iter, early_stop)
     return DecodeResult(
         hard_bits=res.hard_bits[0],
         posterior=res.posterior[0],

@@ -27,7 +27,7 @@ from concat_ira.ira import (
     _LowWeightScreen,
     _row_mask,
 )
-from concat_ira.spa import LLR_CLAMP, BatchDecodeResult
+from concat_ira.spa import BatchDecodeResult
 
 
 class TannerGraph(NamedTuple):
@@ -257,7 +257,7 @@ def check_update(incoming) -> np.ndarray:
     inc = np.asarray(incoming, dtype=np.float64)
     if inc.ndim != 1 or inc.size < 1:
         raise ValueError("check_update needs a flat list of at least one message")
-    t = np.tanh(0.5 * np.clip(inc, -LLR_CLAMP, LLR_CLAMP))
+    t = np.tanh(0.5 * np.clip(inc, -_REF_LLR_CLAMP, _REF_LLR_CLAMP))
     prefix = np.concatenate([[1.0], np.cumprod(t)[:-1]])
     suffix = np.concatenate([np.cumprod(t[::-1])[-2::-1], [1.0]])
     return 2.0 * np.arctanh(np.clip(prefix * suffix, -_REF_ATANH_GUARD, _REF_ATANH_GUARD))

@@ -256,6 +256,23 @@ class TestRunCurve:
             run_curve(other)
         assert out.read_bytes() == first
 
+    def test_refused_ebno_leaves_no_output_file(self, toy_files, tmp_path):
+        out = tmp_path / "refused.csv"
+        config = concat_config(toy_files, ebno_db=(3.0, 4000.0), output=str(out))
+        with pytest.raises(ValueError, match="4000.0 dB gives no usable noise level"):
+            run_curve(config)
+        assert not out.exists()
+
+    def test_refused_ebno_leaves_existing_output_unchanged(self, toy_files, tmp_path):
+        out = tmp_path / "kept.csv"
+        stop = StopRule(min_block_errors=2, max_blocks=20)
+        run_curve(concat_config(toy_files, ebno_db=(3.0,), output=str(out), stop=stop))
+        first = out.read_bytes()
+        config = concat_config(toy_files, ebno_db=(3.0, 4.0, 4000.0), output=str(out), stop=stop)
+        with pytest.raises(ValueError, match="4000.0 dB gives no usable noise level"):
+            run_curve(config)
+        assert out.read_bytes() == first
+
     def test_resume_skips_existing_points(self, toy_files, tmp_path):
         out = tmp_path / "resume.csv"
         config = concat_config(

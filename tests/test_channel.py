@@ -17,12 +17,18 @@ class TestSigma:
     @pytest.mark.parametrize(
         "ebno, shown",
         [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (4000.0, "4000.0"),
-         (-4000.0, "-4000.0")],
-        ids=["nan", "inf", "-inf", "4000", "-4000"],
+         (-4000.0, "-4000.0"), (3080.0, "3080.0")],
+        ids=["nan", "inf", "-inf", "4000", "-4000", "llr-scale-overflow"],
     )
     def test_ebno_without_usable_noise_level_rejected(self, ebno, shown):
         with pytest.raises(ValueError, match=f"Eb/N0 of {shown} dB gives no usable noise level"):
             ci.ebno_sigma(ebno, 0.5)
+
+    def test_largest_usable_ebno_gives_finite_llrs(self):
+        # at rate 1/2, 3079 dB is accepted and 3080 dB is refused
+        sigma = ci.ebno_sigma(3079.0, 0.5)
+        llr = ci.channel_llr([1.0, -1.0], sigma)
+        assert np.isfinite(llr).all() and llr[0] == -llr[1] > 1e308
 
 
 class TestModulate:

@@ -242,6 +242,20 @@ class TestSimulate:
         assert run_cli("simulate", "--config", config_path) == 1
         assert capsys.readouterr().err == "error: Eb/N0 of 4000.0 dB gives no usable noise level\n"
 
+    @pytest.mark.parametrize(
+        "system, ebno", [("single", 3080), ("concat", 3081)], ids=["single", "concat"]
+    )
+    def test_overflowing_llr_scale_gives_one_error_line(
+        self, workspace, tmp_path, capsys, system, ebno
+    ):
+        # 2/sigma^2 overflows at 3080 dB for the rate-2/3 toy code and at
+        # 3081 dB for the rate-4/9 concatenation, though sigma is finite
+        extra = {"system": "single", "code": str(workspace / "outer")} if system == "single" else {}
+        config_path, out = self.make_config(workspace, tmp_path, ebno_db=[ebno], **extra)
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == f"error: Eb/N0 of {ebno:.1f} dB gives no usable noise level\n"
+        assert not out.exists()
+
     def test_non_boolean_config_flag_gives_one_error_line(self, workspace, tmp_path, capsys):
         config_path, out = self.make_config(
             workspace, tmp_path,

@@ -6,6 +6,7 @@ import concat_ira as ci
 from concat_ira.spa import _compile, decode_batch
 
 from oracles import (
+    _REF_LLR_CLAMP,
     check_update,
     dense_codewords,
     dense_syndrome,
@@ -45,15 +46,15 @@ class TestCheckUpdate:
 
     def test_clamped_input_acts_as_identity(self):
         # degree 2: the edge carrying the clamp outputs its partner's value
-        out = check_update([ci.spa.LLR_CLAMP, 2.5])
+        out = check_update([_REF_LLR_CLAMP, 2.5])
         assert out[0] == pytest.approx(2.5, abs=1e-9)
         # degree 3: box-plus with a clamped input reduces to the other value
-        out = check_update([ci.spa.LLR_CLAMP, 2.5, -1.25])
+        out = check_update([_REF_LLR_CLAMP, 2.5, -1.25])
         assert out[1] == pytest.approx(-1.25, abs=1e-6)
         assert out[2] == pytest.approx(2.5, abs=1e-6)
 
     def test_outputs_bounded_after_guard(self):
-        out = check_update([ci.spa.LLR_CLAMP, ci.spa.LLR_CLAMP])
+        out = check_update([_REF_LLR_CLAMP, _REF_LLR_CLAMP])
         assert np.all(np.isfinite(out))
         assert np.all(np.abs(out) < 30)
 
@@ -210,6 +211,32 @@ class TestCodewordSymmetry:
         assert mismatches == 0
 
 
+def test_tanh_saturates_exactly_past_19_1():
+    """decode_batch takes tanh of its half-scale messages without a clamp.
+    That equals the reference's tanh of the message clamped to +-50 and
+    halved only because NumPy's float64 tanh is exactly +-1.0 for every
+    |x| >= 19.1, infinities included.  Lengths 1-40, contiguous, strided and
+    in place, reach the SIMD body and tail loops."""
+    rng = np.random.default_rng(19)
+    mags = np.concatenate([
+        [19.1, 25.0, 50.0, np.finfo(np.float64).max, np.inf],
+        np.linspace(19.1, 60.0, 2000),
+        np.geomspace(19.1, 1e308, 2000),
+    ])
+    x = mags * rng.choice([-1.0, 1.0], size=mags.size)
+    for length in range(1, 41):
+        for start in range(0, x.size, length):
+            chunk = x[start:start + length]
+            strided = np.zeros(2 * chunk.size)
+            strided[::2] = chunk
+            in_place = chunk.copy()
+            for out in (np.tanh(chunk), np.tanh(strided[::2]), np.tanh(in_place, out=in_place)):
+                assert np.array_equal(out, np.copysign(1.0, chunk)), (length, start)
+
+
+EDGE_CASES = ["8dB", "llr-x100", "exact-zeros", "prior-one-iteration"]
+
+
 class TestReferenceKernel:
     """The slot-major kernel is pinned bit for bit to the padded-plane
     kernel it replaced, kept in oracles.reference_decode_batch."""
@@ -241,6 +268,36 @@ class TestReferenceKernel:
                     decode_batch(tree_matrix, channel, pr, max_iter, early_stop),
                     reference_decode_batch(tree_matrix, channel, pr, max_iter, early_stop),
                 )
+
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_inputs_past_the_old_clamp_and_at_the_edges_match_reference(self, paper_outer, case):
+        # the kernel has no +-50 clamp, works at half scale and forms its
+        # posterior once per call; these inputs are where any of the three
+        # could show: messages far past +-50, exact zeros of either sign, a
+        # prior that dominates a single iteration
+        rng = np.random.default_rng(EDGE_CASES.index(case))
+        channel = noisy_codewords(paper_outer, 24, 8.0 if case == "8dB" else 2.5, rng)
+        prior = rng.normal(scale=0.5, size=channel.shape)
+        max_iters = (1, 10, 100)
+        if case == "8dB":
+            saturated = reference_decode_batch(paper_outer, channel, None, 10, False)
+            assert np.abs(saturated.posterior).max() > 100
+        elif case == "llr-x100":
+            channel *= 100.0
+        elif case == "exact-zeros":
+            for a in (channel, prior):
+                a[rng.random(a.shape) < 0.1] = 0.0
+                a[rng.random(a.shape) < 0.1] = -0.0
+        else:
+            prior = rng.normal(scale=4.0, size=channel.shape)
+            max_iters = (1,)
+        for max_iter in max_iters:
+            for pr in (None, prior):
+                for early_stop in (True, False):
+                    assert_results_identical(
+                        decode_batch(paper_outer, channel, pr, max_iter, early_stop),
+                        reference_decode_batch(paper_outer, channel, pr, max_iter, early_stop),
+                    )
 
     def test_some_rows_stop_early_and_some_never(self, paper_outer):
         # the [128-100] corpus case exercises both row exits of the batch
