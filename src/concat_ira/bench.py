@@ -176,8 +176,9 @@ def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
 # stream.  trials_per_task is the work of one task, in-process or on a pool.
 
 
-def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator) -> np.ndarray:
-    """Channel LLRs of a transmitted bit array."""
+def _received(tx: np.ndarray, sigma: float, gen) -> np.ndarray:
+    """Channel LLRs of a transmitted bit array, its noise drawn from one
+    generator or from one generator per row (see ``awgn``)."""
     return channel_llr(awgn(modulate(tx), sigma, gen), sigma)
 
 
@@ -219,13 +220,15 @@ class ConcatSystem:
 
 @dataclass(frozen=True, eq=False)
 class SingleSystem:
-    """One component code; a task's trials encode as one batch and decode as
-    one batch, which gives every row the result it would have on its own.
-    Wide tasks let the rows that never converge share their iterations."""
+    """One component code; a task's trials encode as one batch, pass the
+    channel as one batch, each row's noise drawn from its own trial's stream,
+    and decode as one batch, which gives every row the result it would have
+    on its own.  Wide tasks let the rows that never converge share their
+    iterations."""
 
     code: IraCode
     max_iter: int
-    trials_per_task = 256
+    trials_per_task = 512
 
     @property
     def rate(self) -> float:
@@ -240,10 +243,7 @@ class SingleSystem:
         gens = [RngStream(master_seed, index).generator() for index in range(lo, hi)]
         # each stream draws its source bits, then its noise, as one trial alone would
         sources = np.stack([gen.integers(0, 2, size=code.K, dtype=np.uint8) for gen in gens])
-        llrs = np.stack([
-            _received(tx, sigma, gen)
-            for tx, gen in zip(encode_batch(code, sources), gens)
-        ])
+        llrs = _received(encode_batch(code, sources), sigma, gens)
         res = spa.decode_batch(code, llrs, None, self.max_iter)
         errors = (res.hard_bits[:, : code.K] != sources).sum(axis=1)
         return [

@@ -58,11 +58,22 @@ def modulate(bits) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
 
 
-def awgn(symbols, sigma: float, rng: np.random.Generator) -> np.ndarray:
+def awgn(symbols, sigma: float, rng) -> np.ndarray:
+    """symbols + sigma * z for standard normal z, drawn from one generator,
+    or from a sequence of generators, one per row of a 2-D symbols array,
+    each drawing its row as it would draw the row alone."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     symbols = np.asarray(symbols, dtype=np.float64)
-    return symbols + sigma * rng.standard_normal(symbols.shape)
+    if isinstance(rng, np.random.Generator):
+        z = rng.standard_normal(symbols.shape)
+    else:
+        if symbols.ndim != 2 or len(rng) != len(symbols):
+            raise ValueError("need one generator per row of a 2-D symbols array")
+        z = np.empty(symbols.shape)
+        for row, gen in zip(z, rng):
+            gen.standard_normal(out=row)
+    return symbols + sigma * z
 
 
 def channel_llr(y, sigma: float) -> np.ndarray:

@@ -250,8 +250,7 @@ def load_permutation(path: str | Path) -> BlockPermutation:
         raise PermutationFileError(
             f"{path}: expected {size} mapping lines, found {len(lines) - 1}"
         )
-    forward = np.empty(size, dtype=np.int64)
-    seen = np.zeros(size, dtype=bool)
+    forward = [-1] * size  # -1: no line has named this source yet
     for line_no, raw in enumerate(lines[1:], start=2):
         parts = raw.split()
         if len(parts) != 2:
@@ -262,9 +261,8 @@ def load_permutation(path: str | Path) -> BlockPermutation:
             raise PermutationFileError(f"{path}: line {line_no}: non-integer") from exc
         if not 0 <= src < size or not 0 <= dst < size:
             raise PermutationFileError(f"{path}: line {line_no}: index out of range")
-        if seen[src]:
+        if forward[src] >= 0:
             raise PermutationFileError(f"{path}: line {line_no}: duplicate source {src}")
-        seen[src] = True
         forward[src] = dst
     try:
         return BlockPermutation(K=k, N=n, forward=forward, seed=seed, design_t=t)

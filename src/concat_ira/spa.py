@@ -15,6 +15,11 @@ commutes with rounding, so outputs are bit-identical to full-scale
 There is no clamp before ``tanh``: NumPy's float64 ``tanh`` is exactly +-1.0
 for |x| >= 19.1 and at +-inf, so a +-50 clamp (+-25 at half scale) changes
 no output.
+
+The working arrays come in two pairs of equal buffers, channel terms with
+posteriors and variable-to-check with check-to-variable messages.  When rows
+stop, the kept columns of the state move into the other buffer of each pair,
+whose array is dead at that point, and the two swap roles.
 """
 
 from __future__ import annotations
@@ -62,8 +67,12 @@ class _Workspace:
     Each buffer is a flat storage of ``rows * capacity`` elements, viewed as
     a contiguous ``(rows, b)`` array at the current active width ``b``, so
     neither an iteration nor a row stop allocates a working array.  ``lam``
-    and ``msg_vc``, the only state carried between iterations, have two
-    halves each: a compaction copies the kept columns into the other half.
+    and ``msg_vc``, the only state carried between iterations, each share a
+    pair of buffers with an array that is dead at a row stop: ``lam`` with
+    ``post`` (``var0``/``var1``) and ``msg_vc`` with ``msg_cv``
+    (``slot0``/``slot1``).  A compaction copies the kept columns of ``lam``
+    into the storage of ``post`` and those of ``msg_vc`` into the storage of
+    ``msg_cv``, and each pair swaps roles.
     """
 
     def __init__(self, rows: dict):
@@ -81,15 +90,6 @@ class _Workspace:
     def view(self, name: str, b: int) -> np.ndarray:
         rows = self.rows[name][0]
         return self.storage[name][: rows * b].reshape(rows, b)
-
-    def working(self, b: int) -> tuple:
-        """The arrays that carry nothing between iterations, at width b, with
-        the zero slot of msg_cv and the zero row of post zeroed again."""
-        msg_cv, post = self.view("msg_cv", b), self.view("post", b)
-        msg_cv[-1] = 0.0
-        post[-1] = 0.0
-        rest = ("ext", "gathered", "slot_bits", "parity")
-        return msg_cv, post, *(self.view(name, b) for name in rest)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +111,23 @@ class _CompiledGraph:
     pad: np.ndarray  # padded slots, whose tanh term is held at 1.0
     workspace: _Workspace
 
+    def working(self, b: int, swapped: bool) -> tuple:
+        """The working arrays at width b: lam and msg_vc in the halves of
+        their pairs that swapped picks, post and msg_cv in the other halves,
+        ext and the syndrome buffers, then the per-slot (n_checks, b) views
+        of msg_vc and msg_cv that the check update walks.  Nothing is
+        written: the zero rows of post and msg_cv are the caller's to set
+        once the state has moved out of their storage."""
+        ws, s = self.workspace, int(swapped)
+        msg_vc = ws.view(f"slot{s}", b)[:-1]
+        msg_cv = ws.view(f"slot{1 - s}", b)
+        shape = (self.check_deg, self.n_checks, b)
+        return (
+            ws.view(f"var{s}", b), msg_vc, msg_cv, ws.view(f"var{1 - s}", b),
+            ws.view("ext", b), ws.view("slot_bits", b), ws.view("parity", b),
+            list(msg_vc.reshape(shape)), list(msg_cv[:-1].reshape(shape)),
+        )
+
 
 @lru_cache(maxsize=64)
 def _compile(matrix: SparseBinaryMatrix) -> _CompiledGraph:
@@ -127,14 +144,11 @@ def _compile(matrix: SparseBinaryMatrix) -> _CompiledGraph:
             var_slots[filled[v], v] = k * m + c
             filled[v] += 1
     workspace = _Workspace({
-        "lam0": (n + 1, np.float64),
-        "lam1": (n + 1, np.float64),
-        "msg_vc0": (n_slots, np.float64),
-        "msg_vc1": (n_slots, np.float64),
-        "msg_cv": (n_slots + 1, np.float64),
-        "post": (n + 1, np.float64),
+        "var0": (n + 1, np.float64),  # lam and post
+        "var1": (n + 1, np.float64),
+        "slot0": (n_slots + 1, np.float64),  # msg_vc and msg_cv
+        "slot1": (n_slots + 1, np.float64),
         "ext": (n, np.float64),
-        "gathered": (n, np.float64),
         "slot_bits": (n_slots, bool),
         "parity": (m, bool),
     })
@@ -194,54 +208,52 @@ def decode_batch(
     batch = channel.shape[0]
     m, n, dc = g.n_checks, g.n_vars, g.check_deg
     n_slots = dc * m
-    ws = g.workspace
-    ws.reserve(batch)
+    g.workspace.reserve(batch)
     b = batch
-    half = 0  # which half of the lam/msg_vc pairs holds the state
-    lam, msg_vc = ws.view("lam0", b), ws.view("msg_vc0", b)
+    swapped = False  # whether lam and msg_vc are in the second halves of their pairs
+    lam, msg_vc, msg_cv, post, ext, slot_bits, parity, t, p = g.working(b, swapped)
     # channel + a zero prior, as the prior-free sum has always been formed, halved
     np.add(channel.T, 0.0 if prior is None else prior.T, out=lam[:n])
     lam[:n] *= 0.5
     lam[n] = 0.0
     lam.take(g.slot_var, axis=0, out=msg_vc, mode="clip")
+    msg_cv[-1] = post[-1] = 0.0
 
     extrinsic = np.empty((batch, n))
     iterations = np.empty(batch, dtype=np.int64)
     valid = np.empty(batch, dtype=bool)
 
     active = np.arange(batch)
-    msg_cv, post, ext, gathered, slot_bits, parity = ws.working(b)
     for it in range(1, max_iter + 1):
         # check update: the product of a check's other tanh terms is a prefix
         # times a suffix running product over its slots, each slot one
-        # contiguous (n_checks, b) block.  Prefixes fill p[1:], then a
-        # running suffix held in p[0] multiplies into them from the top; the
-        # products are those of separate prefix and suffix passes starting
-        # from 1.0, without the exact factors of 1.0
-        t = np.tanh(msg_vc, out=msg_vc)
+        # contiguous (n_checks, b) block, t[k] of msg_vc and p[k] of msg_cv.
+        # Prefixes fill p[1:], then a running suffix held in p[0] multiplies
+        # into them from the top; the products are those of separate prefix
+        # and suffix passes starting from 1.0, without the exact factors of 1.0
+        np.tanh(msg_vc, out=msg_vc)
         if g.pad.size:
-            t[g.pad] = 1.0
-        t = t.reshape(dc, m, b)
-        cv = msg_cv[:n_slots]
-        p = cv.reshape(dc, m, b)
+            msg_vc[g.pad] = 1.0
         if dc == 1:
-            p[0] = 1.0
+            p[0].fill(1.0)
         else:
-            p[1] = t[0]
+            np.copyto(p[1], t[0])
             for k in range(2, dc):
                 np.multiply(p[k - 1], t[k - 1], out=p[k])
-            p[0] = t[dc - 1]
+            np.copyto(p[0], t[dc - 1])
             for k in range(dc - 2, 0, -1):
-                p[k] *= p[0]
-                p[0] *= t[k]
+                np.multiply(p[k], p[0], out=p[k])
+                np.multiply(p[0], t[k], out=p[0])
+        cv = msg_cv[:n_slots]
         cv.clip(-_ATANH_GUARD, _ATANH_GUARD, out=cv)
         np.arctanh(cv, out=cv)
 
         # variable update: summed in slot order, the zero slot padding the
-        # sum; every index is in range, and mode="clip" skips take's copy of out
+        # sum, the terms gathered into post[:n] before post is formed there;
+        # every index is in range, and mode="clip" skips take's copy of out
         msg_cv.take(g.var_slots[0], axis=0, out=ext, mode="clip")
         for slots in g.var_slots[1:]:
-            ext += msg_cv.take(slots, axis=0, out=gathered, mode="clip")
+            ext += msg_cv.take(slots, axis=0, out=post[:n], mode="clip")
         np.add(lam[:n], ext, out=post[:n])
         post.take(g.slot_var, axis=0, out=msg_vc, mode="clip")
         np.less(msg_vc, 0.0, out=slot_bits)  # hard decisions by slot, padding 0
@@ -268,10 +280,13 @@ def decode_batch(
             break
         active = active[keep]
         b = keep.size
-        half ^= 1
-        lam = lam.take(keep, axis=1, out=ws.view(f"lam{half}", b), mode="clip")
-        msg_vc = msg_vc.take(keep, axis=1, out=ws.view(f"msg_vc{half}", b), mode="clip")
-        msg_cv, post, ext, gathered, slot_bits, parity = ws.working(b)
+        # post and msg_cv are dead here: the kept state moves into their
+        # storage, and each pair swaps roles
+        swapped = not swapped
+        kept_lam, kept_vc, msg_cv, post, ext, slot_bits, parity, t, p = g.working(b, swapped)
+        lam = lam.take(keep, axis=1, out=kept_lam, mode="clip")
+        msg_vc = msg_vc.take(keep, axis=1, out=kept_vc, mode="clip")
+        msg_cv[-1] = post[-1] = 0.0
 
     extrinsic *= 2.0  # full scale: this posterior rounds as the loop's post did
     posterior = np.add(channel, 0.0 if prior is None else prior, order="C")

@@ -356,9 +356,9 @@ class TaskLog:
 
 
 class TestTrialRounds:
-    """Single-code tasks encode and decode 256 trials at once, and tasks run
-    in trial order, one at a time in-process and at most 2 x workers at once
-    on a pool; no result may depend on either."""
+    """Single-code tasks encode, pass the channel and decode 512 trials at
+    once, and tasks run in trial order, one at a time in-process and at most
+    2 x workers at once on a pool; no result may depend on either."""
 
     def test_pool_runs_at_most_two_tasks_per_worker_past_the_stop(self, tmp_path):
         log = tmp_path / "tasks.txt"
@@ -370,7 +370,7 @@ class TestTrialRounds:
     def test_wide_task_equals_one_trial_runs_and_narrow_pieces(self):
         outer, _ = toy_pair()
         system = SingleSystem(outer, 20)
-        assert system.trials_per_task == 256
+        assert system.trials_per_task == 512
         sigma = ci.ebno_sigma(3.0, system.rate)
         whole = system.run(0, 600, sigma, 9)
         pieces, alone = [], []
@@ -380,6 +380,16 @@ class TestTrialRounds:
             alone += system.run(i, i + 1, sigma, 9)
         assert whole == pieces == alone
         assert {trial[1] for trial in whole} == {0, 1}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_paper_shape_single_code_row_is_pinned(self, paper_outer, workers):
+        # the seed-1 code at 3 dB and 100 iterations: 600 trials are two
+        # 512-trial tasks, and the row is the one 256-trial tasks wrote
+        system = SingleSystem(paper_outer, 100)
+        point = measure_point(system, 3.0, StopRule(10_000, 600), 1000, workers=workers)
+        assert format_row(point, 1000) == (
+            "3,600,304,46,0.003958333333333334,0.07666666666666666,0.0,11.315,1000"
+        )
 
     # rows written by the harness when an in-process round was 64 trials and a
     # single-code task 64 trials; each stop rule fires inside a round

@@ -66,6 +66,19 @@ class TestAwgn:
         with pytest.raises(ValueError):
             ci.awgn(np.zeros(4), 0.0, ci.RngStream(0, 0).generator())
 
+    def test_generator_per_row_draws_each_row_as_alone(self):
+        symbols = ci.modulate(np.random.default_rng(1).integers(0, 2, size=(5, 181)))
+        together = ci.awgn(symbols, 0.7, [ci.RngStream(5, i).generator() for i in range(5)])
+        alone = [ci.awgn(x, 0.7, ci.RngStream(5, i).generator()) for i, x in enumerate(symbols)]
+        assert np.array_equal(together, np.stack(alone))
+        llrs = [ci.channel_llr(y, 0.7) for y in alone]
+        assert np.array_equal(ci.channel_llr(together, 0.7), np.stack(llrs))
+
+    @pytest.mark.parametrize("shape, n_gens", [((3, 4), 2), ((3, 4), 4), ((4,), 4)])
+    def test_generator_count_must_match_rows(self, shape, n_gens):
+        with pytest.raises(ValueError, match="one generator per row"):
+            ci.awgn(np.zeros(shape), 1.0, [ci.RngStream(0, i).generator() for i in range(n_gens)])
+
 
 class TestChannelLlr:
     def test_zero_observation(self):

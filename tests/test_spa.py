@@ -351,6 +351,44 @@ class TestWorkspaceReuse:
                 reference_decode_batch(code, channel, prior, 20),
             )
 
+    def test_footprint_is_two_variable_pairs_two_slot_pairs_and_ext(self, paper_outer):
+        g = _compile(paper_outer.H)
+        n, n_slots = g.n_vars, g.check_deg * g.n_checks
+        decode_batch(paper_outer, noisy_codewords(paper_outer, 3, 2.5, np.random.default_rng(16)))
+        ws = g.workspace
+        floats = [a.size for a in ws.storage.values() if a.dtype == np.float64]
+        assert sum(floats) == (2 * (n + 1) + 2 * (n_slots + 1) + n) * ws.capacity
+        assert sum(floats) == 1607 * ws.capacity
+
+    def test_role_swaps_of_either_parity_between_two_graphs_match_reference(self, paper_outer):
+        # a compaction moves lam and msg_vc into the storage of post and
+        # msg_cv, so a call ends with the pairs swapped an odd or an even
+        # number of times; the next call on that graph, or on another graph
+        # between them, must not see it.  The other graph is the code's
+        # mirror image less one edge, so one check has a padded slot, which
+        # reads the zero row of post; its rows are noisy all-zero words
+        h = paper_outer.H
+        rows = [sorted(h.n_cols - 1 - v for v in row) for row in h.row_support]
+        rows[0] = rows[0][:-1]
+        other = ci.SparseBinaryMatrix.from_rows(h.n_rows, h.n_cols, rows)
+        assert _compile(other).workspace is not _compile(h).workspace
+        assert _compile(other).pad.size == 1
+        rng = np.random.default_rng(15)
+        parities = set()
+        for batch, ebno_db in ((64, 2.5), (40, 2.0), (96, 2.75), (24, 2.25), (128, 3.0)):
+            sigma = ci.ebno_sigma(ebno_db, paper_outer.rate)
+            for graph in (h, other):
+                if graph is h:
+                    channel = noisy_codewords(paper_outer, batch, ebno_db, rng)
+                else:
+                    channel = ci.channel_llr(rng.normal(1.0, sigma, (batch, h.n_cols)), sigma)
+                res = decode_batch(graph, channel, None, 40)
+                assert_results_identical(res, reference_decode_batch(graph, channel, None, 40))
+                stops = len(np.unique(res.iterations_used))
+                assert stops >= 3
+                parities.add((stops - 1) % 2)
+        assert parities == {0, 1}
+
     def test_reloaded_equal_code_reuses_compiled_graph(self, paper_outer, tmp_path):
         ci.save_code(paper_outer, tmp_path / "outer")
         reloaded = ci.load_code(tmp_path / "outer")
