@@ -34,7 +34,16 @@ from .interleave import (
     random_permutation,
     save_permutation,
 )
-from .channel import RngStream, awgn, channel_llr, ebno_sigma, gaussian_q, modulate
+from .channel import (
+    RngStream,
+    awgn,
+    channel_llr,
+    ebno_sigma,
+    gaussian_q,
+    modulate,
+    random_bits,
+    trial_generators,
+)
 from .concat import ConcatCode, ConcatDecodeResult, Schedule, concat_decode, concat_encode
 from .bench import CurvePoint, SimConfig, StopRule, pilot_select, run_curve
 

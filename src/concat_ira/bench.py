@@ -22,7 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import spa
-from .channel import RngStream, awgn, channel_llr, ebno_sigma, gaussian_q, modulate
+from .channel import (
+    RngStream, awgn, channel_llr, ebno_sigma, gaussian_q, modulate, random_bits, trial_generators,
+)
 from .concat import ConcatCode, Schedule, concat_decode, concat_encode
 from .interleave import BlockPermutation, load_permutation, random_permutation
 # perfbench/layers.py patches bench.encode, so the name stays importable here
@@ -63,6 +65,9 @@ class StopRule:
     def __post_init__(self):
         if self.min_block_errors < 1 or self.max_blocks < 1:
             raise ConfigError("stop rule bounds must be >= 1")
+        # trial streams are defined for indices below 2^32 (channel.trial_generators)
+        if self.max_blocks > 2**32:
+            raise ConfigError(f"max_blocks must be <= 2**32, not {self.max_blocks}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,8 @@ class SimConfig:
             raise ConfigError("workers must be >= 1")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, not {self.max_iter}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, not {self.master_seed}")
         object.__setattr__(self, "ebno_db", tuple(float(e) for e in self.ebno_db))
         if not all(map(math.isfinite, self.ebno_db)):
             raise ConfigError(f"ebno_db must be finite, not {self.ebno_db!r}")
@@ -204,7 +211,7 @@ class ConcatSystem:
         results = []
         for index in range(lo, hi):
             gen = RngStream(master_seed, index).generator()
-            source = gen.integers(0, 2, size=(cc.K, cc.K), dtype=np.uint8)
+            source = random_bits([gen], cc.K * cc.K).reshape(cc.K, cc.K)
             tx = concat_encode(cc, source)
             res = concat_decode(cc, _received(tx, sigma, gen), self.schedule)
             bit_errors = int((res.source_bits != source).sum())
@@ -240,9 +247,9 @@ class SingleSystem:
 
     def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> list:
         code = self.code
-        gens = [RngStream(master_seed, index).generator() for index in range(lo, hi)]
+        gens = trial_generators(master_seed, lo, hi)
         # each stream draws its source bits, then its noise, as one trial alone would
-        sources = np.stack([gen.integers(0, 2, size=code.K, dtype=np.uint8) for gen in gens])
+        sources = random_bits(gens, code.K)
         llrs = _received(encode_batch(code, sources), sigma, gens)
         res = spa.decode_batch(code, llrs, None, self.max_iter)
         errors = (res.hard_bits[:, : code.K] != sources).sum(axis=1)

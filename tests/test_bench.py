@@ -172,6 +172,16 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="nonempty"):
             SimConfig(system="single", ebno_db=(), output="x.csv", code="y")
 
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^master_seed must be >= 0, not -1$"):
+            SimConfig(system="single", ebno_db=(1.0,), output="x.csv", code="y", master_seed=-1)
+
+    def test_max_blocks_past_trial_streams_rejected(self):
+        # trial indices 0 .. max_blocks - 1 must stay below 2^32
+        assert StopRule(1, 2**32).max_blocks == 2**32
+        with pytest.raises(ConfigError, match=r"^max_blocks must be <= 2\*\*32"):
+            StopRule(1, 2**32 + 1)
+
     def test_missing_files_rejected(self, tmp_path):
         config = SimConfig(
             system="single", ebno_db=(1.0,), output="x.csv",

@@ -114,3 +114,53 @@ class TestRngStream:
         a = ci.RngStream(9, 4).generator().integers(0, 100, 10)
         b = ci.RngStream(9, 4).generator().integers(0, 100, 10)
         assert np.array_equal(a, b)
+
+
+def seed_sequence_generator(master_seed: int, index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(master_seed, index))))
+
+
+class TestTrialGenerators:
+    # master seeds of one, two, three and seven 32-bit entropy words
+    @pytest.mark.parametrize("master_seed", [0, 1, 1000, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9])
+    def test_state_equals_seed_sequence_seeding(self, master_seed):
+        for index in (0, 1, 255, 2**32 - 1):
+            for width in (1, 7, 512, 600):
+                lo = min(index, 2**32 - width)
+                gens = ci.trial_generators(master_seed, lo, lo + width)
+                assert len(gens) == width
+                for i, gen in enumerate(gens, start=lo):
+                    expected = seed_sequence_generator(master_seed, i).bit_generator.state
+                    assert gen.bit_generator.state == expected, (master_seed, i, width)
+
+    def test_rng_stream_is_one_trial_generator(self):
+        gen = ci.RngStream(606, 41).generator()
+        assert gen.bit_generator.state == seed_sequence_generator(606, 41).bit_generator.state
+
+    def test_empty_range(self):
+        assert ci.trial_generators(3, 5, 5) == []
+
+    @pytest.mark.parametrize(
+        "master_seed, lo, hi",
+        [(-1, 0, 1), (0, -1, 1), (0, 2**32 - 1, 2**32 + 1), (0, 2**32, 2**32 + 1)],
+        ids=["negative-seed", "negative-index", "index-2^32", "past-2^32"],
+    )
+    def test_refused(self, master_seed, lo, hi):
+        # SeedSequence hashes an index of 2^32 or more as two entropy words
+        with pytest.raises(ValueError):
+            ci.trial_generators(master_seed, lo, hi)
+
+
+class TestRandomBits:
+    @pytest.mark.parametrize("shape", [1, 3, 4, 5, 12, 13, 128, 181, (128, 128)])
+    def test_equals_integers_and_leaves_the_stream_in_step(self, shape):
+        expected_gen, gen = seed_sequence_generator(8, 3), seed_sequence_generator(8, 3)
+        expected = expected_gen.integers(0, 2, size=shape, dtype=np.uint8)
+        bits = ci.random_bits([gen], expected.size).reshape(expected.shape)
+        assert bits.dtype == np.uint8 and np.array_equal(bits, expected)
+        assert np.array_equal(gen.standard_normal(50), expected_gen.standard_normal(50))
+
+    def test_one_row_per_generator(self):
+        gens = ci.trial_generators(8, 0, 5)
+        expected = [g.integers(0, 2, size=181, dtype=np.uint8) for g in ci.trial_generators(8, 0, 5)]
+        assert np.array_equal(ci.random_bits(gens, 181), np.stack(expected))

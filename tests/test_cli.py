@@ -229,6 +229,19 @@ class TestSimulate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("system", ["concat", "single"])
+    @pytest.mark.parametrize("where", ["config", "--seed"])
+    def test_negative_seed_gives_one_error_line(self, workspace, tmp_path, capsys, system, where):
+        extra = {"system": "single", "code": str(workspace / "outer")} if system == "single" else {}
+        if where == "config":
+            config_path, out = self.make_config(workspace, tmp_path, master_seed=-1, **extra)
+            assert run_cli("simulate", "--config", config_path) == 1
+        else:
+            config_path, out = self.make_config(workspace, tmp_path, **extra)
+            assert run_cli("simulate", "--config", config_path, "--seed=-1") == 1
+        assert capsys.readouterr().err == "error: master_seed must be >= 0, not -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("ebno", [["--ebno", "nan"], ["--ebno=-inf"]], ids=["nan", "-inf"])
     def test_non_finite_ebno_override_gives_one_error_line(self, workspace, tmp_path, capsys, ebno):
         config_path, out = self.make_config(workspace, tmp_path)

@@ -3,6 +3,7 @@ package and so are loaded from their files."""
 
 import hashlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import concat_ira as ci
@@ -75,3 +76,15 @@ def test_waterfall_curves_outputs_are_pinned(tmp_path):
     assert sha256(work / "random.perm") == (
         "315654ced23c6da0f7641106a9d46e4863b60c173d9bf3795d397f9de0693150"
     )
+
+
+def test_tracer_patches_resolve(monkeypatch):
+    # perfbench/run.py --trace 1 replaces each (owner, attr) of layers.PATCHES,
+    # so a renamed or deleted program name would fail there with AttributeError
+    path = SCRIPTS.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclasses look it up
+    spec.loader.exec_module(layers)
+    missing = [(owner, attr) for owner, attr, _, _ in layers.PATCHES if not hasattr(owner, attr)]
+    assert not missing
