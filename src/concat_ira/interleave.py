@@ -10,7 +10,8 @@ swap partner that could itself become one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -144,6 +145,62 @@ def count_bad_mappings(perm: BlockPermutation, sets: SensitiveSets) -> BadMappin
     return BadMappings(len(bad), list(zip(rows.tolist(), cols.tolist())))
 
 
+class _Repair(NamedTuple):
+    """One level's repair, planned but not applied: its sets, the two
+    per-position sensitivity masks and the pool index of every partner."""
+
+    sets: SensitiveSets
+    src_sensitive: np.ndarray
+    lands_sensitive: np.ndarray
+    draws: np.ndarray
+
+
+def _plan_repair(
+    perm0: BlockPermutation,
+    sets: SensitiveSets,
+    rng: np.random.Generator,
+) -> _Repair:
+    """Decide one level's repair: the counting bound, then the level's one
+    draw call.  Raises InterleaverInfeasible, with the generator untouched,
+    when the bound fails; once it holds, the partner pool starts with
+    supply - demand + offenders >= offenders positions, so every offender
+    gets one."""
+    k, n = perm0.K, perm0.N
+    sets.validate_for(k, n)
+
+    demand = k * len(sets.row_code_nodes)
+    supply = (k - len(sets.col_code_nodes)) * n
+    if demand > supply:
+        raise InterleaverInfeasible(
+            "counting_bound",
+            f"{demand} sensitive-column positions cannot all avoid "
+            f"{len(sets.col_code_nodes)} sensitive rows ({supply} safe slots)",
+        )
+
+    src_sensitive, row_sensitive = _sensitivity_tables(sets, k, n)
+    lands_sensitive = row_sensitive[perm0.forward // n]
+    offenders = np.count_nonzero(src_sensitive & lands_sensitive)
+    pool = np.count_nonzero(~(src_sensitive | lands_sensitive))
+    # descending bounds draw what one scalar call per swap would
+    draws = rng.integers(0, np.arange(pool, pool - offenders, -1))
+    return _Repair(sets, src_sensitive, lands_sensitive, draws)
+
+
+def _apply_repair(perm0: BlockPermutation, repair: _Repair, design_t: int) -> BlockPermutation:
+    """Pop each offender's partner from the ascending pool and swap the
+    images of all pairs at once; the swaps are disjoint."""
+    sets, src_sensitive, lands_sensitive, draws = repair
+    fwd = np.array(perm0.forward)
+    offenders = np.flatnonzero(src_sensitive & lands_sensitive)
+    legal = np.flatnonzero(~(src_sensitive | lands_sensitive)).tolist()
+    partners = [legal.pop(d) for d in draws.tolist()]
+    fwd[offenders], fwd[partners] = fwd[partners], fwd[offenders]
+    return BlockPermutation(
+        K=perm0.K, N=perm0.N, forward=fwd, seed=perm0.seed,
+        design_t=design_t, repairs=len(offenders), sets=sets,
+    )
+
+
 def design(
     perm0: BlockPermutation,
     sets: SensitiveSets,
@@ -157,35 +214,10 @@ def design(
     swap removes exactly one offender and can never mint a new one.  A swap
     only takes its partner out of the ascending partner pool (the offender's
     column is sensitive), so one call draws every partner and the disjoint
-    swaps apply at once.  Raises InterleaverInfeasible when the counting bound
-    fails; once it holds, the pool starts with supply - demand + offenders >=
-    offenders partners, so every offender gets one.
+    swaps apply at once.  Raises InterleaverInfeasible when the counting
+    bound fails.
     """
-    k, n = perm0.K, perm0.N
-    sets.validate_for(k, n)
-
-    demand = k * len(sets.row_code_nodes)
-    supply = (k - len(sets.col_code_nodes)) * n
-    if demand > supply:
-        raise InterleaverInfeasible(
-            "counting_bound",
-            f"{demand} sensitive-column positions cannot all avoid "
-            f"{len(sets.col_code_nodes)} sensitive rows ({supply} safe slots)",
-        )
-
-    fwd = np.array(perm0.forward)
-    src_sensitive, row_sensitive = _sensitivity_tables(sets, k, n)
-    lands_sensitive = row_sensitive[fwd // n]
-    offenders = np.flatnonzero(src_sensitive & lands_sensitive)
-    legal = np.flatnonzero(~(src_sensitive | lands_sensitive)).tolist()
-    # descending bounds draw what one scalar call per swap would
-    draws = rng.integers(0, np.arange(len(legal), len(legal) - len(offenders), -1))
-    partners = [legal.pop(d) for d in draws.tolist()]
-    fwd[offenders], fwd[partners] = fwd[partners], fwd[offenders]
-    return BlockPermutation(
-        K=k, N=n, forward=fwd, seed=perm0.seed,
-        design_t=perm0.design_t, repairs=len(offenders), sets=sets,
-    )
+    return _apply_repair(perm0, _plan_repair(perm0, sets, rng), perm0.design_t)
 
 
 def escalate_design(
@@ -200,22 +232,25 @@ def escalate_design(
     restricted to the systematic range) and repairs the original permutation
     against them; the last feasible level's result is returned with t in its
     metadata, falling back to ``perm0`` when the first level already fails.
-    Each histogram is ranked once, and t is stamped on the result once.
+    Each level repairs ``perm0`` and feasibility is settled before its draw,
+    so every level is planned, making the same generator calls in the same
+    order as ``design`` at each level would, and only the last plan is
+    applied.
     """
     k, n = perm0.K, perm0.N
     row_ranked = select_sensitive(hist_row, len(hist_row))
     col_ranked = select_sensitive(hist_col[:k], k)
-    best, best_t = perm0, 0
+    best, best_t = None, 0
     for t in range(1, max(n, k) + 1):
         sets = SensitiveSets(
             row_code_nodes=frozenset(row_ranked[:t]),
             col_code_nodes=frozenset(col_ranked[:t]),
         )
         try:
-            best, best_t = design(perm0, sets, rng), t
+            best, best_t = _plan_repair(perm0, sets, rng), t
         except InterleaverInfeasible:
             break
-    return best if best is perm0 else replace(best, design_t=best_t)
+    return perm0 if best is None else _apply_repair(perm0, best, best_t)
 
 
 # --- permutation file: "K N seed t" header then one "src dst" pair per line ----
@@ -227,6 +262,50 @@ def save_permutation(perm: BlockPermutation, path: str | Path) -> None:
     lines = [f"{perm.K} {perm.N} {perm.seed} {perm.design_t}"]
     lines.extend(f"{src} {dst}" for src, dst in enumerate(perm.forward.tolist()))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# Pair lines exactly as save_permutation writes them: ASCII digits, one space.
+# At most 18 digits per index, so every index parses into an int64.
+_SAVED_PAIRS = re.compile(r"[0-9]{1,18} [0-9]{1,18}(?:\n[0-9]{1,18} [0-9]{1,18})*")
+
+
+def _parse_saved_pairs(pair_lines: list[str], size: int) -> np.ndarray | None:
+    """The forward map of pair lines in the saved form, parsed and checked
+    all at once; None when any line is in another form or any pair fails a
+    check, so that the line scan can name the line."""
+    body = "\n".join(pair_lines)
+    if not _SAVED_PAIRS.fullmatch(body):
+        return None
+    pairs = np.fromstring(body, dtype=np.int64, sep=" ").reshape(size, 2)
+    src, dst = pairs[:, 0], pairs[:, 1]
+    if src.max() >= size or dst.max() >= size:
+        return None
+    named = np.zeros(size, dtype=bool)
+    named[src] = True
+    if not named.all():  # size pairs name every source only when none repeats
+        return None
+    forward = np.empty(size, dtype=np.int64)
+    forward[src] = dst
+    return forward
+
+
+def _scan_pairs(path: Path, pair_lines: list[str], size: int) -> list[int]:
+    """The forward map read one line at a time; refuses at the first bad line."""
+    forward = [-1] * size  # -1: no line has named this source yet
+    for line_no, raw in enumerate(pair_lines, start=2):
+        parts = raw.split()
+        if len(parts) != 2:
+            raise PermutationFileError(f"{path}: line {line_no}: expected 'src dst'")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise PermutationFileError(f"{path}: line {line_no}: non-integer") from exc
+        if not 0 <= src < size or not 0 <= dst < size:
+            raise PermutationFileError(f"{path}: line {line_no}: index out of range")
+        if forward[src] >= 0:
+            raise PermutationFileError(f"{path}: line {line_no}: duplicate source {src}")
+        forward[src] = dst
+    return forward
 
 
 def load_permutation(path: str | Path) -> BlockPermutation:
@@ -245,25 +324,17 @@ def load_permutation(path: str | Path) -> BlockPermutation:
         _check_block_shape(k, n)
     except ValueError as exc:
         raise PermutationFileError(f"{path}: {exc}") from exc
+    for name, value in (("seed", seed), ("t", t)):
+        if value < 0:
+            raise PermutationFileError(f"{path}: negative header field {name}")
     size = k * n
     if len(lines) != 1 + size:
         raise PermutationFileError(
             f"{path}: expected {size} mapping lines, found {len(lines) - 1}"
         )
-    forward = [-1] * size  # -1: no line has named this source yet
-    for line_no, raw in enumerate(lines[1:], start=2):
-        parts = raw.split()
-        if len(parts) != 2:
-            raise PermutationFileError(f"{path}: line {line_no}: expected 'src dst'")
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise PermutationFileError(f"{path}: line {line_no}: non-integer") from exc
-        if not 0 <= src < size or not 0 <= dst < size:
-            raise PermutationFileError(f"{path}: line {line_no}: index out of range")
-        if forward[src] >= 0:
-            raise PermutationFileError(f"{path}: line {line_no}: duplicate source {src}")
-        forward[src] = dst
+    forward = _parse_saved_pairs(lines[1:], size)
+    if forward is None:
+        forward = _scan_pairs(path, lines[1:], size)
     try:
         return BlockPermutation(K=k, N=n, forward=forward, seed=seed, design_t=t)
     except ValueError as exc:

@@ -56,22 +56,22 @@ def detect_from(h: SparseBinaryMatrix, start: int) -> frozenset[int]:
 
     v2c = h.col_support
     c2v = h.row_support
-    counts = np.zeros(h.n_rows, dtype=np.int64)
+    counts = [0] * h.n_rows  # edges from the set into each check
     members = {start}
     for c in v2c[start]:
         counts[c] += 1
 
     while True:
-        deficient = np.flatnonzero(counts == 1)
-        if len(deficient) == 0:
-            break
-        target = int(deficient[0])
+        try:
+            target = counts.index(1)
+        except ValueError:
+            break  # no deficient check: a stopping set
         candidates = [u for u in c2v[target] if u not in members]
         if not candidates:
             break  # degree-1 check: no superset can ever cover it twice
         best = min(
             candidates,
-            key=lambda u: (sum(1 for c in v2c[u] if counts[c] == 0), u),
+            key=lambda u: ([counts[c] for c in v2c[u]].count(0), u),
         )
         members.add(best)
         for c in v2c[best]:
@@ -86,11 +86,11 @@ def sensitivity_histogram(h: SparseBinaryMatrix) -> np.ndarray:
     One deterministic detection run per start node; counts[u] is the number
     of start nodes whose detected set contains u, bounded by the n_cols runs.
     """
-    counts = np.zeros(h.n_cols, dtype=np.int64)
+    counts = [0] * h.n_cols
     for start in range(h.n_cols):
         for u in detect_from(h, start):
             counts[u] += 1
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def select_sensitive(counts, t: int) -> list[int]:

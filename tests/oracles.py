@@ -5,7 +5,7 @@ exhaustive enumeration), deliberately avoiding the package's sparse and
 message-passing code paths.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -28,6 +28,7 @@ from concat_ira.ira import (
     _row_mask,
 )
 from concat_ira.spa import BatchDecodeResult
+from concat_ira.stopping import select_sensitive
 
 
 class TannerGraph(NamedTuple):
@@ -449,6 +450,69 @@ def reference_design(
             "attempts_exhausted", f"{remaining} bad mappings remain after repair"
         )
     return result
+
+
+def reference_escalate(
+    hist_row: np.ndarray,
+    hist_col: np.ndarray,
+    perm0: BlockPermutation,
+    rng: np.random.Generator,
+) -> BlockPermutation:
+    """Reference for ``interleave.escalate_design``: a full
+    ``reference_design`` repair at every level, keeping the last that
+    succeeds, ``perm0`` when level 1 already fails."""
+    k, n = perm0.K, perm0.N
+    best = perm0
+    for t in range(1, max(n, k) + 1):
+        sets = SensitiveSets(
+            row_code_nodes=frozenset(select_sensitive(hist_row, t)),
+            col_code_nodes=frozenset(select_sensitive(hist_col[:k], t)),
+        )
+        try:
+            best = replace(reference_design(perm0, sets, rng), design_t=t)
+        except InterleaverInfeasible:
+            break
+    return best
+
+
+def reference_detect_from(h: SparseBinaryMatrix, start: int) -> frozenset[int]:
+    """Reference for ``stopping.detect_from``: the same greedy expansion with
+    the check counts in a NumPy array, rescanned for deficient checks at
+    every step.
+
+    While some check sees the set exactly once, take the lowest-index such
+    deficient check and add its outside neighbor that creates the fewest
+    newly deficient checks (ties to the lowest variable index).  Expansion
+    halts when no check is deficient, or when a deficient check has no
+    neighbor left to add.
+    """
+    if not 0 <= start < h.n_cols:
+        raise ValueError(f"start variable {start} out of range")
+
+    v2c = h.col_support
+    c2v = h.row_support
+    counts = np.zeros(h.n_rows, dtype=np.int64)
+    members = {start}
+    for c in v2c[start]:
+        counts[c] += 1
+
+    while True:
+        deficient = np.flatnonzero(counts == 1)
+        if len(deficient) == 0:
+            break
+        target = int(deficient[0])
+        candidates = [u for u in c2v[target] if u not in members]
+        if not candidates:
+            break
+        best = min(
+            candidates,
+            key=lambda u: (sum(1 for c in v2c[u] if counts[c] == 0), u),
+        )
+        members.add(best)
+        for c in v2c[best]:
+            counts[c] += 1
+
+    return frozenset(members)
 
 
 def reference_ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bool:

@@ -6,7 +6,7 @@ import pytest
 import concat_ira as ci
 from concat_ira import interleave
 from concat_ira.interleave import InterleaverInfeasible, PermutationFileError
-from oracles import reference_design
+from oracles import reference_design, reference_escalate
 
 
 class TestRandomPermutation:
@@ -276,6 +276,8 @@ class TestPermutationFile:
             ("-1 -1 3 0\n0 0\n", "block shape must be positive"),
             ("-1 2 0 0\n", "block shape must be positive"),
             ("2 -1 0 0\n0 0\n", "block shape must be positive"),
+            ("2 2 -5 -3\n0 1\n1 0\n2 3\n3 2\n", "negative header field seed"),
+            ("2 2 5 -1\n0 1\n1 0\n2 3\n3 2\n", "negative header field t"),
             # the first refused line wins, and within a line the earlier check
             ("2 2 0 0\n0 1\n0 0\n2 x\n3\n", "line 3: duplicate source 0"),
             ("2 2 0 0\n0 1\nx 0\n2 9\n3\n", "line 3: non-integer"),
@@ -302,12 +304,90 @@ class TestPermutationFile:
         ci.save_permutation(perm, path)
         assert np.array_equal(ci.load_permutation(path).forward, perm.forward)
 
+    def test_saved_files_load_without_the_line_scan(self, tmp_path, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a saved file reached the line scan")
+
+        monkeypatch.setattr(interleave, "_scan_pairs", no_scan)
+        perm = ci.random_permutation(12, 9, 4)
+        path = tmp_path / "pi.perm"
+        ci.save_permutation(perm, path)
+        assert np.array_equal(ci.load_permutation(path).forward, perm.forward)
+
+    def test_concat_floor_design_round_trip(self, tmp_path, paper_codes_with_histograms):
+        _, _, hist_row, hist_col = paper_codes_with_histograms
+        perm0 = ci.random_permutation(128, 181, 7)
+        perm = ci.escalate_design(hist_row, hist_col, perm0, np.random.default_rng(7))
+        path = tmp_path / "pi.perm"
+        ci.save_permutation(perm, path)
+        again = ci.load_permutation(path)
+        assert np.array_equal(again.forward, perm.forward)
+        assert (again.seed, again.design_t) == (7, 74)
+
+    @pytest.mark.parametrize(
+        "pairs, expected",
+        [
+            # accepted by the line scan, with the values int() gives
+            ("0\t1\n1 0\n2 3\n3 2\n", [1, 0, 3, 2]),
+            ("0 +1\n1 0\n2 3\n3 2\n", [1, 0, 3, 2]),
+            ("0 01\n1 0\n2 3\n3 2\n", [1, 0, 3, 2]),
+            ("0 0000000000000000001\n1 0\n2 3\n3 2\n", [1, 0, 3, 2]),
+            ("3 2\n2 3\n1 0\n0 1\n", [1, 0, 3, 2]),
+            # refused at the line the scan names
+            ("0 1 # first\n1 0\n2 3\n3 2\n", "line 2: expected 'src dst'"),
+            ("0 1#\n1 0\n2 3\n3 2\n", "line 2: non-integer"),
+            ("0 1_0\n1 0\n2 3\n3 2\n", "line 2: index out of range"),
+            ("0 1\n1 0 2\n3\n3 2\n", "line 3: expected 'src dst'"),
+            ("0 1\n1 0\n2 3\n3 2\n\n", "expected 4 mapping lines, found 5"),
+            ("0 1\n1 0\n2 3\n3 1\n", "forward map is not a bijection"),
+        ],
+    )
+    def test_forms_a_bulk_parse_could_misread(self, tmp_path, pairs, expected):
+        path = tmp_path / "pi.perm"
+        path.write_text("2 2 0 0\n" + pairs)
+        if isinstance(expected, str):
+            with pytest.raises(PermutationFileError, match=re.escape(f"{path}: {expected}")):
+                ci.load_permutation(path)
+        else:
+            assert ci.load_permutation(path).forward.tolist() == expected
+
 
 def _paper_sets(hist_row, hist_col, t):
     return ci.SensitiveSets(
         frozenset(ci.select_sensitive(hist_row, t)),
         frozenset(ci.select_sensitive(hist_col[:128], t)),
     )
+
+
+class TestEscalateMatchesReference:
+    """`escalate_design` plans every level and applies only the last;
+    `reference_escalate` repairs in full at every level."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_toy_codes(self, toy_outer, toy_inner, seed):
+        hist_row = ci.sensitivity_histogram(toy_outer.H)
+        hist_col = ci.sensitivity_histogram(toy_inner.H)
+        perm0 = ci.random_permutation(8, 12, 5 + seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ci.escalate_design(hist_row, hist_col, perm0, rng)
+        want = reference_escalate(hist_row, hist_col, perm0, ref_rng)
+        assert got.design_t == 4  # 8t <= (8 - t) * 12 first fails at t = 5
+        assert np.array_equal(got.forward, want.forward)
+        assert (got.repairs, got.sets, got.design_t, got.seed) == (
+            want.repairs, want.sets, want.design_t, want.seed,
+        )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_level_one_infeasible_returns_perm0(self):
+        # K = 1: one sensitive row leaves no safe slot for the sensitive column
+        hist = np.arange(5, 0, -1)
+        perm0 = ci.random_permutation(1, 5, 3)
+        for escalate in (ci.escalate_design, reference_escalate):
+            rng = np.random.default_rng(4)
+            rng.integers(5)  # leave a buffered half-word behind
+            before = rng.bit_generator.state
+            assert escalate(hist, hist, perm0, rng) is perm0
+            assert rng.bit_generator.state == before
 
 
 class TestDesignMatchesReference:
@@ -359,17 +439,19 @@ class TestDesignMatchesReference:
         self, paper_codes_with_histograms, monkeypatch
     ):
         """The concat-floor set-up: seed-1/seed-2 codes, the seed-7 block and
-        generator.  The last feasible level is replayed through the reference
-        from the generator state it started from."""
+        generator.  Escalation plans every level and applies the last; that
+        level is replayed through the reference from the generator state its
+        plan started from."""
         _, _, hist_row, hist_col = paper_codes_with_histograms
         perm0 = ci.random_permutation(128, 181, 7)
         calls = []
+        plan_repair = interleave._plan_repair
 
-        def recording_design(perm, sets, rng):
+        def recording_plan(perm, sets, rng):
             calls.append((sets, rng.bit_generator.state))
-            return ci.design(perm, sets, rng)
+            return plan_repair(perm, sets, rng)
 
-        monkeypatch.setattr(interleave, "design", recording_design)
+        monkeypatch.setattr(interleave, "_plan_repair", recording_plan)
         rng = np.random.default_rng(7)
         out = ci.escalate_design(hist_row, hist_col, perm0, rng)
         assert (out.design_t, out.repairs) == (74, 5488)

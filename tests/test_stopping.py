@@ -4,7 +4,7 @@ import pytest
 import concat_ira as ci
 from concat_ira.stopping import save_histogram
 
-from oracles import all_bit_patterns, minimal_stopping_sets_containing
+from oracles import all_bit_patterns, minimal_stopping_sets_containing, reference_detect_from
 
 
 def isolated_four_cycle():
@@ -75,6 +75,32 @@ class TestDetectFrom:
                 | ci.detect_from(h, int(b))
             )
             assert ci.is_stopping_set(h, union)
+
+
+class TestDetectFromMatchesReference:
+    """`detect_from` keeps its check counts in a list; the reference rescans
+    a NumPy array for deficient checks at every step."""
+
+    @staticmethod
+    def assert_every_start(h):
+        for start in range(h.n_cols):
+            assert ci.detect_from(h, start) == reference_detect_from(h, start)
+
+    def test_paper_codes(self, paper_outer, paper_inner):
+        self.assert_every_start(paper_outer.H)
+        self.assert_every_start(paper_inner.H)
+
+    def test_toy_codes(self, toy_outer, toy_inner):
+        self.assert_every_start(toy_outer.H)
+        self.assert_every_start(toy_inner.H)
+
+    def test_isolated_four_cycle(self):
+        self.assert_every_start(isolated_four_cycle())
+
+    def test_degree_one_check(self):
+        # from start 2 the expansion ends at check 0, which sees only var 0
+        m = ci.SparseBinaryMatrix.from_rows(3, 3, [(0,), (0, 1), (1, 2)])
+        self.assert_every_start(m)
 
 
 class TestSensitivityHistogram:
