@@ -1,6 +1,6 @@
 """Two-arm FER comparison: designed interleaver vs its random starting point.
 
-Runs `concat-ira construct` twice and `design-interleaver` (seeded by --pilot-seed),
+Runs `concat-ira construct` twice and `design-interleaver` (seeded by --perm-seed),
 measures both arms at one Eb/N0 on shared trial streams as `simulate` does, and
 reports the one-sided two-proportion test: exit 0 if the designed arm wins at 95%
 confidence, 1 if not, 2 if a step fails.  Files go next to --out-prefix.
@@ -22,9 +22,7 @@ def main(argv=None) -> int:
     parser.add_argument("--max-blocks", type=int, default=60_000)
     parser.add_argument("--outer-seed", type=int, default=1)
     parser.add_argument("--inner-seed", type=int, default=2)
-    parser.add_argument("--pilot-candidates", type=int, default=8)
-    parser.add_argument("--pilot-blocks", type=int, default=24)
-    parser.add_argument("--pilot-seed", type=int, default=800)
+    parser.add_argument("--perm-seed", type=int, default=800)
     parser.add_argument("--trial-seed", type=int, default=801)
     parser.add_argument("--out-prefix", default="directional")
     args = parser.parse_args(argv)
@@ -42,13 +40,10 @@ def main(argv=None) -> int:
     steps = [["construct", "--k", "128", "--n", "181", "--seed", str(seed), "--out", f"{prefix}_{name}"]
              for name, seed in (("outer", args.outer_seed), ("inner", args.inner_seed))]
     steps.append(["design-interleaver", "--outer", f"{prefix}_outer", "--inner", f"{prefix}_inner",
-                  "--seed", str(args.pilot_seed), "--candidates", str(args.pilot_candidates),
-                  "--pilot-blocks", str(args.pilot_blocks), "--pilot-ebno", str(args.ebno),
-                  "--out", f"{prefix}_designed.perm"])
+                  "--seed", str(args.perm_seed), "--out", f"{prefix}_designed.perm"])
     if any(cli_main(step) for step in steps):
         return 2
-    start = ci.load_permutation(f"{prefix}_designed.perm").seed
-    ci.save_permutation(ci.random_permutation(128, 181, start), f"{prefix}_random.perm")
+    ci.save_permutation(ci.random_permutation(128, 181, args.perm_seed), f"{prefix}_random.perm")
 
     points = {}
     for arm, config in configs.items():

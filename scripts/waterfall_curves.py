@@ -33,6 +33,7 @@ def main(argv=None) -> int:
     ebno = tuple(float(x) for x in args.ebno.split(","))
     single_ebno = tuple(float(x) for x in args.single_ebno.split(","))
     stop = StopRule(args.min_block_errors, args.max_blocks)
+    perm_seed = 7
 
     steps = [
         ["construct", "--k", "128", "--n", "181", "--seed", str(seed), "--out", str(work / name)]
@@ -41,14 +42,13 @@ def main(argv=None) -> int:
     ]
     steps.append(
         ["design-interleaver", "--outer", str(work / "outer"),
-         "--inner", str(work / "inner"), "--seed", "7", "--candidates", "1",
+         "--inner", str(work / "inner"), "--seed", str(perm_seed),
          "--out", str(work / "designed.perm")]
     )
     for rc in map(cli_main, steps):
         if rc:
             return rc
-    start = ci.load_permutation(work / "designed.perm").seed
-    ci.save_permutation(ci.random_permutation(128, 181, start), work / "random.perm")
+    ci.save_permutation(ci.random_permutation(128, 181, perm_seed), work / "random.perm")
 
     runs = [
         ("single", SimConfig(

@@ -45,7 +45,7 @@ from .channel import (
     trial_generators,
 )
 from .concat import ConcatCode, ConcatDecodeResult, Schedule, concat_decode, concat_encode
-from .bench import CurvePoint, SimConfig, StopRule, pilot_select, run_curve
+from .bench import CurvePoint, SimConfig, StopRule, run_curve
 
 __version__ = "0.1.0"
 

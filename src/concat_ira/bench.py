@@ -26,7 +26,7 @@ from .channel import (
     RngStream, awgn, channel_llr, ebno_sigma, gaussian_q, modulate, random_bits, trial_generators,
 )
 from .concat import ConcatCode, Schedule, concat_decode, concat_encode
-from .interleave import BlockPermutation, load_permutation, random_permutation
+from .interleave import load_permutation
 # perfbench/layers.py patches bench.encode, so the name stays importable here
 from .ira import IraCode, encode, encode_batch, load_code  # noqa: F401
 
@@ -43,7 +43,6 @@ __all__ = [
     "format_row",
     "read_curve",
     "run_curve",
-    "pilot_select",
     "two_proportion_z",
 ]
 
@@ -431,43 +430,6 @@ def _parse_row(row: str) -> tuple[CurvePoint, int]:
         wall_seconds=0.0,
     )
     return point, int(parts[8])
-
-
-# --- interleaver pilot selection -------------------------------------------------
-
-
-def pilot_select(
-    outer: IraCode,
-    inner: IraCode,
-    schedule: Schedule,
-    n_candidates: int,
-    pilot_ebno: float,
-    pilot_blocks: int,
-    master_seed: int,
-) -> tuple[BlockPermutation, list[tuple[int, int, int]]]:
-    """Score candidate random permutations by a short shared-noise pilot run
-    and keep the best (fewest block errors, then bit errors, then index).
-
-    Candidate i uses seed master_seed + i; pilots share trial streams so the
-    comparison uses common random numbers.  Returns the winner and the per
-    candidate (block_errors, bit_errors, seed) scores.
-    """
-    if n_candidates < 1 or pilot_blocks < 1:
-        raise ValueError("need at least one candidate and one pilot block")
-    scores = []
-    best = None
-    best_key = None
-    for i in range(n_candidates):
-        perm = random_permutation(outer.K, outer.N, master_seed + i)
-        point = measure_point(
-            ConcatSystem(ConcatCode(outer, inner, perm), schedule), pilot_ebno,
-            StopRule(min_block_errors=pilot_blocks + 1, max_blocks=pilot_blocks), master_seed,
-        )
-        scores.append((point.block_errors, point.bit_errors, perm.seed))
-        key = (point.block_errors, point.bit_errors, i)
-        if best_key is None or key < best_key:
-            best, best_key = perm, key
-    return best, scores
 
 
 def two_proportion_z(errors_a: int, n_a: int, errors_b: int, n_b: int) -> tuple[float, float]:

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import FORMAT_VERSIONS, __version__
-from .bench import CSV_HEADER, ConfigError, SimConfig, pilot_select, read_curve, run_curve
-from .concat import Schedule
+from .bench import CSV_HEADER, ConfigError, SimConfig, read_curve, run_curve
 from .interleave import (
     count_bad_mappings,
     escalate_design,
@@ -35,14 +34,6 @@ CONFIG_DIR_ENV = "CONCAT_IRA_CONFIG_DIR"
 def _version_string() -> str:
     formats = ", ".join(f"{k} {v}" for k, v in FORMAT_VERSIONS.items())
     return f"concat-ira {__version__} (formats: {formats})"
-
-
-def _parse_schedule(text: str) -> Schedule:
-    try:
-        outer, inner = (int(part) for part in text.lower().split("x"))
-    except ValueError as exc:
-        raise ConfigError(f"schedule must look like '10x10', got {text!r}") from exc
-    return Schedule(outer_iters=outer, inner_iters=inner)
 
 
 def _cmd_construct(args) -> int:
@@ -81,27 +72,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_design_interleaver(args) -> int:
-    schedule = _parse_schedule(args.schedule)
     outer = load_code(args.outer)
     inner = load_code(args.inner)
-    k, n = outer.K, outer.N
-
-    if args.candidates == 1:
-        pi0 = random_permutation(k, n, args.seed)
-    else:
-        pi0, scores = pilot_select(
-            outer, inner, schedule, args.candidates,
-            args.pilot_ebno, args.pilot_blocks, args.seed,
-        )
-        print(
-            "pilot block errors per candidate: "
-            + " ".join(f"seed{seed}:{blk}" for blk, _, seed in scores)
-        )
-
+    pi0 = random_permutation(outer.K, outer.N, args.seed)
     hist_row = sensitivity_histogram(outer.H)
     hist_col = sensitivity_histogram(inner.H)
-    rng = np.random.default_rng(args.seed)
-    designed = escalate_design(hist_row, hist_col, pi0, rng)
+    designed = escalate_design(hist_row, hist_col, pi0, np.random.default_rng(args.seed))
 
     out = Path(args.out)
     save_permutation(designed, out)
@@ -214,14 +190,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output prefix for .sensitivity.csv/.report.txt")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("design-interleaver", help="pilot-select and constraint-repair a permutation")
+    p = sub.add_parser("design-interleaver", help="constraint-repair a seeded random permutation")
     p.add_argument("--outer", required=True, help="row code file prefix")
     p.add_argument("--inner", required=True, help="column code file prefix")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--candidates", type=int, default=16, help="random permutations to pilot; 1 skips it")
-    p.add_argument("--pilot-blocks", type=int, default=12)
-    p.add_argument("--pilot-ebno", type=float, default=3.0)
-    p.add_argument("--schedule", default="10x10", help="pilot schedule, outerxinner")
+    p.add_argument("--seed", type=int, default=0, help="seeds the permutation and its repair")
     p.add_argument("--out", required=True, help="permutation file path")
     p.set_defaults(func=_cmd_design_interleaver)
 

@@ -16,7 +16,6 @@ from concat_ira.bench import (
     format_row,
     load_system,
     measure_point,
-    pilot_select,
     run_curve,
     two_proportion_z,
 )
@@ -425,23 +424,6 @@ class TestTrialRounds:
         else:
             system = SingleSystem(outer, 20)
         assert format_row(measure_point(system, ebno, stop, 9, workers=workers), 9) == row
-
-
-class TestPilotSelect:
-    def test_returns_best_candidate_deterministically(self, toy_outer, toy_inner):
-        best_a, scores_a = pilot_select(
-            toy_outer, toy_inner, ci.Schedule(3, 3), n_candidates=3,
-            pilot_ebno=3.0, pilot_blocks=6, master_seed=4,
-        )
-        best_b, scores_b = pilot_select(
-            toy_outer, toy_inner, ci.Schedule(3, 3), n_candidates=3,
-            pilot_ebno=3.0, pilot_blocks=6, master_seed=4,
-        )
-        assert scores_a == scores_b
-        assert np.array_equal(best_a.forward, best_b.forward)
-        best_errors = min(s[0] for s in scores_a)
-        winner_score = [s for s in scores_a if s[2] == best_a.seed][0]
-        assert winner_score[0] == best_errors
 
 
 class TestTwoProportionZ:

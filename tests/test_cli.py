@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import concat_ira as ci
-from concat_ira import cli
 from concat_ira.cli import main
 
 
@@ -112,12 +111,11 @@ class TestAnalyze:
 
 
 class TestDesignInterleaver:
-    def test_no_pilot_design(self, workspace):
+    def test_design_repairs_the_seed_permutation(self, workspace, tmp_path):
         out = workspace / "designed.perm"
         rc = run_cli(
             "design-interleaver", "--outer", workspace / "outer",
-            "--inner", workspace / "inner", "--seed", 5, "--candidates", 1,
-            "--out", out,
+            "--inner", workspace / "inner", "--seed", 5, "--out", out,
         )
         assert rc == 0
         perm = ci.load_permutation(out)
@@ -127,59 +125,14 @@ class TestDesignInterleaver:
         col_nodes = frozenset(int(x) for x in sets_text[1].split()[1:])
         sets = ci.SensitiveSets(row_nodes, col_nodes)
         assert ci.count_bad_mappings(perm, sets).count == 0
-
-    def test_pilot_design(self, workspace, capsys):
-        out = workspace / "piloted.perm"
-        rc = run_cli(
-            "design-interleaver", "--outer", workspace / "outer",
-            "--inner", workspace / "inner", "--seed", 5,
-            "--candidates", 3, "--pilot-blocks", 4, "--pilot-ebno", 3.0,
-            "--schedule", "3x3", "--out", out,
+        # --seed draws the starting permutation and seeds its repair
+        outer, inner = ci.load_code(workspace / "outer"), ci.load_code(workspace / "inner")
+        expected = ci.escalate_design(
+            ci.sensitivity_histogram(outer.H), ci.sensitivity_histogram(inner.H),
+            ci.random_permutation(outer.K, outer.N, 5), np.random.default_rng(5),
         )
-        assert rc == 0
-        assert "pilot block errors" in capsys.readouterr().out
-        ci.load_permutation(out)
-
-    @pytest.mark.parametrize(
-        "ebno", [["--pilot-ebno", "nan"], ["--pilot-ebno=-inf"]], ids=["nan", "-inf"]
-    )
-    def test_pilot_ebno_without_noise_level_gives_one_error_line(self, workspace, capsys, ebno):
-        out = workspace / "noiseless_pilot.perm"
-        rc = run_cli(
-            "design-interleaver", "--outer", workspace / "outer",
-            "--inner", workspace / "inner", "--seed", 5,
-            "--candidates", 3, "--pilot-blocks", 4, *ebno, "--out", out,
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "schedule, message",
-        [("bogus", "schedule must look like '10x10', got 'bogus'"),
-         ("0x10", "iteration counts must be >= 1")],
-        ids=["bogus", "0x10"],
-    )
-    def test_bad_schedule_refused_before_any_code_is_loaded(
-        self, workspace, capsys, monkeypatch, schedule, message
-    ):
-        loaded = []
-
-        def load_code(path):
-            loaded.append(path)
-            raise RuntimeError("a code was loaded")
-
-        monkeypatch.setattr(cli, "load_code", load_code)
-        rc = run_cli(
-            "design-interleaver", "--outer", workspace / "outer",
-            "--inner", workspace / "inner", "--schedule", schedule, "--candidates", 1,
-            "--out", workspace / "schedule.perm",
-        )
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert loaded == []
-        assert not (workspace / "schedule.perm").exists()
+        ci.save_permutation(expected, tmp_path / "expected.perm")
+        assert out.read_bytes() == (tmp_path / "expected.perm").read_bytes()
 
 
 class TestSimulate:
@@ -311,6 +264,12 @@ class TestSimulate:
         assert run_cli("simulate", "--config", config_path) == 1
         err = capsys.readouterr().err
         assert err == "error: unknown schedule keys: ['freeze', 'outer_iter']\n"
+        assert not out.exists()
+
+    def test_zero_iteration_schedule_gives_one_error_line(self, workspace, tmp_path, capsys):
+        config_path, out = self.make_config(workspace, tmp_path, schedule={"outer_iters": 0})
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == "error: iteration counts must be >= 1\n"
         assert not out.exists()
 
     def test_config_dir_env_fallback(self, workspace, tmp_path, monkeypatch):

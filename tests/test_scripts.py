@@ -27,7 +27,7 @@ def test_directional_check_writes_one_row_per_arm(tmp_path):
     script = load_script("directional_check")
     prefix = tmp_path / "directional"
     status = script.main([
-        "--pilot-candidates", "2", "--pilot-blocks", "2",
+        "--perm-seed", "801",
         "--min-block-errors", "1", "--max-blocks", "3", "--ebno", "3.0",
         "--trial-seed", "801", "--out-prefix", str(prefix),
     ])
@@ -39,8 +39,8 @@ def test_directional_check_writes_one_row_per_arm(tmp_path):
         fields = lines[1].split(",")
         assert 1 <= int(fields[1]) <= 3
         assert fields[-1] == "801"
-    # the pilot at 3.0 dB picks seed 801 over 800; this row is the one the
-    # script wrote when it ran the pilot, design and measurement itself
+    # --perm-seed 801 makes the random arm random_permutation(128, 181, 801),
+    # measured here on trial seed 801
     random_row = Path(f"{prefix}_random.csv").read_text(encoding="utf-8").splitlines()[1]
     assert random_row == "3,1,4,1,0.000244140625,1.0,10.0,6.149905123339659,801"
     designed = ci.load_permutation(f"{prefix}_designed.perm")
