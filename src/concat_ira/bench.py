@@ -290,7 +290,9 @@ def _run_task(args: tuple[int, int, float]) -> list:
 
 def _trial_results(system, sigma: float, max_blocks: int, master_seed: int, workers: int):
     """Results of trials 0 .. max_blocks-1 in trial order: in-process one task at a time, on a
-    pool at most 2 * workers tasks in flight, the queued ones cancelled when the generator closes."""
+    pool a first wave of one task per worker, then, once the first task's results are taken,
+    2 * workers tasks in flight; the queued ones are cancelled when the generator closes, so a
+    point that stops inside its first task computes no more than the first wave."""
     step = system.trials_per_task
     tasks = ((lo, min(lo + step, max_blocks), sigma) for lo in range(0, max_blocks, step))
     if workers == 1:
@@ -298,10 +300,11 @@ def _trial_results(system, sigma: float, max_blocks: int, master_seed: int, work
         return
     pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(system, master_seed))
     try:
-        in_flight = deque(pool.submit(_run_task, task) for task in islice(tasks, 2 * workers - 1))
+        in_flight = deque(pool.submit(_run_task, task) for task in islice(tasks, workers))
         while in_flight:
-            in_flight.extend(pool.submit(_run_task, task) for task in islice(tasks, 1))
             yield from in_flight.popleft().result()
+            top_up = islice(tasks, 2 * workers - len(in_flight))
+            in_flight.extend(pool.submit(_run_task, task) for task in top_up)
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -151,10 +151,10 @@ def _ace_passes(
     once that base reaches eta.  Otherwise a violating cycle must keep its
     running degree-sum below eta at every variable along the way (the terms
     are nonnegative), which lets the search prune aggressively and stop at
-    the first violation instead of enumerating everything.  At the last
-    depth a path can only close back to v, so that level is one set
-    intersection with v's checks.  ``v2c`` lists each variable's checks and
-    ``c2v`` each check's variables.
+    the first violation instead of enumerating everything.  A path at the
+    last depth can only close back to v, so the depth before it tests each
+    neighbour inline for a check shared with v that the path has not used.
+    ``v2c`` lists each variable's checks and ``c2v`` each check's variables.
     """
     base = len(v2c[v]) - 2
     if base >= eta:
@@ -163,12 +163,13 @@ def _ace_passes(
 
     def ok(u: int, partial: int, used_checks: frozenset, used_vars: frozenset) -> bool:
         closed_len = 2 * (len(used_checks) + 1)
-        if closed_len + 2 > 2 * d_ace:
-            # closed_len >= 4 here: any unused check shared with v closes a cycle
-            return v_checks.intersection(v2c[u]) <= used_checks
+        # a neighbour's path would be closed_len + 2 long and could only close
+        last = closed_len + 4 > 2 * d_ace
         for c in v2c[u]:
             if c in used_checks:
                 continue
+            if last:
+                open_checks = v_checks.difference(used_checks, (c,))
             for w in c2v[c]:
                 if w == u:
                     continue
@@ -177,7 +178,11 @@ def _ace_passes(
                         return False  # cycle closed with total ACE == partial < eta
                 elif w not in used_vars:
                     p = partial + len(v2c[w]) - 2
-                    if p < eta and not ok(w, p, used_checks | {c}, used_vars | {w}):
+                    if p < eta and (
+                        not open_checks.isdisjoint(v2c[w])
+                        if last
+                        else not ok(w, p, used_checks | {c}, used_vars | {w})
+                    ):
                         return False
         return True
 
@@ -207,31 +212,29 @@ class _LowWeightScreen:
     Tracks placed column supports and their pairwise sums; a candidate support
     is rejected when accepting it would create a weight <= 4 codeword.  Pair
     sums that collide between overlapping pairs imply a duplicate support, so
-    keeping one flat set of sums is enough.  A support is a bitmask of its
+    supports and sums share one flat set: a candidate clashes when it, or its
+    sum with any placed support, is in it.  A support is a bitmask of its
     rows (bit r set for row r), so a support sum is one integer XOR.
     """
 
     def __init__(self, initial: Sequence[int]):
-        self.supports: set[int] = set()
+        # initial holds no weight <= 4 codeword (H2's columns are independent)
+        self.low: set[int] = set()  # placed supports and their pairwise sums
         self.placed: list[int] = []
-        self.pair_sums: set[int] = set()
         for s in initial:
-            self.register(s)
+            self.admit(s)
 
-    def clashes(self, cand: int) -> bool:
-        if cand in self.supports or cand in self.pair_sums:
-            return True  # weight 2 or 3
-        for s in self.placed:
-            d = cand ^ s
-            if d in self.supports or d in self.pair_sums:
-                return True  # weight 3 or 4
-        return False
-
-    def register(self, cand: int) -> None:
-        for s in self.placed:
-            self.pair_sums.add(cand ^ s)
+    def admit(self, cand: int) -> bool:
+        """Register cand and return True, or return False if it clashes."""
+        if cand in self.low:
+            return False  # weight 2 or 3
+        sums = [cand ^ s for s in self.placed]
+        if not self.low.isdisjoint(sums):
+            return False  # weight 3 or 4
+        self.low.update(sums)
         self.placed.append(cand)
-        self.supports.add(cand)
+        self.low.add(cand)
+        return True
 
 
 def _row_mask(rows) -> int:
@@ -241,9 +244,7 @@ def _row_mask(rows) -> int:
     return mask
 
 
-def _weighted_sample(
-    rng: np.random.Generator, avail: list[int], weights: list[int], size: int
-) -> list[int]:
+class _WeightedSampler:
     """``rng.choice(avail, size, replace=False, p=w / w.sum())`` without its
     per-call overhead: the same values, leaving the same generator state.
 
@@ -251,22 +252,36 @@ def _weighted_sample(
     cumulative probabilities (already drawn indices zeroed, scaled by the
     last entry), keep first sightings in draw order and repeat until size
     distinct indices are found.  Integer weights sum exactly, so w / total
-    is numpy's p to the bit.
+    is numpy's p to the bit.  The first round's table depends only on the
+    weights, so it is built once and serves every draw.
     """
-    total = sum(weights)
-    p = [w / total for w in weights]
-    found: list[int] = []
-    while len(found) < size:
-        for i in found:
-            p[i] = 0.0
+
+    def __init__(self, avail: list[int], weights: list[int]):
+        self.avail = avail
+        total = sum(weights)
+        self.p = [w / total for w in weights]
+        self.cdf = self._scaled_cdf(self.p)
+
+    @staticmethod
+    def _scaled_cdf(p: list[float]) -> list[float]:
         cdf = list(accumulate(p))
         last = cdf[-1]
-        cdf = [c / last for c in cdf]
-        for x in rng.random(size - len(found)).tolist():
-            i = bisect_right(cdf, x)
-            if i not in found:
-                found.append(i)
-    return [avail[i] for i in found]
+        return [c / last for c in cdf]
+
+    def sample(self, rng: np.random.Generator, size: int) -> list[int]:
+        found: list[int] = []
+        cdf = self.cdf
+        while True:
+            for x in rng.random(size - len(found)).tolist():
+                i = bisect_right(cdf, x)
+                if i not in found:
+                    found.append(i)
+            if len(found) == size:
+                return [self.avail[i] for i in found]
+            p = self.p.copy()
+            for i in found:
+                p[i] = 0.0
+            cdf = self._scaled_cdf(p)
 
 
 def build_h1(
@@ -332,12 +347,10 @@ def build_h1(
             for r in h1_cols[j]:
                 rows_work[r].append(j)
             if _ace_passes(cols_work, rows_work, j, ace.d_ace, ace.eta) and (
-                screen is None or not screen.clashes(cand)
+                screen is None or screen.admit(cand)
             ):
                 for r in h1_cols[j]:
                     budgets[r] -= 1
-                if screen is not None:
-                    screen.register(cand)
                 return True
             for r in h1_cols[j]:
                 rows_work[r].remove(j)
@@ -356,12 +369,12 @@ def build_h1(
                     f"degree-{degree} column"
                 )
                 break
-            weights = [budgets[r] for r in avail]
+            sampler = _WeightedSampler(avail, [budgets[r] for r in avail])
             n_sets = comb(len(avail), degree)
             failed: set[int] = set()  # row masks that attempt() rejected
             accepted = False
             for _ in range(ace.max_resample):
-                if attempt(j, _weighted_sample(rng, avail, weights, degree)):
+                if attempt(j, sampler.sample(rng, degree)):
                     accepted = True
                     break
                 if len(failed) == n_sets:

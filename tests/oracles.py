@@ -24,8 +24,6 @@ from concat_ira.ira import (
     ConstructionError,
     DegreeSpec,
     _h1_row_budgets,
-    _LowWeightScreen,
-    _row_mask,
 )
 from concat_ira.spa import BatchDecodeResult
 from concat_ira.stopping import select_sensitive
@@ -549,6 +547,50 @@ def reference_ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bo
         return True
 
     return ok(v, base, frozenset(), frozenset((v,)))
+
+
+class _LowWeightScreen:
+    """Reference for ``ira._LowWeightScreen``: supports and pair sums in two
+    sets, each candidate tested against both in a Python loop.
+
+    Incremental form, for construction, of the batch weight <= 4 test
+    ``has_codeword_of_weight_le4``.
+
+    Tracks placed column supports and their pairwise sums; a candidate support
+    is rejected when accepting it would create a weight <= 4 codeword.  Pair
+    sums that collide between overlapping pairs imply a duplicate support, so
+    keeping one flat set of sums is enough.  A support is a bitmask of its
+    rows (bit r set for row r), so a support sum is one integer XOR.
+    """
+
+    def __init__(self, initial: Sequence[int]):
+        self.supports: set[int] = set()
+        self.placed: list[int] = []
+        self.pair_sums: set[int] = set()
+        for s in initial:
+            self.register(s)
+
+    def clashes(self, cand: int) -> bool:
+        if cand in self.supports or cand in self.pair_sums:
+            return True  # weight 2 or 3
+        for s in self.placed:
+            d = cand ^ s
+            if d in self.supports or d in self.pair_sums:
+                return True  # weight 3 or 4
+        return False
+
+    def register(self, cand: int) -> None:
+        for s in self.placed:
+            self.pair_sums.add(cand ^ s)
+        self.placed.append(cand)
+        self.supports.add(cand)
+
+
+def _row_mask(rows) -> int:
+    mask = 0
+    for r in rows:
+        mask |= 1 << int(r)
+    return mask
 
 
 def reference_build_h1(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import concat_ira as ci
+from concat_ira import bench
 from concat_ira.bench import (
     CSV_HEADER,
     ConcatSystem,
@@ -362,6 +363,65 @@ class TaskLog:
         with open(self.path, "a", encoding="utf-8") as f:
             f.write(f"{lo}\n")
         return [(1, 1, 0, 1, 1)] * (hi - lo)
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor.  A task runs when its
+    result is taken; events records each submit with the number of tasks
+    then submitted and not yet taken, and each take."""
+
+    events: list = []
+
+    def __init__(self, workers, initializer, initargs):
+        initializer(*initargs)
+        self.outstanding = 0
+
+    def submit(self, fn, task):
+        self.outstanding += 1
+        self.events.append(("submit", task[0], self.outstanding))
+        pool = self
+
+        class Future:
+            def result(self):
+                pool.outstanding -= 1
+                pool.events.append(("take", task[0]))
+                return fn(task)
+
+        return Future()
+
+    def shutdown(self, cancel_futures):
+        assert cancel_futures
+
+
+class TestPoolWaves:
+    """A pool starts with one task per worker and grows to 2 x workers tasks
+    in flight once the first task's results are taken."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(bench, "_WORKER", ())
+        monkeypatch.setattr(RecordingPool, "events", [])
+        return RecordingPool.events
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_first_wave_then_two_per_worker(self, events, workers, tmp_path):
+        system = TaskLog(str(tmp_path / "tasks.txt"))
+        point = measure_point(system, 3.0, StopRule(10_000, 12), 9, workers=workers)
+        assert point.blocks_run == 12
+        first = [("submit", lo, lo + 1) for lo in range(workers)]
+        assert events[: workers + 1] == first + [("take", 0)]
+        submits = [e for e in events if e[0] == "submit"]
+        assert [e[1] for e in submits] == list(range(12))
+        assert max(e[2] for e in submits) == 2 * workers
+        assert [e[1] for e in events if e[0] == "take"] == list(range(12))
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_stop_inside_the_first_task_submits_only_the_first_wave(self, events, workers, tmp_path):
+        system = TaskLog(str(tmp_path / "tasks.txt"))
+        point = measure_point(system, 3.0, StopRule(1, 1000), 9, workers=workers)
+        assert point.blocks_run == 1
+        assert events == [("submit", lo, lo + 1) for lo in range(workers)] + [("take", 0)]
 
 
 class TestTrialRounds:

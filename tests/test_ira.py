@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import concat_ira as ci
-from concat_ira.ira import ConstructionError, _ace_passes, _weighted_sample
+from concat_ira.ira import (
+    ConstructionError, _LowWeightScreen, _WeightedSampler, _ace_passes, _row_mask,
+)
 
 from conftest import TOY_ACE
 from oracles import (
@@ -163,6 +167,22 @@ class TestBuildH1MatchesReference:
                 _build_outcome(reference_build_h1, *case[:4], seed, *case[4:])
 
 
+class TestStoredCodeBytes:
+    """Alist bytes of paper-shape codes against stored digests, not only
+    against the in-repo oracle.  Seeds 0-7 all first succeed at restart seed
+    7 (the seed-1/seed-2 matrix), seeds 8-15 at restart seed 15, and seed 24
+    at its first restart."""
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "44c29fc869896f4311ab2bf13463ab2b2b97c9a70bad3189e4267e24131e19ef"),
+        (8, "0a5f50a050736f36af4684e99eff95949e79a711117d95a44803babdd6d70576"),
+        (24, "314b9fac98f7ffbfef7fc33011889f22e652b44cc665e617261c1c058dc81837"),
+    ])
+    def test_alist_sha256(self, seed, digest):
+        text = ci.save_alist(ci.build_code(128, 181, seed=seed).H)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 class TestAcePasses:
     """The construction's pruned ACE test against the exhaustive oracle."""
 
@@ -190,7 +210,7 @@ class TestWeightedSampleContract:
     @staticmethod
     def both(seed, avail, weights, size):
         ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _weighted_sample(ours, avail, weights, size)
+        got = _WeightedSampler(avail, weights).sample(ours, size)
         w = np.array(weights, dtype=np.float64)
         want = numpys.choice(np.array(avail), size=size, replace=False, p=w / w.sum())
         assert got == want.tolist()
@@ -221,6 +241,21 @@ class TestWeightedSampleContract:
             once.random(size)
             redrawn += rng.bit_generator.state != once.bit_generator.state
         assert redrawn > 50
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    def test_one_table_serves_every_resample(self, size):
+        # build_h1 builds a column's table once and draws from it at every
+        # resample, so a redraw round must leave the table as it found it
+        for seed in range(60):
+            avail = list(range(5, 5 + size + 3))
+            weights = [1000 if seed % 2 else 3] + [1 + (seed + i) % 4 for i in range(size + 2)]
+            sampler = _WeightedSampler(avail, weights)
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            w = np.array(weights, dtype=np.float64)
+            for _ in range(6):
+                want = numpys.choice(np.array(avail), size=size, replace=False, p=w / w.sum())
+                assert sampler.sample(ours, size) == want.tolist()
+            assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestAceCheck:
@@ -327,6 +362,26 @@ class TestLowWeightScreen:
             if has_codeword_of_weight_le4(m) != self.brute_force_has_le4(m):
                 disagreements += 1
         assert disagreements == 0
+
+    def test_screen_admits_exactly_what_the_batch_check_passes(self):
+        # grow random support sets column by column: the incremental screen must
+        # refuse a column exactly when the batch check finds a weight <= 4 codeword
+        rng = np.random.default_rng(3)
+        outcomes = {True: 0, False: 0}
+        for _ in range(80):
+            n_rows = int(rng.integers(4, 9))
+            screen, placed = _LowWeightScreen(()), []
+            for _ in range(int(rng.integers(2, 14))):
+                size = int(rng.integers(1, n_rows + 1))
+                rows = sorted(rng.choice(n_rows, size=size, replace=False).tolist())
+                trial = ci.SparseBinaryMatrix.from_cols(n_rows, len(placed) + 1, placed + [rows])
+                clean = not has_codeword_of_weight_le4(trial)
+                assert screen.admit(_row_mask(rows)) == clean
+                outcomes[clean] += 1
+                if clean:
+                    placed.append(rows)
+            assert screen.placed == [_row_mask(c) for c in placed]
+        assert min(outcomes.values()) > 50
 
     def test_screened_code_is_clean(self, paper_outer):
         assert not has_codeword_of_weight_le4(paper_outer.H)
