@@ -74,6 +74,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_design_interleaver(args) -> int:
     outer = load_code(args.outer)
     inner = load_code(args.inner)
+    if (outer.N, outer.K) != (inner.N, inner.K):
+        raise ConfigError(
+            f"outer code is [{outer.N},{outer.K}] but inner code is "
+            f"[{inner.N},{inner.K}]; component codes must share (N, K)"
+        )
     pi0 = random_permutation(outer.K, outer.N, args.seed)
     hist_row = sensitivity_histogram(outer.H)
     hist_col = sensitivity_histogram(inner.H)

@@ -145,51 +145,64 @@ def count_bad_mappings(perm: BlockPermutation, sets: SensitiveSets) -> BadMappin
     return BadMappings(len(bad), list(zip(rows.tolist(), cols.tolist())))
 
 
+def _landing_table(perm0: BlockPermutation) -> np.ndarray:
+    """(N, K) counts: entry (c, r) is the number of source positions in
+    column c whose image lies in row r."""
+    k, n = perm0.K, perm0.N
+    key = np.tile(np.arange(n) * k, k) + perm0.forward // n
+    return np.bincount(key, minlength=n * k).reshape(n, k)
+
+
 class _Repair(NamedTuple):
-    """One level's repair, planned but not applied: its sets, the two
-    per-position sensitivity masks and the pool index of every partner."""
+    """One level's repair, planned but not applied: its sets and the pool
+    index of every partner."""
 
     sets: SensitiveSets
-    src_sensitive: np.ndarray
-    lands_sensitive: np.ndarray
     draws: np.ndarray
 
 
 def _plan_repair(
-    perm0: BlockPermutation,
+    table: np.ndarray,
     sets: SensitiveSets,
     rng: np.random.Generator,
 ) -> _Repair:
-    """Decide one level's repair: the counting bound, then the level's one
-    draw call.  Raises InterleaverInfeasible, with the generator untouched,
-    when the bound fails; once it holds, the partner pool starts with
+    """Decide one level's repair from the permutation's landing table: the
+    counting bound, then the level's one draw call.  Raises
+    InterleaverInfeasible, with the generator untouched, when the bound
+    fails; once it holds, the partner pool starts with
     supply - demand + offenders >= offenders positions, so every offender
-    gets one."""
-    k, n = perm0.K, perm0.N
-    sets.validate_for(k, n)
+    gets one.
 
-    demand = k * len(sets.row_code_nodes)
-    supply = (k - len(sets.col_code_nodes)) * n
+    Offenders sit in a sensitive column and land in a sensitive row; the
+    pool is every position outside both, K*N - K*|C| - N*|R| + offenders
+    by inclusion-exclusion.
+    """
+    n, k = table.shape
+    sets.validate_for(k, n)
+    cols, rows = sets.row_code_nodes, sets.col_code_nodes
+
+    demand = k * len(cols)
+    supply = (k - len(rows)) * n
     if demand > supply:
         raise InterleaverInfeasible(
             "counting_bound",
             f"{demand} sensitive-column positions cannot all avoid "
-            f"{len(sets.col_code_nodes)} sensitive rows ({supply} safe slots)",
+            f"{len(rows)} sensitive rows ({supply} safe slots)",
         )
 
-    src_sensitive, row_sensitive = _sensitivity_tables(sets, k, n)
-    lands_sensitive = row_sensitive[perm0.forward // n]
-    offenders = np.count_nonzero(src_sensitive & lands_sensitive)
-    pool = np.count_nonzero(~(src_sensitive | lands_sensitive))
+    offenders = int(table[list(cols)][:, list(rows)].sum())
+    pool = k * n - demand - n * len(rows) + offenders
     # descending bounds draw what one scalar call per swap would
     draws = rng.integers(0, np.arange(pool, pool - offenders, -1))
-    return _Repair(sets, src_sensitive, lands_sensitive, draws)
+    return _Repair(sets, draws)
 
 
 def _apply_repair(perm0: BlockPermutation, repair: _Repair, design_t: int) -> BlockPermutation:
     """Pop each offender's partner from the ascending pool and swap the
     images of all pairs at once; the swaps are disjoint."""
-    sets, src_sensitive, lands_sensitive, draws = repair
+    sets, draws = repair
+    src_sensitive, row_sensitive = _sensitivity_tables(sets, perm0.K, perm0.N)
+    lands_sensitive = row_sensitive[perm0.forward // perm0.N]
     fwd = np.array(perm0.forward)
     offenders = np.flatnonzero(src_sensitive & lands_sensitive)
     legal = np.flatnonzero(~(src_sensitive | lands_sensitive)).tolist()
@@ -217,7 +230,8 @@ def design(
     swaps apply at once.  Raises InterleaverInfeasible when the counting
     bound fails.
     """
-    return _apply_repair(perm0, _plan_repair(perm0, sets, rng), perm0.design_t)
+    repair = _plan_repair(_landing_table(perm0), sets, rng)
+    return _apply_repair(perm0, repair, perm0.design_t)
 
 
 def escalate_design(
@@ -233,13 +247,21 @@ def escalate_design(
     against them; the last feasible level's result is returned with t in its
     metadata, falling back to ``perm0`` when the first level already fails.
     Each level repairs ``perm0`` and feasibility is settled before its draw,
-    so every level is planned, making the same generator calls in the same
-    order as ``design`` at each level would, and only the last plan is
-    applied.
+    so every level is planned from one landing table, making the same
+    generator calls in the same order as ``design`` at each level would, and
+    only the last plan is applied.  Both histograms must have one entry per
+    column of the block.
     """
     k, n = perm0.K, perm0.N
+    for name, hist in (("row-code", hist_row), ("column-code", hist_col)):
+        if len(hist) != n:
+            raise ValueError(
+                f"{name} histogram has {len(hist)} entries; the {k} x {n} "
+                f"permutation needs {n}"
+            )
     row_ranked = select_sensitive(hist_row, len(hist_row))
     col_ranked = select_sensitive(hist_col[:k], k)
+    table = _landing_table(perm0)
     best, best_t = None, 0
     for t in range(1, max(n, k) + 1):
         sets = SensitiveSets(
@@ -247,7 +269,7 @@ def escalate_design(
             col_code_nodes=frozenset(col_ranked[:t]),
         )
         try:
-            best, best_t = _plan_repair(perm0, sets, rng), t
+            best, best_t = _plan_repair(table, sets, rng), t
         except InterleaverInfeasible:
             break
     return perm0 if best is None else _apply_repair(perm0, best, best_t)

@@ -37,6 +37,43 @@ def is_stopping_set(h: SparseBinaryMatrix, members) -> bool:
     return not np.any(touched == 1)
 
 
+def _check_masks(h: SparseBinaryMatrix) -> list[int]:
+    """Per variable, its checks as a bitmask (bit c set for check c)."""
+    return [sum(1 << c for c in checks) for checks in h.col_support]
+
+
+def _detect(h: SparseBinaryMatrix, masks: list[int], start: int) -> frozenset[int]:
+    """:func:`detect_from` on precomputed check masks.
+
+    ``zero`` holds the checks the set touches zero times and ``one`` those
+    it touches exactly once; a check leaves ``zero`` for ``one`` on its
+    first edge and leaves ``one`` on its second, so one mask update per
+    added variable keeps both exact.
+    """
+    c2v = h.row_support
+    zero = ((1 << h.n_rows) - 1) & ~masks[start]
+    one = masks[start]
+    members = {start}
+    while one:
+        target = (one & -one).bit_length() - 1  # lowest deficient check
+        best, best_score = -1, h.n_rows + 1
+        for u in c2v[target]:  # ascending, so a strict < keeps the lowest
+            if u in members:
+                continue
+            score = (masks[u] & zero).bit_count()
+            if score < best_score:
+                best, best_score = u, score
+                if not score:
+                    break
+        if best < 0:
+            break  # degree-1 check: no superset can ever cover it twice
+        members.add(best)
+        mask = masks[best]
+        one = (one & ~mask) | (mask & zero)
+        zero &= ~mask
+    return frozenset(members)
+
+
 def detect_from(h: SparseBinaryMatrix, start: int) -> frozenset[int]:
     """Greedy expansion of a stopping set containing ``start``.
 
@@ -53,31 +90,7 @@ def detect_from(h: SparseBinaryMatrix, start: int) -> frozenset[int]:
     """
     if not 0 <= start < h.n_cols:
         raise ValueError(f"start variable {start} out of range")
-
-    v2c = h.col_support
-    c2v = h.row_support
-    counts = [0] * h.n_rows  # edges from the set into each check
-    members = {start}
-    for c in v2c[start]:
-        counts[c] += 1
-
-    while True:
-        try:
-            target = counts.index(1)
-        except ValueError:
-            break  # no deficient check: a stopping set
-        candidates = [u for u in c2v[target] if u not in members]
-        if not candidates:
-            break  # degree-1 check: no superset can ever cover it twice
-        best = min(
-            candidates,
-            key=lambda u: ([counts[c] for c in v2c[u]].count(0), u),
-        )
-        members.add(best)
-        for c in v2c[best]:
-            counts[c] += 1
-
-    return frozenset(members)
+    return _detect(h, _check_masks(h), start)
 
 
 def sensitivity_histogram(h: SparseBinaryMatrix) -> np.ndarray:
@@ -86,9 +99,10 @@ def sensitivity_histogram(h: SparseBinaryMatrix) -> np.ndarray:
     One deterministic detection run per start node; counts[u] is the number
     of start nodes whose detected set contains u, bounded by the n_cols runs.
     """
+    masks = _check_masks(h)
     counts = [0] * h.n_cols
     for start in range(h.n_cols):
-        for u in detect_from(h, start):
+        for u in _detect(h, masks, start):
             counts[u] += 1
     return np.array(counts, dtype=np.int64)
 

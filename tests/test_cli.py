@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import concat_ira as ci
+from concat_ira import cli
 from concat_ira.cli import main
 
 
@@ -133,6 +134,41 @@ class TestDesignInterleaver:
         )
         ci.save_permutation(expected, tmp_path / "expected.perm")
         assert out.read_bytes() == (tmp_path / "expected.perm").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(10, 15), (8, 13)], ids=["k10-n15", "k8-n13"])
+    @pytest.mark.parametrize("small_is", ["outer", "inner"])
+    def test_codes_of_different_shape_give_one_error_line(
+        self, workspace, tmp_path, capsys, monkeypatch, shape, small_is
+    ):
+        k, n = shape
+        assert run_cli(
+            "construct", "--k", k, "--n", n, "--check-degree", 8,
+            "--eta", 0, "--d-ace", 2, "--no-distance-screen",
+            "--seed", 3, "--out", tmp_path / "other",
+        ) == 0
+        capsys.readouterr()
+
+        def no_histogram(h):
+            raise AssertionError("a histogram was built")
+
+        monkeypatch.setattr(cli, "sensitivity_histogram", no_histogram)
+        codes = {"outer": workspace / "outer", "inner": tmp_path / "other"}
+        if small_is == "inner":
+            codes = {"outer": tmp_path / "other", "inner": workspace / "outer"}
+        out = tmp_path / "pi.perm"
+        rc = run_cli(
+            "design-interleaver", "--outer", codes["outer"], "--inner", codes["inner"],
+            "--seed", 5, "--out", out,
+        )
+        assert rc == 1
+        shapes = {"outer": "[12,8]", "inner": f"[{n},{k}]"}
+        if small_is == "inner":
+            shapes = {"outer": f"[{n},{k}]", "inner": "[12,8]"}
+        assert capsys.readouterr().err == (
+            f"error: outer code is {shapes['outer']} but inner code is "
+            f"{shapes['inner']}; component codes must share (N, K)\n"
+        )
+        assert not out.exists()
 
 
 class TestSimulate:

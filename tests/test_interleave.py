@@ -217,6 +217,18 @@ class TestEscalateDesign:
         assert out.sets is not None
         assert ci.count_bad_mappings(out, out.sets).count == 0
 
+    @pytest.mark.parametrize("which", ["row", "col"])
+    @pytest.mark.parametrize("length", [20, 182])
+    def test_histogram_of_wrong_length_refused(self, which, length):
+        perm0 = ci.random_permutation(128, 181, 7)
+        good, bad = np.ones(181, dtype=np.int64), np.ones(length, dtype=np.int64)
+        hists = (bad, good) if which == "row" else (good, bad)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=rf"has {length} entries.* needs 181"):
+            ci.escalate_design(*hists, perm0, rng)
+        assert rng.bit_generator.state == before
+
     def test_zero_histograms_still_return_a_permutation(self):
         k, n = 4, 6
         hist = np.zeros(n, dtype=np.int64)
@@ -378,6 +390,21 @@ class TestEscalateMatchesReference:
         )
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_shapes_and_histograms(self, seed):
+        """Small blocks of either orientation with tied histogram counts."""
+        rng = np.random.default_rng(100 + seed)
+        k, n = (int(x) for x in rng.integers(1, 9, size=2))
+        hist_row = rng.integers(0, 4, size=n)
+        hist_col = rng.integers(0, 4, size=n)
+        perm0 = ci.random_permutation(k, n, seed)
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ci.escalate_design(hist_row, hist_col, perm0, got_rng)
+        want = reference_escalate(hist_row, hist_col, perm0, ref_rng)
+        assert np.array_equal(got.forward, want.forward)
+        assert (got.repairs, got.sets, got.design_t) == (want.repairs, want.sets, want.design_t)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_level_one_infeasible_returns_perm0(self):
         # K = 1: one sensitive row leaves no safe slot for the sensitive column
         hist = np.arange(5, 0, -1)
@@ -388,6 +415,36 @@ class TestEscalateMatchesReference:
             before = rng.bit_generator.state
             assert escalate(hist, hist, perm0, rng) is perm0
             assert rng.bit_generator.state == before
+
+
+class TestLandingTable:
+    """Every level is planned from one (N, K) table of source positions by
+    source column and image row; its sums must be the mask counts."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_offenders_and_pool_match_the_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        k, n = 9, 13
+        perm0 = ci.random_permutation(k, n, seed)
+        table = interleave._landing_table(perm0)
+        assert table.shape == (n, k) and table.sum() == k * n
+        assert table.sum(axis=1).tolist() == [k] * n  # each column holds k sources
+        assert table.sum(axis=0).tolist() == [n] * k  # each row takes n images
+        for t in range(5):
+            sets = ci.SensitiveSets(
+                frozenset(rng.choice(n, size=t, replace=False).tolist()),
+                frozenset(rng.choice(k, size=t, replace=False).tolist()),
+            )
+            src, rows = interleave._sensitivity_tables(sets, k, n)
+            lands = rows[perm0.forward // n]
+            offenders = np.count_nonzero(src & lands)
+            pool = np.count_nonzero(~(src | lands))
+            plan_rng, mask_rng = np.random.default_rng(t), np.random.default_rng(t)
+            plan = interleave._plan_repair(table, sets, plan_rng)
+            want = mask_rng.integers(0, np.arange(pool, pool - offenders, -1))
+            assert offenders == ci.count_bad_mappings(perm0, sets).count
+            assert plan.draws.tolist() == want.tolist()
+            assert plan_rng.bit_generator.state == mask_rng.bit_generator.state
 
 
 class TestDesignMatchesReference:
@@ -447,9 +504,9 @@ class TestDesignMatchesReference:
         calls = []
         plan_repair = interleave._plan_repair
 
-        def recording_plan(perm, sets, rng):
+        def recording_plan(table, sets, rng):
             calls.append((sets, rng.bit_generator.state))
-            return plan_repair(perm, sets, rng)
+            return plan_repair(table, sets, rng)
 
         monkeypatch.setattr(interleave, "_plan_repair", recording_plan)
         rng = np.random.default_rng(7)

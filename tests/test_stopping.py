@@ -78,8 +78,9 @@ class TestDetectFrom:
 
 
 class TestDetectFromMatchesReference:
-    """`detect_from` keeps its check counts in a list; the reference rescans
-    a NumPy array for deficient checks at every step."""
+    """`detect_from` keeps two check bitmasks, the checks the set touches
+    zero times and exactly once; the reference rescans a NumPy array of
+    check counts for deficient checks at every step."""
 
     @staticmethod
     def assert_every_start(h):
@@ -101,6 +102,38 @@ class TestDetectFromMatchesReference:
         # from start 2 the expansion ends at check 0, which sees only var 0
         m = ci.SparseBinaryMatrix.from_rows(3, 3, [(0,), (0, 1), (1, 2)])
         self.assert_every_start(m)
+
+    def test_score_ties_go_to_the_lower_index(self):
+        # three variables on the same two checks: from any start both other
+        # variables score 0, and the lower one closes the set
+        m = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1, 2), (0, 1, 2)])
+        assert [ci.detect_from(m, s) for s in range(3)] == [{0, 1}, {0, 1}, {0, 2}]
+        assert ci.sensitivity_histogram(m).tolist() == [3, 2, 1]
+        self.assert_every_start(m)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_small_graphs(self, seed):
+        """Random checks of degree 1 to 4, so that degree-1 checks, isolated
+        variables and tied scores all occur."""
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols = (int(x) for x in rng.integers(1, 12, size=2))
+        rows = [
+            rng.choice(n_cols, size=min(n_cols, int(rng.integers(1, 5))), replace=False)
+            for _ in range(n_rows)
+        ]
+        m = ci.SparseBinaryMatrix.from_rows(n_rows, n_cols, rows)
+        self.assert_every_start(m)
+        want = np.zeros(n_cols, dtype=np.int64)
+        for start in range(n_cols):
+            want[sorted(reference_detect_from(m, start))] += 1
+        assert ci.sensitivity_histogram(m).tolist() == want.tolist()
+
+    def test_histogram_is_the_per_start_sum_on_paper_code(self, paper_outer):
+        h = paper_outer.H
+        want = np.zeros(h.n_cols, dtype=np.int64)
+        for start in range(h.n_cols):
+            want[sorted(reference_detect_from(h, start))] += 1
+        assert ci.sensitivity_histogram(h).tolist() == want.tolist()
 
 
 class TestSensitivityHistogram:
