@@ -39,13 +39,12 @@ from .channel import (
     awgn,
     channel_llr,
     ebno_sigma,
-    gaussian_q,
     modulate,
     random_bits,
     trial_generators,
 )
 from .concat import ConcatCode, ConcatDecodeResult, Schedule, concat_decode, concat_encode
-from .bench import CurvePoint, SimConfig, StopRule, run_curve
+from .bench import CurvePoint, SimConfig, StopRule, gaussian_q, run_curve
 
 __version__ = "0.1.0"
 

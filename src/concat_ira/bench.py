@@ -23,7 +23,7 @@ import numpy as np
 
 from . import spa
 from .channel import (
-    RngStream, awgn, channel_llr, ebno_sigma, gaussian_q, modulate, random_bits, trial_generators,
+    RngStream, awgn, channel_llr, ebno_sigma, modulate, random_bits, trial_generators,
 )
 from .concat import ConcatCode, Schedule, concat_decode, concat_encode
 from .interleave import load_permutation
@@ -43,6 +43,7 @@ __all__ = [
     "format_row",
     "read_curve",
     "run_curve",
+    "gaussian_q",
     "two_proportion_z",
 ]
 
@@ -433,6 +434,11 @@ def _parse_row(row: str) -> tuple[CurvePoint, int]:
         wall_seconds=0.0,
     )
     return point, int(parts[8])
+
+
+def gaussian_q(x: float) -> float:
+    """Upper-tail probability of the standard normal."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def two_proportion_z(errors_a: int, n_a: int, errors_b: int, n_b: int) -> tuple[float, float]:

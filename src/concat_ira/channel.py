@@ -21,7 +21,6 @@ __all__ = [
     "modulate",
     "awgn",
     "channel_llr",
-    "gaussian_q",
 ]
 
 
@@ -178,8 +177,3 @@ def channel_llr(y, sigma: float) -> np.ndarray:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
-
-
-def gaussian_q(x: float) -> float:
-    """Upper-tail probability of the standard normal."""
-    return 0.5 * math.erfc(x / math.sqrt(2.0))

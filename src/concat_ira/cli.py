@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .interleave import (
     random_permutation,
     save_permutation,
 )
-from .ira import AceParams, build_code, load_code, save_code
+from .ira import build_code, load_code, save_code
 from .stopping import save_histogram, sensitivity_histogram, select_sensitive
 
 CONFIG_DIR_ENV = "CONCAT_IRA_CONFIG_DIR"
@@ -37,12 +36,7 @@ def _version_string() -> str:
 
 
 def _cmd_construct(args) -> int:
-    ace = AceParams(d_ace=args.d_ace, eta=args.eta, max_resample=args.max_resample)
-    code = build_code(
-        args.k, args.n, check_degree=args.check_degree, ace=ace,
-        seed=args.seed, max_restarts=args.max_restarts,
-        screen_low_weight=not args.no_distance_screen,
-    )
+    code = build_code(args.k, args.n, seed=args.seed)
     alist_path, sidecar_path = save_code(code, args.out)
     print(f"wrote {alist_path} and {sidecar_path}")
     return 0
@@ -121,25 +115,6 @@ def _resolve_config_path(raw: str) -> Path:
 def _cmd_simulate(args) -> int:
     path = _resolve_config_path(args.config)
     config = SimConfig.from_json(path.read_text(encoding="utf-8"))
-    overrides = {}
-    if args.ebno is not None:
-        overrides["ebno_db"] = tuple(float(x) for x in args.ebno.split(","))
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.out is not None:
-        overrides["output"] = args.out
-    # an explicit 0 must reach StopRule, which refuses it
-    stop = {}
-    if args.min_block_errors is not None:
-        stop["min_block_errors"] = args.min_block_errors
-    if args.max_blocks is not None:
-        stop["max_blocks"] = args.max_blocks
-    if stop:
-        overrides["stop"] = replace(config.stop, **stop)
-    if overrides:
-        config = replace(config, **overrides)
     points = run_curve(config)
     for p in points:
         print(
@@ -174,19 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=_version_string())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build a component code and write its files")
+    p = sub.add_parser("construct", help="build a default-construction code and write its files")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--check-degree", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--d-ace", type=int, default=AceParams().d_ace)
-    p.add_argument("--eta", type=int, default=AceParams().eta)
-    p.add_argument("--max-resample", type=int, default=AceParams().max_resample)
-    p.add_argument("--max-restarts", type=int, default=256)
-    p.add_argument(
-        "--no-distance-screen", action="store_true",
-        help="skip the weight<=4 codeword screen (needed for tiny dense codes)",
-    )
     p.add_argument("--out", required=True, help="output prefix for .alist/.sidecar")
     p.set_defaults(func=_cmd_construct)
 
@@ -204,12 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a BER/FER curve from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--ebno", help="override: comma-separated Eb/N0 dB list")
-    p.add_argument("--seed", type=int, help="override master_seed")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out", help="override output CSV path")
-    p.add_argument("--min-block-errors", type=int)
-    p.add_argument("--max-blocks", type=int)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("report", help="merge curve CSVs into one labeled table")

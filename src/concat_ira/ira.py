@@ -318,7 +318,7 @@ def build_h1(
         raise ValueError(f"seed must be >= 0, got {seed}")
     spec.validate_edge_budget(k, m)
     order = sorted(range(k), key=lambda j: (-spec.h1_column_degrees[j], j))
-    h2_cols = [[j, j + 1] for j in range(m - 1)] + [[m - 1]]
+    h2_cols = list(build_h2(m).col_support)
 
     last_blocker = "ACE resample budget exhausted"
     for restart in range(max_restarts):
@@ -434,7 +434,6 @@ def build_code(
     k: int,
     n: int,
     check_degree: int = DEFAULT_CHECK_DEGREE,
-    spec: DegreeSpec | None = None,
     ace: AceParams = AceParams(),
     seed: int = 0,
     max_restarts: int = 256,
@@ -445,10 +444,7 @@ def build_code(
     if n <= k:
         raise ValueError("N must exceed K")
     m = n - k
-    if spec is None:
-        spec = default_degree_spec(k, m, check_degree)
-    elif spec.check_degree_target != check_degree:
-        raise ValueError("degree spec disagrees with requested check degree")
+    spec = default_degree_spec(k, m, check_degree)
     h1 = build_h1(
         k, m, spec, ace, seed,
         max_restarts=max_restarts, screen_low_weight=screen_low_weight,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import concat_ira as ci
 from concat_ira import cli
 from concat_ira.cli import main
+from conftest import build_toy
 
 
 def run_cli(*argv) -> int:
@@ -17,53 +19,66 @@ def run_cli(*argv) -> int:
 
 
 @pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    """Construct toy code files once via the CLI itself."""
+def workspace(tmp_path_factory, toy_outer, toy_inner):
+    """Toy code files for the commands that read codes."""
     root = tmp_path_factory.mktemp("cli")
-    for name, seed in (("outer", 11), ("inner", 12)):
-        rc = run_cli(
-            "construct", "--k", 8, "--n", 12, "--check-degree", 8,
-            "--eta", 0, "--d-ace", 2, "--no-distance-screen",
-            "--seed", seed, "--out", root / name,
-        )
-        assert rc == 0
+    ci.save_code(toy_outer, root / "outer")
+    ci.save_code(toy_inner, root / "inner")
     return root
 
 
+@pytest.fixture(scope="module")
+def constructed(tmp_path_factory):
+    """The seed-1 [181,128] code, written once by the CLI itself."""
+    prefix = tmp_path_factory.mktemp("construct") / "code"
+    assert run_cli("construct", "--k", 128, "--n", 181, "--seed", 1, "--out", prefix) == 0
+    return prefix
+
+
 class TestConstruct:
-    def test_writes_both_files(self, workspace):
-        assert (workspace / "outer.alist").exists()
-        assert (workspace / "outer.sidecar").exists()
+    def test_writes_both_files(self, constructed):
+        assert constructed.with_suffix(".alist").exists()
+        assert constructed.with_suffix(".sidecar").exists()
 
-    def test_rerun_is_byte_identical(self, workspace, tmp_path):
-        for out in (tmp_path / "a", tmp_path / "b"):
-            assert run_cli(
-                "construct", "--k", 8, "--n", 12, "--check-degree", 8,
-                "--eta", 0, "--d-ace", 2, "--no-distance-screen",
-                "--seed", 11, "--out", out,
-            ) == 0
-        assert (tmp_path / "a.alist").read_bytes() == (tmp_path / "b.alist").read_bytes()
-        assert (tmp_path / "a.sidecar").read_bytes() == (tmp_path / "b.sidecar").read_bytes()
+    @pytest.mark.parametrize("seed, alist, sidecar", [
+        (1, "44c29fc869896f4311ab2bf13463ab2b2b97c9a70bad3189e4267e24131e19ef",
+         "674cdb326349d3a548ded9dd9a0fe04ed1d5df8eb6756d6e90aa55e2b73f3940"),
+        (2, "44c29fc869896f4311ab2bf13463ab2b2b97c9a70bad3189e4267e24131e19ef",
+         "be46c4ccb87ea52b4e0aa7985ea7db473b5ea97be9d52d32e61a5695399a03f8"),
+    ], ids=["seed-1", "seed-2"])
+    def test_paper_code_files_are_pinned(self, tmp_path, seed, alist, sidecar):
+        assert run_cli(
+            "construct", "--k", 128, "--n", 181, "--seed", seed, "--out", tmp_path / "code"
+        ) == 0
+        digests = [
+            hashlib.sha256((tmp_path / f"code{suffix}").read_bytes()).hexdigest()
+            for suffix in (".alist", ".sidecar")
+        ]
+        assert digests == [alist, sidecar]
 
-    def test_loadable_and_valid(self, workspace):
-        code = ci.load_code(workspace / "outer")
+    def test_rerun_is_byte_identical(self, constructed, tmp_path):
+        assert run_cli(
+            "construct", "--k", 128, "--n", 181, "--seed", 1, "--out", tmp_path / "again"
+        ) == 0
+        for suffix in (".alist", ".sidecar"):
+            again = (tmp_path / f"again{suffix}").read_bytes()
+            assert again == constructed.with_suffix(suffix).read_bytes()
+
+    def test_loadable_and_valid(self, constructed, paper_outer):
+        code = ci.load_code(constructed)
         ci.validate_code(code)
+        assert code.H == paper_outer.H
 
     def test_infeasible_parameters_fail_cleanly(self, tmp_path, capsys):
-        rc = run_cli(
-            "construct", "--k", 8, "--n", 12, "--check-degree", 8,
-            "--eta", 1000000, "--max-resample", 4, "--max-restarts", 2,
-            "--no-distance-screen", "--seed", 0, "--out", tmp_path / "bad",
-        )
+        rc = run_cli("construct", "--k", 128, "--n", 128, "--out", tmp_path / "bad")
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == "error: N must exceed K\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--max-restarts", 0, "max_restarts must be >= 1, got 0"),
-         ("--seed", -1, "seed must be >= 0, got -1")],
-        ids=["max-restarts-0", "seed-negative"],
+        [("--seed", -1, "seed must be >= 0, got -1")],
+        ids=["seed-negative"],
     )
     def test_bad_restart_arguments_give_one_error_line(
         self, tmp_path, capsys, monkeypatch, flag, value, message
@@ -141,12 +156,7 @@ class TestDesignInterleaver:
         self, workspace, tmp_path, capsys, monkeypatch, shape, small_is
     ):
         k, n = shape
-        assert run_cli(
-            "construct", "--k", k, "--n", n, "--check-degree", 8,
-            "--eta", 0, "--d-ace", 2, "--no-distance-screen",
-            "--seed", 3, "--out", tmp_path / "other",
-        ) == 0
-        capsys.readouterr()
+        ci.save_code(build_toy(3, k, n), tmp_path / "other")
 
         def no_histogram(h):
             raise AssertionError("a histogram was built")
@@ -199,44 +209,29 @@ class TestSimulate:
         assert lines[0].startswith("ebno_db,")
         assert len(lines) == 2
 
-    def test_overrides_apply(self, workspace, tmp_path):
-        config_path, out = self.make_config(workspace, tmp_path)
-        other = tmp_path / "other.csv"
-        rc = run_cli(
-            "simulate", "--config", config_path, "--ebno", "2.0,3.0",
-            "--out", other, "--max-blocks", 30,
-        )
-        assert rc == 0
-        assert len(other.read_text().strip().split("\n")) == 3
-
-    @pytest.mark.parametrize("flag", ["--min-block-errors", "--max-blocks"])
-    def test_zero_stop_override_gives_one_error_line(self, workspace, tmp_path, capsys, flag):
-        # 0 is refused, not replaced by the config's value
-        config_path, out = self.make_config(workspace, tmp_path)
-        assert run_cli("simulate", "--config", config_path, flag, 0) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    @pytest.mark.parametrize("key", ["min_block_errors", "max_blocks"])
+    def test_zero_stop_value_gives_one_error_line(self, workspace, tmp_path, capsys, key):
+        config_path, out = self.make_config(workspace, tmp_path, **{key: 0})
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == "error: stop rule bounds must be >= 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("system", ["concat", "single"])
-    @pytest.mark.parametrize("where", ["config", "--seed"])
-    def test_negative_seed_gives_one_error_line(self, workspace, tmp_path, capsys, system, where):
+    def test_negative_seed_gives_one_error_line(self, workspace, tmp_path, capsys, system):
         extra = {"system": "single", "code": str(workspace / "outer")} if system == "single" else {}
-        if where == "config":
-            config_path, out = self.make_config(workspace, tmp_path, master_seed=-1, **extra)
-            assert run_cli("simulate", "--config", config_path) == 1
-        else:
-            config_path, out = self.make_config(workspace, tmp_path, **extra)
-            assert run_cli("simulate", "--config", config_path, "--seed=-1") == 1
+        config_path, out = self.make_config(workspace, tmp_path, master_seed=-1, **extra)
+        assert run_cli("simulate", "--config", config_path) == 1
         assert capsys.readouterr().err == "error: master_seed must be >= 0, not -1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("ebno", [["--ebno", "nan"], ["--ebno=-inf"]], ids=["nan", "-inf"])
-    def test_non_finite_ebno_override_gives_one_error_line(self, workspace, tmp_path, capsys, ebno):
-        config_path, out = self.make_config(workspace, tmp_path)
-        assert run_cli("simulate", "--config", config_path, *ebno) == 1
+    @pytest.mark.parametrize("ebno", ["NaN", "-Infinity"])
+    def test_non_finite_ebno_gives_one_error_line(self, workspace, tmp_path, capsys, ebno):
+        # json.dumps writes these words and json.loads reads them back as floats
+        config_path, out = self.make_config(workspace, tmp_path, ebno_db=[float(ebno)])
+        assert ebno in config_path.read_text()
+        assert run_cli("simulate", "--config", config_path) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ebno_db must be finite") and err.count("\n") == 1
         assert not out.exists()
 
     def test_overflowing_ebno_gives_one_error_line(self, workspace, tmp_path, capsys):
@@ -389,6 +384,19 @@ class TestCliContract:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "concat-ira 0.1.0" in out and "alist 1" in out
+
+    @pytest.mark.parametrize("command, options", [
+        ("construct", ["--help", "--k", "--n", "--out", "--seed"]),
+        ("analyze", ["--code", "--help", "--out"]),
+        ("design-interleaver", ["--help", "--inner", "--out", "--outer", "--seed"]),
+        ("simulate", ["--config", "--help"]),
+        ("report", ["--help", "--out"]),
+    ])
+    def test_help_lists_exactly_the_options(self, capsys, command, options):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--help")
+        assert exc.value.code == 0
+        assert sorted(set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))) == options
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
