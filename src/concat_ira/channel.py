@@ -146,7 +146,11 @@ class RngStream:
     stream_index: int
 
     def generator(self) -> np.random.Generator:
-        return trial_generators(self.master_seed, self.stream_index, self.stream_index + 1)[0]
+        """PCG64 seeded by SeedSequence((master_seed, stream_index)), as
+        trial_generators seeds trial stream_index, built by NumPy itself,
+        which is cheaper for one generator than the vectorised port."""
+        seed = np.random.SeedSequence((self.master_seed, self.stream_index))
+        return np.random.Generator(np.random.PCG64(seed))
 
 
 def modulate(bits) -> np.ndarray:

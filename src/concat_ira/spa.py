@@ -16,16 +16,31 @@ There is no clamp before ``tanh``: NumPy's float64 ``tanh`` is exactly +-1.0
 for |x| >= 19.1 and at +-inf, so a +-50 clamp (+-25 at half scale) changes
 no output.
 
-The working arrays come in two pairs of equal buffers, channel terms with
-posteriors and variable-to-check with check-to-variable messages.  When rows
-stop, the kept columns of the state move into the other buffer of each pair,
-whose array is dead at that point, and the two swap roles.
+The iteration is batch-first: each codeword's values are one lane of a
+tile of four codewords, its edges numbered check by check.  NumPy computes
+every ``tanh`` and ``arctanh``, elementwise over the working tiles;
+``_spa_kernel.c``, loaded with ctypes, does the rest in two calls per
+iteration: the check products, then the variable update with the syndromes
+and the row stops.  The C code rounds each operation once per lane in the
+order of the NumPy kernel it replaced, so outputs are bit-identical to it.
+It is built once per source, flags, compiler and host CPU by the system C
+compiler, into ``__pycache__`` next to this module; a build that fails makes
+every decode raise RuntimeError.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import platform
+import shlex
+import shutil
+import subprocess
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +53,11 @@ __all__ = [
     "decode_batch",
 ]
 
-_ATANH_GUARD = 1.0 - 1e-12  # keeps products away from +-1 before arctanh
+_SOURCE = Path(__file__).with_name("_spa_kernel.c")
+_CACHE_DIR = Path(__file__).with_name("__pycache__")
+_CC = "cc"
+# -ffp-contract=off: no fused multiply-add, so each operation rounds as NumPy's does
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 @dataclass(frozen=True)
@@ -61,106 +80,150 @@ class BatchDecodeResult:
     valid: np.ndarray  # (B,) bool
 
 
-class _Workspace:
-    """Grow-only working storage of one compiled graph.
+def _host_cpu() -> str:
+    """The first processor's vendor, model and feature flags, which decide
+    what -march=native builds."""
+    try:
+        first = Path("/proc/cpuinfo").read_text().split("\n\n", 1)[0]
+    except OSError:
+        return platform.machine() + platform.processor()
+    return "\n".join(
+        line for line in first.splitlines() if line.startswith(("vendor_id", "model name", "flags"))
+    )
 
-    Each buffer is a flat storage of ``rows * capacity`` elements, viewed as
-    a contiguous ``(rows, b)`` array at the current active width ``b``, so
-    neither an iteration nor a row stop allocates a working array.  ``lam``
-    and ``msg_vc``, the only state carried between iterations, each share a
-    pair of buffers with an array that is dead at a row stop: ``lam`` with
-    ``post`` (``var0``/``var1``) and ``msg_vc`` with ``msg_cv``
-    (``slot0``/``slot1``).  A compaction copies the kept columns of ``lam``
-    into the storage of ``post`` and those of ``msg_vc`` into the storage of
-    ``msg_cv``, and each pair swaps roles.
+
+def _build() -> Path:
+    """The kernel library for this source, flags, compiler and host CPU:
+    the cached file, or a new build renamed into the cache once complete,
+    so concurrent builds never load a partial file."""
+    compiler = shutil.which(_CC)
+    if compiler is None:
+        raise RuntimeError(f"cannot build the SPA kernel: C compiler {_CC!r} not found")
+    stat = os.stat(compiler)
+    key = hashlib.sha256(repr((
+        _SOURCE.read_bytes(), _CFLAGS, os.path.realpath(compiler), stat.st_size,
+        stat.st_mtime_ns, _host_cpu(),
+    )).encode()).hexdigest()[:16]
+    target = _CACHE_DIR / f"_spa_kernel.{key}.so"
+    if target.exists():
+        return target
+    _CACHE_DIR.mkdir(parents=True, exist_ok=True)
+    fd, partial = tempfile.mkstemp(prefix="_spa_kernel.", suffix=".so.tmp", dir=_CACHE_DIR)
+    os.close(fd)
+    command = [compiler, *_CFLAGS, "-o", partial, str(_SOURCE)]
+    try:
+        done = subprocess.run(command, capture_output=True, text=True)
+        if done.returncode:
+            first = next(iter(done.stderr.strip().splitlines()), f"exit status {done.returncode}")
+            raise RuntimeError(f"building the SPA kernel failed: {shlex.join(command)}: {first}")
+        os.replace(partial, target)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+    return target
+
+
+class _GraphArgs(ctypes.Structure):
+    """spa_graph of _spa_kernel.c: the graph's index arrays, the working
+    rows and one call's outputs, as raw pointers."""
+
+    _fields_ = [
+        ("n_checks", ctypes.c_int64),
+        ("n_vars", ctypes.c_int64),
+        ("n_edges", ctypes.c_int64),
+        ("var_deg", ctypes.c_int64),
+        *((name, ctypes.c_void_p) for name in (
+            "check_ptr", "edge_var", "var_ptr", "var_edge", "lam", "msg", "cv", "ext", "post",
+            "active", "stopped", "extrinsic", "iterations", "valid",
+        )),
+    ]
+
+
+_ARGS = ctypes.POINTER(_GraphArgs)
+_LIB: ctypes.CDLL | str | None = None  # the loaded kernel, or why it could not be built
+
+
+def _kernel() -> ctypes.CDLL:
+    """The kernel library, built on first use.  A failed build raises
+    RuntimeError then and on every later use, without building again."""
+    global _LIB
+    if _LIB is None:
+        try:
+            lib = ctypes.CDLL(str(_build()))
+        except RuntimeError as exc:
+            _LIB = str(exc)
+        except OSError as exc:
+            _LIB = f"cannot build or load the SPA kernel: {exc}"
+        else:
+            for name, extra, restype in (
+                ("spa_start", [ctypes.c_void_p], None),
+                ("spa_checks", [], None),
+                ("spa_variables", [ctypes.c_int64, ctypes.c_int, ctypes.c_int], ctypes.c_int64),
+            ):
+                fn = getattr(lib, name)
+                fn.argtypes = [_ARGS, ctypes.c_int64, *extra]
+                fn.restype = restype
+            _LIB = lib
+    if isinstance(_LIB, str):
+        raise RuntimeError(_LIB)
+    return _LIB
+
+
+_LANES = 4  # rows per tile: LANES of _spa_kernel.c
+
+
+class _CompiledGraph:
+    """A parity-check matrix numbered for the kernel, with grow-only working
+    rows.
+
+    Edges are numbered check by check, each check's in row-support order;
+    ``var_edge`` lists each variable's edges in check order.  Working rows
+    come in tiles of ``_LANES``: ``lam`` is ``(tiles, n_vars, _LANES)``,
+    ``msg`` and ``cv`` are ``(tiles, n_edges, _LANES)``, and row r is lane
+    ``r % _LANES`` of tile ``r // _LANES``.  A call of width b works in the
+    first ``ceil(b / _LANES)`` tiles, which stay the first as rows stop.
+    The rows are reused by every call in this process and sized for the
+    largest batch seen, so it is not safe to decode on one graph from two
+    threads at once.
     """
 
-    def __init__(self, rows: dict):
-        self.rows = rows  # name -> (rows, dtype)
-        self.capacity = 0
-        self.storage = {name: np.empty(0, dtype) for name, (_, dtype) in rows.items()}
+    def __init__(self, matrix: SparseBinaryMatrix):
+        self.n_checks, self.n_vars = matrix.n_rows, matrix.n_cols
+        degrees = [len(row) for row in matrix.row_support]
+        self.check_ptr = np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)])
+        self.edge_var = np.fromiter(
+            (v for row in matrix.row_support for v in row), np.int64, int(self.check_ptr[-1])
+        )
+        self.n_edges = self.edge_var.size
+        self.var_edge = np.argsort(self.edge_var, kind="stable")
+        var_degrees = np.bincount(self.edge_var, minlength=self.n_vars)
+        self.var_ptr = np.concatenate([[0], np.cumsum(var_degrees, dtype=np.int64)])
+        self.ext = np.empty((self.n_vars, _LANES))
+        self.post = np.empty((self.n_vars, _LANES))
+        self.tiles = 0
+        self.args = _GraphArgs(self.n_checks, self.n_vars, self.n_edges,
+                               max(int(var_degrees.max(initial=0)), 1))
+        for name in ("check_ptr", "edge_var", "var_ptr", "var_edge", "ext", "post"):
+            setattr(self.args, name, getattr(self, name).ctypes.data)
+        self.ref = ctypes.byref(self.args)
+        self.reserve(1)
 
     def reserve(self, batch: int) -> None:
-        if batch > self.capacity:
-            self.storage = {
-                name: np.empty(rows * batch, dtype) for name, (rows, dtype) in self.rows.items()
-            }
-            self.capacity = batch
-
-    def view(self, name: str, b: int) -> np.ndarray:
-        rows = self.rows[name][0]
-        return self.storage[name][: rows * b].reshape(rows, b)
-
-
-@dataclass(frozen=True, eq=False)
-class _CompiledGraph:
-    """Slot-major edge numbering for batch-last flooding updates.
-
-    Every check owns ``check_deg`` slots, numbered ``slot * n_checks +
-    check``, so the k-th slots of all checks are one contiguous block of
-    rows; a check with fewer edges leaves its last slots as padding.
-    Message arrays are ``(n_slots + 1, B)``, the extra last row being a zero
-    slot; variable arrays are ``(n_vars + 1, B)`` with a zero last row.
-    """
-
-    n_checks: int
-    n_vars: int
-    check_deg: int
-    slot_var: np.ndarray  # (n_slots,) variable of each slot; padding -> zero row n_vars
-    var_slots: np.ndarray  # (var_deg, n_vars) k-th slot of each variable, check order; padding -> zero slot
-    pad: np.ndarray  # padded slots, whose tanh term is held at 1.0
-    workspace: _Workspace
-
-    def working(self, b: int, swapped: bool) -> tuple:
-        """The working arrays at width b: lam and msg_vc in the halves of
-        their pairs that swapped picks, post and msg_cv in the other halves,
-        ext and the syndrome buffers, then the per-slot (n_checks, b) views
-        of msg_vc and msg_cv that the check update walks.  Nothing is
-        written: the zero rows of post and msg_cv are the caller's to set
-        once the state has moved out of their storage."""
-        ws, s = self.workspace, int(swapped)
-        msg_vc = ws.view(f"slot{s}", b)[:-1]
-        msg_cv = ws.view(f"slot{1 - s}", b)
-        shape = (self.check_deg, self.n_checks, b)
-        return (
-            ws.view(f"var{s}", b), msg_vc, msg_cv, ws.view(f"var{1 - s}", b),
-            ws.view("ext", b), ws.view("slot_bits", b), ws.view("parity", b),
-            list(msg_vc.reshape(shape)), list(msg_cv[:-1].reshape(shape)),
-        )
+        tiles = -(-batch // _LANES)
+        if tiles > self.tiles:
+            self.tiles = tiles
+            self.lam = np.empty((tiles, self.n_vars, _LANES))
+            self.msg = np.empty((tiles, self.n_edges, _LANES))
+            self.cv = np.empty((tiles, self.n_edges, _LANES))
+            self.active = np.empty(tiles * _LANES, dtype=np.int64)
+            self.stopped = np.empty(tiles * _LANES, dtype=np.uint8)
+            for name in ("lam", "msg", "cv", "active", "stopped"):
+                setattr(self.args, name, getattr(self, name).ctypes.data)
 
 
 @lru_cache(maxsize=64)
 def _compile(matrix: SparseBinaryMatrix) -> _CompiledGraph:
-    m, n = matrix.n_rows, matrix.n_cols
-    check_deg = max(max(len(r) for r in matrix.row_support), 1)
-    var_deg = max(max(len(c) for c in matrix.col_support), 1)
-    n_slots = check_deg * m
-    slot_var = np.full(n_slots, n, dtype=np.intp)
-    var_slots = np.full((var_deg, n), n_slots, dtype=np.intp)
-    filled = np.zeros(n, dtype=np.intp)
-    for c, row in enumerate(matrix.row_support):
-        for k, v in enumerate(row):
-            slot_var[k * m + c] = v
-            var_slots[filled[v], v] = k * m + c
-            filled[v] += 1
-    workspace = _Workspace({
-        "var0": (n + 1, np.float64),  # lam and post
-        "var1": (n + 1, np.float64),
-        "slot0": (n_slots + 1, np.float64),  # msg_vc and msg_cv
-        "slot1": (n_slots + 1, np.float64),
-        "ext": (n, np.float64),
-        "slot_bits": (n_slots, bool),
-        "parity": (m, bool),
-    })
-    return _CompiledGraph(
-        n_checks=m,
-        n_vars=n,
-        check_deg=check_deg,
-        slot_var=slot_var,
-        var_slots=var_slots,
-        pad=np.flatnonzero(slot_var == n),
-        workspace=workspace,
-    )
+    return _CompiledGraph(matrix)
 
 
 def _as_matrix(code_or_matrix) -> SparseBinaryMatrix:
@@ -185,14 +248,14 @@ def decode_batch(
     all ``max_iter`` iterations, which is what an exactness comparison
     against true marginals wants.
 
-    Messages are held batch-last, one row per check slot (see
-    ``_CompiledGraph``), and every sum and product runs in slot order, so
-    the arithmetic does not depend on B.  Stopped rows write their extrinsic
-    once and leave the working arrays.  The working arrays live in the
-    graph's ``_Workspace``, which is reused by every call in this process
-    and sized for the largest batch seen; it is not safe to decode on one
-    graph from two threads at once.  The returned arrays are always new.
+    Each codeword is one lane of the graph's working tiles (see
+    ``_CompiledGraph``), and every sum and product runs in edge order within
+    its lane, so the arithmetic does not depend on B or on the lane.  A
+    stopped row writes its outputs once, and the last working row moves into
+    its place.  The returned arrays are always new.  Raises RuntimeError when
+    the kernel library could not be built.
     """
+    lib = _kernel()
     h = _as_matrix(code_or_matrix)
     g = _compile(h)
     channel = np.atleast_2d(np.asarray(channel, dtype=np.float64))
@@ -206,93 +269,41 @@ def decode_batch(
         raise ValueError("max_iter must be >= 1")
 
     batch = channel.shape[0]
-    m, n, dc = g.n_checks, g.n_vars, g.check_deg
-    n_slots = dc * m
-    g.workspace.reserve(batch)
-    b = batch
-    swapped = False  # whether lam and msg_vc are in the second halves of their pairs
-    lam, msg_vc, msg_cv, post, ext, slot_bits, parity, t, p = g.working(b, swapped)
-    # channel + a zero prior, as the prior-free sum has always been formed, halved
-    np.add(channel.T, 0.0 if prior is None else prior.T, out=lam[:n])
-    lam[:n] *= 0.5
-    lam[n] = 0.0
-    lam.take(g.slot_var, axis=0, out=msg_vc, mode="clip")
-    msg_cv[-1] = post[-1] = 0.0
-
-    extrinsic = np.empty((batch, n))
+    extrinsic = np.empty((batch, g.n_vars))
     iterations = np.empty(batch, dtype=np.int64)
     valid = np.empty(batch, dtype=bool)
+    g.reserve(batch)
+    args = g.args
+    args.extrinsic = extrinsic.ctypes.data
+    args.iterations = iterations.ctypes.data
+    args.valid = valid.ctypes.data
+    # channel + a zero prior, as the prior-free sum has always been formed;
+    # the kernel halves it into lam, and it becomes the posterior at the end
+    posterior = np.add(channel, 0.0 if prior is None else prior, order="C")
+    g.active[:batch] = np.arange(batch)
+    lib.spa_start(g.ref, batch, posterior.ctypes.data)
 
-    active = np.arange(batch)
+    b, early_stop = batch, bool(early_stop)  # ctypes takes no NumPy booleans
     for it in range(1, max_iter + 1):
-        # check update: the product of a check's other tanh terms is a prefix
-        # times a suffix running product over its slots, each slot one
-        # contiguous (n_checks, b) block, t[k] of msg_vc and p[k] of msg_cv.
-        # Prefixes fill p[1:], then a running suffix held in p[0] multiplies
-        # into them from the top; the products are those of separate prefix
-        # and suffix passes starting from 1.0, without the exact factors of 1.0
-        np.tanh(msg_vc, out=msg_vc)
-        if g.pad.size:
-            msg_vc[g.pad] = 1.0
-        if dc == 1:
-            p[0].fill(1.0)
-        else:
-            np.copyto(p[1], t[0])
-            for k in range(2, dc):
-                np.multiply(p[k - 1], t[k - 1], out=p[k])
-            np.copyto(p[0], t[dc - 1])
-            for k in range(dc - 2, 0, -1):
-                np.multiply(p[k], p[0], out=p[k])
-                np.multiply(p[0], t[k], out=p[0])
-        cv = msg_cv[:n_slots]
-        cv.clip(-_ATANH_GUARD, _ATANH_GUARD, out=cv)
+        tiles = -(-b // _LANES)
+        msg, cv = g.msg[:tiles], g.cv[:tiles]
+        np.tanh(msg, out=msg)
+        lib.spa_checks(g.ref, b)
         np.arctanh(cv, out=cv)
-
-        # variable update: summed in slot order, the zero slot padding the
-        # sum, the terms gathered into post[:n] before post is formed there;
-        # every index is in range, and mode="clip" skips take's copy of out
-        msg_cv.take(g.var_slots[0], axis=0, out=ext, mode="clip")
-        for slots in g.var_slots[1:]:
-            ext += msg_cv.take(slots, axis=0, out=post[:n], mode="clip")
-        np.add(lam[:n], ext, out=post[:n])
-        post.take(g.slot_var, axis=0, out=msg_vc, mode="clip")
-        np.less(msg_vc, 0.0, out=slot_bits)  # hard decisions by slot, padding 0
-        msg_vc -= cv
-
-        np.bitwise_xor.reduce(slot_bits.reshape(dc, m, b), axis=0, out=parity)
-        zero_syndrome = ~parity.any(axis=0)
-
-        # a row stops at its first zero syndrome or after max_iter; it then
-        # writes its extrinsic, iterations and validity once and leaves the
-        # working arrays, of which only lam and msg_vc carry state onwards
-        if it == max_iter:
-            stop = np.ones_like(zero_syndrome)
-        elif early_stop and zero_syndrome.any():
-            stop = zero_syndrome
-        else:
-            continue
-        rows = active[stop]
-        extrinsic[rows] = ext[:, stop].T
-        iterations[rows] = it
-        valid[rows] = zero_syndrome[stop]
-        keep = np.flatnonzero(~stop)
-        if not keep.size:
+        b = lib.spa_variables(g.ref, b, it, bool(it == max_iter), early_stop)
+        if not b:
             break
-        active = active[keep]
-        b = keep.size
-        # post and msg_cv are dead here: the kept state moves into their
-        # storage, and each pair swaps roles
-        swapped = not swapped
-        kept_lam, kept_vc, msg_cv, post, ext, slot_bits, parity, t, p = g.working(b, swapped)
-        lam = lam.take(keep, axis=1, out=kept_lam, mode="clip")
-        msg_vc = msg_vc.take(keep, axis=1, out=kept_vc, mode="clip")
-        msg_cv[-1] = post[-1] = 0.0
 
     extrinsic *= 2.0  # full scale: this posterior rounds as the loop's post did
-    posterior = np.add(channel, 0.0 if prior is None else prior, order="C")
     posterior += extrinsic
     hard = (posterior < 0.0).view(np.uint8)
     return BatchDecodeResult(hard, posterior, extrinsic, iterations, valid)
+
+
+try:  # build or load the kernel now; a failure is raised by the first decode
+    _kernel()
+except RuntimeError:
+    pass
 
 
 def decode(

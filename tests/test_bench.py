@@ -331,7 +331,7 @@ def toy_pair():
 
 class TestTrialIndependence:
     def test_trials_do_not_depend_on_earlier_decodes(self):
-        # every component decode reuses its graph's workspace, so a trial
+        # every component decode reuses its graph's working rows, so a trial
         # must come out the same whatever was decoded before it
         outer, inner = toy_pair()
         system = ConcatSystem(

@@ -134,8 +134,11 @@ class TestTrialGenerators:
                     assert gen.bit_generator.state == expected, (master_seed, i, width)
 
     def test_rng_stream_is_one_trial_generator(self):
-        gen = ci.RngStream(606, 41).generator()
-        assert gen.bit_generator.state == seed_sequence_generator(606, 41).bit_generator.state
+        for master_seed in (606, 2**32 + 5):  # one and two 32-bit entropy words
+            state = ci.RngStream(master_seed, 41).generator().bit_generator.state
+            assert state == seed_sequence_generator(master_seed, 41).bit_generator.state
+            (trial,) = ci.trial_generators(master_seed, 41, 42)
+            assert state == trial.bit_generator.state
 
     def test_empty_range(self):
         assert ci.trial_generators(3, 5, 5) == []

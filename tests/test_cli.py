@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import concat_ira as ci
-from concat_ira import cli
+from concat_ira import cli, spa
 from concat_ira.cli import main
 from conftest import build_toy
 
@@ -208,6 +208,19 @@ class TestSimulate:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("ebno_db,")
         assert len(lines) == 2
+
+    def test_kernel_that_cannot_be_built_gives_one_error_line(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        missing = tmp_path / "no-cc"
+        monkeypatch.setattr(spa, "_CC", str(missing))
+        monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(spa, "_LIB", None)
+        config_path, _ = self.make_config(workspace, tmp_path)
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot build the SPA kernel: C compiler '{missing}' not found\n"
+        )
 
     @pytest.mark.parametrize("key", ["min_block_errors", "max_blocks"])
     def test_zero_stop_value_gives_one_error_line(self, workspace, tmp_path, capsys, key):
