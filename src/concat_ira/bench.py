@@ -387,7 +387,9 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
     path = Path(config.output)
     path.parent.mkdir(parents=True, exist_ok=True)
     existing: dict[str, CurvePoint] = {}
+    header = CSV_HEADER + "\n"  # written with the first row: a failed decode leaves no file
     if path.exists():
+        header = ""
         for line_no, row, point, seed in read_curve(path):
             if seed != config.master_seed:
                 raise ConfigError(
@@ -395,8 +397,6 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
                     f"the config has master_seed {config.master_seed}"
                 )
             existing[row.split(",", 1)[0]] = point
-    else:
-        path.write_text(CSV_HEADER + "\n", encoding="utf-8")
 
     points: list[CurvePoint] = []
     seen: set[str] = set()
@@ -411,9 +411,10 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
         point = measure_point(system, ebno, config.stop, config.master_seed, config.workers)
         points.append(point)
         with open(path, "a", encoding="utf-8") as f:
-            f.write(format_row(point, config.master_seed) + "\n")
+            f.write(header + format_row(point, config.master_seed) + "\n")
             f.flush()
             os.fsync(f.fileno())
+        header = ""
     return points
 
 

@@ -63,25 +63,18 @@ def _transpose_support(
 
 @dataclass(frozen=True)
 class SparseBinaryMatrix:
-    """Immutable sparse binary matrix stored as paired row/column supports.
-
-    The two support tables describe the same incidence set; this is checked
-    at construction, so instances can be shared freely afterwards.
-    """
+    """Immutable sparse binary matrix stored as its column supports, each
+    sorted and checked at construction; the row supports are derived from
+    them once, on first use."""
 
     n_rows: int
     n_cols: int
-    row_support: tuple[tuple[int, ...], ...]
     col_support: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("matrix must have at least one row and column")
-        rows = _canonical_support(self.row_support, self.n_rows, self.n_cols, "row")
         cols = _canonical_support(self.col_support, self.n_cols, self.n_rows, "column")
-        if _transpose_support(rows, self.n_cols) != cols:
-            raise ValueError("row and column supports describe different matrices")
-        object.__setattr__(self, "row_support", rows)
         object.__setattr__(self, "col_support", cols)
 
     @classmethod
@@ -89,14 +82,17 @@ class SparseBinaryMatrix:
         cls, n_rows: int, n_cols: int, rows: Iterable[Iterable[int]]
     ) -> "SparseBinaryMatrix":
         row_support = _canonical_support(rows, n_rows, n_cols, "row")
-        return cls(n_rows, n_cols, row_support, _transpose_support(row_support, n_cols))
+        return cls(n_rows, n_cols, _transpose_support(row_support, n_cols))
 
     @classmethod
     def from_cols(
         cls, n_rows: int, n_cols: int, cols: Iterable[Iterable[int]]
     ) -> "SparseBinaryMatrix":
-        col_support = _canonical_support(cols, n_cols, n_rows, "column")
-        return cls(n_rows, n_cols, _transpose_support(col_support, n_rows), col_support)
+        return cls(n_rows, n_cols, cols)
+
+    @cached_property
+    def row_support(self) -> tuple[tuple[int, ...], ...]:
+        return _transpose_support(self.col_support, self.n_rows)
 
     def __hash__(self) -> int:
         return self._hash
@@ -105,16 +101,16 @@ class SparseBinaryMatrix:
     def _hash(self) -> int:
         # once per instance: decoders look their compiled graph up by matrix
         # on every call, and hashing the supports costs microseconds
-        return hash((self.n_rows, self.n_cols, self.row_support, self.col_support))
+        return hash((self.n_rows, self.n_cols, self.col_support))
 
     @property
     def n_edges(self) -> int:
-        return sum(len(r) for r in self.row_support)
+        return sum(len(c) for c in self.col_support)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for r, sup in enumerate(self.row_support):
-            dense[r, list(sup)] = 1
+        for c, sup in enumerate(self.col_support):
+            dense[list(sup), c] = 1
         return dense
 
 
@@ -213,15 +209,13 @@ def load_alist(text: str) -> SparseBinaryMatrix:
             )
         )
 
-    derived_rows = _transpose_support(cols, n_rows)
-    # derived rows hold column indices sorted ascending because cols are visited in order
-    for j in range(n_rows):
-        if tuple(sorted(rows[j])) != derived_rows[j]:
+    m = SparseBinaryMatrix.from_cols(n_rows, n_cols, cols)
+    for j, (listed, derived) in enumerate(zip(rows, m.row_support)):
+        if tuple(sorted(listed)) != derived:
             raise AlistError(
                 "row list disagrees with the column lists for this row", 5 + n_cols + j
             )
-
-    return SparseBinaryMatrix.from_cols(n_rows, n_cols, cols)
+    return m
 
 
 def save_alist(m: SparseBinaryMatrix) -> str:

@@ -69,11 +69,6 @@ class SensitiveSets:
             raise ValueError("column-code sensitive row index not in systematic range")
 
 
-def _check_block_shape(k: int, n: int) -> None:
-    if k < 1 or n < 1:
-        raise ValueError("block shape must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class BlockPermutation:
     """Bijection on the K*N flat positions (flat index = r*N + c)."""
@@ -87,7 +82,8 @@ class BlockPermutation:
     sets: SensitiveSets | None = None
 
     def __post_init__(self):
-        _check_block_shape(self.K, self.N)
+        if self.K < 1 or self.N < 1:
+            raise ValueError("block shape must be positive")
         fwd = np.asarray(self.forward, dtype=np.int64)
         size = self.K * self.N
         if fwd.shape != (size,) or not np.array_equal(np.sort(fwd), np.arange(size)):
@@ -286,78 +282,53 @@ def save_permutation(perm: BlockPermutation, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# Pair lines exactly as save_permutation writes them: ASCII digits, one space.
-# At most 18 digits per index, so every index parses into an int64.
-_SAVED_PAIRS = re.compile(r"[0-9]{1,18} [0-9]{1,18}(?:\n[0-9]{1,18} [0-9]{1,18})*")
-
-
-def _parse_saved_pairs(pair_lines: list[str], size: int) -> np.ndarray | None:
-    """The forward map of pair lines in the saved form, parsed and checked
-    all at once; None when any line is in another form or any pair fails a
-    check, so that the line scan can name the line."""
-    body = "\n".join(pair_lines)
-    if not _SAVED_PAIRS.fullmatch(body):
-        return None
-    pairs = np.fromstring(body, dtype=np.int64, sep=" ").reshape(size, 2)
-    src, dst = pairs[:, 0], pairs[:, 1]
-    if src.max() >= size or dst.max() >= size:
-        return None
-    named = np.zeros(size, dtype=bool)
-    named[src] = True
-    if not named.all():  # size pairs name every source only when none repeats
-        return None
-    forward = np.empty(size, dtype=np.int64)
-    forward[src] = dst
-    return forward
-
-
-def _scan_pairs(path: Path, pair_lines: list[str], size: int) -> list[int]:
-    """The forward map read one line at a time; refuses at the first bad line."""
-    forward = [-1] * size  # -1: no line has named this source yet
-    for line_no, raw in enumerate(pair_lines, start=2):
-        parts = raw.split()
-        if len(parts) != 2:
-            raise PermutationFileError(f"{path}: line {line_no}: expected 'src dst'")
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise PermutationFileError(f"{path}: line {line_no}: non-integer") from exc
-        if not 0 <= src < size or not 0 <= dst < size:
-            raise PermutationFileError(f"{path}: line {line_no}: index out of range")
-        if forward[src] >= 0:
-            raise PermutationFileError(f"{path}: line {line_no}: duplicate source {src}")
-        forward[src] = dst
-    return forward
+# An LF not followed by a mapping line exactly as save_permutation writes it:
+# ASCII digits without leading zeros, one space, LF.  At most 18 digits, so
+# every index is an int64.  A search for it keeps no state from line to line,
+# where a repeated group over all lines would keep some for each.
+_LF_BEFORE_UNSAVED_LINE = re.compile(rb"\n(?!(?:0|[1-9][0-9]{0,17}) (?:0|[1-9][0-9]{0,17})\n)")
 
 
 def load_permutation(path: str | Path) -> BlockPermutation:
+    """Read a file exactly as save_permutation writes it.  A mapping line in
+    any other form, a source out of order or a destination out of range is
+    refused at the first line that has one."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
+    data = path.read_bytes()
+    if not data:
         raise PermutationFileError(f"{path}: empty file")
-    header = lines[0].split()
+    header_line, _, body = data.partition(b"\n")
+    header = header_line.split()
     if len(header) != 4:
         raise PermutationFileError(f"{path}: header must be 'K N seed t'")
     try:
         k, n, seed, t = (int(x) for x in header)
     except ValueError as exc:
         raise PermutationFileError(f"{path}: non-integer header field") from exc
-    try:
-        _check_block_shape(k, n)
-    except ValueError as exc:
-        raise PermutationFileError(f"{path}: {exc}") from exc
+    if k < 1 or n < 1:
+        raise PermutationFileError(f"{path}: block shape must be positive")
     for name, value in (("seed", seed), ("t", t)):
         if value < 0:
             raise PermutationFileError(f"{path}: negative header field {name}")
     size = k * n
-    if len(lines) != 1 + size:
-        raise PermutationFileError(
-            f"{path}: expected {size} mapping lines, found {len(lines) - 1}"
+    found = body.count(b"\n")
+    if found != size:
+        raise PermutationFileError(f"{path}: expected {size} mapping lines, found {found}")
+    # the search starts at the header's LF and always stops, at the body's
+    # last LF if not before; the lines before the one it finds are parsed
+    end = _LF_BEFORE_UNSAVED_LINE.search(data, len(header_line)).start() - len(header_line)
+    pairs = np.fromstring(body[:end], dtype=np.int64, sep=" ")
+    src, dst = pairs.reshape(-1, 2).T
+    bad = np.flatnonzero((src != np.arange(len(src))) | (dst >= size))
+    if bad.size or end < len(body):
+        i = int(bad[0]) if bad.size else len(src)
+        what = (
+            "expected 'src dst' as saved: digits, one space, LF" if i == len(src)
+            else f"expected source {i}, found {src[i]}" if src[i] != i
+            else f"destination {dst[i]} out of range 0..{size - 1}"
         )
-    forward = _parse_saved_pairs(lines[1:], size)
-    if forward is None:
-        forward = _scan_pairs(path, lines[1:], size)
+        raise PermutationFileError(f"{path}: line {i + 2}: {what}")
     try:
-        return BlockPermutation(K=k, N=n, forward=forward, seed=seed, design_t=t)
+        return BlockPermutation(K=k, N=n, forward=dst, seed=seed, design_t=t)
     except ValueError as exc:
         raise PermutationFileError(f"{path}: {exc}") from exc

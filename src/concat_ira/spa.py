@@ -114,7 +114,8 @@ def _build() -> Path:
     try:
         done = subprocess.run(command, capture_output=True, text=True)
         if done.returncode:
-            first = next(iter(done.stderr.strip().splitlines()), f"exit status {done.returncode}")
+            lines = done.stderr.strip().splitlines() or [f"exit status {done.returncode}"]
+            first = next((line for line in lines if "error" in line), lines[0])
             raise RuntimeError(f"building the SPA kernel failed: {shlex.join(command)}: {first}")
         os.replace(partial, target)
     finally:

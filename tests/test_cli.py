@@ -216,11 +216,12 @@ class TestSimulate:
         monkeypatch.setattr(spa, "_CC", str(missing))
         monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path / "cache")
         monkeypatch.setattr(spa, "_LIB", None)
-        config_path, _ = self.make_config(workspace, tmp_path)
+        config_path, out = self.make_config(workspace, tmp_path)
         assert run_cli("simulate", "--config", config_path) == 1
         assert capsys.readouterr().err == (
             f"error: cannot build the SPA kernel: C compiler '{missing}' not found\n"
         )
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["min_block_errors", "max_blocks"])
     def test_zero_stop_value_gives_one_error_line(self, workspace, tmp_path, capsys, key):

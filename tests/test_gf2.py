@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -27,9 +30,12 @@ class TestSparseBinaryMatrix:
             again = ci.SparseBinaryMatrix.from_rows(m.n_rows, m.n_cols, m.row_support)
             assert again.col_support == m.col_support
 
-    def test_inconsistent_supports_rejected(self):
-        with pytest.raises(ValueError, match="different matrices"):
-            ci.SparseBinaryMatrix(2, 2, ((0,), (1,)), ((0, 1), ()))
+    def test_rows_are_derived_from_the_one_stored_table(self):
+        m = ci.SparseBinaryMatrix.from_cols(2, 3, [(1, 0), (), (1,)])
+        assert [f.name for f in dataclasses.fields(m)] == ["n_rows", "n_cols", "col_support"]
+        assert m.col_support == ((0, 1), (), (1,))
+        assert m.row_support == ((0,), (0, 2))
+        assert m.row_support is m.row_support
 
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -49,6 +55,16 @@ class TestSparseBinaryMatrix:
         a = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1), (2,)])
         b = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1), (1,)])
         assert a != b and {a: 1}.get(b) is None
+
+    def test_pickle_round_trip_before_and_after_rows_are_read(self):
+        # the pool pickles codes, and with them their matrices, to its workers
+        m = random_matrix(np.random.default_rng(2), 9, 14, density=0.4)
+        fresh = pickle.loads(pickle.dumps(m))
+        rows = m.row_support
+        warm = pickle.loads(pickle.dumps(m))
+        for again in (fresh, warm):
+            assert again == m and hash(again) == hash(m)
+            assert again.row_support == rows
 
 
 class TestAlist:

@@ -517,17 +517,22 @@ class TestKernel:
         assert_results_identical(decode_batch(paper_outer, channel, None, 20), expected)
         assert list(tmp_path.iterdir()) == [built]
 
-    @pytest.mark.parametrize("compiler", ["missing", "failing"])
+    @pytest.mark.parametrize("compiler", ["missing", "failing", "located"])
     def test_failed_build_raises_at_every_decode_and_builds_once(
         self, toy_outer, tmp_path, monkeypatch, compiler
     ):
         cc, log = tmp_path / "cc", tmp_path / "runs"
-        if compiler == "failing":
+        if compiler != "missing":
+            # GCC often leads with the location of the error, not the error
+            stderr = {
+                "failing": ["cc: fatal error: out of luck", "more"],
+                "located": ["x.c: In function 'f':", "x.c:3:5: error: out of luck", "more"],
+            }[compiler]
             cc.write_text(f"#!/bin/sh\necho run >> {log}\n"
-                          "echo 'cc: fatal error: out of luck' >&2\necho more >&2\nexit 1\n")
+                          + "".join(f"echo \"{line}\" >&2\n" for line in stderr) + "exit 1\n")
             cc.chmod(0o755)
             message = (f"building the SPA kernel failed: {re.escape(str(cc))} .*: "
-                       "cc: fatal error: out of luck$")
+                       f"{re.escape(stderr[-2])}$")
         else:
             message = re.escape(f"cannot build the SPA kernel: C compiler '{cc}' not found")
         cache = tmp_path / "cache"
@@ -540,7 +545,7 @@ class TestKernel:
                 ci.decode(toy_outer, np.zeros(12))
         assert list(cache.iterdir()) == []
         runs = log.read_text() if log.exists() else ""
-        assert runs == ("run\n" if compiler == "failing" else "")
+        assert runs == ("" if compiler == "missing" else "run\n")
 
     def test_source_compiles_without_warnings(self, tmp_path):
         command = [spa._CC, *spa._CFLAGS, "-Wall", "-Wextra", "-Werror",
