@@ -1,4 +1,4 @@
-/* The sum-product iteration of spa.decode_batch, all but tanh and arctanh.
+/* The sum-product iteration of spa.decode_indexed, all but tanh and arctanh.
 
 Working rows are codewords, held batch-first in tiles of LANES rows: row r
 is lane r % LANES of tile r / LANES, and a tile of an edge array is
@@ -8,6 +8,12 @@ check by check (check c owns edges check_ptr[c] to check_ptr[c + 1] - 1, in
 its row-support order).  Lanes past the last working row are dead: their
 msg starts at zero and stays finite, and nothing they compute is read.
 NumPy takes tanh of msg and arctanh of cv, in place, between the calls.
+
+A call's codewords are read from and written to flat block arrays through
+an index table: call row i is table row ids[i], and its variable v sits at
+index at[ids[i] * n_vars + v] of the channel, prior, extrinsic and
+posterior arrays.  An index past the end of the prior adds a +0.0 prior;
+one past the end of the outputs is not written.
 
 Each product, sum and difference rounds once per lane, in the order of the
 NumPy kernel this file replaced; the file is compiled with
@@ -35,11 +41,18 @@ typedef struct {
     double *msg;              /* (tiles, n_edges, LANES) variable-to-check, then its tanh */
     double *cv;               /* (tiles, n_edges, LANES) check products, then their arctanh */
     double *ext, *post;       /* (n_vars, LANES) scratch: one tile's extrinsic and posterior */
-    int64_t *active;          /* (tiles * LANES,) output row of each working row */
+    int64_t *active;          /* (tiles * LANES,) call row of each working row */
     uint8_t *stopped;         /* (tiles * LANES,) scratch: whether each working row stops */
-    double *extrinsic;        /* (batch, n_vars) output, half scale */
-    int64_t *iterations;      /* (batch,) output */
-    uint8_t *valid;           /* (batch,) output */
+    /* one call's block */
+    const int32_t *at;        /* (at_rows, n_vars) index table */
+    const int64_t *ids;       /* (rows,) table row of each call row */
+    const double *channel;    /* (channel_len,) */
+    const double *prior;      /* (prior_len,) */
+    double *extrinsic;        /* (out_len,) written 2 * ext */
+    double *posterior;        /* (out_len,) written channel + prior + 2 * ext, or NULL */
+    int64_t *iterations;      /* (rows,) */
+    uint8_t *valid;           /* (rows,) */
+    int64_t at_rows, channel_len, prior_len, out_len;
 } spa_graph;
 
 static int64_t tiles_of(int64_t rows) { return (rows + LANES - 1) / LANES; }
@@ -62,15 +75,41 @@ static void move_row(const spa_graph *g, int64_t from, int64_t to)
     g->active[to] = g->active[from];
 }
 
-/* lam = sum * 0.5 for rows 0..rows-1 of the (rows, n_vars) array sum, and
-   msg = lam gathered by edge; dead lanes get zeros */
-void spa_start(const spa_graph *g, int64_t rows, const double *sum)
+/* channel + prior at index i of the block */
+static double block_sum(const spa_graph *g, int64_t i)
+{
+    return g->channel[i] + (i < g->prior_len ? g->prior[i] : 0.0);
+}
+
+/* the index table row of call row i */
+static const int32_t *indices(const spa_graph *g, int64_t i)
+{
+    return g->at + g->ids[i] * g->n_vars;
+}
+
+/* lam = (channel + prior) * 0.5 for call rows 0..rows-1, call row r in
+   working row r, and msg = lam gathered by edge; dead lanes get zeros.
+   Returns -1 if an id lies outside the table or an index outside the
+   channel, else 0. */
+int64_t spa_start(const spa_graph *g, int64_t rows)
 {
     const int64_t n = g->n_vars, n_edges = g->n_edges, *edge_var = g->edge_var;
     for (int64_t r = 0; r < tiles_of(rows) * LANES; r++) {
         double *lam = g->lam + (r / LANES) * n * LANES + r % LANES;
-        for (int64_t v = 0; v < n; v++)
-            lam[v * LANES] = r < rows ? sum[r * n + v] * 0.5 : 0.0;
+        if (r >= rows) {
+            for (int64_t v = 0; v < n; v++)
+                lam[v * LANES] = 0.0;
+            continue;
+        }
+        if (g->ids[r] < 0 || g->ids[r] >= g->at_rows)
+            return -1;
+        const int32_t *at = indices(g, r);
+        for (int64_t v = 0; v < n; v++) {
+            if (at[v] < 0 || at[v] >= g->channel_len)
+                return -1;
+            lam[v * LANES] = block_sum(g, at[v]) * 0.5;
+        }
+        g->active[r] = r;
     }
     for (int64_t t = 0; t < tiles_of(rows); t++) {
         const lanes *lam = tile(g->lam, t, n);
@@ -78,6 +117,7 @@ void spa_start(const spa_graph *g, int64_t rows, const double *sum)
         for (int64_t e = 0; e < n_edges; e++)
             msg[e] = lam[edge_var[e]];
     }
+    return 0;
 }
 
 /* x clipped to the guard, lane by lane; -0.0 and NaN pass unchanged */
@@ -123,10 +163,12 @@ void spa_checks(const spa_graph *g, int64_t rows)
 /* The variable update, the syndrome and the row stops of iteration it.
    Per tile: the extrinsic (each variable's check messages summed in check
    order), the posterior lam + extrinsic, and the next msg, post - cv, with
-   the parity of each check's hard decisions, for every lane.  A working row stops when stop_all is set, or at a zero
-   syndrome when early_stop is; it then writes its extrinsic, iterations and
-   validity.  The last kept rows then move into the places of stopped ones,
-   so the kept rows are the first ones.  Returns their number. */
+   the parity of each check's hard decisions, for every lane.  A working
+   row stops when stop_all is set, or at a zero syndrome when early_stop
+   is; it then writes its extrinsic and posterior at full scale, its
+   iterations and its validity.  The last kept rows then move into the
+   places of stopped ones, so the kept rows are the first ones.  Returns
+   their number. */
 int64_t spa_variables(const spa_graph *g, int64_t rows, int64_t it, int stop_all, int early_stop)
 {
     /* locals, as a vector store may alias *g */
@@ -165,8 +207,15 @@ int64_t spa_variables(const spa_graph *g, int64_t rows, int64_t it, int stop_all
             g->stopped[r] = stop_all || (early_stop && !unsatisfied[l]);
             if (!g->stopped[r])
                 continue;
-            for (int64_t v = 0; v < n; v++)
-                g->extrinsic[row * n + v] = ext[v][l];
+            const int32_t *at = indices(g, row);
+            for (int64_t v = 0; v < n; v++) {
+                if (at[v] >= g->out_len)
+                    continue;
+                double e = 2.0 * ext[v][l];
+                g->extrinsic[at[v]] = e;
+                if (g->posterior)
+                    g->posterior[at[v]] = block_sum(g, at[v]) + e;
+            }
             g->iterations[row] = it;
             g->valid[row] = !unsatisfied[l];
             stops++;

@@ -8,6 +8,13 @@ the permutation; each transmitted bit has exactly one channel observation,
 routed to the column decoder directly and to the row decoder through the
 inverse permutation (systematic rows only - inner parity rows exist only in
 the column code).
+
+The decoder holds every array as the column code sees the block: the
+channel array as received, and each extrinsic and the row posterior at the
+image of its position.  Both passes decode in place through index tables
+(``ConcatCode.pass_tables``): variable v of column c sits at flat index
+v*N + c, and variable v of row r at ``pi.forward[r*N + v]``, so no pass
+gathers, permutes or scatters a block.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from .ira import IraCode, encode_batch
 
 __all__ = ["ConcatCode", "Schedule", "ConcatDecodeResult", "concat_encode", "concat_decode"]
 
-# module-level alias so tests can intercept component decodes
-_decode_batch = spa.decode_batch
+# module-level alias through which every component pass decodes, so tests
+# and tracers can intercept it
+_decode_batch = spa.decode_indexed
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,6 +64,16 @@ class ConcatCode:
     @cached_property
     def pi_inv(self) -> BlockPermutation:
         return self.pi.invert()
+
+    @cached_property
+    def pass_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """int32 index tables of the column pass, (N, N), and the row pass,
+        (K, N): where each codeword's variables sit in the decoder's block
+        arrays, flat, in column-code alignment."""
+        n = self.N
+        columns = np.arange(n * n, dtype=np.int32).reshape(n, n).T.copy()
+        rows = self.pi.forward.astype(np.int32).reshape(self.K, n)
+        return columns, rows
 
 
 @dataclass(frozen=True)
@@ -98,14 +116,16 @@ def concat_encode(cc: ConcatCode, source) -> np.ndarray:
 
 def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDecodeResult:
     """Iterative column/row decoding of an N x N channel-LLR array."""
-    lch = np.asarray(channel_llrs, dtype=np.float64)
+    lch = np.ascontiguousarray(channel_llrs, dtype=np.float64)
     if lch.shape != (cc.N, cc.N):
         raise ValueError(f"expected ({cc.N}, {cc.N}) channel LLR array")
     k, n = cc.K, cc.N
+    col_at, row_at = cc.pass_tables
 
-    lch_rows = cc.pi_inv.apply(lch[:k, :])  # channel observations seen by the row code
-    row_ext = np.zeros((k, n))              # row-decoder extrinsic, row-code alignment
-    col_ext_mixed = np.zeros((k, n))        # column-decoder extrinsic, column-code alignment
+    # K x N, column-code alignment: the column pass reads row_ext as its
+    # prior on the systematic rows; the row pass reads col_ext
+    row_ext = np.zeros((k, n))
+    col_ext = np.zeros((k, n))
     row_post = np.zeros((k, n))
     col_valid = np.zeros(n, dtype=bool)
     row_valid = np.zeros(k, dtype=bool)
@@ -120,11 +140,8 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
         # column pass: channel enters here; prior is the permuted row extrinsic
         cols = np.flatnonzero(~col_valid) if schedule.freeze_converged else np.arange(n)
         if len(cols):
-            prior_mixed = cc.pi.apply(row_ext)
-            prior = np.zeros((len(cols), n))
-            prior[:, :k] = prior_mixed[:, cols].T
-            res = _decode_batch(cc.inner, lch[:, cols].T, prior, schedule.inner_iters)
-            col_ext_mixed[:, cols] = res.extrinsic[:, :k].T
+            res = _decode_batch(cc.inner, col_at, cols, lch, row_ext, col_ext, None,
+                                schedule.inner_iters)
             col_valid[cols] = res.valid
             calls += len(cols)
             iters += int(res.iterations_used.sum())
@@ -132,10 +149,8 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
         # row pass: de-interleaved channel plus the column extrinsic as prior
         rows = np.flatnonzero(~row_valid) if schedule.freeze_converged else np.arange(k)
         if len(rows):
-            prior = cc.pi_inv.apply(col_ext_mixed)[rows]
-            res = _decode_batch(cc.outer, lch_rows[rows], prior, schedule.inner_iters)
-            row_ext[rows] = res.extrinsic
-            row_post[rows] = res.posterior
+            res = _decode_batch(cc.outer, row_at, rows, lch, col_ext, row_ext, row_post,
+                                schedule.inner_iters)
             row_valid[rows] = res.valid
             calls += len(rows)
             iters += int(res.iterations_used.sum())
@@ -145,7 +160,7 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
             break
 
     return ConcatDecodeResult(
-        source_bits=(row_post[:, :k] < 0).astype(np.uint8),
+        source_bits=(row_post.ravel()[row_at[:, :k]] < 0).astype(np.uint8),
         converged=bool(col_valid.all() and row_valid.all()),
         outer_iters_used=outer_used,
         column_valid=col_valid,

@@ -282,6 +282,10 @@ def save_permutation(perm: BlockPermutation, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# The header as save_permutation writes it: four integers in the form str()
+# gives them, one space apart.  Their values are checked once it matches.
+_SAVED_HEADER = re.compile(rb" ".join([rb"(0|-?[1-9][0-9]*)"] * 4))
+
 # An LF not followed by a mapping line exactly as save_permutation writes it:
 # ASCII digits without leading zeros, one space, LF.  At most 18 digits, so
 # every index is an int64.  A search for it keeps no state from line to line,
@@ -290,21 +294,20 @@ _LF_BEFORE_UNSAVED_LINE = re.compile(rb"\n(?!(?:0|[1-9][0-9]{0,17}) (?:0|[1-9][0
 
 
 def load_permutation(path: str | Path) -> BlockPermutation:
-    """Read a file exactly as save_permutation writes it.  A mapping line in
-    any other form, a source out of order or a destination out of range is
-    refused at the first line that has one."""
+    """Read a file exactly as save_permutation writes it.  A header or a
+    mapping line in any other form, a source out of order or a destination
+    out of range is refused at the first line that has one."""
     path = Path(path)
     data = path.read_bytes()
     if not data:
         raise PermutationFileError(f"{path}: empty file")
     header_line, _, body = data.partition(b"\n")
-    header = header_line.split()
-    if len(header) != 4:
-        raise PermutationFileError(f"{path}: header must be 'K N seed t'")
-    try:
-        k, n, seed, t = (int(x) for x in header)
-    except ValueError as exc:
-        raise PermutationFileError(f"{path}: non-integer header field") from exc
+    header = _SAVED_HEADER.fullmatch(header_line)
+    if header is None:
+        raise PermutationFileError(
+            f"{path}: line 1: expected header 'K N seed t' as saved: integers, single spaces, LF"
+        )
+    k, n, seed, t = (int(x) for x in header.groups())
     if k < 1 or n < 1:
         raise PermutationFileError(f"{path}: block shape must be positive")
     for name, value in (("seed", seed), ("t", t)):

@@ -19,10 +19,15 @@ no output.
 The iteration is batch-first: each codeword's values are one lane of a
 tile of four codewords, its edges numbered check by check.  NumPy computes
 every ``tanh`` and ``arctanh``, elementwise over the working tiles;
-``_spa_kernel.c``, loaded with ctypes, does the rest in two calls per
-iteration: the check products, then the variable update with the syndromes
-and the row stops.  The C code rounds each operation once per lane in the
-order of the NumPy kernel it replaced, so outputs are bit-identical to it.
+``_spa_kernel.c``, loaded with ctypes, does the rest: it reads each
+codeword's channel and prior through an index table into the tiles, makes
+two calls per iteration (the check products, then the variable update with
+the syndromes and the row stops), and writes a stopped row's outputs
+through the same table.  ``decode_indexed`` so decodes the rows of a block
+held in any layout, which is how the concatenated decoder runs its passes;
+``decode_batch`` is its case of one codeword per array row.  The C code
+rounds each operation once per lane in the order of the NumPy kernel it
+replaced, so outputs are bit-identical to it.
 It is built once per source, flags, compiler and host CPU by the system C
 compiler, into ``__pycache__`` next to this module; a build that fails makes
 every decode raise RuntimeError.
@@ -41,6 +46,7 @@ import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +55,10 @@ from .gf2 import SparseBinaryMatrix
 __all__ = [
     "DecodeResult",
     "BatchDecodeResult",
+    "PassResult",
     "decode",
     "decode_batch",
+    "decode_indexed",
 ]
 
 _SOURCE = Path(__file__).with_name("_spa_kernel.c")
@@ -78,6 +86,14 @@ class BatchDecodeResult:
     extrinsic: np.ndarray  # (B, N)
     iterations_used: np.ndarray  # (B,)
     valid: np.ndarray  # (B,) bool
+
+
+class PassResult(NamedTuple):
+    """Per call row of ``decode_indexed``: iterations run, and whether the
+    last hard decision satisfied every check."""
+
+    iterations_used: np.ndarray  # (b,) int64
+    valid: np.ndarray  # (b,) bool
 
 
 def _host_cpu() -> str:
@@ -126,7 +142,7 @@ def _build() -> Path:
 
 class _GraphArgs(ctypes.Structure):
     """spa_graph of _spa_kernel.c: the graph's index arrays, the working
-    rows and one call's outputs, as raw pointers."""
+    rows and one call's block, as raw pointers and lengths."""
 
     _fields_ = [
         ("n_checks", ctypes.c_int64),
@@ -135,8 +151,10 @@ class _GraphArgs(ctypes.Structure):
         ("var_deg", ctypes.c_int64),
         *((name, ctypes.c_void_p) for name in (
             "check_ptr", "edge_var", "var_ptr", "var_edge", "lam", "msg", "cv", "ext", "post",
-            "active", "stopped", "extrinsic", "iterations", "valid",
+            "active", "stopped", "at", "ids", "channel", "prior", "extrinsic", "posterior",
+            "iterations", "valid",
         )),
+        *((name, ctypes.c_int64) for name in ("at_rows", "channel_len", "prior_len", "out_len")),
     ]
 
 
@@ -157,7 +175,7 @@ def _kernel() -> ctypes.CDLL:
             _LIB = f"cannot build or load the SPA kernel: {exc}"
         else:
             for name, extra, restype in (
-                ("spa_start", [ctypes.c_void_p], None),
+                ("spa_start", [], ctypes.c_int64),
                 ("spa_checks", [], None),
                 ("spa_variables", [ctypes.c_int64, ctypes.c_int, ctypes.c_int], ctypes.c_int64),
             ):
@@ -183,9 +201,10 @@ class _CompiledGraph:
     ``msg`` and ``cv`` are ``(tiles, n_edges, _LANES)``, and row r is lane
     ``r % _LANES`` of tile ``r // _LANES``.  A call of width b works in the
     first ``ceil(b / _LANES)`` tiles, which stay the first as rows stop.
-    The rows are reused by every call in this process and sized for the
-    largest batch seen, so it is not safe to decode on one graph from two
-    threads at once.
+    ``identity`` is the index table of a batch of one codeword per row, and
+    ``order`` its ids, ``arange`` of the batch.  The rows are reused by every
+    call in this process and sized for the largest batch seen, so it is not
+    safe to decode on one graph from two threads at once.
     """
 
     def __init__(self, matrix: SparseBinaryMatrix):
@@ -218,6 +237,10 @@ class _CompiledGraph:
             self.cv = np.empty((tiles, self.n_edges, _LANES))
             self.active = np.empty(tiles * _LANES, dtype=np.int64)
             self.stopped = np.empty(tiles * _LANES, dtype=np.uint8)
+            self.order = np.arange(tiles * _LANES)
+            self.identity = np.arange(tiles * _LANES * self.n_vars, dtype=np.int32).reshape(
+                -1, self.n_vars
+            )
             for name in ("lam", "msg", "cv", "active", "stopped"):
                 setattr(self.args, name, getattr(self, name).ctypes.data)
 
@@ -232,6 +255,98 @@ def _as_matrix(code_or_matrix) -> SparseBinaryMatrix:
     if not isinstance(h, SparseBinaryMatrix):
         raise TypeError("expected an IraCode or SparseBinaryMatrix")
     return h
+
+
+_NO_BYTES = ctypes.c_char * 0
+
+
+def _address(a: np.ndarray, dtype, name: str, write: bool = False) -> int:
+    """The data pointer of an array the kernel may read (or write) whole."""
+    if a.dtype != dtype or not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} array")
+    if a.flags.writeable:  # from_buffer takes half the time of a.ctypes.data
+        return ctypes.addressof(_NO_BYTES.from_buffer(a))
+    if write:
+        raise ValueError(f"{name} must be writable")
+    return a.ctypes.data
+
+
+def decode_indexed(
+    code_or_matrix,
+    at: np.ndarray,
+    ids: np.ndarray,
+    channel: np.ndarray,
+    prior: np.ndarray | None,
+    extrinsic: np.ndarray,
+    posterior: np.ndarray | None = None,
+    max_iter: int = 100,
+    early_stop: bool = True,
+) -> PassResult:
+    """Decode the codewords that an index table picks out of a block.
+
+    Call row i decodes table row ``ids[i]``: its variable v sits at flat
+    index ``at[ids[i], v]`` of the float64 block arrays.  The decoder starts
+    from ``channel + prior`` there, a variable whose index is past the end
+    of ``prior`` (or every variable, when ``prior`` is None) adding +0.0.
+    When the row stops, its extrinsic and, if ``posterior`` is given,
+    ``channel + prior + extrinsic`` are written at the indices that lie
+    inside ``extrinsic``, which ``posterior`` must match in size; nothing
+    is written elsewhere.  A row's values do not depend on the other rows
+    of the call, and outputs must not overlap the inputs.  ``at`` is int32
+    of shape (rows, n_vars), ``ids`` int64; every array is C-contiguous.
+    Raises ValueError on an id outside the table or an index outside
+    ``channel``, and RuntimeError when the kernel library could not be
+    built.
+    """
+    return _decode(
+        _compile(_as_matrix(code_or_matrix)), at, ids, channel, prior, extrinsic, posterior,
+        max_iter, early_stop,
+    )
+
+
+def _decode(g: _CompiledGraph, at, ids, channel, prior, extrinsic, posterior, max_iter,
+            early_stop) -> PassResult:
+    lib = _kernel()
+    if at.ndim != 2 or at.shape[1] != g.n_vars:
+        raise ValueError(f"index table rows must have length {g.n_vars}")
+    if posterior is not None and posterior.size != extrinsic.size:
+        raise ValueError("posterior size must match extrinsic size")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+
+    batch = len(ids)
+    g.reserve(batch)
+    iterations = np.empty(batch, dtype=np.int64)
+    valid = np.empty(batch, dtype=bool)
+    args = g.args
+    args.at, args.at_rows = _address(at, np.int32, "at"), len(at)
+    args.ids = _address(ids, np.int64, "ids")
+    args.channel, args.channel_len = _address(channel, np.float64, "channel"), channel.size
+    if prior is None:
+        args.prior, args.prior_len = None, 0
+    else:
+        args.prior, args.prior_len = _address(prior, np.float64, "prior"), prior.size
+    args.extrinsic = _address(extrinsic, np.float64, "extrinsic", write=True)
+    args.out_len = extrinsic.size
+    args.posterior = None if posterior is None else _address(
+        posterior, np.float64, "posterior", write=True
+    )
+    args.iterations = _address(iterations, np.int64, "iterations")
+    args.valid = _address(valid, np.bool_, "valid")
+    if lib.spa_start(g.ref, batch):
+        raise ValueError("an id lies outside the index table or an index outside the channel")
+
+    b, early_stop = batch, bool(early_stop)  # ctypes takes no NumPy booleans
+    for it in range(1, max_iter + 1):
+        tiles = -(-b // _LANES)
+        msg, cv = g.msg[:tiles], g.cv[:tiles]
+        np.tanh(msg, out=msg)
+        lib.spa_checks(g.ref, b)
+        np.arctanh(cv, out=cv)
+        b = lib.spa_variables(g.ref, b, it, bool(it == max_iter), early_stop)
+        if not b:
+            break
+    return PassResult(iterations, valid)
 
 
 def decode_batch(
@@ -251,54 +366,30 @@ def decode_batch(
 
     Each codeword is one lane of the graph's working tiles (see
     ``_CompiledGraph``), and every sum and product runs in edge order within
-    its lane, so the arithmetic does not depend on B or on the lane.  A
-    stopped row writes its outputs once, and the last working row moves into
-    its place.  The returned arrays are always new.  Raises RuntimeError when
-    the kernel library could not be built.
+    its lane, so the arithmetic does not depend on B or on the lane.  This
+    is ``decode_indexed`` with row i of every array as codeword i.  The
+    returned arrays are always new.  Raises RuntimeError when the kernel
+    library could not be built.
     """
-    lib = _kernel()
-    h = _as_matrix(code_or_matrix)
-    g = _compile(h)
-    channel = np.atleast_2d(np.asarray(channel, dtype=np.float64))
-    if channel.shape[1] != g.n_vars:
+    g = _compile(_as_matrix(code_or_matrix))
+    channel = np.atleast_2d(np.ascontiguousarray(channel, dtype=np.float64))
+    if channel.ndim != 2 or channel.shape[1] != g.n_vars:
         raise ValueError(f"channel LLR rows must have length {g.n_vars}")
     if prior is not None:
-        prior = np.atleast_2d(np.asarray(prior, dtype=np.float64))
+        prior = np.atleast_2d(np.ascontiguousarray(prior, dtype=np.float64))
         if prior.shape != channel.shape:
             raise ValueError("prior shape must match channel shape")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 
     batch = channel.shape[0]
-    extrinsic = np.empty((batch, g.n_vars))
-    iterations = np.empty(batch, dtype=np.int64)
-    valid = np.empty(batch, dtype=bool)
     g.reserve(batch)
-    args = g.args
-    args.extrinsic = extrinsic.ctypes.data
-    args.iterations = iterations.ctypes.data
-    args.valid = valid.ctypes.data
-    # channel + a zero prior, as the prior-free sum has always been formed;
-    # the kernel halves it into lam, and it becomes the posterior at the end
-    posterior = np.add(channel, 0.0 if prior is None else prior, order="C")
-    g.active[:batch] = np.arange(batch)
-    lib.spa_start(g.ref, batch, posterior.ctypes.data)
-
-    b, early_stop = batch, bool(early_stop)  # ctypes takes no NumPy booleans
-    for it in range(1, max_iter + 1):
-        tiles = -(-b // _LANES)
-        msg, cv = g.msg[:tiles], g.cv[:tiles]
-        np.tanh(msg, out=msg)
-        lib.spa_checks(g.ref, b)
-        np.arctanh(cv, out=cv)
-        b = lib.spa_variables(g.ref, b, it, bool(it == max_iter), early_stop)
-        if not b:
-            break
-
-    extrinsic *= 2.0  # full scale: this posterior rounds as the loop's post did
-    posterior += extrinsic
+    extrinsic = np.empty((batch, g.n_vars))
+    posterior = np.empty((batch, g.n_vars))
+    res = _decode(
+        g, g.identity, g.order[:batch], channel, prior, extrinsic, posterior,
+        max_iter, early_stop,
+    )
     hard = (posterior < 0.0).view(np.uint8)
-    return BatchDecodeResult(hard, posterior, extrinsic, iterations, valid)
+    return BatchDecodeResult(hard, posterior, extrinsic, res.iterations_used, res.valid)
 
 
 try:  # build or load the kernel now; a failure is raised by the first decode

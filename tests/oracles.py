@@ -25,7 +25,8 @@ from concat_ira.ira import (
     DegreeSpec,
     _h1_row_budgets,
 )
-from concat_ira.spa import BatchDecodeResult
+from concat_ira.concat import ConcatCode, ConcatDecodeResult, Schedule
+from concat_ira.spa import BatchDecodeResult, decode_batch
 from concat_ira.stopping import select_sensitive
 
 
@@ -709,3 +710,64 @@ def reference_build_h1(
         f"within {max_restarts} restarts: {last_blocker}"
     )
 
+
+def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDecodeResult:
+    """Reference for ``concat.concat_decode``: the NumPy glue it replaced,
+    which moves whole (rows, N) channel, prior and extrinsic arrays through
+    ``BlockPermutation.apply`` and decodes each pass with ``spa.decode_batch``."""
+    lch = np.asarray(channel_llrs, dtype=np.float64)
+    if lch.shape != (cc.N, cc.N):
+        raise ValueError(f"expected ({cc.N}, {cc.N}) channel LLR array")
+    k, n = cc.K, cc.N
+
+    lch_rows = cc.pi_inv.apply(lch[:k, :])  # channel observations seen by the row code
+    row_ext = np.zeros((k, n))              # row-decoder extrinsic, row-code alignment
+    col_ext_mixed = np.zeros((k, n))        # column-decoder extrinsic, column-code alignment
+    row_post = np.zeros((k, n))
+    col_valid = np.zeros(n, dtype=bool)
+    row_valid = np.zeros(k, dtype=bool)
+    calls = 0
+    iters = 0
+    history: list[tuple[int, int]] = []
+    outer_used = 0
+
+    for outer_it in range(1, schedule.outer_iters + 1):
+        outer_used = outer_it
+
+        # column pass: channel enters here; prior is the permuted row extrinsic
+        cols = np.flatnonzero(~col_valid) if schedule.freeze_converged else np.arange(n)
+        if len(cols):
+            prior_mixed = cc.pi.apply(row_ext)
+            prior = np.zeros((len(cols), n))
+            prior[:, :k] = prior_mixed[:, cols].T
+            res = decode_batch(cc.inner, lch[:, cols].T, prior, schedule.inner_iters)
+            col_ext_mixed[:, cols] = res.extrinsic[:, :k].T
+            col_valid[cols] = res.valid
+            calls += len(cols)
+            iters += int(res.iterations_used.sum())
+
+        # row pass: de-interleaved channel plus the column extrinsic as prior
+        rows = np.flatnonzero(~row_valid) if schedule.freeze_converged else np.arange(k)
+        if len(rows):
+            prior = cc.pi_inv.apply(col_ext_mixed)[rows]
+            res = decode_batch(cc.outer, lch_rows[rows], prior, schedule.inner_iters)
+            row_ext[rows] = res.extrinsic
+            row_post[rows] = res.posterior
+            row_valid[rows] = res.valid
+            calls += len(rows)
+            iters += int(res.iterations_used.sum())
+
+        history.append((int(col_valid.sum()), int(row_valid.sum())))
+        if col_valid.all() and row_valid.all():
+            break
+
+    return ConcatDecodeResult(
+        source_bits=(row_post[:, :k] < 0).astype(np.uint8),
+        converged=bool(col_valid.all() and row_valid.all()),
+        outer_iters_used=outer_used,
+        column_valid=col_valid,
+        row_valid=row_valid,
+        pass_validity=tuple(history),
+        component_decode_calls=calls,
+        component_iterations=iters,
+    )

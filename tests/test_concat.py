@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 import concat_ira as ci
 from concat_ira import concat as concat_mod
-from concat_ira.spa import BatchDecodeResult
+from concat_ira.spa import PassResult
+
+from oracles import reference_concat_decode
 
 
 def noiseless_llrs(tx):
@@ -129,8 +132,9 @@ class TestConcatDecode:
 
 
 class _RecordingStub:
-    """Replaces the component decoder; returns tagged random extrinsics and
-    records every (code, channel, prior) it was handed."""
+    """Replaces the component decoder; writes tagged random extrinsics and
+    records every (code, channel, prior) it was handed, each rebuilt as a
+    (rows, N) array from the index table, the ids and the block arrays."""
 
     def __init__(self, cc, valid_after=None):
         self.cc = cc
@@ -139,25 +143,29 @@ class _RecordingStub:
         self.valid_after = valid_after  # pass index -> bool array factory
         self.pass_no = 0
 
-    def __call__(self, code_or_matrix, channel, prior, max_iter, early_stop=True):
+    def __call__(self, code_or_matrix, at, ids, channel, prior, extrinsic, posterior,
+                 max_iter, early_stop=True):
         code = "inner" if code_or_matrix is self.cc.inner else "outer"
         self.pass_no += 1
-        batch, n = channel.shape
+        index = at[ids]
+        batch, n = index.shape
+        rebuilt_channel = channel.reshape(-1)[index]
+        has_prior = index < (0 if prior is None else prior.size)
+        rebuilt_prior = np.zeros((batch, n))
+        rebuilt_prior[has_prior] = prior.reshape(-1)[index[has_prior]]
         ext = self.rng.normal(size=(batch, n))
         self.calls.append(
-            {"code": code, "pass": self.pass_no, "channel": channel.copy(),
-             "prior": prior.copy(), "ext": ext.copy()}
+            {"code": code, "pass": self.pass_no, "channel": rebuilt_channel,
+             "prior": rebuilt_prior, "ext": ext.copy()}
         )
+        out = index < extrinsic.size
+        extrinsic.reshape(-1)[index[out]] = ext[out]
+        if posterior is not None:
+            posterior.reshape(-1)[index[out]] = (rebuilt_channel + rebuilt_prior + ext)[out]
         valid = np.zeros(batch, dtype=bool)
         if self.valid_after is not None:
             valid = self.valid_after(code, self.pass_no, batch)
-        return BatchDecodeResult(
-            hard_bits=np.zeros((batch, n), dtype=np.uint8),
-            posterior=channel + prior + ext,
-            extrinsic=ext,
-            iterations_used=np.ones(batch, dtype=np.int64),
-            valid=valid,
-        )
+        return PassResult(iterations_used=np.ones(batch, dtype=np.int64), valid=valid)
 
 
 class TestExtrinsicHygiene:
@@ -239,3 +247,70 @@ class TestOrderIndependence:
         for c in range(12):
             single = ci.decode(toy_cc.inner, lch[:, c], None, max_iter=4)
             assert single.valid == res.column_valid[c]
+
+
+RESULT_FIELDS = (
+    "source_bits", "converged", "outer_iters_used", "column_valid", "row_valid",
+    "pass_validity", "component_decode_calls", "component_iterations",
+)
+SCHEDULES = (ci.Schedule(), ci.Schedule(freeze_converged=False))
+# sha256 of every result field of the corpus below, as the NumPy glue that
+# reference_concat_decode keeps gave them
+CORPUS_DIGEST = "7ae70c33f62bc7dc264fca458fa9a4dd6052c2e08a333a058b11dc2fb2afa09e"
+
+
+@pytest.fixture(scope="module")
+def corpus(paper_codes_with_histograms, toy_cc):
+    """(code, channel LLRs, schedule) triples: the seed-1/seed-2 codes with
+    the seed-7 random interleaver and its concat-floor escalation, and the
+    toy code, at 2.0, 3.0 and 4.0 dB with freezing on and off.  Some toy
+    LLRs are exact zeros of either sign."""
+    outer, inner, hist_row, hist_col = paper_codes_with_histograms
+    perm0 = ci.random_permutation(128, 181, 7)
+    escalated = ci.escalate_design(hist_row, hist_col, perm0, np.random.default_rng(7))
+    systems = [(ci.ConcatCode(outer, inner, pi), 3) for pi in (perm0, escalated)]
+    systems.append((toy_cc, 6))
+    cases = []
+    for s, (cc, blocks) in enumerate(systems):
+        for ebno in (2.0, 3.0, 4.0):
+            sigma = ci.ebno_sigma(ebno, cc.rate)
+            for b in range(blocks):
+                gen = ci.RngStream(23 + s, int(10 * ebno) + 100 * b).generator()
+                source = gen.integers(0, 2, (cc.K, cc.K), dtype=np.uint8)
+                tx = ci.concat_encode(cc, source)
+                llrs = ci.channel_llr(ci.awgn(ci.modulate(tx), sigma, gen), sigma)
+                if cc is toy_cc:
+                    llrs[gen.random(llrs.shape) < 0.05] = 0.0
+                    llrs[gen.random(llrs.shape) < 0.05] = -0.0
+                cases.extend((cc, llrs, schedule) for schedule in SCHEDULES)
+    return cases
+
+
+def digest_of(results) -> str:
+    digest = hashlib.sha256()
+    for res in results:
+        for name in RESULT_FIELDS:
+            value = getattr(res, name)
+            if isinstance(value, np.ndarray):
+                digest.update(f"{name} {value.dtype.str} {value.shape}".encode())
+                digest.update(value.tobytes())
+            else:
+                digest.update(f"{name} {value!r}".encode())
+    return digest.hexdigest()
+
+
+class TestBitIdentity:
+    def test_every_field_equals_the_numpy_glue(self, corpus):
+        for cc, llrs, schedule in corpus:
+            got = ci.concat_decode(cc, llrs, schedule)
+            want = reference_concat_decode(cc, llrs, schedule)
+            for name in RESULT_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                if isinstance(b, np.ndarray):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+                else:
+                    assert type(a) is type(b) and a == b, name
+
+    def test_corpus_digest(self, corpus):
+        results = [ci.concat_decode(cc, llrs, schedule) for cc, llrs, schedule in corpus]
+        assert digest_of(results) == CORPUS_DIGEST

@@ -273,8 +273,8 @@ class TestPermutationFile:
         "text, message",
         [
             ("", "empty file"),
-            ("2 2 0\n0 1\n1 0\n2 3\n3 2\n", "header must be 'K N seed t'"),
-            ("2 2 0 x\n0 1\n1 0\n2 3\n3 2\n", "non-integer header field"),
+            ("2 2 0\n0 1\n1 0\n2 3\n3 2\n", "line 1: expected header 'K N seed t' as saved"),
+            ("2 2 0 x\n0 1\n1 0\n2 3\n3 2\n", "line 1: expected header 'K N seed t' as saved"),
             ("2 2 0 0\n0 1\n1 0\n2 3\n3 2 9\n", "line 5: expected 'src dst'"),
             ("2 2 0 0\n0 1\n\n2 3\n3 2\n", "line 3: expected 'src dst'"),
             ("2 2 0 0\n0 1\n1 x\n2 3\n3 2\n", "line 3: expected 'src dst'"),
@@ -303,6 +303,29 @@ class TestPermutationFile:
         path.write_bytes(text.encode())
         with pytest.raises(PermutationFileError, match=re.escape(f"{path}: {message}")):
             ci.load_permutation(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "+2\t2 0 1_0\r",  # int() and split() would read K=2, N=2, seed 0, t=10
+            "2\t2 0 0", "2 2 0 0\r", "2 2 0 1_0", "+2 2 0 0", "02 2 0 0", "2 2 00 0",
+            "2 2 -0 0", "2  2 0 0", " 2 2 0 0", "2 2 0 0 ", "2 2 0 0 0",
+        ],
+    )
+    def test_header_in_any_other_form_is_refused_at_line_1(self, tmp_path, header):
+        path = tmp_path / "pi.perm"
+        path.write_bytes(f"{header}\n0 1\n1 0\n2 3\n3 2\n".encode())
+        with pytest.raises(PermutationFileError, match=re.escape(f"{path}: line 1: ")):
+            ci.load_permutation(path)
+
+    @pytest.mark.parametrize("k, n, seed, t", [(1, 1, 0, 0), (2, 3, 10, 7), (3, 5, 2**40, 120)])
+    def test_saved_headers_load_unchanged(self, tmp_path, k, n, seed, t):
+        perm = ci.BlockPermutation(K=k, N=n, forward=np.arange(k * n)[::-1], seed=seed, design_t=t)
+        path = tmp_path / "pi.perm"
+        ci.save_permutation(perm, path)
+        again = ci.load_permutation(path)
+        assert (again.K, again.N, again.seed, again.design_t) == (k, n, seed, t)
+        assert np.array_equal(again.forward, perm.forward)
 
     def test_paper_size_round_trip(self, tmp_path):
         perm = ci.random_permutation(128, 181, 7)

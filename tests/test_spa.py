@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import concat_ira as ci
 from concat_ira import spa
-from concat_ira.spa import _compile, decode_batch
+from concat_ira.spa import _compile, decode_batch, decode_indexed
 
 from oracles import (
     _REF_LLR_CLAMP,
@@ -453,6 +453,78 @@ class TestWorkspaceReuse:
 # sha256 of every result array of the corpus below, as the batch-last NumPy
 # kernel that the C kernel replaced gave them
 CORPUS_DIGEST = "e32f814145252d4ba03cd9c5c371f5ca3ece8bf0e210dcc1583837f64d742944"
+
+
+class TestIndexedDecode:
+    """decode_indexed reads and writes each codeword through its table row."""
+
+    @staticmethod
+    def block(code, rng):
+        """A 9-codeword block scattered over flat arrays: the prior and the
+        outputs are shorter than the channel, so some variables have no
+        prior and some write no output."""
+        n = code.N
+        at = rng.permutation(12 * n)[: 9 * n].astype(np.int32).reshape(9, n)
+        channel = rng.normal(0.5, 1.5, size=12 * n)
+        prior = rng.normal(scale=0.5, size=8 * n)
+        return at, channel, prior
+
+    def test_rows_decode_as_their_gathered_batch(self, paper_outer):
+        rng = np.random.default_rng(21)
+        at, channel, prior = self.block(paper_outer, rng)
+        ids = np.array([7, 0, 3, 8, 2])
+        index = at[ids]
+        gathered_prior = np.where(index < prior.size, prior[np.minimum(index, prior.size - 1)], 0.0)
+        want = decode_batch(paper_outer, channel[index], gathered_prior, 30)
+        extrinsic = np.full(10 * paper_outer.N, np.nan)
+        posterior = np.full(extrinsic.size, np.nan)
+        got = decode_indexed(paper_outer, at, ids, channel, prior, extrinsic, posterior, 30)
+        assert np.array_equal(got.iterations_used, want.iterations_used)
+        assert np.array_equal(got.valid, want.valid)
+        written = index < extrinsic.size
+        assert 0 < written.sum() < index.size
+        assert np.array_equal(extrinsic[index[written]], want.extrinsic[written])
+        assert np.array_equal(posterior[index[written]], want.posterior[written])
+        untouched = np.ones(extrinsic.size, dtype=bool)
+        untouched[index[written]] = False
+        assert np.isnan(extrinsic[untouched]).all() and np.isnan(posterior[untouched]).all()
+
+    def test_no_prior_and_no_posterior(self, paper_outer):
+        rng = np.random.default_rng(22)
+        at, channel, _ = self.block(paper_outer, rng)
+        ids = np.arange(9)
+        want = decode_batch(paper_outer, channel[at], None, 30)
+        extrinsic = np.empty(channel.size)
+        got = decode_indexed(paper_outer, at, ids, channel, None, extrinsic, None, 30)
+        assert np.array_equal(extrinsic[at], want.extrinsic)
+        assert np.array_equal(got.valid, want.valid)
+
+    @pytest.mark.parametrize("fault", [
+        "id past the table", "negative id", "index past the channel", "negative index",
+        "int64 table", "strided channel", "read-only extrinsic", "posterior size",
+    ])
+    def test_bad_arguments_raise(self, toy_outer, fault):
+        rng = np.random.default_rng(23)
+        at, channel, prior = self.block(toy_outer, rng)
+        ids, extrinsic, posterior = np.arange(9), np.empty(channel.size), None
+        if fault == "id past the table":
+            ids = np.array([0, 9])
+        elif fault == "negative id":
+            ids = np.array([-1])
+        elif fault == "index past the channel":
+            at[4, 3] = channel.size
+        elif fault == "negative index":
+            at[8, 0] = -1
+        elif fault == "int64 table":
+            at = at.astype(np.int64)
+        elif fault == "strided channel":
+            channel = np.repeat(channel, 2)[::2]
+        elif fault == "read-only extrinsic":
+            extrinsic.setflags(write=False)
+        else:
+            posterior = np.empty(channel.size - 1)
+        with pytest.raises(ValueError):
+            decode_indexed(toy_outer, at, ids, channel, prior, extrinsic, posterior, 5)
 
 
 class TestKernel:
