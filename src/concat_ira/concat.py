@@ -62,10 +62,6 @@ class ConcatCode:
         return (self.K * self.K) / (self.N * self.N)
 
     @cached_property
-    def pi_inv(self) -> BlockPermutation:
-        return self.pi.invert()
-
-    @cached_property
     def pass_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """int32 index tables of the column pass, (N, N), and the row pass,
         (K, N): where each codeword's variables sit in the decoder's block

@@ -201,10 +201,9 @@ class _CompiledGraph:
     ``msg`` and ``cv`` are ``(tiles, n_edges, _LANES)``, and row r is lane
     ``r % _LANES`` of tile ``r // _LANES``.  A call of width b works in the
     first ``ceil(b / _LANES)`` tiles, which stay the first as rows stop.
-    ``identity`` is the index table of a batch of one codeword per row, and
-    ``order`` its ids, ``arange`` of the batch.  The rows are reused by every
-    call in this process and sized for the largest batch seen, so it is not
-    safe to decode on one graph from two threads at once.
+    The rows are reused by every call in this process and sized for the
+    largest batch seen, so it is not safe to decode on one graph from two
+    threads at once.
     """
 
     def __init__(self, matrix: SparseBinaryMatrix):
@@ -237,10 +236,6 @@ class _CompiledGraph:
             self.cv = np.empty((tiles, self.n_edges, _LANES))
             self.active = np.empty(tiles * _LANES, dtype=np.int64)
             self.stopped = np.empty(tiles * _LANES, dtype=np.uint8)
-            self.order = np.arange(tiles * _LANES)
-            self.identity = np.arange(tiles * _LANES * self.n_vars, dtype=np.int32).reshape(
-                -1, self.n_vars
-            )
             for name in ("lam", "msg", "cv", "active", "stopped"):
                 setattr(self.args, name, getattr(self, name).ctypes.data)
 
@@ -278,9 +273,8 @@ def decode_indexed(
     channel: np.ndarray,
     prior: np.ndarray | None,
     extrinsic: np.ndarray,
-    posterior: np.ndarray | None = None,
-    max_iter: int = 100,
-    early_stop: bool = True,
+    posterior: np.ndarray | None,
+    max_iter: int,
 ) -> PassResult:
     """Decode the codewords that an index table picks out of a block.
 
@@ -298,29 +292,31 @@ def decode_indexed(
     ``channel``, and RuntimeError when the kernel library could not be
     built.
     """
-    return _decode(
-        _compile(_as_matrix(code_or_matrix)), at, ids, channel, prior, extrinsic, posterior,
-        max_iter, early_stop,
-    )
-
-
-def _decode(g: _CompiledGraph, at, ids, channel, prior, extrinsic, posterior, max_iter,
-            early_stop) -> PassResult:
-    lib = _kernel()
+    g = _compile(_as_matrix(code_or_matrix))
     if at.ndim != 2 or at.shape[1] != g.n_vars:
         raise ValueError(f"index table rows must have length {g.n_vars}")
+    return _decode(g, len(ids), at, ids, channel, prior, extrinsic, posterior, max_iter, True)
+
+
+def _decode(g: _CompiledGraph, batch, at, ids, channel, prior, extrinsic, posterior, max_iter,
+            early_stop) -> PassResult:
+    """``decode_indexed`` of ``batch`` call rows; with ``at`` None there is
+    no table, and call row i's variable v sits at index ``i * n_vars + v``."""
+    lib = _kernel()
     if posterior is not None and posterior.size != extrinsic.size:
         raise ValueError("posterior size must match extrinsic size")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    batch = len(ids)
     g.reserve(batch)
     iterations = np.empty(batch, dtype=np.int64)
     valid = np.empty(batch, dtype=bool)
     args = g.args
-    args.at, args.at_rows = _address(at, np.int32, "at"), len(at)
-    args.ids = _address(ids, np.int64, "ids")
+    if at is None:
+        args.at, args.at_rows, args.ids = None, 0, None
+    else:
+        args.at, args.at_rows = _address(at, np.int32, "at"), len(at)
+        args.ids = _address(ids, np.int64, "ids")
     args.channel, args.channel_len = _address(channel, np.float64, "channel"), channel.size
     if prior is None:
         args.prior, args.prior_len = None, 0
@@ -367,7 +363,8 @@ def decode_batch(
     Each codeword is one lane of the graph's working tiles (see
     ``_CompiledGraph``), and every sum and product runs in edge order within
     its lane, so the arithmetic does not depend on B or on the lane.  This
-    is ``decode_indexed`` with row i of every array as codeword i.  The
+    is the decode of ``decode_indexed`` with row i of every array as
+    codeword i, without an index table.  The
     returned arrays are always new.  Raises RuntimeError when the kernel
     library could not be built.
     """
@@ -381,13 +378,9 @@ def decode_batch(
             raise ValueError("prior shape must match channel shape")
 
     batch = channel.shape[0]
-    g.reserve(batch)
     extrinsic = np.empty((batch, g.n_vars))
     posterior = np.empty((batch, g.n_vars))
-    res = _decode(
-        g, g.identity, g.order[:batch], channel, prior, extrinsic, posterior,
-        max_iter, early_stop,
-    )
+    res = _decode(g, batch, None, None, channel, prior, extrinsic, posterior, max_iter, early_stop)
     hard = (posterior < 0.0).view(np.uint8)
     return BatchDecodeResult(hard, posterior, extrinsic, res.iterations_used, res.valid)
 

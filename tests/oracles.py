@@ -720,7 +720,8 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
         raise ValueError(f"expected ({cc.N}, {cc.N}) channel LLR array")
     k, n = cc.K, cc.N
 
-    lch_rows = cc.pi_inv.apply(lch[:k, :])  # channel observations seen by the row code
+    pi_inv = cc.pi.invert()
+    lch_rows = pi_inv.apply(lch[:k, :])  # channel observations seen by the row code
     row_ext = np.zeros((k, n))              # row-decoder extrinsic, row-code alignment
     col_ext_mixed = np.zeros((k, n))        # column-decoder extrinsic, column-code alignment
     row_post = np.zeros((k, n))
@@ -749,7 +750,7 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
         # row pass: de-interleaved channel plus the column extrinsic as prior
         rows = np.flatnonzero(~row_valid) if schedule.freeze_converged else np.arange(k)
         if len(rows):
-            prior = cc.pi_inv.apply(col_ext_mixed)[rows]
+            prior = pi_inv.apply(col_ext_mixed)[rows]
             res = decode_batch(cc.outer, lch_rows[rows], prior, schedule.inner_iters)
             row_ext[rows] = res.extrinsic
             row_post[rows] = res.posterior

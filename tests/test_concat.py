@@ -34,14 +34,14 @@ class TestConcatEncode:
             source = rng.integers(0, 2, (8, 8), dtype=np.uint8)
             tx = ci.concat_encode(toy_cc, source)
             assert not ((inner_dense @ tx) % 2).any()
-            rows = toy_cc.pi_inv.apply(tx[:8, :])
+            rows = toy_cc.pi.invert().apply(tx[:8, :])
             assert not ((outer_dense @ rows.T) % 2).any()
 
     def test_systematic_region_carries_source(self, toy_cc):
         rng = np.random.default_rng(1)
         source = rng.integers(0, 2, (8, 8), dtype=np.uint8)
         tx = ci.concat_encode(toy_cc, source)
-        rows = toy_cc.pi_inv.apply(tx[:8, :])
+        rows = toy_cc.pi.invert().apply(tx[:8, :])
         assert np.array_equal(rows[:, :8], source)
 
     def test_shape_mismatch_rejected(self, toy_cc):
@@ -144,7 +144,7 @@ class _RecordingStub:
         self.pass_no = 0
 
     def __call__(self, code_or_matrix, at, ids, channel, prior, extrinsic, posterior,
-                 max_iter, early_stop=True):
+                 max_iter):
         code = "inner" if code_or_matrix is self.cc.inner else "outer"
         self.pass_no += 1
         index = at[ids]
@@ -177,6 +177,7 @@ class TestExtrinsicHygiene:
 
         col1, row1, col2, row2 = stub.calls
         assert [c["code"] for c in stub.calls] == ["inner", "outer", "inner", "outer"]
+        pi_inv = toy_cc.pi.invert()
 
         # first column pass: channel in, all-zero prior
         assert np.array_equal(col1["channel"], lch.T)
@@ -185,10 +186,10 @@ class TestExtrinsicHygiene:
         # row pass prior is exactly the de-interleaved column extrinsic
         col_ext = np.zeros((8, 12))
         col_ext[:, :] = col1["ext"][:, :8].T
-        expect_prior = toy_cc.pi_inv.apply(col_ext)
+        expect_prior = pi_inv.apply(col_ext)
         assert np.allclose(row1["prior"], expect_prior)
         # and the row channel is the de-interleaved systematic channel
-        assert np.allclose(row1["channel"], toy_cc.pi_inv.apply(lch[:8, :]))
+        assert np.allclose(row1["channel"], pi_inv.apply(lch[:8, :]))
 
         # second column pass prior: permuted row extrinsic on systematic rows,
         # zero on parity rows; the row decoder's own inputs never re-enter it
@@ -198,7 +199,7 @@ class TestExtrinsicHygiene:
 
         # second row pass prior holds only second-column extrinsic
         col_ext2 = col2["ext"][:, :8].T
-        assert np.allclose(row2["prior"], toy_cc.pi_inv.apply(col_ext2))
+        assert np.allclose(row2["prior"], pi_inv.apply(col_ext2))
 
     def test_frozen_components_not_redecoded(self, toy_cc, monkeypatch):
         def valid_after(code, pass_no, batch):
