@@ -5,9 +5,19 @@ is lane r % LANES of tile r / LANES, and a tile of an edge array is
 (n_edges, LANES), so each edge's values for the tile's rows are one vector
 and the arithmetic below runs on all lanes at once.  Edges are numbered
 check by check (check c owns edges check_ptr[c] to check_ptr[c + 1] - 1, in
-its row-support order).  Lanes past the last working row are dead: their
-msg starts at zero and stays finite, and nothing they compute is read.
-NumPy takes tanh of msg and arctanh of cv, in place, between the calls.
+its row-support order).  The working arrays start on 64-byte boundaries
+and a tile row is one 32-byte vector, so no vector load or store straddles
+a cache line.  Lanes past the last working row are dead: their lam is
+zero, their msg starts at zero and stays finite, and nothing they compute
+is read.
+
+NumPy takes tanh and arctanh between the calls.  An iteration is
+spa_checks, arctanh of cv in place, spa_variables, and tanh of msg in
+place for the kept rows.  The first iteration's messages are all copies of
+lam, so its tanh is taken once per variable, not once per edge: after
+spa_start, NumPy writes tanh(lam) as a (tiles, n_vars, LANES) array at the
+start of cv, which the first spa_checks overwrites, and spa_gather copies
+it into msg by edge.
 
 A call's codewords are read from and written to flat block arrays through
 an index table: call row i is table row ids[i], and its variable v sits at
@@ -27,7 +37,7 @@ a -0.0 sum into +0.0, which no compiler may fold without -ffast-math. */
 #define LANES 4
 #define ATANH_GUARD (1.0 - 1e-12) /* keeps products away from +-1 */
 
-/* one edge's or variable's values in a tile; loads need only double alignment */
+/* one edge's or variable's values in a tile; loads ask only double alignment */
 typedef double lanes __attribute__((vector_size(LANES * sizeof(double)), aligned(8), may_alias));
 typedef int64_t masks __attribute__((vector_size(LANES * sizeof(int64_t)))); /* 0 or -1 */
 
@@ -40,7 +50,8 @@ typedef struct {
     const int64_t *var_edge;  /* edges of each variable, in check order */
     double *lam;              /* (tiles, n_vars, LANES) channel + prior, half scale */
     double *msg;              /* (tiles, n_edges, LANES) variable-to-check, then its tanh */
-    double *cv;               /* (tiles, n_edges, LANES) check products, then their arctanh */
+    double *cv;               /* (tiles, n_edges, LANES) check products, then their arctanh;
+                                 first (tiles, n_vars, LANES) tanh(lam) */
     double *ext, *post;       /* (n_vars, LANES) scratch: one tile's extrinsic and posterior */
     int64_t *active;          /* (tiles * LANES,) call row of each working row */
     uint8_t *stopped;         /* (tiles * LANES,) scratch: whether each working row stops */
@@ -89,12 +100,11 @@ static const int32_t *indices(const spa_graph *g, int64_t i)
 }
 
 /* lam = (channel + prior) * 0.5 for call rows 0..rows-1, call row r in
-   working row r, and msg = lam gathered by edge; dead lanes get zeros.
-   Returns -1 if an id lies outside the table or an index outside the
-   channel, else 0. */
+   working row r; dead lanes get zeros.  Returns -1 if an id lies outside
+   the table or an index outside the channel, else 0. */
 int64_t spa_start(const spa_graph *g, int64_t rows)
 {
-    const int64_t n = g->n_vars, n_edges = g->n_edges, *edge_var = g->edge_var;
+    const int64_t n = g->n_vars;
     for (int64_t r = 0; r < tiles_of(rows) * LANES; r++) {
         double *lam = g->lam + (r / LANES) * n * LANES + r % LANES;
         if (r >= rows) {
@@ -113,13 +123,21 @@ int64_t spa_start(const spa_graph *g, int64_t rows)
         }
         g->active[r] = r;
     }
+    return 0;
+}
+
+/* The first iteration's messages: msg = tanh(lam) gathered by edge, from
+   the (tiles, n_vars, LANES) array that NumPy wrote at the start of cv */
+void spa_gather(const spa_graph *g, int64_t rows)
+{
+    /* locals, as a vector store may alias *g */
+    const int64_t n = g->n_vars, n_edges = g->n_edges, *edge_var = g->edge_var;
     for (int64_t t = 0; t < tiles_of(rows); t++) {
-        const lanes *lam = tile(g->lam, t, n);
+        const lanes *th = tile(g->cv, t, n);
         lanes *msg = tile(g->msg, t, n_edges);
         for (int64_t e = 0; e < n_edges; e++)
-            msg[e] = lam[edge_var[e]];
+            msg[e] = th[edge_var[e]];
     }
-    return 0;
 }
 
 /* x clipped to the guard, lane by lane; -0.0 and NaN pass unchanged */

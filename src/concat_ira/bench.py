@@ -115,6 +115,12 @@ class SimConfig:
         object.__setattr__(self, "ebno_db", tuple(float(e) for e in self.ebno_db))
         if not all(map(math.isfinite, self.ebno_db)):
             raise ConfigError(f"ebno_db must be finite, not {self.ebno_db!r}")
+        for e in self.ebno_db:  # a curve row names its point by f"{e:g}"
+            if float(f"{e:g}") != e:
+                raise ConfigError(
+                    f"ebno_db value {e!r} would be written as {e:g}: "
+                    "give at most 6 significant digits"
+                )
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":

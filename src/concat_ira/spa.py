@@ -23,7 +23,11 @@ every ``tanh`` and ``arctanh``, elementwise over the working tiles;
 codeword's channel and prior through an index table into the tiles, makes
 two calls per iteration (the check products, then the variable update with
 the syndromes and the row stops), and writes a stopped row's outputs
-through the same table.  ``decode_indexed`` so decodes the rows of a block
+through the same table.  The first iteration's messages are copies of the
+variables' inputs, so NumPy takes their ``tanh`` once per variable and the
+kernel gathers it by edge.  The working tiles start on cache-line
+boundaries, so no vector the kernel loads or stores straddles two lines.
+``decode_indexed`` so decodes the rows of a block
 held in any layout, which is how the concatenated decoder runs its passes;
 ``decode_batch`` is its case of one codeword per array row.  The C code
 rounds each operation once per lane in the order of the NumPy kernel it
@@ -176,6 +180,7 @@ def _kernel() -> ctypes.CDLL:
         else:
             for name, extra, restype in (
                 ("spa_start", [], ctypes.c_int64),
+                ("spa_gather", [], None),
                 ("spa_checks", [], None),
                 ("spa_variables", [ctypes.c_int64, ctypes.c_int, ctypes.c_int], ctypes.c_int64),
             ):
@@ -189,6 +194,17 @@ def _kernel() -> ctypes.CDLL:
 
 
 _LANES = 4  # rows per tile: LANES of _spa_kernel.c
+_LINE = 64  # bytes per cache line
+
+
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous float64 array of ``shape`` whose data
+    starts on a cache-line boundary, so no 32-byte tile row of it straddles
+    two lines (NumPy itself aligns to 16 bytes)."""
+    size = int(np.prod(shape)) * 8
+    raw = np.empty(size + _LINE, dtype=np.uint8)
+    start = -raw.ctypes.data % _LINE
+    return raw[start:start + size].view(np.float64).reshape(shape)
 
 
 class _CompiledGraph:
@@ -199,8 +215,12 @@ class _CompiledGraph:
     ``var_edge`` lists each variable's edges in check order.  Working rows
     come in tiles of ``_LANES``: ``lam`` is ``(tiles, n_vars, _LANES)``,
     ``msg`` and ``cv`` are ``(tiles, n_edges, _LANES)``, and row r is lane
-    ``r % _LANES`` of tile ``r // _LANES``.  A call of width b works in the
-    first ``ceil(b / _LANES)`` tiles, which stay the first as rows stop.
+    ``r % _LANES`` of tile ``r // _LANES``.  ``cv_bytes`` is the buffer
+    that starts with ``cv``; it also holds the first iteration's
+    ``(tiles, n_vars, _LANES)`` ``tanh(lam)``, for which it is sized when
+    there are fewer edges than variables.  Every float64 array starts on a
+    cache-line boundary.  A call of width b works in the first
+    ``ceil(b / _LANES)`` tiles, which stay the first as rows stop.
     The rows are reused by every call in this process and sized for the
     largest batch seen, so it is not safe to decode on one graph from two
     threads at once.
@@ -217,8 +237,8 @@ class _CompiledGraph:
         self.var_edge = np.argsort(self.edge_var, kind="stable")
         var_degrees = np.bincount(self.edge_var, minlength=self.n_vars)
         self.var_ptr = np.concatenate([[0], np.cumsum(var_degrees, dtype=np.int64)])
-        self.ext = np.empty((self.n_vars, _LANES))
-        self.post = np.empty((self.n_vars, _LANES))
+        self.ext = _aligned((self.n_vars, _LANES))
+        self.post = _aligned((self.n_vars, _LANES))
         self.tiles = 0
         self.args = _GraphArgs(self.n_checks, self.n_vars, self.n_edges,
                                max(int(var_degrees.max(initial=0)), 1))
@@ -231,9 +251,11 @@ class _CompiledGraph:
         tiles = -(-batch // _LANES)
         if tiles > self.tiles:
             self.tiles = tiles
-            self.lam = np.empty((tiles, self.n_vars, _LANES))
-            self.msg = np.empty((tiles, self.n_edges, _LANES))
-            self.cv = np.empty((tiles, self.n_edges, _LANES))
+            self.lam = _aligned((tiles, self.n_vars, _LANES))
+            self.msg = _aligned((tiles, self.n_edges, _LANES))
+            cv = _aligned((tiles * max(self.n_edges, self.n_vars) * _LANES,))
+            self.cv = cv[:tiles * self.n_edges * _LANES].reshape(tiles, self.n_edges, _LANES)
+            self.cv_bytes = cv.view(np.uint8)
             self.active = np.empty(tiles * _LANES, dtype=np.int64)
             self.stopped = np.empty(tiles * _LANES, dtype=np.uint8)
             for name in ("lam", "msg", "cv", "active", "stopped"):
@@ -332,16 +354,21 @@ def _decode(g: _CompiledGraph, batch, at, ids, channel, prior, extrinsic, poster
     if lib.spa_start(g.ref, batch):
         raise ValueError("an id lies outside the index table or an index outside the channel")
 
+    # the first messages are lam gathered by edge: tanh once per variable
+    tiles = -(-batch // _LANES)
+    np.tanh(g.lam[:tiles], out=np.ndarray((tiles, g.n_vars, _LANES), np.float64, g.cv_bytes))
+    lib.spa_gather(g.ref, batch)
     b, early_stop = batch, bool(early_stop)  # ctypes takes no NumPy booleans
     for it in range(1, max_iter + 1):
-        tiles = -(-b // _LANES)
-        msg, cv = g.msg[:tiles], g.cv[:tiles]
-        np.tanh(msg, out=msg)
         lib.spa_checks(g.ref, b)
+        cv = g.cv[:tiles]
         np.arctanh(cv, out=cv)
         b = lib.spa_variables(g.ref, b, it, bool(it == max_iter), early_stop)
         if not b:
             break
+        tiles = -(-b // _LANES)
+        msg = g.msg[:tiles]
+        np.tanh(msg, out=msg)
     return PassResult(iterations, valid)
 
 

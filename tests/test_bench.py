@@ -149,6 +149,13 @@ class TestSimConfig:
         with pytest.raises(ConfigError, match="^ebno_db must be finite"):
             SimConfig.from_json(f'{{"system": "single", "ebno_db": [3.0, {value}], "code": "c"}}')
 
+    @pytest.mark.parametrize("ebno_db", [(3.0, 3.0000001, 2.9999999), (3.0000001,)])
+    def test_ebno_the_curve_file_cannot_name_rejected(self, ebno_db):
+        # a curve row names its point by f"{ebno:g}"; 3.0000001 would be
+        # written, and resumed, as the row of 3.0
+        with pytest.raises(ConfigError, match=r"^ebno_db value 3\.0000001 would be written as 3: "):
+            SimConfig(system="single", ebno_db=ebno_db, output="x.csv", code="y")
+
     def test_json_integers_and_numbers_parse(self):
         config = SimConfig.from_json(json.dumps({
             "system": "single", "ebno_db": [3, 4.5], "code": "c", "master_seed": 12,
@@ -272,6 +279,14 @@ class TestRunCurve:
         with pytest.raises(ValueError, match="4000.0 dB gives no usable noise level"):
             run_curve(config)
         assert not out.exists()
+
+    def test_repeated_ebno_measured_once(self, toy_files, tmp_path):
+        out = tmp_path / "repeated.csv"
+        stop = StopRule(min_block_errors=2, max_blocks=20)
+        points = run_curve(concat_config(toy_files, ebno_db=(3.0, 4.0, 3.0), output=str(out),
+                                         stop=stop))
+        assert [p.ebno_db for p in points] == [3.0, 4.0]
+        assert [row.split(",", 1)[0] for row in out.read_text().splitlines()[1:]] == ["3", "4"]
 
     def test_refused_ebno_leaves_existing_output_unchanged(self, toy_files, tmp_path):
         out = tmp_path / "kept.csv"

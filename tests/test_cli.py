@@ -248,6 +248,15 @@ class TestSimulate:
         assert err.startswith("error: ebno_db must be finite") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_ebno_past_six_digits_gives_one_error_line(self, workspace, tmp_path, capsys):
+        config_path, out = self.make_config(workspace, tmp_path, ebno_db=[3.0, 3.0000001])
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == (
+            "error: ebno_db value 3.0000001 would be written as 3: "
+            "give at most 6 significant digits\n"
+        )
+        assert not out.exists()
+
     def test_overflowing_ebno_gives_one_error_line(self, workspace, tmp_path, capsys):
         config_path, _ = self.make_config(workspace, tmp_path, ebno_db=[4000])
         assert run_cli("simulate", "--config", config_path) == 1

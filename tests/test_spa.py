@@ -426,6 +426,26 @@ class TestWorkspaceReuse:
         assert np.array_equal(channel, channel_before)
         assert np.array_equal(prior, prior_before)
 
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["paper", "fewer-edges-than-vars"])
+    def test_working_arrays_start_on_cache_lines(self, paper_outer, degenerate):
+        # a fresh graph, grown in steps; every 32-byte tile row then lies in
+        # one 64-byte line, and the first iteration's tanh(lam) fits in cv's buffer
+        h = ci.SparseBinaryMatrix.from_rows(3, 8, [(0,), (1, 2), (7,)]) if degenerate else paper_outer.H
+        g = spa._CompiledGraph(h)
+        assert (g.n_edges < g.n_vars) == degenerate
+        largest = 1
+        for batch in (1, 5, 3, 184, 500, 501):
+            g.reserve(batch)
+            largest = max(largest, batch)
+            assert g.tiles == -(-largest // spa._LANES)
+            floats = {name: a for name, a in vars(g).items()
+                      if isinstance(a, np.ndarray) and a.dtype == np.float64}
+            assert sorted(floats) == ["cv", "ext", "lam", "msg", "post"]
+            for name, a in floats.items():
+                assert a.ctypes.data % 64 == 0, (batch, name)
+            assert g.cv_bytes.ctypes.data == g.cv.ctypes.data
+            assert g.cv_bytes.nbytes >= g.tiles * g.n_vars * spa._LANES * 8
+
     @pytest.mark.parametrize("max_iter", [1, 10])
     @pytest.mark.parametrize(
         "n_vars, rows",
@@ -546,6 +566,31 @@ class TestKernel:
                         digest.update(f"{name} {a.dtype.str} {a.shape}".encode())
                         digest.update(a.tobytes())
         assert digest.hexdigest() == CORPUS_DIGEST
+
+    def test_tanh_of_a_value_does_not_depend_on_where_it_sits(self, paper_outer):
+        # The first iteration takes tanh of lam, (tiles, n_vars, 4), and
+        # gathers it by edge; later ones take tanh of msg, (tiles, n_edges, 4),
+        # in place.  The decoder is bit-identical only while NumPy's tanh
+        # gives a value the same bits in either layout, at any offset.
+        g = _compile(paper_outer.H)
+        cut = 19.1  # |x| from which tanh(x) is exactly +-1.0
+        specials = np.array([
+            0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072009e-308, 1e-300,
+            np.nextafter(cut, 0), cut, np.nextafter(cut, 99), -np.nextafter(cut, 0), -cut,
+            -np.nextafter(cut, 99), 18.0, -20.0, 40.0, np.inf, -np.inf, np.nan, -np.nan,
+        ])
+        rng = np.random.default_rng(19)
+        for tiles in (1, 2, 46):
+            pool = np.concatenate([specials, rng.normal(scale=8.0, size=tiles * g.n_vars * 4)])
+            for shift in range(0, len(specials), 3):
+                lam = spa._aligned((tiles, g.n_vars, spa._LANES))
+                lam.reshape(-1)[:] = np.roll(pool, shift)[:lam.size]
+                first = spa._aligned(lam.shape)
+                np.tanh(lam, out=first)
+                msg = spa._aligned((tiles, g.n_edges, spa._LANES))
+                msg[:] = lam[:, g.edge_var]
+                np.tanh(msg, out=msg)
+                assert first[:, g.edge_var].tobytes() == msg.tobytes(), (tiles, shift)
 
     def test_edges_are_numbered_check_by_check(self):
         g = _compile(ci.SparseBinaryMatrix.from_rows(3, 3, [(0, 2), (1, 2), (0, 1)]))
