@@ -36,12 +36,12 @@ from .interleave import (
 )
 from .channel import (
     RngStream,
+    TrialStreams,
     awgn,
     channel_llr,
     ebno_sigma,
     modulate,
     random_bits,
-    trial_generators,
 )
 from .concat import ConcatCode, ConcatDecodeResult, Schedule, concat_decode, concat_encode
 from .bench import CurvePoint, SimConfig, StopRule, gaussian_q, run_curve

@@ -22,9 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spa
-from .channel import (
-    RngStream, awgn, channel_llr, ebno_sigma, modulate, random_bits, trial_generators,
-)
+from .channel import RngStream, TrialStreams, awgn, channel_llr, ebno_sigma, modulate, random_bits
 from .concat import ConcatCode, Schedule, concat_decode, concat_encode
 from .interleave import load_permutation
 # perfbench/layers.py patches bench.encode, so the name stays importable here
@@ -65,7 +63,7 @@ class StopRule:
     def __post_init__(self):
         if self.min_block_errors < 1 or self.max_blocks < 1:
             raise ConfigError("stop rule bounds must be >= 1")
-        # trial streams are defined for indices below 2^32 (channel.trial_generators)
+        # trial streams are defined for indices below 2^32 (channel.TrialStreams)
         if self.max_blocks > 2**32:
             raise ConfigError(f"max_blocks must be <= 2**32, not {self.max_blocks}")
 
@@ -189,9 +187,8 @@ def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
 # stream.  trials_per_task is the work of one task, in-process or on a pool.
 
 
-def _received(tx: np.ndarray, sigma: float, gen) -> np.ndarray:
-    """Channel LLRs of a transmitted bit array, its noise drawn from one
-    generator or from one generator per row (see ``awgn``)."""
+def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator) -> np.ndarray:
+    """Channel LLRs of a transmitted bit array, its noise drawn from gen."""
     return channel_llr(awgn(modulate(tx), sigma, gen), sigma)
 
 
@@ -233,11 +230,11 @@ class ConcatSystem:
 
 @dataclass(frozen=True, eq=False)
 class SingleSystem:
-    """One component code; a task's trials encode as one batch, pass the
-    channel as one batch, each row's noise drawn from its own trial's stream,
-    and decode as one batch, which gives every row the result it would have
-    on its own.  Wide tasks let the rows that never converge share their
-    iterations."""
+    """One component code; a task's trials draw their source bits and noise
+    from their own streams, in one C call each (``channel.TrialStreams``),
+    encode as one batch and decode as one batch, which gives every row the
+    result it would have on its own.  Wide tasks let the rows that never
+    converge share their iterations."""
 
     code: IraCode
     max_iter: int
@@ -253,10 +250,9 @@ class SingleSystem:
 
     def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> list:
         code = self.code
-        gens = trial_generators(master_seed, lo, hi)
-        # each stream draws its source bits, then its noise, as one trial alone would
-        sources = random_bits(gens, code.K)
-        llrs = _received(encode_batch(code, sources), sigma, gens)
+        streams = TrialStreams(master_seed, lo, hi)
+        sources = streams.bits(code.K)
+        llrs = streams.llrs(encode_batch(code, sources), sigma)
         res = spa.decode_batch(code, llrs, None, self.max_iter)
         errors = (res.hard_bits[:, : code.K] != sources).sum(axis=1)
         return [

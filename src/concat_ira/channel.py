@@ -11,11 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+
+from .spa import _kernel
 
 __all__ = [
     "RngStream",
-    "trial_generators",
+    "TrialStreams",
     "random_bits",
     "ebno_sigma",
     "modulate",
@@ -42,88 +43,54 @@ def ebno_sigma(ebno_db: float, rate: float) -> float:
     return sigma
 
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """init, init * mult, init * mult^2, ... mod 2^32: the running hash
-    constant before and after each of count hashes, shaped to broadcast over
-    trials."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
-
-
-def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each word row k against consts[k] and
-    consts[k + 1]; uint32 arithmetic wraps as the C code's does."""
-    words = (words ^ consts[:-1]) * consts[1:]
-    return words ^ (words >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> 16)
-
-
-class _TrialSeed(ISeedSequence):
-    """One trial's PCG64 seed words, handed to PCG64 as its seed sequence.
-    PCG64 asks only for generate_state(4, np.uint64)."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def trial_generators(master_seed: int, lo: int, hi: int) -> list[np.random.Generator]:
-    """The generators of trials lo..hi-1.  Trial i's is PCG64 seeded as
-    ``SeedSequence(entropy=(master_seed, i))`` would seed it: SeedSequence's
-    entropy mixing and generate_state(4, np.uint64), ported to run over all
-    the trials at once, one array operation per step of the hash.
+class TrialStreams:
+    """The random streams of trials lo..hi-1: trial i draws what
+    ``Generator(PCG64(SeedSequence((master_seed, i))))`` would draw, for the
+    installed NumPy.  ``_trial_kernel.c`` ports SeedSequence's hash and
+    PCG64 and calls NumPy's own ziggurat, so a task's trials draw in one C
+    call each, with no generator objects.  ``states`` holds each trial's
+    PCG64 state as (state high, state low, increment high, increment low).
 
     Raises ValueError for a negative seed or index, and for an index of
     2^32 or more, which SeedSequence would hash as two entropy words.
     """
-    master_seed, lo, hi = int(master_seed), int(lo), int(hi)
-    if master_seed < 0 or lo < 0:
-        raise ValueError(f"master_seed and trial indices must be >= 0, not {master_seed}, {lo}")
-    if hi > 2**32:
-        raise ValueError(f"trial indices must be below 2**32, not {hi - 1}")
-    # entropy words: master_seed as little-endian 32-bit words, then i; the
-    # pool's first words take the entropy, zeros when it is shorter
-    words = [master_seed & _MASK32]
-    while master_seed > _MASK32:
-        master_seed >>= 32
-        words.append(master_seed & _MASK32)
-    entropy = np.zeros((max(len(words) + 1, _POOL), hi - lo), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = np.arange(lo, hi, dtype=np.uint32)
-    extra = len(entropy) - _POOL
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
-    pool = _hash(entropy[:_POOL], consts[: _POOL + 1])
-    k = _POOL
-    for src in range(_POOL):  # each pool word cross-mixed into the others
-        dst = [d for d in range(_POOL) if d != src]
-        pool[dst] = _mix(pool[dst], _hash(pool[src], consts[k : k + _POOL]))
-        k += _POOL - 1
-    for word in entropy[_POOL:]:  # entropy past the pool, mixed into every word
-        pool = _mix(pool, _hash(word, consts[k : k + _POOL + 1]))
-        k += _POOL
-    # generate_state(4, np.uint64): 8 words hashed from the pool in turn,
-    # paired into 64-bit words little-endian
-    state = _hash(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
-    seeds = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-    return [np.random.Generator(np.random.PCG64(_TrialSeed(row))) for row in seeds]
+
+    def __init__(self, master_seed: int, lo: int, hi: int):
+        master_seed, lo, hi = int(master_seed), int(lo), int(hi)
+        if master_seed < 0 or lo < 0:
+            raise ValueError(f"master_seed and trial indices must be >= 0, not {master_seed}, {lo}")
+        if hi > 2**32:
+            raise ValueError(f"trial indices must be below 2**32, not {hi - 1}")
+        # SeedSequence's entropy: master_seed as little-endian 32-bit words, then i
+        words = [master_seed & 0xFFFFFFFF]
+        while master_seed > 0xFFFFFFFF:
+            master_seed >>= 32
+            words.append(master_seed & 0xFFFFFFFF)
+        words = np.array(words, dtype=np.uint32)
+        self.states = np.empty((max(hi - lo, 0), 4), dtype=np.uint64)
+        _kernel().trial_seed(
+            words.ctypes.data, len(words), lo, len(self.states), self.states.ctypes.data
+        )
+
+    def bits(self, size: int) -> np.ndarray:
+        """size uniform bits per trial as a (trials, size) uint8 array, each row
+        what ``integers(0, 2, size=size, dtype=np.uint8)`` would return."""
+        out = np.empty((len(self.states), size), dtype=np.uint8)
+        _kernel().trial_bits(self.states.ctypes.data, len(out), size, out.ctypes.data)
+        return out
+
+    def llrs(self, codewords, sigma: float) -> np.ndarray:
+        """Channel LLRs of one codeword per trial, bit-identical to
+        ``channel_llr(awgn(modulate(codeword), sigma, generator), sigma)``."""
+        if sigma <= 0:
+            raise ValueError("sigma must be positive")
+        codewords = np.ascontiguousarray(codewords, dtype=np.uint8)
+        if codewords.ndim != 2 or len(codewords) != len(self.states):
+            raise ValueError(f"need one codeword row per trial stream, not shape {codewords.shape}")
+        out = np.empty(codewords.shape)
+        _kernel().trial_llrs(self.states.ctypes.data, len(out), codewords.shape[1],
+                             codewords.ctypes.data, float(sigma), out.ctypes.data)
+        return out
 
 
 def random_bits(gens, size: int) -> np.ndarray:
@@ -146,9 +113,8 @@ class RngStream:
     stream_index: int
 
     def generator(self) -> np.random.Generator:
-        """PCG64 seeded by SeedSequence((master_seed, stream_index)), as
-        trial_generators seeds trial stream_index, built by NumPy itself,
-        which is cheaper for one generator than the vectorised port."""
+        """PCG64 seeded by SeedSequence((master_seed, stream_index)): the
+        stream of trial stream_index in TrialStreams."""
         seed = np.random.SeedSequence((self.master_seed, self.stream_index))
         return np.random.Generator(np.random.PCG64(seed))
 
@@ -158,22 +124,12 @@ def modulate(bits) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
 
 
-def awgn(symbols, sigma: float, rng) -> np.ndarray:
-    """symbols + sigma * z for standard normal z, drawn from one generator,
-    or from a sequence of generators, one per row of a 2-D symbols array,
-    each drawing its row as it would draw the row alone."""
+def awgn(symbols, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """symbols + sigma * z for standard normal z drawn from rng."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     symbols = np.asarray(symbols, dtype=np.float64)
-    if isinstance(rng, np.random.Generator):
-        z = rng.standard_normal(symbols.shape)
-    else:
-        if symbols.ndim != 2 or len(rng) != len(symbols):
-            raise ValueError("need one generator per row of a 2-D symbols array")
-        z = np.empty(symbols.shape)
-        for row, gen in zip(z, rng):
-            gen.standard_normal(out=row)
-    return symbols + sigma * z
+    return symbols + sigma * rng.standard_normal(symbols.shape)
 
 
 def channel_llr(y, sigma: float) -> np.ndarray:

@@ -117,10 +117,11 @@ def _cmd_simulate(args) -> int:
     config = SimConfig.from_json(path.read_text(encoding="utf-8"))
     points = run_curve(config)
     for p in points:
-        print(
-            f"ebno {p.ebno_db:g}: {p.blocks_run} blocks, "
-            f"ber {p.ber:.3e}, fer {p.fer:.3e}"
-        )
+        # a point with no block errors has no point estimate, only its
+        # one-sided 95% upper bound, 3 / n
+        rates = (f"ber {p.ber:.3e}, fer {p.fer:.3e}" if p.block_errors else
+                 f"no block errors, fer < {3 / p.blocks_run:.3e} (one-sided 95%)")
+        print(f"ebno {p.ebno_db:g}: {p.blocks_run} blocks, {rates}")
     print(f"curve written to {config.output}")
     return 0
 

@@ -33,8 +33,10 @@ held in any layout, which is how the concatenated decoder runs its passes;
 rounds each operation once per lane in the order of the NumPy kernel it
 replaced, so outputs are bit-identical to it.
 It is built once per source, flags, compiler and host CPU by the system C
-compiler, into ``__pycache__`` next to this module; a build that fails makes
-every decode raise RuntimeError.
+compiler, into ``__pycache__`` next to this module, as one library with
+``_trial_kernel.c`` (the trial streams of ``channel.TrialStreams``) and
+NumPy's ``libnpyrandom.a``; a build that fails makes every decode and every
+trial stream raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -65,7 +67,11 @@ __all__ = [
     "decode_indexed",
 ]
 
-_SOURCE = Path(__file__).with_name("_spa_kernel.c")
+_SOURCES = (Path(__file__).with_name("_spa_kernel.c"), Path(__file__).with_name("_trial_kernel.c"))
+# NumPy's distributions, shipped with every wheel for C extensions, and the
+# header of their bit generator interface
+_NPYRANDOM = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+_NUMPY_INCLUDE = Path(np.get_include())
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _CC = "cc"
 # -ffp-contract=off: no fused multiply-add, so each operation rounds as NumPy's does
@@ -112,17 +118,26 @@ def _host_cpu() -> str:
     )
 
 
+def _command(compiler: str, output: str) -> list[str]:
+    """The one compiler invocation that builds the kernel library."""
+    return [compiler, *_CFLAGS, "-I", str(_NUMPY_INCLUDE), "-o", output,
+            *map(str, _SOURCES), str(_NPYRANDOM), "-lm"]
+
+
 def _build() -> Path:
-    """The kernel library for this source, flags, compiler and host CPU:
-    the cached file, or a new build renamed into the cache once complete,
-    so concurrent builds never load a partial file."""
+    """The kernel library for these sources, NumPy library, flags, compiler
+    and host CPU: the cached file, or a new build renamed into the cache once
+    complete, so concurrent builds never load a partial file."""
     compiler = shutil.which(_CC)
     if compiler is None:
         raise RuntimeError(f"cannot build the SPA kernel: C compiler {_CC!r} not found")
+    if not _NPYRANDOM.is_file():
+        raise RuntimeError(f"cannot build the SPA kernel: NumPy's {_NPYRANDOM} is missing")
     stat = os.stat(compiler)
     key = hashlib.sha256(repr((
-        _SOURCE.read_bytes(), _CFLAGS, os.path.realpath(compiler), stat.st_size,
-        stat.st_mtime_ns, _host_cpu(),
+        [source.read_bytes() for source in _SOURCES], str(_NPYRANDOM), _NPYRANDOM.read_bytes(),
+        (_NUMPY_INCLUDE / "numpy" / "random" / "bitgen.h").read_bytes(), _CFLAGS,
+        os.path.realpath(compiler), stat.st_size, stat.st_mtime_ns, _host_cpu(),
     )).encode()).hexdigest()[:16]
     target = _CACHE_DIR / f"_spa_kernel.{key}.so"
     if target.exists():
@@ -130,7 +145,7 @@ def _build() -> Path:
     _CACHE_DIR.mkdir(parents=True, exist_ok=True)
     fd, partial = tempfile.mkstemp(prefix="_spa_kernel.", suffix=".so.tmp", dir=_CACHE_DIR)
     os.close(fd)
-    command = [compiler, *_CFLAGS, "-o", partial, str(_SOURCE)]
+    command = _command(compiler, partial)
     try:
         done = subprocess.run(command, capture_output=True, text=True)
         if done.returncode:
@@ -178,14 +193,18 @@ def _kernel() -> ctypes.CDLL:
         except OSError as exc:
             _LIB = f"cannot build or load the SPA kernel: {exc}"
         else:
-            for name, extra, restype in (
-                ("spa_start", [], ctypes.c_int64),
-                ("spa_gather", [], None),
-                ("spa_checks", [], None),
-                ("spa_variables", [ctypes.c_int64, ctypes.c_int, ctypes.c_int], ctypes.c_int64),
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            for name, argtypes, restype in (
+                ("spa_start", [_ARGS, i64], i64),
+                ("spa_gather", [_ARGS, i64], None),
+                ("spa_checks", [_ARGS, i64], None),
+                ("spa_variables", [_ARGS, i64, i64, ctypes.c_int, ctypes.c_int], i64),
+                ("trial_seed", [ptr, i64, i64, i64, ptr], None),
+                ("trial_bits", [ptr, i64, i64, ptr], None),
+                ("trial_llrs", [ptr, i64, i64, ptr, ctypes.c_double, ptr], None),
             ):
                 fn = getattr(lib, name)
-                fn.argtypes = [_ARGS, ctypes.c_int64, *extra]
+                fn.argtypes = argtypes
                 fn.restype = restype
             _LIB = lib
     if isinstance(_LIB, str):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -473,6 +474,19 @@ class TestTrialRounds:
         point = measure_point(system, 3.0, StopRule(10_000, 600), 1000, workers=workers)
         assert format_row(point, 1000) == (
             "3,600,304,46,0.003958333333333334,0.07666666666666666,0.0,11.315,1000"
+        )
+
+    def test_paper_code_trial_results_are_pinned(self, paper_outer):
+        # 203 trials from trial 37, at master seeds of one and three entropy
+        # words; the digest is that of the generator-per-trial harness
+        system = SingleSystem(paper_outer, 100)
+        digest = hashlib.sha256()
+        for master_seed in (1000, 2**64 + 3):
+            for ebno in (2.0, 3.0, 4.0):
+                results = system.run(37, 37 + 203, ci.ebno_sigma(ebno, system.rate), master_seed)
+                digest.update(repr(results).encode())
+        assert digest.hexdigest() == (
+            "32c85d512cf763731756264027481a684775b347c97e2ff7077cbce3a8cd1162"
         )
 
     # rows written by the harness when an in-process round was 64 trials and a

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -67,17 +68,19 @@ class TestAwgn:
             ci.awgn(np.zeros(4), 0.0, ci.RngStream(0, 0).generator())
 
     def test_generator_per_row_draws_each_row_as_alone(self):
-        symbols = ci.modulate(np.random.default_rng(1).integers(0, 2, size=(5, 181)))
-        together = ci.awgn(symbols, 0.7, [ci.RngStream(5, i).generator() for i in range(5)])
-        alone = [ci.awgn(x, 0.7, ci.RngStream(5, i).generator()) for i, x in enumerate(symbols)]
+        # TrialStreams draws each trial's channel as that trial's generator alone would
+        bits = np.random.default_rng(1).integers(0, 2, size=(5, 181), dtype=np.uint8)
+        together = ci.TrialStreams(5, 0, 5).llrs(bits, 0.7)
+        alone = [
+            ci.channel_llr(ci.awgn(ci.modulate(x), 0.7, ci.RngStream(5, i).generator()), 0.7)
+            for i, x in enumerate(bits)
+        ]
         assert np.array_equal(together, np.stack(alone))
-        llrs = [ci.channel_llr(y, 0.7) for y in alone]
-        assert np.array_equal(ci.channel_llr(together, 0.7), np.stack(llrs))
 
     @pytest.mark.parametrize("shape, n_gens", [((3, 4), 2), ((3, 4), 4), ((4,), 4)])
     def test_generator_count_must_match_rows(self, shape, n_gens):
-        with pytest.raises(ValueError, match="one generator per row"):
-            ci.awgn(np.zeros(shape), 1.0, [ci.RngStream(0, i).generator() for i in range(n_gens)])
+        with pytest.raises(ValueError, match="one codeword row per trial stream"):
+            ci.TrialStreams(0, 0, n_gens).llrs(np.zeros(shape, dtype=np.uint8), 1.0)
 
 
 class TestChannelLlr:
@@ -120,28 +123,71 @@ def seed_sequence_generator(master_seed: int, index: int) -> np.random.Generator
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(master_seed, index))))
 
 
+def pcg64_state(streams: ci.TrialStreams, row: int) -> dict:
+    high, low, inc_high, inc_low = map(int, streams.states[row])
+    return {"state": high << 64 | low, "inc": inc_high << 64 | inc_low}
+
+
 class TestTrialGenerators:
+    """TrialStreams, pinned to NumPy's own SeedSequence, PCG64 and ziggurat."""
+
     # master seeds of one, two, three and seven 32-bit entropy words
     @pytest.mark.parametrize("master_seed", [0, 1, 1000, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9])
     def test_state_equals_seed_sequence_seeding(self, master_seed):
         for index in (0, 1, 255, 2**32 - 1):
             for width in (1, 7, 512, 600):
                 lo = min(index, 2**32 - width)
-                gens = ci.trial_generators(master_seed, lo, lo + width)
-                assert len(gens) == width
-                for i, gen in enumerate(gens, start=lo):
+                streams = ci.TrialStreams(master_seed, lo, lo + width)
+                assert streams.states.shape == (width, 4)
+                for row, i in enumerate(range(lo, lo + width)):
                     expected = seed_sequence_generator(master_seed, i).bit_generator.state
-                    assert gen.bit_generator.state == expected, (master_seed, i, width)
+                    assert pcg64_state(streams, row) == expected["state"], (master_seed, i, width)
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 12, 13, 128, 181, 16_384])
+    @pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9])
+    def test_bits_equal_integers_and_leave_the_stream_in_step(self, master_seed, size):
+        lo = 2**32 - 7 if size < 16_384 else 255
+        streams = ci.TrialStreams(master_seed, lo, lo + 7)
+        bits = streams.bits(size)
+        assert bits.dtype == np.uint8 and bits.shape == (7, size)
+        for row, i in enumerate(range(lo, lo + 7)):
+            gen = seed_sequence_generator(master_seed, i)
+            assert np.array_equal(bits[row], gen.integers(0, 2, size=size, dtype=np.uint8))
+            assert pcg64_state(streams, row) == gen.bit_generator.state["state"]
+
+    @pytest.mark.parametrize("master_seed, lo, width, n", [
+        (0, 0, 40, 32_761), (2**64 + 3, 2**32 - 600, 600, 181), (2**200 + 9, 255, 1, 1),
+    ])
+    def test_llrs_equal_the_numpy_channel_bit_for_bit(self, master_seed, lo, width, n):
+        # 40 x 32,761 normals run the ziggurat's wedge and tail branches
+        sigma = 0.83
+        streams = ci.TrialStreams(master_seed, lo, lo + width)
+        bits = streams.bits(128)
+        codewords = np.random.default_rng(lo).integers(0, 2, size=(width, n), dtype=np.uint8)
+        llrs = streams.llrs(codewords, sigma)
+        normals = []
+        for row, i in enumerate(range(lo, lo + width)):
+            gen = seed_sequence_generator(master_seed, i)
+            assert np.array_equal(bits[row], gen.integers(0, 2, size=128, dtype=np.uint8))
+            normals.append(copy.deepcopy(gen).standard_normal(n))
+            expected = ci.channel_llr(ci.awgn(ci.modulate(codewords[row]), sigma, gen), sigma)
+            assert llrs[row].tobytes() == expected.tobytes(), (master_seed, i)
+            assert pcg64_state(streams, row) == gen.bit_generator.state["state"]
+        if width * n >= 10**6:
+            # the ziggurat's tail starts at 3.6541528853610088
+            assert (np.abs(np.concatenate(normals)) > 3.6541528853610088).any()
 
     def test_rng_stream_is_one_trial_generator(self):
         for master_seed in (606, 2**32 + 5):  # one and two 32-bit entropy words
             state = ci.RngStream(master_seed, 41).generator().bit_generator.state
             assert state == seed_sequence_generator(master_seed, 41).bit_generator.state
-            (trial,) = ci.trial_generators(master_seed, 41, 42)
-            assert state == trial.bit_generator.state
+            assert pcg64_state(ci.TrialStreams(master_seed, 41, 42), 0) == state["state"]
 
     def test_empty_range(self):
-        assert ci.trial_generators(3, 5, 5) == []
+        streams = ci.TrialStreams(3, 5, 5)
+        assert streams.states.shape == (0, 4)
+        assert streams.bits(128).shape == (0, 128)
+        assert streams.llrs(np.zeros((0, 181), dtype=np.uint8), 1.0).shape == (0, 181)
 
     @pytest.mark.parametrize(
         "master_seed, lo, hi",
@@ -151,7 +197,11 @@ class TestTrialGenerators:
     def test_refused(self, master_seed, lo, hi):
         # SeedSequence hashes an index of 2^32 or more as two entropy words
         with pytest.raises(ValueError):
-            ci.trial_generators(master_seed, lo, hi)
+            ci.TrialStreams(master_seed, lo, hi)
+
+    def test_nonpositive_sigma_refused(self):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            ci.TrialStreams(0, 0, 1).llrs(np.zeros((1, 4), dtype=np.uint8), 0.0)
 
 
 class TestRandomBits:
@@ -164,6 +214,7 @@ class TestRandomBits:
         assert np.array_equal(gen.standard_normal(50), expected_gen.standard_normal(50))
 
     def test_one_row_per_generator(self):
-        gens = ci.trial_generators(8, 0, 5)
-        expected = [g.integers(0, 2, size=181, dtype=np.uint8) for g in ci.trial_generators(8, 0, 5)]
+        gens = [seed_sequence_generator(8, i) for i in range(5)]
+        expected = [seed_sequence_generator(8, i).integers(0, 2, size=181, dtype=np.uint8)
+                    for i in range(5)]
         assert np.array_equal(ci.random_bits(gens, 181), np.stack(expected))

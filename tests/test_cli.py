@@ -223,6 +223,41 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    def test_missing_numpy_random_library_gives_one_error_line(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        missing = tmp_path / "lib" / "libnpyrandom.a"
+        monkeypatch.setattr(spa, "_NPYRANDOM", missing)
+        monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(spa, "_LIB", None)
+        config_path, out = self.make_config(
+            workspace, tmp_path, system="single", code=str(workspace / "outer")
+        )
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot build the SPA kernel: NumPy's {missing} is missing\n"
+        )
+        assert not out.exists()
+
+    def test_point_without_block_errors_prints_its_bound_not_fer_zero(
+        self, workspace, tmp_path, capsys
+    ):
+        config_path, out = self.make_config(
+            workspace, tmp_path, system="single", code=str(workspace / "outer"),
+            ebno_db=[3.0, 12.0], max_blocks=600,
+        )
+        assert run_cli("simulate", "--config", config_path) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "ebno 3: 15 blocks, ber 4.167e-02, fer 2.000e-01",
+            "ebno 12: 600 blocks, no block errors, fer < 5.000e-03 (one-sided 95%)",
+        ]
+        assert out.read_text() == (
+            "ebno_db,blocks,bit_errors,block_errors,ber,fer,mean_outer_iters,"
+            "mean_component_iters,seed\n"
+            "3,15,5,3,0.041666666666666664,0.2,0.0,20.933333333333334,2\n"
+            "12,600,0,0,0.0,0.0,0.0,1.0,2\n"
+        )
+
     @pytest.mark.parametrize("key", ["min_block_errors", "max_blocks"])
     def test_zero_stop_value_gives_one_error_line(self, workspace, tmp_path, capsys, key):
         config_path, out = self.make_config(workspace, tmp_path, **{key: 0})

@@ -2,6 +2,7 @@ import hashlib
 import importlib.resources
 import re
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -664,11 +665,57 @@ class TestKernel:
         runs = log.read_text() if log.exists() else ""
         assert runs == ("" if compiler == "missing" else "run\n")
 
+    def test_missing_numpy_random_library_raises_naming_it_without_compiling(
+        self, toy_outer, tmp_path, monkeypatch
+    ):
+        missing = tmp_path / "lib" / "libnpyrandom.a"
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran without NumPy's random library")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        monkeypatch.setattr(spa, "_NPYRANDOM", missing)
+        monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(spa, "_LIB", None)
+        message = re.escape(f"cannot build the SPA kernel: NumPy's {missing} is missing")
+        with pytest.raises(RuntimeError, match=message):
+            ci.decode(toy_outer, np.zeros(12))
+        with pytest.raises(RuntimeError, match=message):
+            ci.TrialStreams(0, 0, 1)
+        assert not (tmp_path / "cache").exists()
+
+    def test_numpy_random_library_path_and_bytes_key_the_cached_library(
+        self, tmp_path, monkeypatch
+    ):
+        # a stand-in compiler that writes an empty file at its -o argument
+        cc = tmp_path / "cc"
+        cc.write_text('#!/bin/sh\nwhile [ $# -gt 0 ]; do [ "$1" = -o ] && : > "$2"; shift; done\n')
+        cc.chmod(0o755)
+        monkeypatch.setattr(spa, "_CC", str(cc))
+        monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path / "cache")
+        first, second = tmp_path / "a" / "libnpyrandom.a", tmp_path / "b" / "libnpyrandom.a"
+        for archive in (first, second):
+            archive.parent.mkdir()
+            archive.write_bytes(spa._NPYRANDOM.read_bytes())
+        names = []
+        for archive, content in ((first, None), (second, None), (first, b"!<arch>\n")):
+            if content is not None:
+                archive.write_bytes(content)
+            monkeypatch.setattr(spa, "_NPYRANDOM", archive)
+            names.append(spa._build().name)
+        assert len(set(names)) == 3
+        assert all(name.startswith("_spa_kernel.") for name in names)
+
     def test_source_compiles_without_warnings(self, tmp_path):
-        command = [spa._CC, *spa._CFLAGS, "-Wall", "-Wextra", "-Werror",
-                   "-o", str(tmp_path / "k.so"), str(spa._SOURCE)]
+        command = spa._command(spa._CC, str(tmp_path / "k.so"))
+        command[1:1] = ["-Wall", "-Wextra", "-Werror"]
         done = subprocess.run(command, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
     def test_source_ships_with_the_package(self):
-        assert (importlib.resources.files("concat_ira") / "_spa_kernel.c").is_file()
+        # pyproject.toml is read as text: Python 3.10 has no tomllib
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        (listed,) = re.findall(r"^concat_ira = \[(.*)\]$", pyproject, re.MULTILINE)
+        for source in spa._SOURCES:
+            assert f'"{source.name}"' in listed
+            assert (importlib.resources.files("concat_ira") / source.name).is_file()
