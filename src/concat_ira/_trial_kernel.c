@@ -1,5 +1,6 @@
-/* Random streams of the single-code harness: trial i of master seed m draws
- * what np.random.Generator(np.random.PCG64(np.random.SeedSequence((m, i))))
+/* Random streams of the single-code harness, and the IRA encoder.  Trial i
+ * of master seed m draws what
+ * np.random.Generator(np.random.PCG64(np.random.SeedSequence((m, i))))
  * would draw.  The seeding is SeedSequence's hash and PCG64's set-up, each
  * trial's 128-bit state is stepped as NumPy's PCG64 steps it, and the
  * normals come from NumPy's own ziggurat, random_standard_normal_fill of
@@ -7,6 +8,7 @@
  * between calls as four uint64 words: state high, state low, increment high,
  * increment low. */
 #include <stdint.h>
+#include <string.h>
 
 #include "numpy/random/bitgen.h"
 
@@ -144,5 +146,49 @@ void trial_llrs(uint64_t *states, int64_t count, int64_t n, const uint8_t *codew
         for (int64_t j = 0; j < n; j++)
             row[j] = (2.0 * ((1.0 - 2.0 * (double)bit[j]) + sigma * row[j])) / scale;
         store(&rng, states + 4 * t);
+    }
+}
+
+/* The low bits of n <= 64 bytes as the bits of one word, byte i at bit i;
+ * eight at a time, the multiply gathering the eight low bits into the top
+ * byte, as each partial product lands in a bit of its own. */
+static uint64_t pack_bits(const uint8_t *bytes, int64_t n)
+{
+    uint64_t bits = 0;
+    int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        uint64_t eight;
+        memcpy(&eight, bytes + i, 8);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        eight = __builtin_bswap64(eight);
+#endif
+        bits |= ((eight & 0x0101010101010101u) * 0x0102040810204080u) >> 56 << i;
+    }
+    for (; i < n; i++)
+        bits |= (uint64_t)(bytes[i] & 1) << i;
+    return bits;
+}
+
+/* IRA encoding of count rows of k source bits into codewords of k + m bits:
+ * the source bits, then parity c, the XOR of parity c - 1 and of the source
+ * bits of check c.  masks is (m, words), words = ceil(k / 64): bit b of
+ * word w of row c is set when source bit 64 w + b is in check c.  A source
+ * byte counts by its low bit. */
+void ira_encode(const uint64_t *masks, int64_t m, int64_t k, int64_t count,
+                const uint8_t *sources, uint8_t *codewords)
+{
+    int64_t words = (k + 63) / 64;
+    for (int64_t t = 0; t < count; t++) {
+        const uint8_t *source = sources + t * k;
+        uint8_t *word = codewords + t * (k + m), *parity = word + k;
+        memcpy(word, source, (size_t)k);
+        memset(parity, 0, (size_t)m);
+        for (int64_t w = 0; w < words; w++) {
+            uint64_t bits = pack_bits(source + 64 * w, k - 64 * w < 64 ? k - 64 * w : 64);
+            for (int64_t c = 0; c < m; c++)
+                parity[c] ^= (uint8_t)__builtin_parityll(bits & masks[c * words + w]);
+        }
+        for (int64_t c = 1; c < m; c++)
+            parity[c] ^= parity[c - 1];
     }
 }

@@ -16,7 +16,8 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from . import spa
 from .channel import RngStream, TrialStreams, awgn, channel_llr, ebno_sigma, modulate, random_bits
 from .concat import ConcatCode, Schedule, concat_decode, concat_encode
+from .gf2 import SparseBinaryMatrix
 from .interleave import load_permutation
 # perfbench/layers.py patches bench.encode, so the name stays importable here
 from .ira import IraCode, encode, encode_batch, load_code  # noqa: F401
@@ -181,10 +183,11 @@ def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
 
 # --- runnable systems ----------------------------------------------------------
 #
-# A system runs trials lo..hi-1 at one noise level and returns, per trial,
-# (bit errors, block error, outer iterations, component decodes, component
-# iterations).  Each trial draws its source bits and noise from its own
-# stream.  trials_per_task is the work of one task, in-process or on a pool.
+# A system runs trials lo..hi-1 at one noise level and returns an int64
+# array with one row per trial and five columns: bit errors, block error,
+# outer iterations, component decodes and component iterations.  Each trial
+# draws its source bits and noise from its own stream.  trials_per_task is
+# the work of one task, in-process or on a pool.
 
 
 def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator) -> np.ndarray:
@@ -209,32 +212,51 @@ class ConcatSystem:
     def source_bits(self) -> int:
         return self.code.K * self.code.K
 
-    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> list:
+    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
         cc = self.code
-        results = []
-        for index in range(lo, hi):
+        results = np.empty((hi - lo, 5), dtype=np.int64)
+        for row, index in zip(results, range(lo, hi)):
             gen = RngStream(master_seed, index).generator()
             source = random_bits([gen], cc.K * cc.K).reshape(cc.K, cc.K)
             tx = concat_encode(cc, source)
             res = concat_decode(cc, _received(tx, sigma, gen), self.schedule)
             bit_errors = int((res.source_bits != source).sum())
-            results.append((
-                bit_errors,
-                1 if bit_errors else 0,
-                res.outer_iters_used,
-                res.component_decode_calls,
-                res.component_iterations,
-            ))
+            row[:] = (bit_errors, bit_errors > 0, res.outer_iters_used,
+                      res.component_decode_calls, res.component_iterations)
         return results
+
+
+class _TaskArrays:
+    """One code's grow-only single-code task arrays in this process, kept as
+    ``spa._CompiledGraph`` keeps its tiles (so not for two threads at once):
+    channel LLRs, extrinsic and posterior outputs, and an int32 identity
+    table with its ids."""
+
+    def __init__(self, n: int):
+        self.n, self.rows = n, 0
+
+    def reserve(self, rows: int) -> "_TaskArrays":
+        if rows > self.rows:
+            self.rows = rows
+            self.llrs, self.extrinsic, self.posterior = (np.empty((rows, self.n)) for _ in range(3))
+            self.at = np.arange(rows * self.n, dtype=np.int32).reshape(rows, self.n)
+            self.ids = np.arange(rows, dtype=np.int64)
+        return self
+
+
+@lru_cache(maxsize=4)
+def _task_arrays(matrix: SparseBinaryMatrix) -> _TaskArrays:
+    # keyed by the matrix, as spa._compile is, so a code loaded again reuses them
+    return _TaskArrays(matrix.n_cols)
 
 
 @dataclass(frozen=True, eq=False)
 class SingleSystem:
     """One component code; a task's trials draw their source bits and noise
     from their own streams, in one C call each (``channel.TrialStreams``),
-    encode as one batch and decode as one batch, which gives every row the
-    result it would have on its own.  Wide tasks let the rows that never
-    converge share their iterations."""
+    encode as one batch and decode as one batch into the code's task
+    arrays, which gives every row the result it would have on its own.
+    Wide tasks let the rows that never converge share their iterations."""
 
     code: IraCode
     max_iter: int
@@ -248,17 +270,18 @@ class SingleSystem:
     def source_bits(self) -> int:
         return self.code.K
 
-    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> list:
-        code = self.code
+    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
+        code, b = self.code, hi - lo
+        arrays = _task_arrays(code.H).reserve(b)
         streams = TrialStreams(master_seed, lo, hi)
         sources = streams.bits(code.K)
-        llrs = streams.llrs(encode_batch(code, sources), sigma)
-        res = spa.decode_batch(code, llrs, None, self.max_iter)
-        errors = (res.hard_bits[:, : code.K] != sources).sum(axis=1)
-        return [
-            (bit_errors, 1 if bit_errors else 0, 0, 1, iters)
-            for bit_errors, iters in zip(errors.tolist(), res.iterations_used.tolist())
-        ]
+        llrs = streams.llrs(encode_batch(code, sources), sigma, out=arrays.llrs[:b])
+        posterior = arrays.posterior[:b]
+        res = spa.decode_indexed(code, arrays.at, arrays.ids[:b], llrs, None,
+                                 arrays.extrinsic[:b], posterior, self.max_iter)
+        errors = ((posterior[:, : code.K] < 0.0) != sources).sum(axis=1)
+        ones = np.ones(b, dtype=np.int64)
+        return np.stack([errors, errors > 0, np.zeros_like(ones), ones, res.iterations_used], axis=1)
 
 
 def load_system(config: SimConfig) -> ConcatSystem | SingleSystem:
@@ -285,27 +308,27 @@ def _init_worker(system: ConcatSystem | SingleSystem, master_seed: int) -> None:
     _WORKER = (system, master_seed)
 
 
-def _run_task(args: tuple[int, int, float]) -> list:
+def _run_task(args: tuple[int, int, float]) -> np.ndarray:
     lo, hi, sigma = args
     system, master_seed = _WORKER
     return system.run(lo, hi, sigma, master_seed)
 
 
-def _trial_results(system, sigma: float, max_blocks: int, master_seed: int, workers: int):
-    """Results of trials 0 .. max_blocks-1 in trial order: in-process one task at a time, on a
-    pool a first wave of one task per worker, then, once the first task's results are taken,
-    2 * workers tasks in flight; the queued ones are cancelled when the generator closes, so a
-    point that stops inside its first task computes no more than the first wave."""
+def _task_results(system, sigma: float, max_blocks: int, master_seed: int, workers: int):
+    """Result arrays of the tasks of trials 0 .. max_blocks-1 in trial order: in-process one at a
+    time, on a pool a first wave of one task per worker, then, once the first task's results are
+    taken, 2 * workers tasks in flight; the queued ones are cancelled when the generator closes,
+    so a point that stops inside its first task computes no more than the first wave."""
     step = system.trials_per_task
     tasks = ((lo, min(lo + step, max_blocks), sigma) for lo in range(0, max_blocks, step))
     if workers == 1:
-        yield from chain.from_iterable(system.run(*task, master_seed) for task in tasks)
+        yield from (system.run(*task, master_seed) for task in tasks)
         return
     pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(system, master_seed))
     try:
         in_flight = deque(pool.submit(_run_task, task) for task in islice(tasks, workers))
         while in_flight:
-            yield from in_flight.popleft().result()
+            yield in_flight.popleft().result()
             top_up = islice(tasks, 2 * workers - len(in_flight))
             in_flight.extend(pool.submit(_run_task, task) for task in top_up)
     finally:
@@ -323,19 +346,19 @@ def measure_point(
     trial order, in-process or on a pool of several workers."""
     sigma = ebno_sigma(ebno_db, system.rate)
     t0 = time.perf_counter()
-    bit_errors = block_errors = blocks = 0
-    outer_total = comp_calls = comp_iters = 0
-    trials = _trial_results(system, sigma, stop.max_blocks, master_seed, workers)
-    with contextlib.closing(trials):
-        for be, blk, outer_used, calls, iters in trials:
-            blocks += 1
-            bit_errors += be
-            block_errors += blk
-            outer_total += outer_used
-            comp_calls += calls
-            comp_iters += iters
-            if block_errors >= stop.min_block_errors:
+    totals = np.zeros(5, dtype=np.int64)
+    blocks = 0
+    tasks = _task_results(system, sigma, stop.max_blocks, master_seed, workers)
+    with contextlib.closing(tasks):
+        for results in tasks:
+            # block errors are 0 or 1, so their running count is sorted
+            errors = totals[1] + np.cumsum(results[:, 1])
+            end = int(np.searchsorted(errors, stop.min_block_errors)) + 1
+            totals += results[:end].sum(axis=0)
+            blocks += min(end, len(results))
+            if end <= len(results):
                 break
+    bit_errors, block_errors, outer_total, comp_calls, comp_iters = totals.tolist()
     return CurvePoint(
         ebno_db=ebno_db,
         blocks_run=blocks,

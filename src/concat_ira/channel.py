@@ -79,15 +79,18 @@ class TrialStreams:
         _kernel().trial_bits(self.states.ctypes.data, len(out), size, out.ctypes.data)
         return out
 
-    def llrs(self, codewords, sigma: float) -> np.ndarray:
+    def llrs(self, codewords, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
         """Channel LLRs of one codeword per trial, bit-identical to
-        ``channel_llr(awgn(modulate(codeword), sigma, generator), sigma)``."""
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        ``channel_llr(awgn(modulate(codeword), sigma, generator), sigma)``,
+        in ``out`` (C-contiguous float64 of the codewords' shape) or a new array."""
+        _check_sigma(sigma)
         codewords = np.ascontiguousarray(codewords, dtype=np.uint8)
         if codewords.ndim != 2 or len(codewords) != len(self.states):
             raise ValueError(f"need one codeword row per trial stream, not shape {codewords.shape}")
-        out = np.empty(codewords.shape)
+        if out is None:
+            out = np.empty(codewords.shape)
+        elif out.shape != codewords.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {codewords.shape}")
         _kernel().trial_llrs(self.states.ctypes.data, len(out), codewords.shape[1],
                              codewords.ctypes.data, float(sigma), out.ctypes.data)
         return out
@@ -124,16 +127,19 @@ def modulate(bits) -> np.ndarray:
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
 
 
+def _check_sigma(sigma: float) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, not {sigma!r}")
+
+
 def awgn(symbols, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """symbols + sigma * z for standard normal z drawn from rng."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     symbols = np.asarray(symbols, dtype=np.float64)
     return symbols + sigma * rng.standard_normal(symbols.shape)
 
 
 def channel_llr(y, sigma: float) -> np.ndarray:
     """LLR of a BPSK observation on the AWGN channel: 2y / sigma^2."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)

@@ -1,14 +1,17 @@
 """Sparse GF(2) matrices and alist text I/O.
 
 Rows are parity checks, columns are variable nodes.  All in-memory indices
-are 0-based; the 1-based convention of the alist interchange format is
-confined to :func:`load_alist` / :func:`save_alist`.
+are 0-based; the 1-based convention of alist text is confined to
+:func:`load_alist` / :func:`save_alist`, and text is read only in the one
+form :func:`save_alist` writes.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +25,7 @@ __all__ = [
 
 
 class AlistError(ValueError):
-    """Alist text that fails to parse or contradicts itself."""
+    """Alist text that is not in the form ``save_alist`` writes."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -40,13 +43,13 @@ def _canonical_support(
         raise ValueError(f"expected {count} {kind} supports, got {len(lists)}")
     out = []
     for i, raw in enumerate(lists):
-        idx = sorted(int(j) for j in raw)
-        for a, b in zip(idx, idx[1:]):
-            if a == b:
-                raise ValueError(f"{kind} {i}: duplicate index {a}")
+        idx = tuple(sorted(map(int, raw)))
+        if len(set(idx)) < len(idx):
+            duplicate = next(a for a, b in zip(idx, idx[1:]) if a == b)
+            raise ValueError(f"{kind} {i}: duplicate index {duplicate}")
         if idx and (idx[0] < 0 or idx[-1] >= bound):
             raise ValueError(f"{kind} {i}: index out of range 0..{bound - 1}")
-        out.append(tuple(idx))
+        out.append(idx)
     return tuple(out)
 
 
@@ -114,7 +117,7 @@ class SparseBinaryMatrix:
         return dense
 
 
-# --- alist interchange format -------------------------------------------------
+# --- alist text ------------------------------------------------------------------
 #
 # line 1: "N M"                 (columns, rows)
 # line 2: "max_col_deg max_row_deg"
@@ -124,98 +127,59 @@ class SparseBinaryMatrix:
 # then M per-row lines of 1-based column indices, zero-padded to max_row_deg.
 
 
-def _parse_ints(raw: str, line_no: int) -> list[int]:
-    try:
-        return [int(tok) for tok in raw.split()]
-    except ValueError as exc:
-        raise AlistError(f"non-integer token in {raw!r}", line_no) from exc
+def _differing_lines(text: str, saved: str) -> list[int]:
+    """The numbers, from 1, of the lines of text that are not the line of
+    saved at their place, line breaks included."""
+    pairs = zip_longest(text.splitlines(True), saved.splitlines(True))
+    return [i for i, (a, b) in enumerate(pairs, start=1) if a != b]
 
 
-def _parse_entry_line(
-    raw: str, line_no: int, degree: int, max_degree: int, bound: int, kind: str
-) -> tuple[int, ...]:
-    toks = _parse_ints(raw, line_no)
-    if len(toks) > max_degree:
-        raise AlistError(
-            f"{kind} entry line has {len(toks)} tokens, more than max degree {max_degree}",
-            line_no,
-        )
-    vals = [t for t in toks if t != 0]
-    if toks[: len(vals)] != vals:
-        raise AlistError(f"{kind} entry line has zero padding before entries", line_no)
-    if len(vals) != degree:
-        raise AlistError(
-            f"{kind} entry line has {len(vals)} entries but declared degree {degree}",
-            line_no,
-        )
-    for t in vals:
-        if not 1 <= t <= bound:
-            raise AlistError(f"{kind} index {t} out of range 1..{bound}", line_no)
-    if len(set(vals)) != len(vals):
-        raise AlistError(f"duplicate {kind} index", line_no)
-    return tuple(v - 1 for v in vals)
+def _read(lines: list[str], n_cols: int, n_rows: int, by_rows: bool) -> SparseBinaryMatrix:
+    """The matrix that the column lines, or the row lines, of alist text
+    split at LFs hold for the given dimensions; ValueError or OverflowError
+    if they hold none."""
+    if min(n_cols, n_rows) < 1 or n_cols + n_rows > len(lines) - 4:
+        raise ValueError("the text has no lines for these dimensions")
+    count = n_rows if by_rows else n_cols
+    start = 4 + n_cols if by_rows else 4
+    tokens = " ".join(lines[start:start + count]).split()
+    width = len(tokens) // count
+    if width * count != len(tokens):
+        raise ValueError("lines of unequal length")
+    entries = np.array(tokens, dtype=np.int64).reshape(count, width)
+    supports = [[i - 1 for i in line if i] for line in entries.tolist()]
+    if by_rows:
+        return SparseBinaryMatrix.from_rows(n_rows, n_cols, supports)
+    return SparseBinaryMatrix(n_rows, n_cols, supports)
 
 
 def load_alist(text: str) -> SparseBinaryMatrix:
-    """Parse alist text, validating degrees and row/column cross-consistency."""
-    # splitlines drops only the final newline, so degree-0 entry lines (which
-    # serialize as empty strings) survive at end of file
-    lines = text.splitlines()
-    if len(lines) < 4:
-        raise AlistError("truncated header: need at least 4 lines")
-
-    dims = _parse_ints(lines[0], 1)
-    if len(dims) != 2 or dims[0] < 1 or dims[1] < 1:
-        raise AlistError("expected 'N M' with positive dimensions", 1)
-    n_cols, n_rows = dims
-
-    maxes = _parse_ints(lines[1], 2)
-    if len(maxes) != 2 or maxes[0] < 0 or maxes[1] < 0:
-        raise AlistError("expected 'max_col_deg max_row_deg'", 2)
-    max_col, max_row = maxes
-
-    col_deg = _parse_ints(lines[2], 3)
-    if len(col_deg) != n_cols:
-        raise AlistError(f"expected {n_cols} column degrees, got {len(col_deg)}", 3)
-    if any(d < 0 or d > max_col for d in col_deg):
-        raise AlistError("column degree outside 0..max_col_deg", 3)
-
-    row_deg = _parse_ints(lines[3], 4)
-    if len(row_deg) != n_rows:
-        raise AlistError(f"expected {n_rows} row degrees, got {len(row_deg)}", 4)
-    if any(d < 0 or d > max_row for d in row_deg):
-        raise AlistError("row degree outside 0..max_row_deg", 4)
-    if sum(col_deg) != sum(row_deg):
-        raise AlistError(
-            f"degree sums disagree: columns {sum(col_deg)} vs rows {sum(row_deg)}", 4
-        )
-
-    expected = 4 + n_cols + n_rows
-    if len(lines) != expected:
-        raise AlistError(f"expected {expected} lines, found {len(lines)}")
-
-    cols = []
-    for i in range(n_cols):
-        line_no = 5 + i
-        cols.append(
-            _parse_entry_line(lines[4 + i], line_no, col_deg[i], max_col, n_rows, "row")
-        )
-    rows = []
-    for j in range(n_rows):
-        line_no = 5 + n_cols + j
-        rows.append(
-            _parse_entry_line(
-                lines[4 + n_cols + j], line_no, row_deg[j], max_row, n_cols, "column"
-            )
-        )
-
-    m = SparseBinaryMatrix.from_cols(n_rows, n_cols, cols)
-    for j, (listed, derived) in enumerate(zip(rows, m.row_support)):
-        if tuple(sorted(listed)) != derived:
-            raise AlistError(
-                "row list disagrees with the column lists for this row", 5 + n_cols + j
-            )
-    return m
+    """The matrix of alist text in the one form ``save_alist`` writes: read
+    from line 1's dimensions and the column lines, and accepted when
+    ``save_alist`` writes it back unchanged.  Otherwise AlistError names the
+    first line that differs from the saved form of the reading closest to
+    the text, among the column or the row lines read with the dimensions of
+    line 1 or of the degree lines; every line is implied by the others, so
+    with one line of a saved text altered, that is the altered line."""
+    lines = text.split("\n")
+    dimensions = [(len(lines[2].split()), len(lines[3].split()))] if len(lines) > 3 else []
+    with suppress(ValueError):
+        n_cols, n_rows = map(int, lines[0].split())
+        dimensions.insert(0, (n_cols, n_rows))
+    best: list[int] = []
+    for dims in dimensions:
+        for by_rows in (False, True):
+            try:
+                m = _read(lines, *dims, by_rows)
+            except (ValueError, OverflowError):
+                continue
+            saved = save_alist(m)
+            if saved == text:
+                return m
+            differ = _differing_lines(text, saved)
+            if not best or len(differ) < len(best):
+                best = differ
+    raise AlistError("not as save_alist writes the matrix", best[0] if best else 1)
 
 
 def save_alist(m: SparseBinaryMatrix) -> str:
@@ -224,17 +188,18 @@ def save_alist(m: SparseBinaryMatrix) -> str:
     row_deg = [len(r) for r in m.row_support]
     max_col = max(col_deg, default=0)
     max_row = max(row_deg, default=0)
+    names = [str(i) for i in range(max(m.n_rows, m.n_cols) + 1)]
 
-    def entry_line(sup: tuple[int, ...], width: int) -> str:
-        padded = [str(i + 1) for i in sup] + ["0"] * (width - len(sup))
-        return " ".join(padded)
+    def entry_lines(supports, width: int) -> list[str]:
+        return [" ".join([names[i + 1] for i in sup] + ["0"] * (width - len(sup)))
+                for sup in supports]
 
     parts = [
         f"{m.n_cols} {m.n_rows}",
         f"{max_col} {max_row}",
-        " ".join(str(d) for d in col_deg),
-        " ".join(str(d) for d in row_deg),
+        " ".join(names[d] for d in col_deg),
+        " ".join(names[d] for d in row_deg),
+        *entry_lines(m.col_support, max_col),
+        *entry_lines(m.row_support, max_row),
     ]
-    parts.extend(entry_line(c, max_col) for c in m.col_support)
-    parts.extend(entry_line(r, max_row) for r in m.row_support)
     return "\n".join(parts) + "\n"

@@ -19,7 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import SparseBinaryMatrix, load_alist, save_alist
+from .gf2 import SparseBinaryMatrix, _differing_lines, load_alist, save_alist
+from .spa import _kernel
 
 __all__ = [
     "ConstructionError",
@@ -420,14 +421,16 @@ class IraCode:
         return self.K / self.N
 
     @cached_property
-    def _h1_index(self) -> np.ndarray:
-        """(w, M): the k-th systematic position of every check, padded with K,
-        the index of a zero row appended to the source bits."""
-        rows = [[j for j in row if j < self.K] for row in self.H.row_support]
-        index = np.full((max(map(len, rows)), self.M), self.K, dtype=np.intp)
-        for check, row in enumerate(rows):
-            index[: len(row), check] = row
-        return index
+    def _h1_masks(self) -> np.ndarray:
+        """uint64 (M, ceil(K / 64)): bit b of word w of row c is set when
+        source bit 64 w + b takes part in check c."""
+        words = -(-self.K // 64)
+        rows = [0] * self.M
+        for j, col in enumerate(self.H.col_support[: self.K]):
+            for r in col:
+                rows[r] |= 1 << j
+        data = b"".join(r.to_bytes(8 * words, "little") for r in rows)
+        return np.frombuffer(data, dtype="<u8").reshape(self.M, words).astype(np.uint64)
 
 
 def build_code(
@@ -468,6 +471,9 @@ def validate_code(code: IraCode) -> None:
             raise ConstructionError(f"parity column {j} is not dual-diagonal")
     if h.col_support[k + m - 1] != (m - 1,):
         raise ConstructionError("final parity column is not the weight-1 column")
+    if len(code.degree_spec.h1_column_degrees) != k:
+        raise ConstructionError(f"degree spec has {len(code.degree_spec.h1_column_degrees)} "
+                                f"columns, not K = {k}")
     for j in range(k):
         if len(h.col_support[j]) < 3:
             raise ConstructionError(f"systematic column {j} has weight < 3")
@@ -492,24 +498,35 @@ def encode(code: IraCode, s) -> np.ndarray:
 
 
 def encode_batch(code: IraCode, sources) -> np.ndarray:
-    """Encode a (B, K) block of source rows into (B, N) codewords."""
+    """Encode a (B, K) block of source rows into (B, N) codewords in one C
+    call (``_trial_kernel.c``); sources are taken as uint8, and a parity
+    term counts each by its low bit."""
     sources = np.asarray(sources)
     if sources.ndim != 2 or sources.shape[1] != code.K:
         raise ValueError(f"expected (B, {code.K}) source block, got {sources.shape}")
-    # batch-last: each parity term is the XOR of its check's source bits, and
-    # the parities are the running XOR of the terms
-    bits = np.zeros((code.K + 1, sources.shape[0]), dtype=np.uint8)
-    bits[: code.K] = sources.T
-    terms = np.bitwise_xor.reduce(bits[code._h1_index], axis=0)
-    out = np.empty((sources.shape[0], code.N), dtype=np.uint8)
-    out[:, : code.K] = sources
-    out[:, code.K :] = np.bitwise_xor.accumulate(terms, axis=0).T
+    sources = np.ascontiguousarray(sources, dtype=np.uint8)
+    out = np.empty((len(sources), code.N), dtype=np.uint8)
+    _kernel().ira_encode(code._h1_masks.ctypes.data, code.M, code.K, len(sources),
+                         sources.ctypes.data, out.ctypes.data)
     return out
 
 
 # --- code files: canonical alist next to a key-value sidecar -------------------
 
-_SIDECAR_VERSION = 1
+_SIDECAR_FORMAT = "ira-code 1"
+_SIDECAR_KEYS = (
+    "format", "K", "N", "check_degree", "seed", "d_ace", "eta", "max_resample",
+    "h1_column_degrees",
+)
+
+
+def _sidecar_text(code: IraCode) -> str:
+    values = (
+        _SIDECAR_FORMAT, code.K, code.N, code.degree_spec.check_degree_target,
+        code.seed, code.ace.d_ace, code.ace.eta, code.ace.max_resample,
+        " ".join(map(str, code.degree_spec.h1_column_degrees)),
+    )
+    return "".join(f"{key} {value}\n" for key, value in zip(_SIDECAR_KEYS, values))
 
 
 def save_code(code: IraCode, prefix: str | Path) -> tuple[Path, Path]:
@@ -519,54 +536,38 @@ def save_code(code: IraCode, prefix: str | Path) -> tuple[Path, Path]:
     alist_path = prefix.with_suffix(".alist")
     sidecar_path = prefix.with_suffix(".sidecar")
     alist_path.write_text(save_alist(code.H), encoding="utf-8")
-    lines = [
-        f"format ira-code {_SIDECAR_VERSION}",
-        f"K {code.K}",
-        f"N {code.N}",
-        f"check_degree {code.degree_spec.check_degree_target}",
-        f"seed {code.seed}",
-        f"d_ace {code.ace.d_ace}",
-        f"eta {code.ace.eta}",
-        f"max_resample {code.ace.max_resample}",
-        "h1_column_degrees " + " ".join(str(d) for d in code.degree_spec.h1_column_degrees),
-    ]
-    sidecar_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sidecar_path.write_text(_sidecar_text(code), encoding="utf-8")
     return alist_path, sidecar_path
 
 
 def load_code(prefix: str | Path) -> IraCode:
-    """Read the <prefix>.alist / <prefix>.sidecar pair back into a validated code."""
+    """Read the <prefix>.alist / <prefix>.sidecar pair, each only in the form
+    ``save_code`` writes, back into a validated code.  SidecarError names
+    the first sidecar line whose value does not parse or that differs from
+    the saved form of the record read; a record in that form that
+    contradicts itself or the matrix raises ValueError or ConstructionError."""
     prefix = Path(prefix)
-    alist_path = prefix.with_suffix(".alist")
     sidecar_path = prefix.with_suffix(".sidecar")
-    fields: dict[str, str] = {}
-    for line_no, raw in enumerate(
-        sidecar_path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not raw.strip():
-            continue
-        key, _, value = raw.partition(" ")
-        if not value:
-            raise SidecarError(f"line {line_no}: expected 'key value', got {raw!r}")
-        fields[key] = value.strip()
-    if fields.get("format") != f"ira-code {_SIDECAR_VERSION}":
-        raise SidecarError(f"unsupported sidecar format {fields.get('format')!r}")
-    try:
-        k = int(fields["K"])
-        n = int(fields["N"])
-        spec = DegreeSpec(
-            tuple(int(d) for d in fields["h1_column_degrees"].split()),
-            int(fields["check_degree"]),
-        )
-        ace = AceParams(
-            d_ace=int(fields["d_ace"]),
-            eta=int(fields["eta"]),
-            max_resample=int(fields["max_resample"]),
-        )
-        seed = int(fields["seed"])
-    except KeyError as exc:
-        raise SidecarError(f"missing sidecar key {exc.args[0]!r}") from exc
-    h = load_alist(alist_path.read_text(encoding="utf-8"))
-    code = IraCode(K=k, N=n, M=n - k, H=h, degree_spec=spec, ace=ace, seed=seed)
+    text = sidecar_path.read_bytes().decode("utf-8")
+    lines = text.split("\n") + [""] * len(_SIDECAR_KEYS)  # a missing line reads as empty
+    if lines[0] != f"format {_SIDECAR_FORMAT}":
+        raise SidecarError(f"{sidecar_path}: line 1: expected 'format {_SIDECAR_FORMAT}'")
+    values = []
+    for line_no, key in enumerate(_SIDECAR_KEYS[1:], start=2):
+        value = lines[line_no - 1].partition(" ")[2]
+        try:
+            values.append(tuple(map(int, value.split())) if key == _SIDECAR_KEYS[-1] else int(value))
+        except ValueError:
+            raise SidecarError(f"{sidecar_path}: line {line_no}: expected '{key} <value>'") from None
+    k, n, check_degree, seed, d_ace, eta, max_resample, degrees = values
+    h = load_alist(prefix.with_suffix(".alist").read_bytes().decode("utf-8"))
+    code = IraCode(
+        K=k, N=n, M=n - k, H=h, degree_spec=DegreeSpec(degrees, check_degree),
+        ace=AceParams(d_ace=d_ace, eta=eta, max_resample=max_resample), seed=seed,
+    )
+    saved = _sidecar_text(code)
+    if saved != text:
+        line_no = _differing_lines(text, saved)[0]
+        raise SidecarError(f"{sidecar_path}: line {line_no}: not as save_code writes this code")
     validate_code(code)
     return code

@@ -34,9 +34,9 @@ rounds each operation once per lane in the order of the NumPy kernel it
 replaced, so outputs are bit-identical to it.
 It is built once per source, flags, compiler and host CPU by the system C
 compiler, into ``__pycache__`` next to this module, as one library with
-``_trial_kernel.c`` (the trial streams of ``channel.TrialStreams``) and
-NumPy's ``libnpyrandom.a``; a build that fails makes every decode and every
-trial stream raise RuntimeError.
+``_trial_kernel.c`` (the trial streams of ``channel.TrialStreams`` and
+``ira.encode_batch``) and NumPy's ``libnpyrandom.a``; a build that fails
+makes every decode, trial stream and encoding raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -202,6 +202,7 @@ def _kernel() -> ctypes.CDLL:
                 ("trial_seed", [ptr, i64, i64, i64, ptr], None),
                 ("trial_bits", [ptr, i64, i64, ptr], None),
                 ("trial_llrs", [ptr, i64, i64, ptr, ctypes.c_double, ptr], None),
+                ("ira_encode", [ptr, i64, i64, i64, ptr, ptr], None),
             ):
                 fn = getattr(lib, name)
                 fn.argtypes = argtypes

@@ -236,6 +236,26 @@ def reference_decode_batch(matrix, channel, prior=None, max_iter=100, early_stop
 
 
 def reference_encode_batch(code, sources) -> np.ndarray:
+    """The NumPy encoder that ``_trial_kernel.c``'s replaced, batch-last:
+    each parity term is the XOR of its check's source bits, gathered through
+    a (w, M) table of each check's systematic positions padded with the
+    index K of a zero row appended to the bits, and the parities are the
+    running XOR of the terms."""
+    rows = [[j for j in row if j < code.K] for row in code.H.row_support]
+    index = np.full((max(map(len, rows)), code.M), code.K, dtype=np.intp)
+    for check, row in enumerate(rows):
+        index[: len(row), check] = row
+    sources = np.asarray(sources)
+    bits = np.zeros((code.K + 1, sources.shape[0]), dtype=np.uint8)
+    bits[: code.K] = sources.T
+    terms = np.bitwise_xor.reduce(bits[index], axis=0)
+    out = np.empty((sources.shape[0], code.N), dtype=np.uint8)
+    out[:, : code.K] = sources
+    out[:, code.K :] = np.bitwise_xor.accumulate(terms, axis=0).T
+    return out
+
+
+def dense_encode_batch(code, sources) -> np.ndarray:
     """The dense encoder: parity terms as an int64 product with H1, parities
     as their running sum mod 2."""
     h1_dense = np.zeros((code.M, code.K), dtype=np.int64)

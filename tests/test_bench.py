@@ -360,9 +360,9 @@ class TestTrialIndependence:
         for i in rng.permutation(6):
             for code in (outer, inner):
                 decode_batch(code, rng.normal(1.0, 2.0, size=(40, 24)), None, 7)
-            (alone[i],) = system.run(i, i + 1, sigma, 9)
-        assert together == [alone[i] for i in range(6)]
-        assert {trial[1] for trial in together} == {0, 1}  # some blocks fail, some do not
+            (alone[i],) = system.run(i, i + 1, sigma, 9).tolist()
+        assert together.tolist() == [alone[i] for i in range(6)]
+        assert set(together[:, 1]) == {0, 1}  # some blocks fail, some do not
 
 
 @dataclass(frozen=True)
@@ -375,10 +375,10 @@ class TaskLog:
     source_bits = 1
     trials_per_task = 1
 
-    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> list:
+    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
         with open(self.path, "a", encoding="utf-8") as f:
             f.write(f"{lo}\n")
-        return [(1, 1, 0, 1, 1)] * (hi - lo)
+        return np.array([(1, 1, 0, 1, 1)] * (hi - lo), dtype=np.int64)
 
 
 class RecordingPool:
@@ -458,13 +458,51 @@ class TestTrialRounds:
         assert system.trials_per_task == 512
         sigma = ci.ebno_sigma(3.0, system.rate)
         whole = system.run(0, 600, sigma, 9)
-        pieces, alone = [], []
-        for lo in range(0, 600, 64):
-            pieces += system.run(lo, min(lo + 64, 600), sigma, 9)
-        for i in range(600):
-            alone += system.run(i, i + 1, sigma, 9)
-        assert whole == pieces == alone
-        assert {trial[1] for trial in whole} == {0, 1}
+        pieces = np.concatenate([system.run(lo, min(lo + 64, 600), sigma, 9)
+                                 for lo in range(0, 600, 64)])
+        alone = np.concatenate([system.run(i, i + 1, sigma, 9) for i in range(600)])
+        assert whole.dtype == np.int64 and whole.shape == (600, 5)
+        assert np.array_equal(whole, pieces) and np.array_equal(whole, alone)
+        assert set(whole[:, 1]) == {0, 1}
+
+    def test_task_arrays_hold_what_a_fresh_decode_gives(self, paper_outer, toy_outer):
+        # tasks grow and shrink the code's grow-only arrays, a point's last
+        # task is shorter, and other codes decode in between; every task
+        # must give what decode_batch gives its trials in fresh arrays
+        sigma = ci.ebno_sigma(2.5, paper_outer.rate)
+        for code, lo, hi in ((paper_outer, 0, 512), (paper_outer, 512, 600), (toy_outer, 0, 40),
+                             (paper_outer, 600, 1112), (toy_outer, 40, 41), (paper_outer, 3, 4)):
+            results = SingleSystem(code, 30).run(lo, hi, sigma, 5)
+            streams = ci.TrialStreams(5, lo, hi)
+            sources = streams.bits(code.K)
+            fresh = decode_batch(code, streams.llrs(ci.encode_batch(code, sources), sigma), None, 30)
+            arrays = bench._task_arrays(code.H)
+            assert np.array_equal(arrays.posterior[: hi - lo], fresh.posterior)
+            assert np.array_equal(arrays.extrinsic[: hi - lo], fresh.extrinsic)
+            bit_errors = (fresh.hard_bits[:, : code.K] != sources).sum(axis=1)
+            expected = [(e, int(e > 0), 0, 1, i)
+                        for e, i in zip(bit_errors.tolist(), fresh.iterations_used.tolist())]
+            assert results.tolist() == [list(trial) for trial in expected]
+            assert arrays.rows >= hi - lo
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("min_block_errors", [1, 90, 203])
+    def test_array_scan_stops_where_the_per_trial_scan_stops(self, workers, min_block_errors):
+        # at 3 dB the toy code's 1st, 90th and 203rd block errors fall inside
+        # the first, second and fourth 512-trial task
+        outer, _ = toy_pair()
+        system = SingleSystem(outer, 20)
+        trials = system.run(0, 2048, ci.ebno_sigma(3.0, system.rate), 9).tolist()
+        totals, blocks = [0] * 5, 0
+        for trial in trials:  # the per-trial scan measure_point made before
+            blocks += 1
+            totals = [a + b for a, b in zip(totals, trial)]
+            if totals[1] >= min_block_errors:
+                break
+        assert blocks % 512 not in (0, 511)
+        point = measure_point(system, 3.0, StopRule(min_block_errors, 2048), 9, workers)
+        assert (point.blocks_run, point.bit_errors, point.block_errors) == (blocks, *totals[:2])
+        assert point.mean_component_iters == totals[4] / totals[3]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_paper_shape_single_code_row_is_pinned(self, paper_outer, workers):
@@ -478,13 +516,14 @@ class TestTrialRounds:
 
     def test_paper_code_trial_results_are_pinned(self, paper_outer):
         # 203 trials from trial 37, at master seeds of one and three entropy
-        # words; the digest is that of the generator-per-trial harness
+        # words; the digest is that of the generator-per-trial harness, which
+        # returned each trial's fields as a tuple
         system = SingleSystem(paper_outer, 100)
         digest = hashlib.sha256()
         for master_seed in (1000, 2**64 + 3):
             for ebno in (2.0, 3.0, 4.0):
                 results = system.run(37, 37 + 203, ci.ebno_sigma(ebno, system.rate), master_seed)
-                digest.update(repr(results).encode())
+                digest.update(repr([tuple(trial) for trial in results.tolist()]).encode())
         assert digest.hexdigest() == (
             "32c85d512cf763731756264027481a684775b347c97e2ff7077cbce3a8cd1162"
         )

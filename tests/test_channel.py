@@ -177,6 +177,16 @@ class TestTrialGenerators:
             # the ziggurat's tail starts at 3.6541528853610088
             assert (np.abs(np.concatenate(normals)) > 3.6541528853610088).any()
 
+    def test_llrs_fill_a_given_array_of_the_codewords_shape(self):
+        codewords = np.random.default_rng(4).integers(0, 2, size=(3, 181), dtype=np.uint8)
+        expected = ci.TrialStreams(6, 10, 13).llrs(codewords, 0.7)
+        rows = np.full((5, 181), np.nan)
+        assert ci.TrialStreams(6, 10, 13).llrs(codewords, 0.7, out=rows[:3]).base is rows
+        assert rows[:3].tobytes() == expected.tobytes() and np.isnan(rows[3:]).all()
+        for out in (np.empty((3, 180)), np.empty((3, 181), np.float32), np.empty((181, 3)).T):
+            with pytest.raises(ValueError, match="out must be"):
+                ci.TrialStreams(6, 10, 13).llrs(codewords, 0.7, out=out)
+
     def test_rng_stream_is_one_trial_generator(self):
         for master_seed in (606, 2**32 + 5):  # one and two 32-bit entropy words
             state = ci.RngStream(master_seed, 41).generator().bit_generator.state
@@ -218,3 +228,15 @@ class TestRandomBits:
         expected = [seed_sequence_generator(8, i).integers(0, 2, size=181, dtype=np.uint8)
                     for i in range(5)]
         assert np.array_equal(ci.random_bits(gens, 181), np.stack(expected))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("draw", [
+    lambda sigma: ci.awgn(np.zeros(4), sigma, ci.RngStream(0, 0).generator()),
+    lambda sigma: ci.channel_llr(np.zeros(4), sigma),
+    lambda sigma: ci.TrialStreams(0, 0, 1).llrs(np.zeros((1, 4), dtype=np.uint8), sigma),
+], ids=["awgn", "channel_llr", "TrialStreams.llrs"])
+def test_sigma_must_be_finite_and_positive(draw, sigma):
+    # a NaN sigma made all-NaN LLRs, and an infinite one all-zero LLRs
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        draw(sigma)

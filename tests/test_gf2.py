@@ -125,6 +125,45 @@ class TestAlist:
             ci.load_alist("x 3\n1 1\n1 1 1\n3\n")
 
 
+ALTERATIONS = {
+    "trailing-space": lambda line: line + " ",
+    "plus-sign": lambda line: "+" + line,
+    "leading-zero": lambda line: "0" + line,
+    "double-space": lambda line: line.replace(" ", "  ", 1),
+    "carriage-return": lambda line: line + "\r",
+    "reversed": lambda line: " ".join(line.split()[::-1]),
+    "incremented": lambda line: " ".join(str(int(t) + 1) for t in line.split()),
+}
+
+
+class TestAlistReadOnlyAsSaved:
+    @pytest.mark.parametrize("kind", sorted(ALTERATIONS))
+    def test_any_one_altered_line_is_refused_naming_it(self, toy_outer, kind):
+        # every line is implied by the others, values and header included;
+        # the second matrix has an empty row and two empty columns
+        sparse = ci.SparseBinaryMatrix.from_rows(3, 5, [(0, 1), (1, 3), ()])
+        for m in (toy_outer.H, sparse):
+            lines = ci.save_alist(m).split("\n")
+            for i, line in enumerate(lines[:-1]):
+                altered = ALTERATIONS[kind](line)
+                if altered == line:
+                    continue
+                text = "\n".join(lines[:i] + [altered] + lines[i + 1:])
+                with pytest.raises(AlistError, match=f"^line {i + 1}: ") as refused:
+                    ci.load_alist(text)
+                assert refused.value.line == i + 1
+
+    def test_missing_final_line_feed_names_the_last_line(self):
+        text = ci.save_alist(dual_diagonal_3x3())
+        with pytest.raises(AlistError, match="^line 10: "):
+            ci.load_alist(text[:-1])
+
+    def test_dimensions_past_the_text_are_refused_without_building(self):
+        text = ci.save_alist(dual_diagonal_3x3()).replace("3 3\n", "3 1000000000\n", 1)
+        with pytest.raises(AlistError, match="^line 1: "):
+            ci.load_alist(text)
+
+
 class TestCycleEnumeration:
     def test_tree_has_no_cycles(self, tree_matrix):
         graph = tanner_graph(tree_matrix)

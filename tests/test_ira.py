@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import concat_ira as ci
+from concat_ira.gf2 import AlistError
 from concat_ira.ira import (
-    ConstructionError, _LowWeightScreen, _WeightedSampler, _ace_passes, _row_mask,
+    ConstructionError, SidecarError, _LowWeightScreen, _WeightedSampler, _ace_passes, _row_mask,
 )
 
 from conftest import TOY_ACE
 from oracles import (
-    ace_audit, ace_check, dense_syndrome, has_codeword_of_weight_le4, reference_build_h1,
-    reference_encode_batch, tanner_graph,
+    ace_audit, ace_check, dense_encode_batch, dense_syndrome, has_codeword_of_weight_le4,
+    reference_build_h1, reference_encode_batch, tanner_graph,
 )
 
 
@@ -325,15 +326,29 @@ class TestEncode:
         with pytest.raises(ValueError):
             ci.encode(toy_outer, np.zeros(9, dtype=np.uint8))
 
-    @pytest.mark.parametrize("which", ["paper_outer", "paper_inner", "toy_outer"])
-    @pytest.mark.parametrize("batch", [1, 7, 181])
-    def test_batch_matches_dense_reference(self, which, batch, request):
+    @pytest.fixture(scope="class")
+    def k100(self):
+        # K = 100 packs into a full and a partial 64-bit word
+        return ci.build_code(100, 140, seed=3, screen_low_weight=False)
+
+    @pytest.mark.parametrize("which", ["paper_outer", "paper_inner", "toy_outer", "k100"])
+    @pytest.mark.parametrize("batch", [0, 1, 3, 7, 181, 512])
+    def test_batch_matches_numpy_and_dense_references(self, which, batch, request):
         code = request.getfixturevalue(which)
         rng = np.random.default_rng(batch)
         sources = rng.integers(0, 2, (batch, code.K), dtype=np.uint8)
         words = ci.encode_batch(code, sources)
-        expected = reference_encode_batch(code, sources)
-        assert words.dtype == expected.dtype and np.array_equal(words, expected)
+        for reference in (reference_encode_batch, dense_encode_batch):
+            expected = reference(code, sources)
+            assert words.dtype == expected.dtype and words.shape == (batch, code.N)
+            assert np.array_equal(words, expected), reference.__name__
+
+    def test_bits_of_any_dtype_and_layout_encode_as_uint8(self, paper_outer):
+        sources = np.random.default_rng(8).integers(0, 2, (paper_outer.K, 5)).T
+        assert sources.dtype == np.int64 and not sources.flags.c_contiguous
+        expected = reference_encode_batch(paper_outer, sources.astype(np.uint8))
+        for bits in (sources, sources.astype(bool), sources.tolist()):
+            assert np.array_equal(ci.encode_batch(paper_outer, bits), expected)
 
 
 class TestLowWeightScreen:
@@ -435,6 +450,45 @@ class TestCodeFiles:
         ci.save_code(toy_outer, b)
         assert a.with_suffix(".alist").read_bytes() == b.with_suffix(".alist").read_bytes()
         assert a.with_suffix(".sidecar").read_bytes() == b.with_suffix(".sidecar").read_bytes()
+
+    @pytest.mark.parametrize("alter", [
+        lambda line: line + " ",
+        lambda line: line.replace(" ", "  ", 1),
+        lambda line: line.replace(" ", "\t", 1),
+        lambda line: line.replace(" ", " 0", 1),
+        lambda line: line.replace(" ", " +", 1),
+        lambda line: line.upper(),
+        lambda line: line + "\r",
+        lambda line: "",
+    ], ids=["trailing-space", "double-space", "tab", "leading-zero", "plus-sign", "upper-case",
+            "carriage-return", "emptied"])
+    def test_any_one_altered_sidecar_line_is_refused_naming_it(self, toy_outer, tmp_path, alter):
+        prefix = tmp_path / "toy"
+        _, sidecar = ci.save_code(toy_outer, prefix)
+        lines = sidecar.read_text(encoding="utf-8").split("\n")
+        for i, line in enumerate(lines[:-1]):
+            if alter(line) == line:
+                continue
+            sidecar.write_text("\n".join(lines[:i] + [alter(line)] + lines[i + 1:]), encoding="utf-8")
+            with pytest.raises(SidecarError, match=f": line {i + 1}: "):
+                ci.load_code(prefix)
+
+    def test_crlf_files_are_refused_naming_the_first_line(self, toy_outer, tmp_path):
+        prefix = tmp_path / "toy"
+        for path in ci.save_code(toy_outer, prefix):
+            saved = path.read_bytes()
+            path.write_bytes(saved.replace(b"\n", b"\r\n"))
+            with pytest.raises((AlistError, SidecarError), match="line 1: "):
+                ci.load_code(prefix)
+            path.write_bytes(saved)
+
+    def test_short_degree_list_in_the_saved_form_is_a_construction_error(self, toy_outer, tmp_path):
+        prefix = tmp_path / "toy"
+        _, sidecar = ci.save_code(toy_outer, prefix)
+        text = sidecar.read_text(encoding="utf-8")
+        sidecar.write_text(text.replace("h1_column_degrees 4 ", "h1_column_degrees "), encoding="utf-8")
+        with pytest.raises(ConstructionError, match="degree spec has 7 columns, not K = 8"):
+            ci.load_code(prefix)
 
     def test_sidecar_mismatch_rejected(self, toy_outer, tmp_path):
         prefix = tmp_path / "broken"

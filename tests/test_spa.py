@@ -1,7 +1,9 @@
 import hashlib
 import importlib.resources
+import os
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ RESULT_FIELDS = ("hard_bits", "posterior", "extrinsic", "iterations_used", "vali
 def assert_results_identical(a, b):
     """Equal dtypes, shapes and values.  Not bytes: the reference sums a
     variable's messages from +0.0, so where the kernel's extrinsic is -0.0
-    the reference's is +0.0; CORPUS_DIGEST pins the kernel's bytes."""
+    the reference's is +0.0."""
     for name in RESULT_FIELDS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
@@ -471,9 +473,47 @@ class TestWorkspaceReuse:
                     )
 
 
-# sha256 of every result array of the corpus below, as the batch-last NumPy
-# kernel that the C kernel replaced gave them
-CORPUS_DIGEST = "e32f814145252d4ba03cd9c5c371f5ca3ece8bf0e210dcc1583837f64d742944"
+# sha256 of the hard decisions, iteration counts and validity flags of the
+# corpus of check_corpus, as the batch-last NumPy kernel that the C kernel
+# replaced gave them.  They are equal at every SIMD level of NumPy's tanh
+# and arctanh, while the posteriors and extrinsics are not, so check_corpus
+# compares those with the reference decoder of the same process instead.
+CORPUS_DIGEST = "5b9b818e17e4349d37b34b029e915088cc758b954aa2c0fceaf7d9faa269e97a"
+
+
+def check_corpus(code) -> None:
+    """Decode the corpus, pin its decisions and compare every output with
+    oracles.reference_decode_batch; exact zeros of both signs in channel and
+    prior reach every sum."""
+    digest = hashlib.sha256()
+    for width in (1, 16, 181, 500):
+        rng = np.random.default_rng(width)
+        channel = noisy_codewords(code, width, 2.5, rng)
+        prior = rng.normal(scale=0.5, size=channel.shape)
+        for a in (channel, prior):
+            a[rng.random(a.shape) < 0.02] = 0.0
+            a[rng.random(a.shape) < 0.02] = -0.0
+        for pr in (None, prior):
+            for early_stop in (True, False):
+                res = decode_batch(code, channel, pr, 30, early_stop)
+                assert_results_identical(res, reference_decode_batch(code, channel, pr, 30, early_stop))
+                for name in ("hard_bits", "iterations_used", "valid"):
+                    a = getattr(res, name)
+                    digest.update(f"{name} {a.dtype.str} {a.shape}".encode())
+                    digest.update(a.tobytes())
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def lower_simd_levels() -> list[str]:
+    """One NPY_DISABLE_CPU_FEATURES value per SIMD level below the one NumPy
+    runs on this host: the top k of the dispatched features the host has,
+    for k = 1, 2, ..."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1
+        from numpy.core import _multiarray_umath as umath
+    present = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return [" ".join(present[-k:]) for k in range(1, len(present) + 1)]
 
 
 class TestIndexedDecode:
@@ -549,24 +589,40 @@ class TestIndexedDecode:
 
 
 class TestKernel:
-    def test_corpus_results_are_byte_identical_to_the_numpy_kernel(self, paper_outer):
-        # exact zeros of both signs in channel and prior reach every sum
-        digest = hashlib.sha256()
-        for width in (1, 16, 181, 500):
-            rng = np.random.default_rng(width)
-            channel = noisy_codewords(paper_outer, width, 2.5, rng)
-            prior = rng.normal(scale=0.5, size=channel.shape)
-            for a in (channel, prior):
-                a[rng.random(a.shape) < 0.02] = 0.0
-                a[rng.random(a.shape) < 0.02] = -0.0
-            for pr in (None, prior):
-                for early_stop in (True, False):
-                    res = decode_batch(paper_outer, channel, pr, 30, early_stop)
-                    for name in RESULT_FIELDS:
-                        a = getattr(res, name)
-                        digest.update(f"{name} {a.dtype.str} {a.shape}".encode())
-                        digest.update(a.tobytes())
-        assert digest.hexdigest() == CORPUS_DIGEST
+    def test_corpus_decisions_are_pinned_and_outputs_equal_the_reference(self, paper_outer):
+        check_corpus(paper_outer)
+
+    def test_corpus_check_holds_at_every_lower_simd_level(self):
+        # each level in a child process of its own, started together; -W error
+        # makes a feature NumPy cannot disable here fail the child, and the
+        # child checks that NumPy reports the disabled features off
+        levels = lower_simd_levels()
+        if not levels:
+            pytest.skip("NumPy runs its baseline code on this host")
+        tests = Path(__file__).parent
+        script = (
+            f"import sys; sys.path[:0] = {[str(tests.parent / 'src'), str(tests)]!r}\n"
+            "import concat_ira as ci\n"
+            "from test_spa import check_corpus, lower_simd_levels\n"
+            "disabled = set(sys.argv[1].split())\n"
+            "assert not disabled & set(' '.join(lower_simd_levels()).split())\n"
+            "check_corpus(ci.build_code(128, 181, seed=1))\n"
+        )
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-W", "error", "-c", script, level],
+                env={**os.environ, "NPY_DISABLE_CPU_FEATURES": level},
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            )
+            for level in levels
+        ]
+        try:
+            for level, child in zip(levels, children):
+                output = child.communicate(timeout=600)[0]
+                assert child.returncode == 0 and not output, (level, output)
+        finally:
+            for child in children:
+                child.kill()
 
     def test_tanh_of_a_value_does_not_depend_on_where_it_sits(self, paper_outer):
         # The first iteration takes tanh of lam, (tiles, n_vars, 4), and
