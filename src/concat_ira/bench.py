@@ -16,7 +16,6 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 
@@ -25,7 +24,6 @@ import numpy as np
 from . import spa
 from .channel import RngStream, TrialStreams, awgn, channel_llr, ebno_sigma, modulate, random_bits
 from .concat import ConcatCode, Schedule, concat_decode, concat_encode
-from .gf2 import SparseBinaryMatrix
 from .interleave import load_permutation
 # perfbench/layers.py patches bench.encode, so the name stays importable here
 from .ira import IraCode, encode, encode_batch, load_code  # noqa: F401
@@ -217,7 +215,7 @@ class ConcatSystem:
         results = np.empty((hi - lo, 5), dtype=np.int64)
         for row, index in zip(results, range(lo, hi)):
             gen = RngStream(master_seed, index).generator()
-            source = random_bits([gen], cc.K * cc.K).reshape(cc.K, cc.K)
+            source = random_bits(gen, cc.K * cc.K).reshape(cc.K, cc.K)
             tx = concat_encode(cc, source)
             res = concat_decode(cc, _received(tx, sigma, gen), self.schedule)
             bit_errors = int((res.source_bits != source).sum())
@@ -226,36 +224,26 @@ class ConcatSystem:
         return results
 
 
-class _TaskArrays:
-    """One code's grow-only single-code task arrays in this process, kept as
-    ``spa._CompiledGraph`` keeps its tiles (so not for two threads at once):
-    channel LLRs, extrinsic and posterior outputs, and an int32 identity
-    table with its ids."""
-
-    def __init__(self, n: int):
-        self.n, self.rows = n, 0
-
-    def reserve(self, rows: int) -> "_TaskArrays":
-        if rows > self.rows:
-            self.rows = rows
-            self.llrs, self.extrinsic, self.posterior = (np.empty((rows, self.n)) for _ in range(3))
-            self.at = np.arange(rows * self.n, dtype=np.int32).reshape(rows, self.n)
-            self.ids = np.arange(rows, dtype=np.int64)
-        return self
+# This process's grow-only single-code task buffers, kept as
+# ``spa._CompiledGraph`` keeps its tiles (so not for two threads at once):
+# channel LLRs, extrinsic and posterior outputs, flat, so that a task of b
+# trials of any code views the start of each as (b, N).
+_TASK_BUFFERS = [np.empty(0) for _ in range(3)]
 
 
-@lru_cache(maxsize=4)
-def _task_arrays(matrix: SparseBinaryMatrix) -> _TaskArrays:
-    # keyed by the matrix, as spa._compile is, so a code loaded again reuses them
-    return _TaskArrays(matrix.n_cols)
+def _task_rows(b: int, n: int) -> list[np.ndarray]:
+    if _TASK_BUFFERS[0].size < b * n:
+        _TASK_BUFFERS[:] = (np.empty(b * n) for _ in _TASK_BUFFERS)
+    return [buffer[: b * n].reshape(b, n) for buffer in _TASK_BUFFERS]
 
 
 @dataclass(frozen=True, eq=False)
 class SingleSystem:
     """One component code; a task's trials draw their source bits and noise
     from their own streams, in one C call each (``channel.TrialStreams``),
-    encode as one batch and decode as one batch into the code's task
-    arrays, which gives every row the result it would have on its own.
+    encode as one batch and decode as one batch, row i of the task buffers
+    holding trial lo + i, which gives every row the result it would have
+    on its own.
     Wide tasks let the rows that never converge share their iterations."""
 
     code: IraCode
@@ -272,13 +260,11 @@ class SingleSystem:
 
     def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
         code, b = self.code, hi - lo
-        arrays = _task_arrays(code.H).reserve(b)
+        llrs, extrinsic, posterior = _task_rows(b, code.N)
         streams = TrialStreams(master_seed, lo, hi)
         sources = streams.bits(code.K)
-        llrs = streams.llrs(encode_batch(code, sources), sigma, out=arrays.llrs[:b])
-        posterior = arrays.posterior[:b]
-        res = spa.decode_indexed(code, arrays.at, arrays.ids[:b], llrs, None,
-                                 arrays.extrinsic[:b], posterior, self.max_iter)
+        streams.llrs(encode_batch(code, sources), sigma, out=llrs)
+        res = spa.decode_indexed(code, None, None, llrs, None, extrinsic, posterior, self.max_iter)
         errors = ((posterior[:, : code.K] < 0.0) != sources).sum(axis=1)
         ones = np.ones(b, dtype=np.int64)
         return np.stack([errors, errors > 0, np.zeros_like(ones), ones, res.iterations_used], axis=1)

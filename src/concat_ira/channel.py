@@ -96,16 +96,13 @@ class TrialStreams:
         return out
 
 
-def random_bits(gens, size: int) -> np.ndarray:
-    """Uniform bits as uint8, one row of size bits per generator, each row
-    the values ``gen.integers(0, 2, size=size, dtype=np.uint8)`` would
-    return: the top bit of each byte of ceil(size / 8) raw 64-bit outputs,
-    bytes in little-endian order.  Later draws read the same stream either
-    way."""
-    words = -(-size // 8)
-    raw = np.concatenate([gen.bit_generator.random_raw(words) for gen in gens])
-    octets = raw.astype("<u8", copy=False).view(np.uint8).reshape(len(gens), 8 * words)
-    return octets[:, :size] >> 7
+def random_bits(gen: np.random.Generator, size: int) -> np.ndarray:
+    """size uniform bits as uint8, the values ``gen.integers(0, 2,
+    size=size, dtype=np.uint8)`` would return: the top bit of each byte of
+    ceil(size / 8) raw 64-bit outputs, bytes in little-endian order.  Later
+    draws read the same stream either way."""
+    raw = gen.bit_generator.random_raw(-(-size // 8))
+    return raw.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
 
 
 @dataclass(frozen=True)

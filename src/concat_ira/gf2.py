@@ -27,10 +27,10 @@ __all__ = [
 class AlistError(ValueError):
     """Alist text that is not in the form ``save_alist`` writes."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if path is None else f"{path}: {message}")
         self.line = line
 
 
@@ -153,14 +153,15 @@ def _read(lines: list[str], n_cols: int, n_rows: int, by_rows: bool) -> SparseBi
     return SparseBinaryMatrix(n_rows, n_cols, supports)
 
 
-def load_alist(text: str) -> SparseBinaryMatrix:
+def load_alist(text: str, path=None) -> SparseBinaryMatrix:
     """The matrix of alist text in the one form ``save_alist`` writes: read
     from line 1's dimensions and the column lines, and accepted when
     ``save_alist`` writes it back unchanged.  Otherwise AlistError names the
     first line that differs from the saved form of the reading closest to
     the text, among the column or the row lines read with the dimensions of
     line 1 or of the degree lines; every line is implied by the others, so
-    with one line of a saved text altered, that is the altered line."""
+    with one line of a saved text altered, that is the altered line.  The
+    refusal names ``path``, the text's file, if given."""
     lines = text.split("\n")
     dimensions = [(len(lines[2].split()), len(lines[3].split()))] if len(lines) > 3 else []
     with suppress(ValueError):
@@ -179,7 +180,7 @@ def load_alist(text: str) -> SparseBinaryMatrix:
             differ = _differing_lines(text, saved)
             if not best or len(differ) < len(best):
                 best = differ
-    raise AlistError("not as save_alist writes the matrix", best[0] if best else 1)
+    raise AlistError("not as save_alist writes the matrix", best[0] if best else 1, path)
 
 
 def save_alist(m: SparseBinaryMatrix) -> str:

@@ -542,13 +542,14 @@ def save_code(code: IraCode, prefix: str | Path) -> tuple[Path, Path]:
 
 def load_code(prefix: str | Path) -> IraCode:
     """Read the <prefix>.alist / <prefix>.sidecar pair, each only in the form
-    ``save_code`` writes, back into a validated code.  SidecarError names
-    the first sidecar line whose value does not parse or that differs from
-    the saved form of the record read; a record in that form that
-    contradicts itself or the matrix raises ValueError or ConstructionError."""
+    ``save_code`` writes, back into a validated code.  Every refusal names
+    its file: AlistError or SidecarError the first line that does not parse
+    or differs from the saved form of what was read (a byte that is not
+    UTF-8 reads as U+FFFD, which none holds); ValueError or
+    ConstructionError a record in that form that contradicts itself or H."""
     prefix = Path(prefix)
-    sidecar_path = prefix.with_suffix(".sidecar")
-    text = sidecar_path.read_bytes().decode("utf-8")
+    sidecar_path, alist_path = prefix.with_suffix(".sidecar"), prefix.with_suffix(".alist")
+    text = sidecar_path.read_bytes().decode("utf-8", "replace")
     lines = text.split("\n") + [""] * len(_SIDECAR_KEYS)  # a missing line reads as empty
     if lines[0] != f"format {_SIDECAR_FORMAT}":
         raise SidecarError(f"{sidecar_path}: line 1: expected 'format {_SIDECAR_FORMAT}'")
@@ -560,14 +561,17 @@ def load_code(prefix: str | Path) -> IraCode:
         except ValueError:
             raise SidecarError(f"{sidecar_path}: line {line_no}: expected '{key} <value>'") from None
     k, n, check_degree, seed, d_ace, eta, max_resample, degrees = values
-    h = load_alist(prefix.with_suffix(".alist").read_bytes().decode("utf-8"))
-    code = IraCode(
-        K=k, N=n, M=n - k, H=h, degree_spec=DegreeSpec(degrees, check_degree),
-        ace=AceParams(d_ace=d_ace, eta=eta, max_resample=max_resample), seed=seed,
-    )
-    saved = _sidecar_text(code)
-    if saved != text:
-        line_no = _differing_lines(text, saved)[0]
-        raise SidecarError(f"{sidecar_path}: line {line_no}: not as save_code writes this code")
-    validate_code(code)
+    h = load_alist(alist_path.read_bytes().decode("utf-8", "replace"), alist_path)
+    try:
+        code = IraCode(
+            K=k, N=n, M=n - k, H=h, degree_spec=DegreeSpec(degrees, check_degree),
+            ace=AceParams(d_ace=d_ace, eta=eta, max_resample=max_resample), seed=seed,
+        )
+        saved = _sidecar_text(code)
+        if saved != text:
+            line_no = _differing_lines(text, saved)[0]
+            raise SidecarError(f"line {line_no}: not as save_code writes this code")
+        validate_code(code)
+    except (ValueError, ConstructionError) as exc:
+        raise type(exc)(f"{sidecar_path}: {exc}") from exc
     return code

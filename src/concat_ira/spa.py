@@ -27,10 +27,11 @@ through the same table.  The first iteration's messages are copies of the
 variables' inputs, so NumPy takes their ``tanh`` once per variable and the
 kernel gathers it by edge.  The working tiles start on cache-line
 boundaries, so no vector the kernel loads or stores straddles two lines.
-``decode_indexed`` so decodes the rows of a block
-held in any layout, which is how the concatenated decoder runs its passes;
-``decode_batch`` is its case of one codeword per array row.  The C code
-rounds each operation once per lane in the order of the NumPy kernel it
+``decode_indexed`` so decodes the rows of a block held in any layout,
+which is how the concatenated decoder runs its passes, or without a table
+one codeword per array row, which is how single-code tasks decode into
+their buffers and ``decode_batch`` into new arrays.  The C code rounds
+each operation once per lane in the order of the NumPy kernel it
 replaced, so outputs are bit-identical to it.
 It is built once per source, flags, compiler and host CPU by the system C
 compiler, into ``__pycache__`` next to this module, as one library with
@@ -310,8 +311,8 @@ def _address(a: np.ndarray, dtype, name: str, write: bool = False) -> int:
 
 def decode_indexed(
     code_or_matrix,
-    at: np.ndarray,
-    ids: np.ndarray,
+    at: np.ndarray | None,
+    ids: np.ndarray | None,
     channel: np.ndarray,
     prior: np.ndarray | None,
     extrinsic: np.ndarray,
@@ -321,29 +322,34 @@ def decode_indexed(
     """Decode the codewords that an index table picks out of a block.
 
     Call row i decodes table row ``ids[i]``: its variable v sits at flat
-    index ``at[ids[i], v]`` of the float64 block arrays.  The decoder starts
-    from ``channel + prior`` there, a variable whose index is past the end
-    of ``prior`` (or every variable, when ``prior`` is None) adding +0.0.
+    index ``at[ids[i], v]`` of the float64 block arrays, or with ``at`` and
+    ``ids`` None at ``i * n_vars + v``, row i of a 2-D ``channel``.  The
+    decoder starts from ``channel + prior`` there, a variable whose index
+    is past the end of ``prior`` (or every variable, when ``prior`` is
+    None) adding +0.0.
     When the row stops, its extrinsic and, if ``posterior`` is given,
     ``channel + prior + extrinsic`` are written at the indices that lie
     inside ``extrinsic``, which ``posterior`` must match in size; nothing
     is written elsewhere.  A row's values do not depend on the other rows
     of the call, and outputs must not overlap the inputs.  ``at`` is int32
     of shape (rows, n_vars), ``ids`` int64; every array is C-contiguous.
-    Raises ValueError on an id outside the table or an index outside
+    Raises ValueError on a table without ids or ids without a table, on
+    rows of another length, on an id outside the table or an index outside
     ``channel``, and RuntimeError when the kernel library could not be
-    built.
+    built; nothing is written then.
     """
     g = _compile(_as_matrix(code_or_matrix))
-    if at.ndim != 2 or at.shape[1] != g.n_vars:
-        raise ValueError(f"index table rows must have length {g.n_vars}")
-    return _decode(g, len(ids), at, ids, channel, prior, extrinsic, posterior, max_iter, True)
+    rows = channel if at is None else at
+    if (at is None) != (ids is None) or rows.ndim != 2 or rows.shape[1] != g.n_vars:
+        raise ValueError(f"need an index table and its ids, or a 2-D channel, "
+                         f"with rows of length {g.n_vars}")
+    return _decode(g, len(channel if at is None else ids), at, ids, channel, prior, extrinsic,
+                   posterior, max_iter, True)
 
 
 def _decode(g: _CompiledGraph, batch, at, ids, channel, prior, extrinsic, posterior, max_iter,
             early_stop) -> PassResult:
-    """``decode_indexed`` of ``batch`` call rows; with ``at`` None there is
-    no table, and call row i's variable v sits at index ``i * n_vars + v``."""
+    """``decode_indexed`` of ``batch`` call rows."""
     lib = _kernel()
     if posterior is not None and posterior.size != extrinsic.size:
         raise ValueError("posterior size must match extrinsic size")

@@ -466,9 +466,10 @@ class TestTrialRounds:
         assert set(whole[:, 1]) == {0, 1}
 
     def test_task_arrays_hold_what_a_fresh_decode_gives(self, paper_outer, toy_outer):
-        # tasks grow and shrink the code's grow-only arrays, a point's last
-        # task is shorter, and other codes decode in between; every task
-        # must give what decode_batch gives its trials in fresh arrays
+        # tasks grow and shrink their use of the process's grow-only
+        # buffers, a point's last task is shorter, and a code of another N
+        # decodes in between; every task must give what decode_batch gives
+        # its trials in fresh arrays
         sigma = ci.ebno_sigma(2.5, paper_outer.rate)
         for code, lo, hi in ((paper_outer, 0, 512), (paper_outer, 512, 600), (toy_outer, 0, 40),
                              (paper_outer, 600, 1112), (toy_outer, 40, 41), (paper_outer, 3, 4)):
@@ -476,14 +477,16 @@ class TestTrialRounds:
             streams = ci.TrialStreams(5, lo, hi)
             sources = streams.bits(code.K)
             fresh = decode_batch(code, streams.llrs(ci.encode_batch(code, sources), sigma), None, 30)
-            arrays = bench._task_arrays(code.H)
-            assert np.array_equal(arrays.posterior[: hi - lo], fresh.posterior)
-            assert np.array_equal(arrays.extrinsic[: hi - lo], fresh.extrinsic)
+            size = (hi - lo) * code.N
+            _, extrinsic, posterior = (buffer[:size].reshape(hi - lo, code.N)
+                                       for buffer in bench._TASK_BUFFERS)
+            assert np.array_equal(posterior, fresh.posterior)
+            assert np.array_equal(extrinsic, fresh.extrinsic)
             bit_errors = (fresh.hard_bits[:, : code.K] != sources).sum(axis=1)
             expected = [(e, int(e > 0), 0, 1, i)
                         for e, i in zip(bit_errors.tolist(), fresh.iterations_used.tolist())]
             assert results.tolist() == [list(trial) for trial in expected]
-            assert arrays.rows >= hi - lo
+            assert all(buffer.size >= size for buffer in bench._TASK_BUFFERS)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("min_block_errors", [1, 90, 203])

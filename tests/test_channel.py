@@ -219,15 +219,9 @@ class TestRandomBits:
     def test_equals_integers_and_leaves_the_stream_in_step(self, shape):
         expected_gen, gen = seed_sequence_generator(8, 3), seed_sequence_generator(8, 3)
         expected = expected_gen.integers(0, 2, size=shape, dtype=np.uint8)
-        bits = ci.random_bits([gen], expected.size).reshape(expected.shape)
+        bits = ci.random_bits(gen, expected.size).reshape(expected.shape)
         assert bits.dtype == np.uint8 and np.array_equal(bits, expected)
         assert np.array_equal(gen.standard_normal(50), expected_gen.standard_normal(50))
-
-    def test_one_row_per_generator(self):
-        gens = [seed_sequence_generator(8, i) for i in range(5)]
-        expected = [seed_sequence_generator(8, i).integers(0, 2, size=181, dtype=np.uint8)
-                    for i in range(5)]
-        assert np.array_equal(ci.random_bits(gens, 181), np.stack(expected))
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, 0.0, -1.0])

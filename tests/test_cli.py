@@ -209,6 +209,26 @@ class TestSimulate:
         assert lines[0].startswith("ebno_db,")
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("suffix, corrupt, message", [
+        (".alist", lambda lines: lines[:4] + [lines[4] + b" "] + lines[5:],
+         "line 5: not as save_alist writes the matrix"),
+        (".alist", lambda lines: [b"\xff" + lines[0]] + lines[1:],
+         "line 1: not as save_alist writes the matrix"),
+        (".sidecar", lambda lines: [b"\xff" + lines[0]] + lines[1:],
+         "line 1: expected 'format ira-code 1'"),
+    ], ids=["alist-line-5", "alist-0xff", "sidecar-0xff"])
+    def test_corrupt_code_file_gives_one_error_line_naming_it(
+        self, workspace, tmp_path, capsys, suffix, corrupt, message
+    ):
+        for saved in workspace.glob("inner.*"):
+            (tmp_path / saved.name).write_bytes(saved.read_bytes())
+        path = tmp_path / f"inner{suffix}"
+        path.write_bytes(b"\n".join(corrupt(path.read_bytes().split(b"\n"))))
+        config_path, out = self.make_config(workspace, tmp_path, inner_code=str(tmp_path / "inner"))
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
     def test_kernel_that_cannot_be_built_gives_one_error_line(
         self, workspace, tmp_path, capsys, monkeypatch
     ):

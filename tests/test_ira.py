@@ -482,13 +482,37 @@ class TestCodeFiles:
                 ci.load_code(prefix)
             path.write_bytes(saved)
 
+    def test_a_byte_that_is_not_utf8_is_refused_naming_its_file_and_line(self, toy_outer, tmp_path):
+        prefix = tmp_path / "toy"
+        for path in ci.save_code(toy_outer, prefix):
+            saved = path.read_bytes()
+            lines = saved.split(b"\n")
+            for i, line in enumerate(lines[:-1]):
+                path.write_bytes(b"\n".join(lines[:i] + [line + b"\xff"] + lines[i + 1:]))
+                with pytest.raises((AlistError, SidecarError)) as refused:
+                    ci.load_code(prefix)
+                assert str(refused.value).startswith(f"{path}: line {i + 1}: ")
+            path.write_bytes(saved)
+
     def test_short_degree_list_in_the_saved_form_is_a_construction_error(self, toy_outer, tmp_path):
         prefix = tmp_path / "toy"
         _, sidecar = ci.save_code(toy_outer, prefix)
         text = sidecar.read_text(encoding="utf-8")
         sidecar.write_text(text.replace("h1_column_degrees 4 ", "h1_column_degrees "), encoding="utf-8")
-        with pytest.raises(ConstructionError, match="degree spec has 7 columns, not K = 8"):
+        with pytest.raises(ConstructionError, match="degree spec has 7 columns, not K = 8") as refused:
             ci.load_code(prefix)
+        assert str(refused.value).startswith(f"{sidecar}: ")
+
+    def test_out_of_range_value_in_the_saved_form_is_a_value_error_naming_the_sidecar(
+        self, toy_outer, tmp_path
+    ):
+        prefix = tmp_path / "toy"
+        _, sidecar = ci.save_code(toy_outer, prefix)
+        sidecar.write_text(sidecar.read_text(encoding="utf-8").replace("d_ace 2", "d_ace 1"),
+                           encoding="utf-8")
+        with pytest.raises(ValueError, match="d_ace must be >= 2") as refused:
+            ci.load_code(prefix)
+        assert str(refused.value).startswith(f"{sidecar}: ")
 
     def test_sidecar_mismatch_rejected(self, toy_outer, tmp_path):
         prefix = tmp_path / "broken"
@@ -497,5 +521,6 @@ class TestCodeFiles:
         sidecar.write_text(
             sidecar.read_text().replace("check_degree 8", "check_degree 9")
         )
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError) as refused:
             ci.load_code(prefix)
+        assert str(refused.value).startswith(f"{sidecar}: ")

@@ -517,7 +517,8 @@ def lower_simd_levels() -> list[str]:
 
 
 class TestIndexedDecode:
-    """decode_indexed reads and writes each codeword through its table row."""
+    """decode_indexed reads and writes each codeword through its table row,
+    or without a table, at its array row."""
 
     @staticmethod
     def block(code, rng):
@@ -586,6 +587,52 @@ class TestIndexedDecode:
             posterior = np.empty(channel.size - 1)
         with pytest.raises(ValueError):
             decode_indexed(toy_outer, at, ids, channel, prior, extrinsic, posterior, 5)
+
+    @pytest.mark.parametrize("posterior_given", [False, True], ids=["no-posterior", "posterior"])
+    @pytest.mark.parametrize("prior_given", [False, True], ids=["no-prior", "prior"])
+    @pytest.mark.parametrize("width", [1, 5, 512])
+    @pytest.mark.parametrize("code", ["paper_outer", "toy_outer"])
+    def test_without_a_table_row_i_is_array_row_i(
+        self, request, code, width, prior_given, posterior_given
+    ):
+        code = request.getfixturevalue(code)
+        rng = np.random.default_rng(24)
+        channel = noisy_codewords(code, width, 2.0, rng)
+        prior = rng.normal(scale=0.5, size=channel.shape) if prior_given else None
+        want = decode_batch(code, channel, prior, 30)
+        extrinsic = np.full(channel.shape, np.nan)
+        posterior = np.full(channel.shape, np.nan) if posterior_given else None
+        got = decode_indexed(code, None, None, channel, prior, extrinsic, posterior, 30)
+        assert got.iterations_used.dtype == want.iterations_used.dtype
+        assert np.array_equal(got.iterations_used, want.iterations_used)
+        assert got.valid.dtype == want.valid.dtype and np.array_equal(got.valid, want.valid)
+        assert np.array_equal(extrinsic, want.extrinsic)
+        if posterior_given:
+            assert np.array_equal(posterior, want.posterior)
+            assert np.array_equal((posterior < 0.0).view(np.uint8), want.hard_bits)
+        if width == 512:
+            assert 0 < want.valid.sum() < width
+
+    @pytest.mark.parametrize("fault", [
+        "ids without a table", "table without ids", "flat channel", "short rows", "long rows",
+    ])
+    def test_refusals_without_a_table_write_nothing(self, toy_outer, fault):
+        rng = np.random.default_rng(25)
+        at, ids, channel = None, None, rng.normal(size=(6, toy_outer.N))
+        if fault == "ids without a table":
+            ids = np.arange(6)
+        elif fault == "table without ids":
+            at = np.arange(channel.size, dtype=np.int32).reshape(channel.shape)
+        elif fault == "flat channel":
+            channel = channel.ravel()
+        elif fault == "short rows":
+            channel = channel.reshape(-1)[: 5 * (toy_outer.N - 1)].reshape(5, toy_outer.N - 1)
+        else:
+            channel = rng.normal(size=(5, toy_outer.N + 1))
+        extrinsic, posterior = np.full(channel.size, np.nan), np.full(channel.size, np.nan)
+        with pytest.raises(ValueError):
+            decode_indexed(toy_outer, at, ids, channel, None, extrinsic, posterior, 5)
+        assert np.isnan(extrinsic).all() and np.isnan(posterior).all()
 
 
 class TestKernel:
