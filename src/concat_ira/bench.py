@@ -100,7 +100,7 @@ class SimConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.system not in ("concat", "single"):
+        if self.system not in tuple(_SYSTEM_KEYS):
             raise ConfigError(f"unknown system {self.system!r}")
         if not self.ebno_db:
             raise ConfigError("ebno_db list must be nonempty")
@@ -128,12 +128,15 @@ class SimConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - {"system", "ebno_db", "schedule", *_CONFIG_KEYS, *_STOP_KEYS}
+        system = raw.get("system", "concat")
+        if system not in tuple(_SYSTEM_KEYS):  # compared, not hashed: it may be a JSON list
+            raise ConfigError(f"unknown system {system!r}")
+        keys = {**_CONFIG_KEYS, **_SYSTEM_KEYS[system]}
+        unknown = set(raw) - {"system", "ebno_db", *keys, *_STOP_KEYS}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        sched = raw.get("schedule", {})
-        if not isinstance(sched, dict):
-            raise ConfigError("schedule must be an object")
+            raise ConfigError(f"unknown config keys for a {system} system: {sorted(unknown)}")
+        fields = {"output": "curve.csv", **_json_fields(raw, keys)}
+        sched = fields.pop("schedule", {})
         unknown = set(sched) - set(_SCHEDULE_KEYS)
         if unknown:
             raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
@@ -143,26 +146,24 @@ class SimConfig:
         ):
             raise ConfigError(f"ebno_db must be a list of numbers, not {ebno!r}")
         try:
-            return cls(
-                system=raw.get("system", "concat"),
-                ebno_db=tuple(ebno),
-                **{"output": "curve.csv", **_json_fields(raw, _CONFIG_KEYS)},
-                stop=StopRule(**_json_fields(raw, _STOP_KEYS)),
-                schedule=Schedule(**_json_fields(sched, _SCHEDULE_KEYS)),
-            )
+            return cls(system=system, ebno_db=tuple(ebno), **fields,
+                       stop=StopRule(**_json_fields(raw, _STOP_KEYS)),
+                       schedule=Schedule(**_json_fields(sched, _SCHEDULE_KEYS)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
-# JSON key -> type, one table per level.  A key that is absent takes its
-# dataclass default; system, ebno_db and schedule are read on their own.
-_CONFIG_KEYS = {
-    "output": str, "master_seed": int, "workers": int, "outer_code": str, "inner_code": str,
-    "interleaver": str, "code": str, "max_iter": int,
+# JSON key -> type, one table per level, and for the top level one table per
+# system besides the keys of every config: a config may name no key of the
+# other system.  An absent key takes its dataclass default.
+_CONFIG_KEYS = {"output": str, "master_seed": int, "workers": int}
+_SYSTEM_KEYS = {
+    "concat": {"outer_code": str, "inner_code": str, "interleaver": str, "schedule": dict},
+    "single": {"code": str, "max_iter": int},
 }
 _STOP_KEYS = {"min_block_errors": int, "max_blocks": int}
 _SCHEDULE_KEYS = {"outer_iters": int, "inner_iters": int, "freeze_converged": bool}
-_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false"}
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "true or false", dict: "an object"}
 
 
 def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:

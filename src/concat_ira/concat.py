@@ -133,23 +133,18 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
     for outer_it in range(1, schedule.outer_iters + 1):
         outer_used = outer_it
 
-        # column pass: channel enters here; prior is the permuted row extrinsic
-        cols = np.flatnonzero(~col_valid) if schedule.freeze_converged else np.arange(n)
-        if len(cols):
-            res = _decode_batch(cc.inner, col_at, cols, lch, row_ext, col_ext, None,
-                                schedule.inner_iters)
-            col_valid[cols] = res.valid
-            calls += len(cols)
-            iters += int(res.iterations_used.sum())
-
-        # row pass: de-interleaved channel plus the column extrinsic as prior
-        rows = np.flatnonzero(~row_valid) if schedule.freeze_converged else np.arange(k)
-        if len(rows):
-            res = _decode_batch(cc.outer, row_at, rows, lch, col_ext, row_ext, row_post,
-                                schedule.inner_iters)
-            row_valid[rows] = res.valid
-            calls += len(rows)
-            iters += int(res.iterations_used.sum())
+        # column pass: channel enters here, prior is the permuted row
+        # extrinsic; row pass: de-interleaved channel, column extrinsic as prior
+        for code, at, valid, prior, out, post in (
+            (cc.inner, col_at, col_valid, row_ext, col_ext, None),
+            (cc.outer, row_at, row_valid, col_ext, row_ext, row_post),
+        ):
+            todo = np.flatnonzero(~valid) if schedule.freeze_converged else np.arange(len(valid))
+            if len(todo):
+                res = _decode_batch(code, at, todo, lch, prior, out, post, schedule.inner_iters)
+                valid[todo] = res.valid
+                calls += len(todo)
+                iters += int(res.iterations_used.sum())
 
         history.append((int(col_valid.sum()), int(row_valid.sum())))
         if col_valid.all() and row_valid.all():

@@ -56,7 +56,9 @@ class TestSimConfig:
         def names(cls):
             return {f.name for f in fields(cls)}
 
-        assert set(ci.bench._CONFIG_KEYS) | {"system", "ebno_db", "schedule", "stop"} == names(SimConfig)
+        tables = [ci.bench._CONFIG_KEYS, *ci.bench._SYSTEM_KEYS.values()]
+        assert set().union(*tables) | {"system", "ebno_db", "stop"} == names(SimConfig)
+        assert sum(map(len, tables)) == len(set().union(*tables))  # no key in two tables
         assert set(ci.bench._STOP_KEYS) == names(StopRule)
         assert set(ci.bench._SCHEDULE_KEYS) == names(ci.Schedule)
 
@@ -88,11 +90,51 @@ class TestSimConfig:
     def test_unknown_schedule_key_rejected(self):
         # these would run Schedule(10, 4, True), which the config did not ask for
         text = json.dumps({
-            "system": "single", "ebno_db": [1.0], "code": "c",
+            "system": "concat", "ebno_db": [1.0],
             "schedule": {"outer_iter": 3, "inner_iters": 4, "freeze": False},
         })
         with pytest.raises(ConfigError, match=r"^unknown schedule keys: \['freeze', 'outer_iter'\]$"):
             SimConfig.from_json(text)
+
+    @pytest.mark.parametrize("system, extra, refused", [
+        ("concat", {"code": "c"}, ["code"]),
+        ("concat", {"max_iter": 5}, ["max_iter"]),
+        ("single", {"outer_code": "o"}, ["outer_code"]),
+        ("single", {"inner_code": "i"}, ["inner_code"]),
+        ("single", {"interleaver": "p.perm"}, ["interleaver"]),
+        ("single", {"schedule": {"outer_iters": 3}}, ["schedule"]),
+        ("single", {"schedule": {}}, ["schedule"]),
+        # one refusal names every refused key, and none of the system's own
+        ("concat", {"outer_code": "o", "max_iter": 5, "code": "c"}, ["code", "max_iter"]),
+        ("single", {"code": "c", "schedule": 1, "outer_code": "o", "inner_code": "i",
+                    "interleaver": "p"}, ["inner_code", "interleaver", "outer_code", "schedule"]),
+    ])
+    def test_key_of_the_other_system_rejected(self, system, extra, refused):
+        # the config would run without the value it names
+        with pytest.raises(ConfigError) as refusal:
+            SimConfig.from_json(json.dumps({"system": system, "ebno_db": [1.0], **extra}))
+        assert str(refusal.value) == f"unknown config keys for a {system} system: {refused}"
+
+    def test_readme_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Simulation config\n", 1)[1].split("\n## ", 1)[0]
+        examples = [block.split("```", 1)[0] for block in section.split("```json\n")[1:]]
+        assert [SimConfig.from_json(text) for text in examples] == [
+            SimConfig(
+                system="concat", outer_code="codes/outer", inner_code="codes/inner",
+                interleaver="perm/designed.perm", schedule=ci.Schedule(10, 10, True),
+                ebno_db=(3.0, 3.5, 4.0, 4.5), stop=StopRule(100, 1_000_000), master_seed=1,
+                workers=4, output="results/designed.csv",
+            ),
+            SimConfig(
+                system="single", code="codes/outer", max_iter=100, ebno_db=(3.0, 3.5),
+                stop=StopRule(100, 1_000_000), master_seed=1, output="results/single.csv",
+            ),
+        ]
+        # the refusal the README quotes is the one a concat config with max_iter gets
+        with pytest.raises(ConfigError) as refusal:
+            SimConfig.from_json(json.dumps({**json.loads(examples[0]), "max_iter": 5}))
+        assert f"`{refusal.value}`" in section
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         config = SimConfig.from_json('{"ebno_db": [1.0]}')
@@ -114,7 +156,7 @@ class TestSimConfig:
     def test_non_boolean_flags_rejected(self, extra):
         # bool() would turn the string "false" into True
         with pytest.raises(ConfigError, match="true or false"):
-            SimConfig.from_json(json.dumps({"system": "single", "ebno_db": [1.0], **extra}))
+            SimConfig.from_json(json.dumps({"system": "concat", "ebno_db": [1.0], **extra}))
 
     @pytest.mark.parametrize(
         "extra, key",
@@ -126,21 +168,23 @@ class TestSimConfig:
             ({"min_block_errors": "10"}, "min_block_errors"),
             ({"max_blocks": 1e3}, "max_blocks"),
             ({"max_iter": False}, "max_iter"),
-            ({"schedule": {"outer_iters": 2.5}}, "outer_iters"),
-            ({"schedule": {"inner_iters": "4"}}, "inner_iters"),
+            ({"system": "concat", "schedule": {"outer_iters": 2.5}}, "outer_iters"),
+            ({"system": "concat", "schedule": {"inner_iters": "4"}}, "inner_iters"),
             ({"ebno_db": "35"}, "ebno_db"),  # tuple() would run 3 dB and 5 dB
             ({"ebno_db": 3.0}, "ebno_db"),
             ({"ebno_db": [3.0, "4"]}, "ebno_db"),
             ({"ebno_db": [True]}, "ebno_db"),
             ({"output": 5}, "output"),
             ({"code": ["x"]}, "code"),
-            ({"outer_code": 1}, "outer_code"),
-            ({"inner_code": None}, "inner_code"),
-            ({"interleaver": {}}, "interleaver"),
+            ({"system": "concat", "outer_code": 1}, "outer_code"),
+            ({"system": "concat", "inner_code": None}, "inner_code"),
+            ({"system": "concat", "interleaver": {}}, "interleaver"),
+            ({"system": "concat", "schedule": [3]}, "schedule"),
+            ({"system": "concat", "schedule": "outer_iters=3"}, "schedule"),
         ],
     )
     def test_values_of_the_wrong_json_type_rejected(self, extra, key):
-        base = {"system": "single", "ebno_db": [1.0], "code": "c"}
+        base = {"system": "single", "ebno_db": [1.0]}
         with pytest.raises(ConfigError, match=f"^{key} must be "):
             SimConfig.from_json(json.dumps({**base, **extra}))
 
@@ -160,19 +204,22 @@ class TestSimConfig:
     def test_json_integers_and_numbers_parse(self):
         config = SimConfig.from_json(json.dumps({
             "system": "single", "ebno_db": [3, 4.5], "code": "c", "master_seed": 12,
-            "workers": 2, "max_iter": 40, "schedule": {"outer_iters": 3, "inner_iters": 6},
+            "workers": 2, "max_iter": 40,
         }))
         assert config.ebno_db == (3.0, 4.5)
         assert (config.master_seed, config.workers, config.max_iter) == (12, 2, 40)
+        config = SimConfig.from_json(json.dumps({
+            "system": "concat", "ebno_db": [3], "schedule": {"outer_iters": 3, "inner_iters": 6},
+        }))
         assert config.schedule == ci.Schedule(3, 6, True)
 
     def test_boolean_flags_parse(self):
         config = SimConfig.from_json(json.dumps({
-            "system": "single", "ebno_db": [1.0], "schedule": {"freeze_converged": False},
+            "system": "concat", "ebno_db": [1.0], "schedule": {"freeze_converged": False},
         }))
         assert config.schedule.freeze_converged is False
         config = SimConfig.from_json(json.dumps({
-            "system": "single", "ebno_db": [1.0], "schedule": {"freeze_converged": True},
+            "system": "concat", "ebno_db": [1.0], "schedule": {"freeze_converged": True},
         }))
         assert config.schedule.freeze_converged is True
 

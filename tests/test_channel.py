@@ -67,21 +67,6 @@ class TestAwgn:
         with pytest.raises(ValueError):
             ci.awgn(np.zeros(4), 0.0, ci.RngStream(0, 0).generator())
 
-    def test_generator_per_row_draws_each_row_as_alone(self):
-        # TrialStreams draws each trial's channel as that trial's generator alone would
-        bits = np.random.default_rng(1).integers(0, 2, size=(5, 181), dtype=np.uint8)
-        together = ci.TrialStreams(5, 0, 5).llrs(bits, 0.7)
-        alone = [
-            ci.channel_llr(ci.awgn(ci.modulate(x), 0.7, ci.RngStream(5, i).generator()), 0.7)
-            for i, x in enumerate(bits)
-        ]
-        assert np.array_equal(together, np.stack(alone))
-
-    @pytest.mark.parametrize("shape, n_gens", [((3, 4), 2), ((3, 4), 4), ((4,), 4)])
-    def test_generator_count_must_match_rows(self, shape, n_gens):
-        with pytest.raises(ValueError, match="one codeword row per trial stream"):
-            ci.TrialStreams(0, 0, n_gens).llrs(np.zeros(shape, dtype=np.uint8), 1.0)
-
 
 class TestChannelLlr:
     def test_zero_observation(self):
@@ -192,6 +177,21 @@ class TestTrialGenerators:
             state = ci.RngStream(master_seed, 41).generator().bit_generator.state
             assert state == seed_sequence_generator(master_seed, 41).bit_generator.state
             assert pcg64_state(ci.TrialStreams(master_seed, 41, 42), 0) == state["state"]
+
+    def test_llrs_draw_each_row_as_its_trial_generator_alone(self):
+        # TrialStreams draws each trial's channel as that trial's generator alone would
+        bits = np.random.default_rng(1).integers(0, 2, size=(5, 181), dtype=np.uint8)
+        together = ci.TrialStreams(5, 0, 5).llrs(bits, 0.7)
+        alone = [
+            ci.channel_llr(ci.awgn(ci.modulate(x), 0.7, ci.RngStream(5, i).generator()), 0.7)
+            for i, x in enumerate(bits)
+        ]
+        assert np.array_equal(together, np.stack(alone))
+
+    @pytest.mark.parametrize("shape, trials", [((3, 4), 2), ((3, 4), 4), ((4,), 4)])
+    def test_llrs_refuse_a_row_count_other_than_the_trial_count(self, shape, trials):
+        with pytest.raises(ValueError, match="one codeword row per trial stream"):
+            ci.TrialStreams(0, 0, trials).llrs(np.zeros(shape, dtype=np.uint8), 1.0)
 
     def test_empty_range(self):
         streams = ci.TrialStreams(3, 5, 5)

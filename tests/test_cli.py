@@ -182,15 +182,20 @@ class TestDesignInterleaver:
 
 
 class TestSimulate:
-    def make_config(self, workspace, tmp_path, **extra):
-        perm = workspace / "sim.perm"
-        ci.save_permutation(ci.random_permutation(8, 12, 5), perm)
-        config = {
-            "system": "concat",
-            "outer_code": str(workspace / "outer"),
-            "inner_code": str(workspace / "inner"),
-            "interleaver": str(perm),
-            "schedule": {"outer_iters": 3, "inner_iters": 3},
+    def make_config(self, workspace, tmp_path, system="concat", **extra):
+        if system == "concat":
+            perm = workspace / "sim.perm"
+            ci.save_permutation(ci.random_permutation(8, 12, 5), perm)
+            config = {
+                "outer_code": str(workspace / "outer"),
+                "inner_code": str(workspace / "inner"),
+                "interleaver": str(perm),
+                "schedule": {"outer_iters": 3, "inner_iters": 3},
+            }
+        else:
+            config = {"code": str(workspace / "outer")}
+        config |= {
+            "system": system,
             "ebno_db": [3.0],
             "min_block_errors": 3,
             "max_blocks": 60,
@@ -373,6 +378,21 @@ class TestSimulate:
         assert run_cli("simulate", "--config", config_path) == 1
         err = capsys.readouterr().err
         assert err == "error: unknown schedule keys: ['freeze', 'outer_iter']\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("system, extra, refused", [
+        ("concat", {"max_iter": 5}, ["max_iter"]),
+        ("single", {"schedule": {"outer_iters": 3}, "interleaver": "p.perm"},
+         ["interleaver", "schedule"]),
+    ])
+    def test_key_of_the_other_system_gives_one_error_line(
+        self, workspace, tmp_path, capsys, system, extra, refused
+    ):
+        config_path, out = self.make_config(workspace, tmp_path, system=system, **extra)
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == (
+            f"error: unknown config keys for a {system} system: {refused}\n"
+        )
         assert not out.exists()
 
     def test_zero_iteration_schedule_gives_one_error_line(self, workspace, tmp_path, capsys):
