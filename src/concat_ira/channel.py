@@ -45,10 +45,11 @@ def ebno_sigma(ebno_db: float, rate: float) -> float:
 
 class TrialStreams:
     """The random streams of trials lo..hi-1: trial i draws what
-    ``Generator(PCG64(SeedSequence((master_seed, i))))`` would draw, for the
-    installed NumPy.  ``_trial_kernel.c`` ports SeedSequence's hash and
-    PCG64 and calls NumPy's own ziggurat, so a task's trials draw in one C
-    call each, with no generator objects.  ``states`` holds each trial's
+    ``Generator(PCG64(SeedSequence((master_seed, i))))`` draws in NumPy
+    2.4.6.  ``_trial_kernel.c`` ports SeedSequence's hash, PCG64 and NumPy's
+    ziggurat with its tables, so the stream is the repository's own, and a
+    task's trials draw in one C call each, with no generator objects; the
+    tests compare it with the installed NumPy's.  ``states`` holds each trial's
     PCG64 state as (state high, state low, increment high, increment low).
 
     Raises ValueError for a negative seed or index, and for an index of

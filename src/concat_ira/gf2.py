@@ -110,12 +110,6 @@ class SparseBinaryMatrix:
     def n_edges(self) -> int:
         return sum(len(c) for c in self.col_support)
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for c, sup in enumerate(self.col_support):
-            dense[list(sup), c] = 1
-        return dense
-
 
 # --- alist text ------------------------------------------------------------------
 #

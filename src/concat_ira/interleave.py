@@ -102,14 +102,6 @@ class BlockPermutation:
         out.reshape(-1)[self.forward] = block.ravel(order="C")
         return out
 
-    def invert(self) -> "BlockPermutation":
-        inv = np.empty_like(self.forward)
-        inv[self.forward] = np.arange(self.K * self.N)
-        return BlockPermutation(
-            K=self.K, N=self.N, forward=inv, seed=self.seed,
-            design_t=self.design_t, repairs=self.repairs, sets=self.sets,
-        )
-
 
 def random_permutation(k: int, n: int, seed: int) -> BlockPermutation:
     """Uniform random bijection from an unbiased shuffle, deterministic in seed."""

@@ -36,8 +36,8 @@ replaced, so outputs are bit-identical to it.
 It is built once per source, flags, compiler and host CPU by the system C
 compiler, into ``__pycache__`` next to this module, as one library with
 ``_trial_kernel.c`` (the trial streams of ``channel.TrialStreams`` and
-``ira.encode_batch``) and NumPy's ``libnpyrandom.a``; a build that fails
-makes every decode, trial stream and encoding raise RuntimeError.
+``ira.encode_batch``), from these two sources and libm alone; a build that
+fails makes every decode, trial stream and encoding raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ __all__ = [
 ]
 
 _SOURCES = (Path(__file__).with_name("_spa_kernel.c"), Path(__file__).with_name("_trial_kernel.c"))
-# NumPy's distributions, shipped with every wheel for C extensions, and the
-# header of their bit generator interface
-_NPYRANDOM = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
-_NUMPY_INCLUDE = Path(np.get_include())
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
 _CC = "cc"
 # -ffp-contract=off: no fused multiply-add, so each operation rounds as NumPy's does
@@ -121,24 +117,20 @@ def _host_cpu() -> str:
 
 def _command(compiler: str, output: str) -> list[str]:
     """The one compiler invocation that builds the kernel library."""
-    return [compiler, *_CFLAGS, "-I", str(_NUMPY_INCLUDE), "-o", output,
-            *map(str, _SOURCES), str(_NPYRANDOM), "-lm"]
+    return [compiler, *_CFLAGS, "-o", output, *map(str, _SOURCES), "-lm"]
 
 
 def _build() -> Path:
-    """The kernel library for these sources, NumPy library, flags, compiler
-    and host CPU: the cached file, or a new build renamed into the cache once
-    complete, so concurrent builds never load a partial file."""
+    """The kernel library for these sources, flags, compiler and host CPU:
+    the cached file, or a new build renamed into the cache once complete, so
+    concurrent builds never load a partial file."""
     compiler = shutil.which(_CC)
     if compiler is None:
         raise RuntimeError(f"cannot build the SPA kernel: C compiler {_CC!r} not found")
-    if not _NPYRANDOM.is_file():
-        raise RuntimeError(f"cannot build the SPA kernel: NumPy's {_NPYRANDOM} is missing")
     stat = os.stat(compiler)
     key = hashlib.sha256(repr((
-        [source.read_bytes() for source in _SOURCES], str(_NPYRANDOM), _NPYRANDOM.read_bytes(),
-        (_NUMPY_INCLUDE / "numpy" / "random" / "bitgen.h").read_bytes(), _CFLAGS,
-        os.path.realpath(compiler), stat.st_size, stat.st_mtime_ns, _host_cpu(),
+        [source.read_bytes() for source in _SOURCES], _CFLAGS, os.path.realpath(compiler),
+        stat.st_size, stat.st_mtime_ns, _host_cpu(),
     )).encode()).hexdigest()[:16]
     target = _CACHE_DIR / f"_spa_kernel.{key}.so"
     if target.exists():

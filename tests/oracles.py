@@ -45,6 +45,21 @@ def tanner_graph(h: SparseBinaryMatrix) -> TannerGraph:
     return TannerGraph(h.col_support, h.row_support)
 
 
+def to_dense(matrix: SparseBinaryMatrix) -> np.ndarray:
+    """The matrix as a dense uint8 array of zeros and ones."""
+    dense = np.zeros((matrix.n_rows, matrix.n_cols), dtype=np.uint8)
+    for c, sup in enumerate(matrix.col_support):
+        dense[list(sup), c] = 1
+    return dense
+
+
+def invert_permutation(perm: BlockPermutation) -> BlockPermutation:
+    """The permutation that undoes ``perm``, with its other fields."""
+    inv = np.empty_like(perm.forward)
+    inv[perm.forward] = np.arange(perm.K * perm.N)
+    return replace(perm, forward=inv)
+
+
 def all_bit_patterns(n: int) -> np.ndarray:
     """(2^n, n) array of every bit vector, LSB-first."""
     return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
@@ -740,7 +755,7 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
         raise ValueError(f"expected ({cc.N}, {cc.N}) channel LLR array")
     k, n = cc.K, cc.N
 
-    pi_inv = cc.pi.invert()
+    pi_inv = invert_permutation(cc.pi)
     lch_rows = pi_inv.apply(lch[:k, :])  # channel observations seen by the row code
     row_ext = np.zeros((k, n))              # row-decoder extrinsic, row-code alignment
     col_ext_mixed = np.zeros((k, n))        # column-decoder extrinsic, column-code alignment

@@ -29,7 +29,7 @@ from concat_ira.bench import (
 )
 from concat_ira.cli import main as cli_main
 
-from oracles import all_bit_patterns, dense_codewords, exact_bit_marginals
+from oracles import all_bit_patterns, dense_codewords, exact_bit_marginals, to_dense
 
 # Pinned from the measured waterfall of the seed-1/seed-2 code pair (see
 # scripts/directional_check.py): FER of a random interleaver is a few percent
@@ -77,7 +77,7 @@ def test_criterion_2_encoder_soundness(paper_outer):
         rng = np.random.default_rng(20)
         sources = rng.integers(0, 2, (10_000, 128), dtype=np.uint8)
         words = ci.encode_batch(paper_outer, sources)
-        dense = paper_outer.H.to_dense().astype(np.int64)
+        dense = to_dense(paper_outer.H).astype(np.int64)
         assert not ((words @ dense.T) % 2).any()
 
         a = rng.integers(0, 2, (1000, 128), dtype=np.uint8)
@@ -90,7 +90,7 @@ def test_criterion_2_encoder_soundness(paper_outer):
 
 def test_criterion_3_spa_exactness_on_tree(tree_matrix):
     with _Timer(3, "SPA exactness vs exhaustive marginals"):
-        codewords = dense_codewords(tree_matrix.to_dense())
+        codewords = dense_codewords(to_dense(tree_matrix))
         rng = np.random.default_rng(30)
         worst = 0.0
         for _ in range(100):
@@ -104,7 +104,7 @@ def test_criterion_3_spa_exactness_on_tree(tree_matrix):
 def test_criterion_4_stopping_set_machinery(toy_outer, paper_outer):
     with _Timer(4, "stopping-set machinery"):
         # verifier vs exhaustive definition over all 2^12 - 1 subsets
-        dense = toy_outer.H.to_dense().astype(np.int64)
+        dense = to_dense(toy_outer.H).astype(np.int64)
         patterns = all_bit_patterns(12)[1:]
         expect = ~((patterns @ dense.T) == 1).any(axis=1)
         got = np.fromiter(

@@ -1,5 +1,10 @@
 import copy
 import math
+import re
+import shutil
+import struct
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +217,44 @@ class TestTrialGenerators:
     def test_nonpositive_sigma_refused(self):
         with pytest.raises(ValueError, match="sigma must be positive"):
             ci.TrialStreams(0, 0, 1).llrs(np.zeros((1, 4), dtype=np.uint8), 0.0)
+
+
+def kernel_table_words(source: str, name: str) -> list[int]:
+    """The entries of ``name[256]`` in ``_trial_kernel.c`` as 64-bit words:
+    the integers of ``ki_double``, the bits of the others' hex floats."""
+    (body,) = re.findall(rf"\b{name}\[256\] = \{{([^}}]*)\}};", source)
+    entries = body.replace(",", " ").split()
+    if name == "ki_double":
+        return [int(entry, 16) for entry in entries]
+    return [struct.unpack("=Q", struct.pack("=d", float.fromhex(entry)))[0] for entry in entries]
+
+
+class TestZigguratTables:
+    def test_tables_equal_the_installed_numpy_s_bit_for_bit(self, tmp_path):
+        # sampling can miss a last-bit slip in a rarely used entry, so the
+        # tables are read from NumPy's distributions archive itself
+        archive = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+        if not archive.is_file() or not all(map(shutil.which, ("ar", "nm", "objcopy"))):
+            pytest.skip("needs NumPy's libnpyrandom.a and binutils' ar, nm and objcopy")
+        subprocess.run(["ar", "x", str(archive)], cwd=tmp_path, check=True)
+        names = ("ki_double", "wi_double", "fi_double")
+        found = {}  # name: (object file, offset in its .rodata, size)
+        for member in sorted(tmp_path.glob("*.o")):
+            listing = subprocess.run(["nm", "-S", str(member)], capture_output=True, text=True,
+                                     check=True).stdout
+            for fields in map(str.split, listing.splitlines()):
+                if len(fields) == 4 and fields[3] in names:
+                    found[fields[3]] = (member, int(fields[0], 16), int(fields[1], 16))
+        assert sorted(found) == sorted(names)
+        source = Path(ci.spa.__file__).with_name("_trial_kernel.c").read_text()
+        for name in names:
+            member, offset, size = found[name]
+            rodata = member.with_suffix(".rodata")
+            subprocess.run(["objcopy", "-O", "binary", "--only-section=.rodata", str(member),
+                            str(rodata)], check=True)
+            assert size == 256 * 8, name
+            numpy_words = list(struct.unpack("=256Q", rodata.read_bytes()[offset:offset + size]))
+            assert kernel_table_words(source, name) == numpy_words, name
 
 
 class TestRandomBits:

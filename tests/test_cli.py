@@ -248,22 +248,6 @@ class TestSimulate:
         )
         assert not out.exists()
 
-    def test_missing_numpy_random_library_gives_one_error_line(
-        self, workspace, tmp_path, capsys, monkeypatch
-    ):
-        missing = tmp_path / "lib" / "libnpyrandom.a"
-        monkeypatch.setattr(spa, "_NPYRANDOM", missing)
-        monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path / "cache")
-        monkeypatch.setattr(spa, "_LIB", None)
-        config_path, out = self.make_config(
-            workspace, tmp_path, system="single", code=str(workspace / "outer")
-        )
-        assert run_cli("simulate", "--config", config_path) == 1
-        assert capsys.readouterr().err == (
-            f"error: cannot build the SPA kernel: NumPy's {missing} is missing\n"
-        )
-        assert not out.exists()
-
     def test_point_without_block_errors_prints_its_bound_not_fer_zero(
         self, workspace, tmp_path, capsys
     ):

@@ -13,7 +13,7 @@ from concat_ira.ira import (
 from conftest import TOY_ACE
 from oracles import (
     ace_audit, ace_check, dense_encode_batch, dense_syndrome, has_codeword_of_weight_le4,
-    reference_build_h1, reference_encode_batch, tanner_graph,
+    reference_build_h1, reference_encode_batch, tanner_graph, to_dense,
 )
 
 
@@ -294,18 +294,18 @@ class TestEncode:
         code = ci.IraCode(K=2, N=4, M=2, H=h, degree_spec=spec, ace=TOY_ACE, seed=0)
         cw = ci.encode(code, np.array([1, 0]))
         assert cw.tolist() == [1, 0, 1, 1]
-        assert not dense_syndrome(h.to_dense(), cw).any()
+        assert not dense_syndrome(to_dense(h), cw).any()
 
     def test_syndrome_zero_on_random_sources(self, paper_outer):
         rng = np.random.default_rng(5)
         sources = rng.integers(0, 2, (200, 128), dtype=np.uint8)
         words = ci.encode_batch(paper_outer, sources)
-        dense = paper_outer.H.to_dense().astype(np.int64)
+        dense = to_dense(paper_outer.H).astype(np.int64)
         assert not ((words @ dense.T) % 2).any()
 
     def test_matches_dense_oracle(self, toy_outer):
         rng = np.random.default_rng(6)
-        dense = toy_outer.H.to_dense()
+        dense = to_dense(toy_outer.H)
         for _ in range(50):
             s = rng.integers(0, 2, 8, dtype=np.uint8)
             cw = ci.encode(toy_outer, s)
@@ -356,7 +356,7 @@ class TestLowWeightScreen:
         # independent oracle: try every combination of up to 4 columns
         from itertools import combinations
 
-        dense = h.to_dense().astype(np.int64)
+        dense = to_dense(h).astype(np.int64)
         for w in (2, 3, 4):
             for cols in combinations(range(h.n_cols), w):
                 if not dense[:, cols].sum(axis=1).__mod__(2).any():

@@ -21,6 +21,7 @@ from oracles import (
     dense_syndrome,
     exact_bit_marginals,
     reference_decode_batch,
+    to_dense,
     variable_update,
 )
 
@@ -125,7 +126,7 @@ class TestDecode:
         for trial in range(20):
             ch = rng.normal(scale=1.5, size=12)
             res = ci.decode(toy_outer, ch, max_iter=3)
-            assert res.valid == (not dense_syndrome(toy_outer.H.to_dense(), res.hard_bits).any())
+            assert res.valid == (not dense_syndrome(to_dense(toy_outer.H), res.hard_bits).any())
 
     def test_monotone_termination(self, toy_outer):
         rng = np.random.default_rng(3)
@@ -158,7 +159,7 @@ class TestDecode:
 
 class TestTreeExactness:
     def test_posteriors_match_exhaustive_marginals(self, tree_matrix):
-        codewords = dense_codewords(tree_matrix.to_dense())
+        codewords = dense_codewords(to_dense(tree_matrix))
         assert len(codewords) == 2 ** (12 - 5)
         rng = np.random.default_rng(42)
         worst = 0.0
@@ -170,7 +171,7 @@ class TestTreeExactness:
         assert worst < 1e-6
 
     def test_prior_adds_to_channel(self, tree_matrix):
-        codewords = dense_codewords(tree_matrix.to_dense())
+        codewords = dense_codewords(to_dense(tree_matrix))
         rng = np.random.default_rng(7)
         ch = rng.uniform(-2, 2, size=12)
         pr = rng.uniform(-1, 1, size=12)
@@ -768,46 +769,13 @@ class TestKernel:
         runs = log.read_text() if log.exists() else ""
         assert runs == ("" if compiler == "missing" else "run\n")
 
-    def test_missing_numpy_random_library_raises_naming_it_without_compiling(
-        self, toy_outer, tmp_path, monkeypatch
-    ):
-        missing = tmp_path / "lib" / "libnpyrandom.a"
-
-        def no_compiler(*args, **kwargs):
-            raise AssertionError("the compiler ran without NumPy's random library")
-
-        monkeypatch.setattr(subprocess, "run", no_compiler)
-        monkeypatch.setattr(spa, "_NPYRANDOM", missing)
-        monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path / "cache")
-        monkeypatch.setattr(spa, "_LIB", None)
-        message = re.escape(f"cannot build the SPA kernel: NumPy's {missing} is missing")
-        with pytest.raises(RuntimeError, match=message):
-            ci.decode(toy_outer, np.zeros(12))
-        with pytest.raises(RuntimeError, match=message):
-            ci.TrialStreams(0, 0, 1)
-        assert not (tmp_path / "cache").exists()
-
-    def test_numpy_random_library_path_and_bytes_key_the_cached_library(
-        self, tmp_path, monkeypatch
-    ):
-        # a stand-in compiler that writes an empty file at its -o argument
-        cc = tmp_path / "cc"
-        cc.write_text('#!/bin/sh\nwhile [ $# -gt 0 ]; do [ "$1" = -o ] && : > "$2"; shift; done\n')
-        cc.chmod(0o755)
-        monkeypatch.setattr(spa, "_CC", str(cc))
-        monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path / "cache")
-        first, second = tmp_path / "a" / "libnpyrandom.a", tmp_path / "b" / "libnpyrandom.a"
-        for archive in (first, second):
-            archive.parent.mkdir()
-            archive.write_bytes(spa._NPYRANDOM.read_bytes())
-        names = []
-        for archive, content in ((first, None), (second, None), (first, b"!<arch>\n")):
-            if content is not None:
-                archive.write_bytes(content)
-            monkeypatch.setattr(spa, "_NPYRANDOM", archive)
-            names.append(spa._build().name)
-        assert len(set(names)) == 3
-        assert all(name.startswith("_spa_kernel.") for name in names)
+    def test_build_command_is_the_compiler_flags_sources_and_libm(self, tmp_path):
+        cc, out = "cc", str(tmp_path / "k.so")
+        sources = [str(source) for source in spa._SOURCES]
+        command = spa._command(cc, out)
+        assert command == [cc, *spa._CFLAGS, "-o", out, *sources, "-lm"]
+        numpy_dir = str(Path(np.__file__).parent)
+        assert not any(numpy_dir in arg for arg in command)
 
     def test_source_compiles_without_warnings(self, tmp_path):
         command = spa._command(spa._CC, str(tmp_path / "k.so"))

@@ -4,7 +4,9 @@ import pytest
 import concat_ira as ci
 from concat_ira.stopping import save_histogram
 
-from oracles import all_bit_patterns, minimal_stopping_sets_containing, reference_detect_from
+from oracles import (
+    all_bit_patterns, minimal_stopping_sets_containing, reference_detect_from, to_dense,
+)
 
 
 def isolated_four_cycle():
@@ -33,7 +35,7 @@ class TestIsStoppingSet:
 
     def test_matches_exhaustive_definition(self, toy_outer):
         """Agreement with a dense re-implementation over all 2^12 - 1 subsets."""
-        dense = toy_outer.H.to_dense().astype(np.int64)
+        dense = to_dense(toy_outer.H).astype(np.int64)
         patterns = all_bit_patterns(12)[1:]
         counts = patterns @ dense.T
         expect = ~(counts == 1).any(axis=1)
@@ -48,7 +50,7 @@ class TestDetectFrom:
         m = isolated_four_cycle()
         for start in (0, 1):
             assert ci.detect_from(m, start) == frozenset({0, 1})
-        minimal = minimal_stopping_sets_containing(m.to_dense(), 0)
+        minimal = minimal_stopping_sets_containing(to_dense(m), 0)
         assert {0, 1} in minimal and all(len(s) >= 2 for s in minimal)
 
     def test_degree_one_check_forces_full_set(self):
