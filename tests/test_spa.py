@@ -769,6 +769,32 @@ class TestKernel:
         runs = log.read_text() if log.exists() else ""
         assert runs == ("" if compiler == "missing" else "run\n")
 
+    def test_sources_flags_compiler_and_cpu_key_the_cached_library(self, tmp_path, monkeypatch):
+        # a stand-in compiler that writes an empty file at its -o argument
+        cc = tmp_path / "cc"
+        cc.write_text('#!/bin/sh\nwhile [ $# -gt 0 ]; do [ "$1" = -o ] && : > "$2"; shift; done\n')
+        cc.chmod(0o755)
+        sources = []
+        for source in spa._SOURCES:
+            sources.append(tmp_path / source.name)
+            sources[-1].write_bytes(source.read_bytes())
+        monkeypatch.setattr(spa, "_CC", str(cc))
+        monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(spa, "_SOURCES", tuple(sources))
+        names = [spa._build().name, spa._build().name]
+        for source in sources:
+            source.write_bytes(source.read_bytes() + b"\n")
+            names.append(spa._build().name)
+        monkeypatch.setattr(spa, "_CFLAGS", (*spa._CFLAGS, "-g"))
+        names.append(spa._build().name)
+        os.utime(cc, ns=(0, 0))
+        names.append(spa._build().name)
+        monkeypatch.setattr(spa, "_host_cpu", lambda: "another processor")
+        names.append(spa._build().name)
+        assert names[0] == names[1]
+        assert len(set(names)) == len(names) - 1
+        assert all(name.startswith("_spa_kernel.") for name in names)
+
     def test_build_command_is_the_compiler_flags_sources_and_libm(self, tmp_path):
         cc, out = "cc", str(tmp_path / "k.so")
         sources = [str(source) for source in spa._SOURCES]
