@@ -369,23 +369,25 @@ def format_row(point: CurvePoint, seed: int) -> str:
 
 
 def read_curve(path: Path) -> list[tuple[int, str, CurvePoint, int]]:
-    """The rows of a curve file as (line number, row, point, seed).  A file
-    with another header, whose last write tore, or with a row that does not
-    parse is refused."""
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    """The rows of a curve file as (line number, row, point, seed), read only
+    in the form ``run_curve`` writes: the header, then ``format_row`` of each
+    point with an LF.  A file with another header, whose last write tore, or
+    with a row that is not as written is refused at its line (a byte that is
+    not UTF-8 reads as U+FFFD, which no row holds)."""
+    text = path.read_bytes().decode("utf-8", "replace")
+    lines = text.split("\n")
+    if lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: not a curve CSV (header mismatch)")
-    if not text.endswith("\n"):
+    if lines[-1]:
         raise ConfigError(f"{path}: last row {lines[-1]!r} is torn; remove it first")
     rows = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+    for line_no, raw in enumerate(lines[1:-1], start=2):
         try:
             rows.append((line_no, raw, *_parse_row(raw)))
         except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: malformed row {raw!r}") from exc
+            raise ConfigError(
+                f"{path}:{line_no}: malformed row {raw!r}, not as simulate writes it"
+            ) from exc
     return rows
 
 
@@ -431,7 +433,8 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
 
 
 def _parse_row(row: str) -> tuple[CurvePoint, int]:
-    """A curve row as its point and seed; ValueError if it is not one."""
+    """A curve row as its point and seed; ValueError if it is not one as
+    ``format_row`` writes it."""
     parts = row.split(",")
     if len(parts) != CSV_HEADER.count(",") + 1:
         raise ValueError(f"{len(parts)} fields")
@@ -446,7 +449,10 @@ def _parse_row(row: str) -> tuple[CurvePoint, int]:
         mean_component_iters=float(parts[7]),
         wall_seconds=0.0,
     )
-    return point, int(parts[8])
+    seed = int(parts[8])
+    if format_row(point, seed) != row:
+        raise ValueError("not as format_row writes it")
+    return point, seed
 
 
 def gaussian_q(x: float) -> float:

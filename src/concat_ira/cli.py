@@ -10,7 +10,6 @@ and seeds.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -26,8 +25,6 @@ from .interleave import (
 )
 from .ira import build_code, load_code, save_code
 from .stopping import save_histogram, sensitivity_histogram, select_sensitive
-
-CONFIG_DIR_ENV = "CONCAT_IRA_CONFIG_DIR"
 
 
 def _version_string() -> str:
@@ -81,18 +78,15 @@ def _cmd_design_interleaver(args) -> int:
     out = Path(args.out)
     save_permutation(designed, out)
     sets_path = out.with_suffix(out.suffix + ".sets")
-    if designed.sets is None:
-        sets_path.write_text("row_code_nodes\ncol_code_nodes\n", encoding="utf-8")
-    else:
-        sets_path.write_text(
-            "row_code_nodes " + " ".join(str(i) for i in sorted(designed.sets.row_code_nodes))
-            + "\ncol_code_nodes " + " ".join(str(j) for j in sorted(designed.sets.col_code_nodes))
-            + "\n",
-            encoding="utf-8",
-        )
-        check = count_bad_mappings(designed, designed.sets)
-        if check.count:
-            raise ConfigError(f"designed permutation still has {check.count} bad mappings")
+    sets_path.write_text(
+        "row_code_nodes " + " ".join(str(i) for i in sorted(designed.sets.row_code_nodes))
+        + "\ncol_code_nodes " + " ".join(str(j) for j in sorted(designed.sets.col_code_nodes))
+        + "\n",
+        encoding="utf-8",
+    )
+    check = count_bad_mappings(designed, designed.sets)
+    if check.count:
+        raise ConfigError(f"designed permutation still has {check.count} bad mappings")
     print(
         f"wrote {out} (escalation level t={designed.design_t}, "
         f"{designed.repairs} repairs) and {sets_path}"
@@ -100,20 +94,10 @@ def _cmd_design_interleaver(args) -> int:
     return 0
 
 
-def _resolve_config_path(raw: str) -> Path:
-    path = Path(raw)
-    if path.exists():
-        return path
-    fallback_dir = os.environ.get(CONFIG_DIR_ENV)
-    if fallback_dir and not path.is_absolute():
-        fallback = Path(fallback_dir) / path
-        if fallback.exists():
-            return fallback
-    raise ConfigError(f"config file {raw!r} not found")
-
-
 def _cmd_simulate(args) -> int:
-    path = _resolve_config_path(args.config)
+    path = Path(args.config)
+    if not path.exists():
+        raise ConfigError(f"config file {args.config!r} not found")
     config = SimConfig.from_json(path.read_text(encoding="utf-8"))
     points = run_curve(config)
     for p in points:

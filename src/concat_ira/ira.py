@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate
 from math import comb
 from pathlib import Path
 from typing import Sequence
@@ -199,13 +199,6 @@ def _h1_row_budgets(m: int, check_degree: int) -> list[int]:
     return budgets
 
 
-# On resample exhaustion, enumerate every remaining row combination instead of
-# giving up, provided the combination count stays below this cap.  Late in a
-# construction the budget-bearing rows are few, so the cap always admits the
-# endgame columns where random proposals are most likely to miss.
-_ENUMERATION_CAP = 20000
-
-
 class _LowWeightScreen:
     """Incremental form, for construction, of the batch weight <= 4 test
     ``has_codeword_of_weight_le4`` in ``tests/oracles.py``.
@@ -301,12 +294,10 @@ def build_h1(
     Rows are drawn without replacement with probability proportional to
     remaining budget, which keeps consumption even so the final columns are
     not forced into conflicting rows; every row of [H1|H2] ends at exactly
-    the target check degree.  A column that exhausts its resample budget
-    falls back to enumerating all remaining row combinations before being
-    declared stuck, and is stuck at once when every row set has failed; a
-    stuck column restarts the whole construction with the next derived
-    seed.  Running out of restarts raises with the constraint
-    that bound.
+    the target check degree.  A column is stuck after max_resample draws,
+    or at once when every row set has failed; a stuck column restarts the
+    whole construction with the next derived seed.  Running out of restarts
+    raises with the constraint that bound.
 
     The low-weight screen guarantees minimum distance >= 5, which matters
     for floor studies: without it, undetected few-bit errors drown out the
@@ -380,10 +371,6 @@ def build_h1(
                     break
                 if len(failed) == n_sets:
                     break  # no row set is left to try
-            if not accepted and len(failed) < n_sets <= _ENUMERATION_CAP:
-                combos = list(combinations(avail, degree))
-                rng.shuffle(combos)
-                accepted = any(attempt(j, rows) for rows in combos)
             if not accepted:
                 # this generator dies with the restart, so skipped draws change nothing
                 last_blocker = "ACE resample budget exhausted"

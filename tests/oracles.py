@@ -6,7 +6,6 @@ message-passing code paths.
 """
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ from concat_ira.interleave import (
     count_bad_mappings,
 )
 from concat_ira.ira import (
-    _ENUMERATION_CAP,
     AceParams,
     ConstructionError,
     DegreeSpec,
@@ -649,11 +647,9 @@ def reference_build_h1(
     Rows are drawn without replacement with probability proportional to
     remaining budget, which keeps consumption even so the final columns are
     not forced into conflicting rows; every row of [H1|H2] ends at exactly
-    the target check degree.  A column that exhausts its resample budget
-    falls back to enumerating all remaining row combinations before being
-    declared stuck; a stuck column restarts the whole construction with the
-    next derived seed.  Running out of restarts raises with the constraint
-    that bound.
+    the target check degree.  A column is stuck after max_resample draws;
+    a stuck column restarts the whole construction with the next derived
+    seed.  Running out of restarts raises with the constraint that bound.
 
     The low-weight screen guarantees minimum distance >= 5, which matters
     for floor studies: without it, undetected few-bit errors drown out the
@@ -717,22 +713,14 @@ def reference_build_h1(
                     accepted = True
                     break
             if not accepted:
-                avail = [int(r) for r in np.flatnonzero(budgets > 0)]
+                avail = np.flatnonzero(budgets > 0)
                 if len(avail) < degree:
                     last_blocker = (
                         f"only {len(avail)} rows with remaining budget for a "
                         f"degree-{degree} column"
                     )
                 else:
-                    combos = list(combinations(avail, degree))
-                    if len(combos) <= _ENUMERATION_CAP:
-                        rng.shuffle(combos)
-                        for rows in combos:
-                            if attempt(j, rows):
-                                accepted = True
-                                break
                     last_blocker = "ACE resample budget exhausted"
-            if not accepted:
                 failed = True
                 break
         if not failed:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -310,6 +311,20 @@ class TestRunCurve:
         config = concat_config(toy_files, ebno_db=(2.5,), output=str(out))
         with pytest.raises(ConfigError, match="malformed"):
             run_curve(config)
+
+    @pytest.mark.parametrize("body, line_no", [
+        (b"6,10,0,0,0.0,0.0,1.0,2.0,3\n\n", 3),
+        (b"6.0,10,0,0,0.0,0.0,1.0,2.0,3\n", 2),
+        (b"6,10,0,0,0.0,0.0,1.0,2.0,3\xff\n", 2),
+    ], ids=["blank-line", "respelled-ebno", "not-utf8"])
+    def test_resume_refuses_a_row_not_as_written(self, toy_files, tmp_path, body, line_no):
+        out = tmp_path / "respelled.csv"
+        text = CSV_HEADER.encode() + b"\n" + body
+        out.write_bytes(text)
+        config = concat_config(toy_files, output=str(out))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(out))}:{line_no}: malformed row "):
+            run_curve(config)
+        assert out.read_bytes() == text
 
     def test_resume_refuses_rows_of_another_seed(self, toy_files, tmp_path):
         out = tmp_path / "seeded.csv"

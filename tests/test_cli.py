@@ -385,11 +385,17 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: iteration counts must be >= 1\n"
         assert not out.exists()
 
-    def test_config_dir_env_fallback(self, workspace, tmp_path, monkeypatch):
+    def test_config_is_not_looked_up_in_another_directory(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
         config_path, out = self.make_config(workspace, tmp_path)
         monkeypatch.setenv("CONCAT_IRA_CONFIG_DIR", str(config_path.parent))
-        monkeypatch.chdir(tmp_path.parent)
-        assert run_cli("simulate", "--config", config_path.name) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run_cli("simulate", "--config", config_path.name) == 1
+        assert capsys.readouterr().err == f"error: config file '{config_path.name}' not found\n"
+        assert not out.exists()
 
     def test_torn_curve_tail_gives_one_error_line(self, workspace, tmp_path, capsys):
         config_path, out = self.make_config(workspace, tmp_path)
@@ -445,8 +451,10 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "body, word",
-        [("3,10,0,0,0.0,0.0,1.0,2.0,1\n3,10,2", "torn"), ("3,10,2\n", "malformed")],
-        ids=["torn-tail", "malformed-row"],
+        [("3,10,0,0,0.0,0.0,1.0,2.0,1\n3,10,2", "torn"), ("3,10,2\n", "malformed"),
+         ("3,10,0,0,0.0,0.0,1.0,2.0,1\n\n", "curve.csv:3: malformed"),
+         ("3.0,10,0,0,0.0,0.0,1.0,2.0,1\n", "curve.csv:2: malformed")],
+        ids=["torn-tail", "malformed-row", "blank-line", "respelled-ebno"],
     )
     def test_refuses_torn_and_malformed_rows(self, tmp_path, capsys, body, word):
         curve = tmp_path / "curve.csv"

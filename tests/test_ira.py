@@ -85,6 +85,13 @@ class TestBuildH1:
                 seed=0, max_restarts=2,
             )
 
+    def test_default_parameters_give_up_after_every_restart(self):
+        # at the default parameters every restart of the [23,16] shape gets stuck
+        with pytest.raises(
+            ConstructionError, match="within 256 restarts: ACE resample budget exhausted$"
+        ):
+            ci.build_code(16, 23, seed=0)
+
     def test_deterministic_in_seed(self):
         a = ci.build_code(16, 24, check_degree=8, ace=TOY_ACE, seed=3, screen_low_weight=False)
         b = ci.build_code(16, 24, check_degree=8, ace=TOY_ACE, seed=3, screen_low_weight=False)
@@ -128,7 +135,7 @@ _SMALL_BUILDS = [
     (8, 12, 8, TOY_ACE, False, 256),
     (6, 10, 7, ci.AceParams(2, 0, 10), False, 256),
     (16, 24, 8, TOY_ACE, False, 256),
-    # one resample per column: the enumeration fallback places most columns
+    # one draw per column, so every build gives up
     (16, 24, 8, ci.AceParams(2, 2, 1), False, 256),
     (32, 48, 8, ci.AceParams(2, 0, 1), True, 256),
     (16, 24, 8, ci.AceParams(2, 3, 20), False, 8),
