@@ -44,8 +44,7 @@ def _cmd_analyze(args) -> int:
     counts = sensitivity_histogram(code.H)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out.with_suffix(".sensitivity.csv")
-    report_path = out.with_suffix(".report.txt")
+    csv_path, report_path = Path(f"{out}.sensitivity.csv"), Path(f"{out}.report.txt")
     save_histogram(counts, csv_path)
 
     top = select_sensitive(counts, min(10, code.N))
@@ -77,7 +76,7 @@ def _cmd_design_interleaver(args) -> int:
 
     out = Path(args.out)
     save_permutation(designed, out)
-    sets_path = out.with_suffix(out.suffix + ".sets")
+    sets_path = Path(f"{out}.sets")
     sets_path.write_text(
         "row_code_nodes " + " ".join(str(i) for i in sorted(designed.sets.row_code_nodes))
         + "\ncol_code_nodes " + " ".join(str(j) for j in sorted(designed.sets.col_code_nodes))

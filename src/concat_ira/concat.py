@@ -90,13 +90,19 @@ class Schedule:
 @dataclass(frozen=True, eq=False)
 class ConcatDecodeResult:
     source_bits: np.ndarray  # (K, K) uint8
-    converged: bool
-    outer_iters_used: int
     column_valid: np.ndarray  # (N,) bool
     row_valid: np.ndarray  # (K,) bool
     pass_validity: tuple[tuple[int, int], ...]  # (valid cols, valid rows) per outer iter
     component_decode_calls: int
     component_iterations: int
+
+    @property
+    def converged(self) -> bool:
+        return bool(self.column_valid.all() and self.row_valid.all())
+
+    @property
+    def outer_iters_used(self) -> int:
+        return len(self.pass_validity)
 
 
 def concat_encode(cc: ConcatCode, source) -> np.ndarray:
@@ -128,11 +134,8 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
     calls = 0
     iters = 0
     history: list[tuple[int, int]] = []
-    outer_used = 0
 
-    for outer_it in range(1, schedule.outer_iters + 1):
-        outer_used = outer_it
-
+    for _ in range(schedule.outer_iters):
         # column pass: channel enters here, prior is the permuted row
         # extrinsic; row pass: de-interleaved channel, column extrinsic as prior
         for code, at, valid, prior, out, post in (
@@ -152,8 +155,6 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
 
     return ConcatDecodeResult(
         source_bits=(row_post.ravel()[row_at[:, :k]] < 0).astype(np.uint8),
-        converged=bool(col_valid.all() and row_valid.all()),
-        outer_iters_used=outer_used,
         column_valid=col_valid,
         row_valid=row_valid,
         pass_validity=tuple(history),

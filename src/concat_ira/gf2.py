@@ -87,12 +87,6 @@ class SparseBinaryMatrix:
         row_support = _canonical_support(rows, n_rows, n_cols, "row")
         return cls(n_rows, n_cols, _transpose_support(row_support, n_cols))
 
-    @classmethod
-    def from_cols(
-        cls, n_rows: int, n_cols: int, cols: Iterable[Iterable[int]]
-    ) -> "SparseBinaryMatrix":
-        return cls(n_rows, n_cols, cols)
-
     @cached_property
     def row_support(self) -> tuple[tuple[int, ...], ...]:
         return _transpose_support(self.col_support, self.n_rows)

@@ -118,7 +118,7 @@ def build_h2(m: int) -> SparseBinaryMatrix:
     if m < 1:
         raise ValueError("M must be >= 1")
     cols = [(j, j + 1) for j in range(m - 1)] + [(m - 1,)]
-    return SparseBinaryMatrix.from_cols(m, m, cols)
+    return SparseBinaryMatrix(m, m, cols)
 
 
 def default_degree_spec(k: int, m: int, check_degree: int = DEFAULT_CHECK_DEGREE) -> DegreeSpec:
@@ -377,7 +377,7 @@ def build_h1(
                 break
         else:
             assert all(b == 0 for b in budgets)
-            return SparseBinaryMatrix.from_cols(m, k, h1_cols)
+            return SparseBinaryMatrix(m, k, h1_cols)
 
     screen_note = ", low-weight screen on" if screen_low_weight else ""
     raise ConstructionError(
@@ -388,15 +388,29 @@ def build_h1(
 
 @dataclass(frozen=True, eq=False)
 class IraCode:
-    """A constructed systematic [N, K] code with its construction record."""
+    """A systematic [N, K] code: its matrix H = [H1 | H2] and how it was built."""
 
-    K: int
-    N: int
-    M: int
     H: SparseBinaryMatrix
-    degree_spec: DegreeSpec
     ace: AceParams
     seed: int
+
+    @property
+    def N(self) -> int:
+        return self.H.n_cols
+
+    @property
+    def M(self) -> int:
+        return self.H.n_rows
+
+    @property
+    def K(self) -> int:
+        return self.N - self.M
+
+    @cached_property
+    def degree_spec(self) -> DegreeSpec:
+        """The systematic column weights and row 0's weight, every row's in a valid code."""
+        columns = [len(c) for c in self.H.col_support[: self.K]]
+        return DegreeSpec(columns, len(self.H.row_support[0]))
 
     @property
     def graph(self) -> SparseBinaryMatrix:
@@ -439,38 +453,29 @@ def build_code(
         k, m, spec, ace, seed,
         max_restarts=max_restarts, screen_low_weight=screen_low_weight,
     )
-    h2 = build_h2(m)
-    cols = list(h1.col_support) + list(h2.col_support)
-    h = SparseBinaryMatrix.from_cols(m, n, cols)
-    code = IraCode(K=k, N=n, M=m, H=h, degree_spec=spec, ace=ace, seed=seed)
+    cols = list(h1.col_support) + list(build_h2(m).col_support)
+    code = IraCode(H=SparseBinaryMatrix(m, n, cols), ace=ace, seed=seed)
     validate_code(code)
     return code
 
 
 def validate_code(code: IraCode) -> None:
     """Structural audit of every IraCode invariant, from the matrix alone."""
-    h = code.H
-    m, k, n = code.M, code.K, code.N
-    if (h.n_rows, h.n_cols) != (m, n) or n != k + m:
-        raise ConstructionError("matrix shape disagrees with (K, N, M)")
+    h, k, m = code.H, code.K, code.M
+    if k < 1:
+        raise ConstructionError(f"{h.n_cols} columns over {m} rows leave no systematic column")
     for j in range(m - 1):
         if h.col_support[k + j] != (j, j + 1):
             raise ConstructionError(f"parity column {j} is not dual-diagonal")
     if h.col_support[k + m - 1] != (m - 1,):
         raise ConstructionError("final parity column is not the weight-1 column")
-    if len(code.degree_spec.h1_column_degrees) != k:
-        raise ConstructionError(f"degree spec has {len(code.degree_spec.h1_column_degrees)} "
-                                f"columns, not K = {k}")
     for j in range(k):
         if len(h.col_support[j]) < 3:
             raise ConstructionError(f"systematic column {j} has weight < 3")
-        if len(h.col_support[j]) != code.degree_spec.h1_column_degrees[j]:
-            raise ConstructionError(f"systematic column {j} disagrees with degree spec")
-    target = code.degree_spec.check_degree_target
+    target = len(h.row_support[0])
     for r in range(m):
         if len(h.row_support[r]) != target:
             raise ConstructionError(f"row {r} has weight {len(h.row_support[r])} != {target}")
-    code.degree_spec.validate_edge_budget(k, m)
 
 
 def encode(code: IraCode, s) -> np.ndarray:
@@ -518,10 +523,8 @@ def _sidecar_text(code: IraCode) -> str:
 
 def save_code(code: IraCode, prefix: str | Path) -> tuple[Path, Path]:
     """Write <prefix>.alist and <prefix>.sidecar; both byte-deterministic."""
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    alist_path = prefix.with_suffix(".alist")
-    sidecar_path = prefix.with_suffix(".sidecar")
+    alist_path, sidecar_path = Path(f"{prefix}.alist"), Path(f"{prefix}.sidecar")
+    alist_path.parent.mkdir(parents=True, exist_ok=True)
     alist_path.write_text(save_alist(code.H), encoding="utf-8")
     sidecar_path.write_text(_sidecar_text(code), encoding="utf-8")
     return alist_path, sidecar_path
@@ -529,36 +532,37 @@ def save_code(code: IraCode, prefix: str | Path) -> tuple[Path, Path]:
 
 def load_code(prefix: str | Path) -> IraCode:
     """Read the <prefix>.alist / <prefix>.sidecar pair, each only in the form
-    ``save_code`` writes, back into a validated code.  Every refusal names
-    its file: AlistError or SidecarError the first line that does not parse
-    or differs from the saved form of what was read (a byte that is not
-    UTF-8 reads as U+FFFD, which none holds); ValueError or
-    ConstructionError a record in that form that contradicts itself or H."""
-    prefix = Path(prefix)
-    sidecar_path, alist_path = prefix.with_suffix(".sidecar"), prefix.with_suffix(".alist")
+    ``save_code`` writes, back into a validated code; of the sidecar, only
+    the lines H does not fix are parsed.  Every refusal names its file:
+    AlistError or SidecarError the first line that does not parse or differs
+    from the saved form of what was read (a byte that is not UTF-8 reads as
+    U+FFFD, which none holds); ValueError ACE parameters out of range, and
+    ConstructionError a matrix that is not an IRA code."""
+    sidecar_path, alist_path = Path(f"{prefix}.sidecar"), Path(f"{prefix}.alist")
     text = sidecar_path.read_bytes().decode("utf-8", "replace")
     lines = text.split("\n") + [""] * len(_SIDECAR_KEYS)  # a missing line reads as empty
     if lines[0] != f"format {_SIDECAR_FORMAT}":
         raise SidecarError(f"{sidecar_path}: line 1: expected 'format {_SIDECAR_FORMAT}'")
     values = []
-    for line_no, key in enumerate(_SIDECAR_KEYS[1:], start=2):
-        value = lines[line_no - 1].partition(" ")[2]
+    for key in ("seed", "d_ace", "eta", "max_resample"):
+        line_no = _SIDECAR_KEYS.index(key) + 1
         try:
-            values.append(tuple(map(int, value.split())) if key == _SIDECAR_KEYS[-1] else int(value))
+            values.append(int(lines[line_no - 1].partition(" ")[2]))
         except ValueError:
             raise SidecarError(f"{sidecar_path}: line {line_no}: expected '{key} <value>'") from None
-    k, n, check_degree, seed, d_ace, eta, max_resample, degrees = values
-    h = load_alist(alist_path.read_bytes().decode("utf-8", "replace"), alist_path)
+    seed, d_ace, eta, max_resample = values
     try:
-        code = IraCode(
-            K=k, N=n, M=n - k, H=h, degree_spec=DegreeSpec(degrees, check_degree),
-            ace=AceParams(d_ace=d_ace, eta=eta, max_resample=max_resample), seed=seed,
-        )
-        saved = _sidecar_text(code)
-        if saved != text:
-            line_no = _differing_lines(text, saved)[0]
-            raise SidecarError(f"line {line_no}: not as save_code writes this code")
+        ace = AceParams(d_ace=d_ace, eta=eta, max_resample=max_resample)
+    except ValueError as exc:
+        raise ValueError(f"{sidecar_path}: {exc}") from exc
+    h = load_alist(alist_path.read_bytes().decode("utf-8", "replace"), alist_path)
+    code = IraCode(H=h, ace=ace, seed=seed)
+    try:
         validate_code(code)
-    except (ValueError, ConstructionError) as exc:
-        raise type(exc)(f"{sidecar_path}: {exc}") from exc
+    except ConstructionError as exc:
+        raise ConstructionError(f"{alist_path}: {exc}") from exc
+    saved = _sidecar_text(code)
+    if saved != text:
+        line_no = _differing_lines(text, saved)[0]
+        raise SidecarError(f"{sidecar_path}: line {line_no}: not as save_code writes this code")
     return code

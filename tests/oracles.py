@@ -725,7 +725,7 @@ def reference_build_h1(
                 break
         if not failed:
             assert all(b == 0 for b in budgets)
-            return SparseBinaryMatrix.from_cols(m, k, h1_cols)
+            return SparseBinaryMatrix(m, k, h1_cols)
 
     screen_note = ", low-weight screen on" if screen_low_weight else ""
     raise ConstructionError(
@@ -753,11 +753,8 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
     calls = 0
     iters = 0
     history: list[tuple[int, int]] = []
-    outer_used = 0
 
-    for outer_it in range(1, schedule.outer_iters + 1):
-        outer_used = outer_it
-
+    for _ in range(schedule.outer_iters):
         # column pass: channel enters here; prior is the permuted row extrinsic
         cols = np.flatnonzero(~col_valid) if schedule.freeze_converged else np.arange(n)
         if len(cols):
@@ -787,8 +784,6 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
 
     return ConcatDecodeResult(
         source_bits=(row_post[:, :k] < 0).astype(np.uint8),
-        converged=bool(col_valid.all() and row_valid.all()),
-        outer_iters_used=outer_used,
         column_valid=col_valid,
         row_valid=row_valid,
         pass_validity=tuple(history),

@@ -108,6 +108,13 @@ class TestAnalyze:
         report = (workspace / "outer_an.report.txt").read_text()
         assert "detection runs: 12" in report
 
+    def test_dotted_out_prefixes_keep_their_own_files(self, workspace, tmp_path):
+        for out in ("an.v1", "an.v2"):
+            assert run_cli("analyze", "--code", workspace / "outer", "--out", tmp_path / out) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"an.{v}.{kind}" for v in ("v1", "v2") for kind in ("report.txt", "sensitivity.csv")
+        ]
+
     def test_paper_code_outputs_are_pinned(self, paper_outer, tmp_path):
         ci.save_code(paper_outer, tmp_path / "outer")
         assert run_cli("analyze", "--code", tmp_path / "outer", "--out", tmp_path / "an") == 0

@@ -31,7 +31,7 @@ class TestSparseBinaryMatrix:
             assert again.col_support == m.col_support
 
     def test_rows_are_derived_from_the_one_stored_table(self):
-        m = ci.SparseBinaryMatrix.from_cols(2, 3, [(1, 0), (), (1,)])
+        m = ci.SparseBinaryMatrix(2, 3, [(1, 0), (), (1,)])
         assert [f.name for f in dataclasses.fields(m)] == ["n_rows", "n_cols", "col_support"]
         assert m.col_support == ((0, 1), (), (1,))
         assert m.row_support == ((0,), (0, 2))
@@ -49,7 +49,7 @@ class TestSparseBinaryMatrix:
         rng = np.random.default_rng(1)
         for _ in range(20):
             m = random_matrix(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)))
-            again = ci.SparseBinaryMatrix.from_cols(m.n_rows, m.n_cols, m.col_support)
+            again = ci.SparseBinaryMatrix(m.n_rows, m.n_cols, m.col_support)
             assert again is not m and again == m and hash(again) == hash(m)
             assert {m: 1}[again] == 1
         a = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1), (2,)])

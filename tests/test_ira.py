@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -203,7 +204,7 @@ class TestAcePasses:
             sorted(rng.choice(n_rows, size=int(rng.integers(1, 4)), replace=False).tolist())
             for _ in range(n_cols)
         ]
-        g = tanner_graph(ci.SparseBinaryMatrix.from_cols(n_rows, n_cols, cols))
+        g = tanner_graph(ci.SparseBinaryMatrix(n_rows, n_cols, cols))
         for d_ace in (2, 3, 4):
             for eta in range(9):
                 for v in range(n_cols):
@@ -274,9 +275,7 @@ class TestAceCheck:
 
     def test_four_cycle_of_degree_threes(self):
         # two variables sharing two checks, each with one extra check
-        m = ci.SparseBinaryMatrix.from_cols(
-            4, 2, [(0, 1, 2), (0, 1, 3)]
-        )
+        m = ci.SparseBinaryMatrix(4, 2, [(0, 1, 2), (0, 1, 3)])
         g = tanner_graph(m)
         res = ace_check(g, 0, d_ace=2, eta=3)
         assert res.min_ace == (3 - 2) + (3 - 2) == 2
@@ -284,7 +283,7 @@ class TestAceCheck:
         assert ace_check(g, 0, d_ace=2, eta=2).passed
 
     def test_degree_two_contributes_nothing(self):
-        m = ci.SparseBinaryMatrix.from_cols(2, 2, [(0, 1), (0, 1)])
+        m = ci.SparseBinaryMatrix(2, 2, [(0, 1), (0, 1)])
         g = tanner_graph(m)
         assert ace_check(g, 0, d_ace=2, eta=1).min_ace == 0
 
@@ -297,8 +296,7 @@ class TestEncode:
     def test_hand_worked_toy_accumulator(self):
         # M=2, H1 rows {0}, {1} over K=2: s=(1,0) -> t=(1,0), p=(1,1)
         h = ci.SparseBinaryMatrix.from_rows(2, 4, [(0, 2), (1, 2, 3)])
-        spec = ci.DegreeSpec((3,), 3)  # placeholder spec; invariants checked separately
-        code = ci.IraCode(K=2, N=4, M=2, H=h, degree_spec=spec, ace=TOY_ACE, seed=0)
+        code = ci.IraCode(H=h, ace=TOY_ACE, seed=0)  # weight-1 columns: encodes, fails the audit
         cw = ci.encode(code, np.array([1, 0]))
         assert cw.tolist() == [1, 0, 1, 1]
         assert not dense_syndrome(to_dense(h), cw).any()
@@ -380,7 +378,7 @@ class TestLowWeightScreen:
             for _ in range(n_cols):
                 deg = int(rng.integers(1, n_rows + 1))
                 cols.append(sorted(rng.choice(n_rows, size=deg, replace=False)))
-            m = ci.SparseBinaryMatrix.from_cols(n_rows, n_cols, cols)
+            m = ci.SparseBinaryMatrix(n_rows, n_cols, cols)
             if has_codeword_of_weight_le4(m) != self.brute_force_has_le4(m):
                 disagreements += 1
         assert disagreements == 0
@@ -396,7 +394,7 @@ class TestLowWeightScreen:
             for _ in range(int(rng.integers(2, 14))):
                 size = int(rng.integers(1, n_rows + 1))
                 rows = sorted(rng.choice(n_rows, size=size, replace=False).tolist())
-                trial = ci.SparseBinaryMatrix.from_cols(n_rows, len(placed) + 1, placed + [rows])
+                trial = ci.SparseBinaryMatrix(n_rows, len(placed) + 1, placed + [rows])
                 clean = not has_codeword_of_weight_le4(trial)
                 assert screen.admit(_row_mask(rows)) == clean
                 outcomes[clean] += 1
@@ -409,7 +407,7 @@ class TestLowWeightScreen:
         assert not has_codeword_of_weight_le4(paper_outer.H)
 
     def test_duplicate_column_detected(self):
-        m = ci.SparseBinaryMatrix.from_cols(3, 2, [(0, 1), (0, 1)])
+        m = ci.SparseBinaryMatrix(3, 2, [(0, 1), (0, 1)])
         assert has_codeword_of_weight_le4(m)
 
     def test_unscreened_toy_flags(self, toy_outer):
@@ -431,13 +429,19 @@ class TestCodeAudits:
     def test_validate_catches_broken_dual_diagonal(self, toy_outer):
         cols = list(toy_outer.H.col_support)
         cols[8] = (0, 2)  # parity column 0 should be (0, 1)
-        h_bad = ci.SparseBinaryMatrix.from_cols(4, 12, cols)
-        bad = ci.IraCode(
-            K=8, N=12, M=4, H=h_bad,
-            degree_spec=toy_outer.degree_spec, ace=toy_outer.ace, seed=0,
-        )
+        bad = ci.IraCode(H=ci.SparseBinaryMatrix(4, 12, cols), ace=toy_outer.ace, seed=0)
         with pytest.raises(ConstructionError, match="dual-diagonal"):
             ci.validate_code(bad)
+
+    def test_validate_catches_no_systematic_column(self):
+        code = ci.IraCode(H=ci.build_h2(4), ace=TOY_ACE, seed=0)
+        with pytest.raises(ConstructionError, match="^4 columns over 4 rows leave no systematic"):
+            ci.validate_code(code)
+
+    def test_code_holds_its_matrix_and_how_it_was_built(self, paper_outer):
+        assert [f.name for f in dataclasses.fields(paper_outer)] == ["H", "ace", "seed"]
+        assert (paper_outer.K, paper_outer.N, paper_outer.M) == (128, 181, 53)
+        assert paper_outer.degree_spec == ci.default_degree_spec(128, 53, 10)
 
 
 class TestCodeFiles:
@@ -501,14 +505,41 @@ class TestCodeFiles:
                 assert str(refused.value).startswith(f"{path}: line {i + 1}: ")
             path.write_bytes(saved)
 
-    def test_short_degree_list_in_the_saved_form_is_a_construction_error(self, toy_outer, tmp_path):
+    @pytest.mark.parametrize("old, new, line_no", [
+        ("K 8", "K 9", 2),
+        ("N 12", "N 13", 3),
+        ("check_degree 8", "check_degree 9", 4),
+        ("h1_column_degrees 4 ", "h1_column_degrees 3 ", 9),
+        ("h1_column_degrees 4 ", "h1_column_degrees ", 9),
+    ], ids=["K", "N", "check-degree", "degree", "short-degree-list"])
+    def test_a_line_that_disagrees_with_the_matrix_is_refused_naming_it(
+        self, toy_outer, tmp_path, old, new, line_no
+    ):
+        # each line is in the saved form, but H gives the line another value
         prefix = tmp_path / "toy"
         _, sidecar = ci.save_code(toy_outer, prefix)
         text = sidecar.read_text(encoding="utf-8")
-        sidecar.write_text(text.replace("h1_column_degrees 4 ", "h1_column_degrees "), encoding="utf-8")
-        with pytest.raises(ConstructionError, match="degree spec has 7 columns, not K = 8") as refused:
+        assert old in text
+        sidecar.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(SidecarError) as refused:
             ci.load_code(prefix)
-        assert str(refused.value).startswith(f"{sidecar}: ")
+        assert str(refused.value) == f"{sidecar}: line {line_no}: not as save_code writes this code"
+
+    def test_a_matrix_that_is_not_an_ira_code_is_refused_naming_the_alist(self, toy_outer, tmp_path):
+        cols = list(toy_outer.H.col_support)
+        cols[8] = (0, 2)  # parity column 0 should be (0, 1)
+        bad = ci.IraCode(H=ci.SparseBinaryMatrix(4, 12, cols), ace=toy_outer.ace, seed=0)
+        alist, _ = ci.save_code(bad, tmp_path / "bad")
+        with pytest.raises(ConstructionError, match="parity column 0 is not dual-diagonal") as refused:
+            ci.load_code(tmp_path / "bad")
+        assert str(refused.value).startswith(f"{alist}: ")
+
+    def test_dotted_prefixes_keep_their_own_files(self, toy_outer, toy_inner, tmp_path):
+        written = [ci.save_code(code, tmp_path / f"c.s{code.seed}") for code in (toy_outer, toy_inner)]
+        assert written == [(tmp_path / f"c.s{s}.alist", tmp_path / f"c.s{s}.sidecar") for s in (11, 12)]
+        for code in (toy_outer, toy_inner):
+            again = ci.load_code(tmp_path / f"c.s{code.seed}")
+            assert again.seed == code.seed and again.H == code.H
 
     def test_out_of_range_value_in_the_saved_form_is_a_value_error_naming_the_sidecar(
         self, toy_outer, tmp_path
@@ -518,16 +549,5 @@ class TestCodeFiles:
         sidecar.write_text(sidecar.read_text(encoding="utf-8").replace("d_ace 2", "d_ace 1"),
                            encoding="utf-8")
         with pytest.raises(ValueError, match="d_ace must be >= 2") as refused:
-            ci.load_code(prefix)
-        assert str(refused.value).startswith(f"{sidecar}: ")
-
-    def test_sidecar_mismatch_rejected(self, toy_outer, tmp_path):
-        prefix = tmp_path / "broken"
-        ci.save_code(toy_outer, prefix)
-        sidecar = prefix.with_suffix(".sidecar")
-        sidecar.write_text(
-            sidecar.read_text().replace("check_degree 8", "check_degree 9")
-        )
-        with pytest.raises(ConstructionError) as refused:
             ci.load_code(prefix)
         assert str(refused.value).startswith(f"{sidecar}: ")
