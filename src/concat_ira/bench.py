@@ -70,15 +70,32 @@ class StopRule:
 
 @dataclass(frozen=True)
 class CurvePoint:
+    """A measured point: its counts fix its frame error rate, and only counts
+    a run can write are accepted.  In both systems a block fails exactly when
+    one of its source bits is wrong."""
+
     ebno_db: float
     blocks_run: int
     bit_errors: int
     block_errors: int
     ber: float
-    fer: float
     mean_outer_iters: float
     mean_component_iters: float
     wall_seconds: float
+
+    def __post_init__(self):
+        if self.blocks_run < 1:
+            raise ValueError(f"a point runs at least one block, not {self.blocks_run}")
+        if not 0 <= self.block_errors <= self.blocks_run:
+            raise ValueError(f"{self.block_errors} block errors in {self.blocks_run} blocks")
+        if self.bit_errors < self.block_errors or (self.bit_errors and not self.block_errors):
+            raise ValueError(f"{self.bit_errors} bit errors in {self.block_errors} failed blocks")
+        if not (0.0 < self.ber <= 1.0 if self.bit_errors else self.ber == 0.0):
+            raise ValueError(f"ber {self.ber!r} with {self.bit_errors} bit errors")
+
+    @property
+    def fer(self) -> float:
+        return self.block_errors / self.blocks_run
 
 
 @dataclass(frozen=True)
@@ -352,7 +369,6 @@ def measure_point(
         bit_errors=bit_errors,
         block_errors=block_errors,
         ber=bit_errors / (blocks * system.source_bits),
-        fer=block_errors / blocks,
         mean_outer_iters=outer_total / blocks,
         mean_component_iters=comp_iters / comp_calls if comp_calls else 0.0,
         wall_seconds=time.perf_counter() - t0,
@@ -372,8 +388,9 @@ def read_curve(path: Path) -> list[tuple[int, str, CurvePoint, int]]:
     """The rows of a curve file as (line number, row, point, seed), read only
     in the form ``run_curve`` writes: the header, then ``format_row`` of each
     point with an LF.  A file with another header, whose last write tore, or
-    with a row that is not as written is refused at its line (a byte that is
-    not UTF-8 reads as U+FFFD, which no row holds)."""
+    with a row that is not as written is refused at its line: a row whose
+    counts no run writes, or whose fer is not its counts', is one (a byte
+    that is not UTF-8 reads as U+FFFD, which no row holds)."""
     text = path.read_bytes().decode("utf-8", "replace")
     lines = text.split("\n")
     if lines[0] != CSV_HEADER:
@@ -410,6 +427,13 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
                     f"{path}:{line_no}: row was measured with seed {seed}, "
                     f"the config has master_seed {config.master_seed}"
                 )
+            # a row of another block size: a single-code row under a concat config, or another K
+            sent = point.blocks_run * system.source_bits
+            if point.bit_errors > sent or point.ber != point.bit_errors / sent:
+                raise ConfigError(
+                    f"{path}:{line_no}: row's ber is not {point.bit_errors} bit errors in "
+                    f"{point.blocks_run} blocks of {system.source_bits} source bits"
+                )
             existing[row.split(",", 1)[0]] = point
 
     points: list[CurvePoint] = []
@@ -434,7 +458,7 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
 
 def _parse_row(row: str) -> tuple[CurvePoint, int]:
     """A curve row as its point and seed; ValueError if it is not one as
-    ``format_row`` writes it."""
+    ``format_row`` writes it (its fer column is checked by the round trip)."""
     parts = row.split(",")
     if len(parts) != CSV_HEADER.count(",") + 1:
         raise ValueError(f"{len(parts)} fields")
@@ -444,7 +468,6 @@ def _parse_row(row: str) -> tuple[CurvePoint, int]:
         bit_errors=int(parts[2]),
         block_errors=int(parts[3]),
         ber=float(parts[4]),
-        fer=float(parts[5]),
         mean_outer_iters=float(parts[6]),
         mean_component_iters=float(parts[7]),
         wall_seconds=0.0,

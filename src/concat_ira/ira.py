@@ -394,6 +394,10 @@ class IraCode:
     ace: AceParams
     seed: int
 
+    def __post_init__(self):
+        if self.seed < 0:  # no construction records one
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     @property
     def N(self) -> int:
         return self.H.n_cols
@@ -534,10 +538,11 @@ def load_code(prefix: str | Path) -> IraCode:
     """Read the <prefix>.alist / <prefix>.sidecar pair, each only in the form
     ``save_code`` writes, back into a validated code; of the sidecar, only
     the lines H does not fix are parsed.  Every refusal names its file:
-    AlistError or SidecarError the first line that does not parse or differs
-    from the saved form of what was read (a byte that is not UTF-8 reads as
-    U+FFFD, which none holds); ValueError ACE parameters out of range, and
-    ConstructionError a matrix that is not an IRA code."""
+    AlistError or SidecarError the first line that does not parse, holds a
+    negative seed or differs from the saved form of what was read (a byte
+    that is not UTF-8 reads as U+FFFD, which none holds); ValueError ACE
+    parameters out of range, and ConstructionError a matrix that is not an
+    IRA code."""
     sidecar_path, alist_path = Path(f"{prefix}.sidecar"), Path(f"{prefix}.alist")
     text = sidecar_path.read_bytes().decode("utf-8", "replace")
     lines = text.split("\n") + [""] * len(_SIDECAR_KEYS)  # a missing line reads as empty
@@ -556,7 +561,10 @@ def load_code(prefix: str | Path) -> IraCode:
     except ValueError as exc:
         raise ValueError(f"{sidecar_path}: {exc}") from exc
     h = load_alist(alist_path.read_bytes().decode("utf-8", "replace"), alist_path)
-    code = IraCode(H=h, ace=ace, seed=seed)
+    try:
+        code = IraCode(H=h, ace=ace, seed=seed)
+    except ValueError as exc:
+        raise SidecarError(f"{sidecar_path}: line {_SIDECAR_KEYS.index('seed') + 1}: {exc}") from exc
     try:
         validate_code(code)
     except ConstructionError as exc:

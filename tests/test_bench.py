@@ -326,6 +326,48 @@ class TestRunCurve:
             run_curve(config)
         assert out.read_bytes() == text
 
+    @pytest.mark.parametrize("row", [
+        "3,10,3,2,0.0375,0.9,0.0,1.0,0",
+        "3,10,0,2,0.0,0.9,0.0,1.0,0",
+        "3,10,0,2,0.0,0.2,0.0,1.0,0",
+        "3,10,3,0,0.0375,0.0,0.0,1.0,0",
+        "3,10,1,2,0.0125,0.2,0.0,1.0,0",
+        "3,10,12,12,0.15,1.2,0.0,1.0,0",
+        "3,10,0,0,0.5,0.0,0.0,1.0,0",
+        "3,10,3,2,nan,0.2,0.0,1.0,0",
+        "3,10,3,2,1.5,0.2,0.0,1.0,0",
+        "3,0,0,0,0.0,0.0,0.0,1.0,0",
+    ], ids=["fer-not-the-counts", "fer-and-bit-errors-not-the-counts", "block-without-bit-errors",
+            "bit-without-block-errors", "fewer-bit-than-block-errors", "more-block-errors-than-blocks",
+            "ber-without-bit-errors", "nan-ber", "ber-past-one", "no-blocks"])
+    def test_read_curve_refuses_counts_no_run_writes(self, tmp_path, row):
+        # each row survives the format_row round trip of its columns as written
+        out = tmp_path / "counts.csv"
+        out.write_text(f"{CSV_HEADER}\n3,10,3,2,0.0375,0.2,0.0,1.0,0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(out))}:3: malformed row {re.escape(repr(row))}"):
+            bench.read_curve(out)
+
+    def test_resume_refuses_a_row_of_another_block_size(self, toy_files, tmp_path):
+        # a single-code row of the toy outer code counts 8 source bits a block,
+        # a concat block of the same codes 64; same seed and Eb/N0
+        out = tmp_path / "single.csv"
+        stop = StopRule(min_block_errors=2, max_blocks=200)
+        run_curve(SimConfig(system="single", code=str(toy_files / "outer"), ebno_db=(2.0,),
+                            stop=stop, master_seed=3, output=str(out)))
+        (row,) = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert int(row.split(",")[2]) > 0  # a row without bit errors has ber 0 at every block size
+        first = out.read_bytes()
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(out))}:2: row's ber is not "):
+            run_curve(concat_config(toy_files, ebno_db=(2.0,), output=str(out), stop=stop))
+        assert out.read_bytes() == first
+
+    def test_resume_refuses_more_bit_errors_than_source_bits(self, toy_files, tmp_path):
+        # 10**400 / 64 is past a float, so the count is refused before the ber is compared
+        out = tmp_path / "overflow.csv"
+        out.write_text(f"{CSV_HEADER}\n6,1,{10**400},1,0.5,1.0,1.0,2.0,3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(out))}:2: row's ber is not "):
+            run_curve(concat_config(toy_files, output=str(out)))
+
     def test_resume_refuses_rows_of_another_seed(self, toy_files, tmp_path):
         out = tmp_path / "seeded.csv"
         stop = StopRule(min_block_errors=2, max_blocks=20)
@@ -393,6 +435,12 @@ class TestRunCurve:
         assert point.blocks_run >= 1
         assert point.mean_outer_iters == 0.0
         assert point.mean_component_iters >= 1.0
+
+    def test_curve_point_derives_its_fer_from_its_counts(self):
+        assert "fer" not in [f.name for f in fields(bench.CurvePoint)]
+        point = bench.CurvePoint(3.0, 10, 3, 2, 0.0375, 0.0, 1.0, 0.0)
+        assert point.fer == 0.2
+        assert format_row(point, 0) == "3,10,3,2,0.0375,0.2,0.0,1.0,0"
 
     def test_header_is_pinned(self):
         assert CSV_HEADER == (

@@ -411,6 +411,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_curve_row_without_blocks_gives_one_error_line(self, workspace, tmp_path, capsys):
+        # the row's seed and Eb/N0 are the config's, so a resume would keep it
+        config_path, out = self.make_config(workspace, tmp_path)
+        row = "3,0,0,0,0.0,0.0,0.0,1.0,2"
+        out.write_text(ci.bench.CSV_HEADER + "\n" + row + "\n", encoding="utf-8")
+        refused = f"error: {out}:2: malformed row {row!r}, not as simulate writes it\n"
+        assert run_cli("simulate", "--config", config_path) == 1
+        assert capsys.readouterr().err == refused
+        assert run_cli("report", "--out", tmp_path / "merged.csv", out) == 1
+        assert capsys.readouterr().err == refused
+        assert not (tmp_path / "merged.csv").exists()
+
     def test_missing_config_errors(self, tmp_path, capsys):
         rc = run_cli("simulate", "--config", tmp_path / "none.json")
         assert rc == 1

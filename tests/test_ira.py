@@ -443,6 +443,11 @@ class TestCodeAudits:
         assert (paper_outer.K, paper_outer.N, paper_outer.M) == (128, 181, 53)
         assert paper_outer.degree_spec == ci.default_degree_spec(128, 53, 10)
 
+    def test_negative_seed_refused(self, toy_outer):
+        # build_h1 refuses one, so no construction records one
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            ci.IraCode(H=toy_outer.H, ace=toy_outer.ace, seed=-1)
+
 
 class TestCodeFiles:
     def test_save_load_round_trip(self, toy_outer, tmp_path):
@@ -540,6 +545,17 @@ class TestCodeFiles:
         for code in (toy_outer, toy_inner):
             again = ci.load_code(tmp_path / f"c.s{code.seed}")
             assert again.seed == code.seed and again.H == code.H
+
+    def test_negative_seed_is_refused_naming_the_sidecar_line(self, toy_outer, tmp_path):
+        # "seed -1" is in the saved form, so only the seed rule refuses it
+        prefix = tmp_path / "toy"
+        _, sidecar = ci.save_code(toy_outer, prefix)
+        text = sidecar.read_text(encoding="utf-8")
+        assert "\nseed 11\n" in text
+        sidecar.write_text(text.replace("\nseed 11\n", "\nseed -1\n"), encoding="utf-8")
+        with pytest.raises(SidecarError) as refused:
+            ci.load_code(prefix)
+        assert str(refused.value) == f"{sidecar}: line 5: seed must be >= 0, got -1"
 
     def test_out_of_range_value_in_the_saved_form_is_a_value_error_naming_the_sidecar(
         self, toy_outer, tmp_path
