@@ -14,6 +14,7 @@ import math
 import os
 import time
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
@@ -203,7 +204,9 @@ def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
 # array with one row per trial and five columns: bit errors, block error,
 # outer iterations, component decodes and component iterations.  Each trial
 # draws its source bits and noise from its own stream.  trials_per_task is
-# the work of one task, in-process or on a pool.
+# the work of one in-process task; a pooled task holds at least
+# _POOLED_TASK_TRIALS trials, so that a short concat block does not pay a
+# submit, two pickles, a pipe write and a worker wake-up of its own.
 
 
 def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator) -> np.ndarray:
@@ -318,16 +321,26 @@ def _run_task(args: tuple[int, int, float]) -> np.ndarray:
     return system.run(lo, hi, sigma, master_seed)
 
 
+_POOLED_TASK_TRIALS = 4  # the fewest trials a pooled task holds
+
+
 def _task_results(system, sigma: float, max_blocks: int, master_seed: int, workers: int):
-    """Result arrays of the tasks of trials 0 .. max_blocks-1 in trial order: in-process one at a
-    time, on a pool a first wave of one task per worker, then, once the first task's results are
-    taken, 2 * workers tasks in flight; the queued ones are cancelled when the generator closes,
-    so a point that stops inside its first task computes no more than the first wave."""
+    """Result arrays of the tasks of trials 0 .. max_blocks-1 in trial order.  In-process a task
+    is system.trials_per_task trials, run when it is reached, so nothing runs past the stop
+    rule's round.  On a pool a task is max(trials_per_task, _POOLED_TASK_TRIALS) trials; a first
+    wave of one task per worker, then, once the first task's results are taken, 2 * workers
+    tasks in flight; the queued ones are cancelled when the generator closes.  So a pooled point
+    decodes at most 2 * workers tasks from the one holding its stop on, and one that stops inside
+    its first task no more than the first wave.  The pool starts no more processes than the
+    point has tasks."""
     step = system.trials_per_task
+    if workers > 1:
+        step = max(step, _POOLED_TASK_TRIALS)
     tasks = ((lo, min(lo + step, max_blocks), sigma) for lo in range(0, max_blocks, step))
     if workers == 1:
         yield from (system.run(*task, master_seed) for task in tasks)
         return
+    workers = min(workers, -(-max_blocks // step))
     pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(system, master_seed))
     try:
         in_flight = deque(pool.submit(_run_task, task) for task in islice(tasks, workers))
@@ -408,9 +421,12 @@ def read_curve(path: Path) -> list[tuple[int, str, CurvePoint, int]]:
     return rows
 
 
-def run_curve(config: SimConfig) -> list[CurvePoint]:
+def run_curve(
+    config: SimConfig, on_point: Callable[[CurvePoint], None] | None = None
+) -> list[CurvePoint]:
     """Measure every configured point, appending to the output CSV as each
-    completes.  Points already present in a compatible output file are kept
+    completes, and pass each measured point to on_point once its row is
+    written.  Points already present in a compatible output file are kept
     as they are, so interrupted runs resume and finished runs are no-ops."""
     system = load_system(config)
     for ebno in config.ebno_db:
@@ -453,6 +469,8 @@ def run_curve(config: SimConfig) -> list[CurvePoint]:
             f.flush()
             os.fsync(f.fileno())
         header = ""
+        if on_point is not None:
+            on_point(point)
     return points
 
 

@@ -4,7 +4,8 @@ Subcommands: construct, analyze, design-interleaver, simulate, report.
 Every command reads and writes only the paths named in its arguments, exits
 0 on success, and reports failures as a single "error: ..." line on stderr
 with a nonzero status.  Outputs are byte-deterministic given their inputs
-and seeds.
+and seeds; wall time, which is not, goes to stderr only (simulate prints
+one line per point it measures).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import FORMAT_VERSIONS, __version__
-from .bench import CSV_HEADER, ConfigError, SimConfig, read_curve, run_curve
+from .bench import CSV_HEADER, ConfigError, CurvePoint, SimConfig, read_curve, run_curve
 from .interleave import (
     count_bad_mappings,
     escalate_design,
@@ -93,12 +94,17 @@ def _cmd_design_interleaver(args) -> int:
     return 0
 
 
+def _print_point_time(p: CurvePoint) -> None:
+    print(f"ebno {p.ebno_db:g}: {p.blocks_run} blocks in {p.wall_seconds:.3f} s, "
+          f"{p.blocks_run / p.wall_seconds:.1f} blocks/s", file=sys.stderr, flush=True)
+
+
 def _cmd_simulate(args) -> int:
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file {args.config!r} not found")
     config = SimConfig.from_json(path.read_text(encoding="utf-8"))
-    points = run_curve(config)
+    points = run_curve(config, on_point=_print_point_time)
     for p in points:
         # a point with no block errors has no point estimate, only its
         # one-sided 95% upper bound, 3 / n

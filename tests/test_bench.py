@@ -478,7 +478,7 @@ class TestTrialIndependence:
 @dataclass(frozen=True)
 class TaskLog:
     """A system whose every trial is a block error and whose every task
-    appends its first trial index to the file at path."""
+    appends its trial range, lo and hi, to the file at path."""
 
     path: str
     rate = 0.5
@@ -487,20 +487,26 @@ class TaskLog:
 
     def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
         with open(self.path, "a", encoding="utf-8") as f:
-            f.write(f"{lo}\n")
+            f.write(f"{lo} {hi}\n")
         return np.array([(1, 1, 0, 1, 1)] * (hi - lo), dtype=np.int64)
+
+    def ranges(self) -> list[tuple[int, int]]:
+        text = Path(self.path).read_text(encoding="utf-8")
+        return [tuple(map(int, line.split())) for line in text.splitlines()]
 
 
 class RecordingPool:
     """In-process stand-in for ProcessPoolExecutor.  A task runs when its
-    result is taken; events records each submit with the number of tasks
-    then submitted and not yet taken, and each take."""
+    result is taken; events records the worker count the pool is started
+    with, each submit with the number of tasks then submitted and not yet
+    taken, and each take."""
 
     events: list = []
 
     def __init__(self, workers, initializer, initargs):
         initializer(*initargs)
         self.outstanding = 0
+        self.events.append(("start", workers))
 
     def submit(self, fn, task):
         self.outstanding += 1
@@ -521,7 +527,9 @@ class RecordingPool:
 
 class TestPoolWaves:
     """A pool starts with one task per worker and grows to 2 x workers tasks
-    in flight once the first task's results are taken."""
+    in flight once the first task's results are taken, and has no more
+    workers than the point has tasks.  A pooled task holds four trials of a
+    one-trial-per-task system."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -530,37 +538,95 @@ class TestPoolWaves:
         monkeypatch.setattr(RecordingPool, "events", [])
         return RecordingPool.events
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_first_wave_then_two_per_worker(self, events, workers, tmp_path):
+    @pytest.mark.parametrize("workers, max_blocks, expected", [
+        (2, 18, [("start", 2), ("submit", 0, 1), ("submit", 4, 2), ("take", 0),
+                 ("submit", 8, 2), ("submit", 12, 3), ("submit", 16, 4),
+                 ("take", 4), ("take", 8), ("take", 12), ("take", 16)]),
+        (3, 30, [("start", 3), ("submit", 0, 1), ("submit", 4, 2), ("submit", 8, 3), ("take", 0),
+                 ("submit", 12, 3), ("submit", 16, 4), ("submit", 20, 5), ("submit", 24, 6),
+                 ("take", 4), ("submit", 28, 6), ("take", 8), ("take", 12), ("take", 16),
+                 ("take", 20), ("take", 24), ("take", 28)]),
+        # a fork pool launches every worker at its first submit, so it is
+        # started with no more workers than the point has tasks
+        (3, 6, [("start", 2), ("submit", 0, 1), ("submit", 4, 2), ("take", 0), ("take", 4)]),
+        (10**6, 6, [("start", 2), ("submit", 0, 1), ("submit", 4, 2), ("take", 0), ("take", 4)]),
+        (2, 1, [("start", 1), ("submit", 0, 1), ("take", 0)]),
+    ], ids=["2", "3", "3-on-2-tasks", "10**6-on-2-tasks", "2-on-1-task"])
+    def test_first_wave_then_two_per_worker(self, events, workers, max_blocks, expected, tmp_path):
         system = TaskLog(str(tmp_path / "tasks.txt"))
-        point = measure_point(system, 3.0, StopRule(10_000, 12), 9, workers=workers)
-        assert point.blocks_run == 12
-        first = [("submit", lo, lo + 1) for lo in range(workers)]
-        assert events[: workers + 1] == first + [("take", 0)]
-        submits = [e for e in events if e[0] == "submit"]
-        assert [e[1] for e in submits] == list(range(12))
-        assert max(e[2] for e in submits) == 2 * workers
-        assert [e[1] for e in events if e[0] == "take"] == list(range(12))
+        point = measure_point(system, 3.0, StopRule(10_000, max_blocks), 9, workers=workers)
+        assert point.blocks_run == max_blocks
+        assert events == expected
+        lows = range(0, max_blocks, 4)
+        assert system.ranges() == [(lo, min(lo + 4, max_blocks)) for lo in lows]
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_stop_inside_the_first_task_submits_only_the_first_wave(self, events, workers, tmp_path):
+    @pytest.mark.parametrize("min_block_errors", [1, 4])
+    @pytest.mark.parametrize("workers, expected", [
+        (2, [("start", 2), ("submit", 0, 1), ("submit", 4, 2), ("take", 0)]),
+        (4, [("start", 4), ("submit", 0, 1), ("submit", 4, 2), ("submit", 8, 3),
+             ("submit", 12, 4), ("take", 0)]),
+    ])
+    def test_stop_inside_the_first_task_submits_only_the_first_wave(
+        self, events, workers, expected, min_block_errors, tmp_path
+    ):
         system = TaskLog(str(tmp_path / "tasks.txt"))
-        point = measure_point(system, 3.0, StopRule(1, 1000), 9, workers=workers)
-        assert point.blocks_run == 1
-        assert events == [("submit", lo, lo + 1) for lo in range(workers)] + [("take", 0)]
+        point = measure_point(system, 3.0, StopRule(min_block_errors, 1000), 9, workers=workers)
+        assert point.blocks_run == min_block_errors
+        assert events == expected
 
 
 class TestTrialRounds:
     """Single-code tasks encode, pass the channel and decode 512 trials at
-    once, and tasks run in trial order, one at a time in-process and at most
-    2 x workers at once on a pool; no result may depend on either."""
+    once, a pooled concat task runs four blocks, and tasks run in trial
+    order, one at a time in-process and at most 2 x workers at once on a
+    pool; no result may depend on any of these."""
 
-    def test_pool_runs_at_most_two_tasks_per_worker_past_the_stop(self, tmp_path):
-        log = tmp_path / "tasks.txt"
-        point = measure_point(TaskLog(str(log)), 3.0, StopRule(1, 1000), 9, workers=2)
-        assert point.blocks_run == 1
-        ran = [int(lo) for lo in log.read_text(encoding="utf-8").split()]
-        assert 0 in ran and len(ran) <= 2 * 2
+    @pytest.mark.parametrize("stop_at", [0, 5])
+    def test_in_process_point_runs_exactly_the_trials_up_to_its_stop(self, tmp_path, stop_at):
+        system = TaskLog(str(tmp_path / "tasks.txt"))
+        point = measure_point(system, 3.0, StopRule(stop_at + 1, 1000), 9, workers=1)
+        assert point.blocks_run == stop_at + 1
+        assert system.ranges() == [(i, i + 1) for i in range(stop_at + 1)]
+
+    @pytest.mark.parametrize("stop_at", [0, 5, 11])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_runs_at_most_two_tasks_per_worker_past_the_stop(
+        self, tmp_path, workers, stop_at
+    ):
+        # the tasks before the stop's all run, each of four trials; the
+        # cancelled ones never run
+        system = TaskLog(str(tmp_path / "tasks.txt"))
+        point = measure_point(system, 3.0, StopRule(stop_at + 1, 1000), 9, workers=workers)
+        assert point.blocks_run == stop_at + 1
+        ran = sorted(system.ranges())
+        assert all(lo % 4 == 0 and hi == lo + 4 for lo, hi in ran)
+        first = stop_at // 4 * 4
+        assert [lo for lo, _ in ran if lo <= first] == list(range(0, first + 4, 4))
+        assert len([lo for lo, _ in ran if lo >= first]) <= 2 * workers
+        past = sum(hi - max(lo, stop_at + 1) for lo, hi in ran if hi > stop_at + 1)
+        assert past < 2 * workers * 4
+
+    @pytest.mark.parametrize("where", [0, 1, 3])
+    def test_concat_rows_do_not_depend_on_where_the_stop_falls_in_a_pooled_task(self, where):
+        # the stop trial is the first, an inner or the last trial of a pooled
+        # task that is not the first; rows are those of the per-trial scan
+        outer, inner = toy_pair()
+        system = ConcatSystem(
+            ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
+        )
+        step = bench._POOLED_TASK_TRIALS
+        trials = system.run(0, 200, ci.ebno_sigma(4.0, system.rate), 9)
+        errors_at = np.flatnonzero(trials[:, 1])
+        k, stop_at = next((k, int(e)) for k, e in enumerate(errors_at, start=1)
+                          if e >= 4 * step and e % step == where)
+        expected = trials[: stop_at + 1].sum(axis=0)
+        rows = set()
+        for workers in (1, 2, 3):
+            point = measure_point(system, 4.0, StopRule(k, 200), 9, workers=workers)
+            assert (point.blocks_run, point.bit_errors, point.block_errors) == (
+                stop_at + 1, *expected[:2].tolist())
+            rows.add(format_row(point, 9))
+        assert len(rows) == 1
 
     def test_wide_task_equals_one_trial_runs_and_narrow_pieces(self):
         outer, _ = toy_pair()

@@ -274,6 +274,57 @@ class TestSimulate:
             "12,600,0,0,0.0,0.0,0.0,1.0,2\n"
         )
 
+    @staticmethod
+    def time_line(ebno: str, blocks: int) -> str:
+        return rf"ebno {ebno}: {blocks} blocks in \d+\.\d{{3}} s, \d+\.\d blocks/s"
+
+    def test_each_measured_point_prints_its_time_to_stderr(self, workspace, tmp_path, capsys):
+        # wall time goes to stderr only, one line per measured point; a
+        # resumed row was not measured and gets none
+        single = dict(system="single", code=str(workspace / "outer"), max_blocks=600)
+        config_path, out = self.make_config(workspace, tmp_path, ebno_db=[3.0], **single)
+        assert run_cli("simulate", "--config", config_path) == 0
+        printed = capsys.readouterr()
+        assert printed.out == (
+            f"ebno 3: 15 blocks, ber 4.167e-02, fer 2.000e-01\ncurve written to {out}\n"
+        )
+        assert re.fullmatch(self.time_line("3", 15) + "\n", printed.err)
+        config_path, out = self.make_config(workspace, tmp_path, ebno_db=[3.0, 12.0], **single)
+        assert run_cli("simulate", "--config", config_path) == 0
+        printed = capsys.readouterr()
+        assert printed.out == (
+            "ebno 3: 15 blocks, ber 4.167e-02, fer 2.000e-01\n"
+            "ebno 12: 600 blocks, no block errors, fer < 5.000e-03 (one-sided 95%)\n"
+            f"curve written to {out}\n"
+        )
+        assert re.fullmatch(self.time_line("12", 600) + "\n", printed.err)
+        assert out.read_text() == (
+            "ebno_db,blocks,bit_errors,block_errors,ber,fer,mean_outer_iters,"
+            "mean_component_iters,seed\n"
+            "3,15,5,3,0.041666666666666664,0.2,0.0,20.933333333333334,2\n"
+            "12,600,0,0,0.0,0.0,0.0,1.0,2\n"
+        )
+        assert run_cli("simulate", "--config", config_path) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_failure_after_a_measured_point_gives_one_error_line(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        measure = ci.bench.measure_point
+
+        def fail_at_12_db(system, ebno_db, *args):
+            if ebno_db == 12.0:
+                raise RuntimeError("decode failed")
+            return measure(system, ebno_db, *args)
+
+        monkeypatch.setattr(ci.bench, "measure_point", fail_at_12_db)
+        config_path, out = self.make_config(workspace, tmp_path, ebno_db=[3.0, 12.0])
+        assert run_cli("simulate", "--config", config_path) == 1
+        first, error = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(self.time_line("3", r"\d+"), first)
+        assert error == "error: decode failed"
+        assert [row.split(",", 1)[0] for row in out.read_text().splitlines()[1:]] == ["3"]
+
     @pytest.mark.parametrize("key", ["min_block_errors", "max_blocks"])
     def test_zero_stop_value_gives_one_error_line(self, workspace, tmp_path, capsys, key):
         config_path, out = self.make_config(workspace, tmp_path, **{key: 0})
