@@ -21,14 +21,13 @@ from .ira import (
     save_code,
     validate_code,
 )
-from .spa import DecodeResult, decode, decode_batch
-from .stopping import detect_from, is_stopping_set, select_sensitive, sensitivity_histogram
+from .spa import DecodeResult, decode
+from .stopping import select_sensitive, sensitivity_histogram
 from .interleave import (
     BlockPermutation,
     InterleaverInfeasible,
     SensitiveSets,
     count_bad_mappings,
-    design,
     escalate_design,
     load_permutation,
     random_permutation,

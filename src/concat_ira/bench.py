@@ -73,7 +73,9 @@ class StopRule:
 class CurvePoint:
     """A measured point: its counts fix its frame error rate, and only counts
     a run can write are accepted.  In both systems a block fails exactly when
-    one of its source bits is wrong."""
+    one of its source bits is wrong.  An undetected error is a failed block
+    whose decode ended valid, on a codeword that is not the one sent; a curve
+    row does not hold their count, so a point read back has None."""
 
     ebno_db: float
     blocks_run: int
@@ -83,6 +85,7 @@ class CurvePoint:
     mean_outer_iters: float
     mean_component_iters: float
     wall_seconds: float
+    undetected: int | None = None
 
     def __post_init__(self):
         if self.blocks_run < 1:
@@ -93,6 +96,8 @@ class CurvePoint:
             raise ValueError(f"{self.bit_errors} bit errors in {self.block_errors} failed blocks")
         if not (0.0 < self.ber <= 1.0 if self.bit_errors else self.ber == 0.0):
             raise ValueError(f"ber {self.ber!r} with {self.bit_errors} bit errors")
+        if self.undetected is not None and not 0 <= self.undetected <= self.block_errors:
+            raise ValueError(f"{self.undetected} undetected of {self.block_errors} block errors")
 
     @property
     def fer(self) -> float:
@@ -201,8 +206,9 @@ def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
 # --- runnable systems ----------------------------------------------------------
 #
 # A system runs trials lo..hi-1 at one noise level and returns an int64
-# array with one row per trial and five columns: bit errors, block error,
-# outer iterations, component decodes and component iterations.  Each trial
+# array with one row per trial and six columns: bit errors, block error,
+# outer iterations, component decodes, component iterations and undetected
+# error (a block error whose decode ended valid).  Each trial
 # draws its source bits and noise from its own stream.  trials_per_task is
 # the work of one in-process task; a pooled task holds at least
 # _POOLED_TASK_TRIALS trials, so that a short concat block does not pay a
@@ -233,7 +239,7 @@ class ConcatSystem:
 
     def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
         cc = self.code
-        results = np.empty((hi - lo, 5), dtype=np.int64)
+        results = np.empty((hi - lo, 6), dtype=np.int64)
         for row, index in zip(results, range(lo, hi)):
             gen = RngStream(master_seed, index).generator()
             source = random_bits(gen, cc.K * cc.K).reshape(cc.K, cc.K)
@@ -241,7 +247,8 @@ class ConcatSystem:
             res = concat_decode(cc, _received(tx, sigma, gen), self.schedule)
             bit_errors = int((res.source_bits != source).sum())
             row[:] = (bit_errors, bit_errors > 0, res.outer_iters_used,
-                      res.component_decode_calls, res.component_iterations)
+                      res.component_decode_calls, res.component_iterations,
+                      bit_errors > 0 and res.converged)
         return results
 
 
@@ -288,7 +295,8 @@ class SingleSystem:
         res = spa.decode_indexed(code, None, None, llrs, None, extrinsic, posterior, self.max_iter)
         errors = ((posterior[:, : code.K] < 0.0) != sources).sum(axis=1)
         ones = np.ones(b, dtype=np.int64)
-        return np.stack([errors, errors > 0, np.zeros_like(ones), ones, res.iterations_used], axis=1)
+        return np.stack([errors, errors > 0, np.zeros_like(ones), ones, res.iterations_used,
+                         (errors > 0) & res.valid], axis=1)
 
 
 def load_system(config: SimConfig) -> ConcatSystem | SingleSystem:
@@ -363,7 +371,7 @@ def measure_point(
     trial order, in-process or on a pool of several workers."""
     sigma = ebno_sigma(ebno_db, system.rate)
     t0 = time.perf_counter()
-    totals = np.zeros(5, dtype=np.int64)
+    totals = np.zeros(6, dtype=np.int64)
     blocks = 0
     tasks = _task_results(system, sigma, stop.max_blocks, master_seed, workers)
     with contextlib.closing(tasks):
@@ -375,7 +383,7 @@ def measure_point(
             blocks += min(end, len(results))
             if end <= len(results):
                 break
-    bit_errors, block_errors, outer_total, comp_calls, comp_iters = totals.tolist()
+    bit_errors, block_errors, outer_total, comp_calls, comp_iters, undetected = totals.tolist()
     return CurvePoint(
         ebno_db=ebno_db,
         blocks_run=blocks,
@@ -385,6 +393,7 @@ def measure_point(
         mean_outer_iters=outer_total / blocks,
         mean_component_iters=comp_iters / comp_calls if comp_calls else 0.0,
         wall_seconds=time.perf_counter() - t0,
+        undetected=undetected,
     )
 
 

@@ -96,7 +96,8 @@ def _cmd_design_interleaver(args) -> int:
 
 def _print_point_time(p: CurvePoint) -> None:
     print(f"ebno {p.ebno_db:g}: {p.blocks_run} blocks in {p.wall_seconds:.3f} s, "
-          f"{p.blocks_run / p.wall_seconds:.1f} blocks/s", file=sys.stderr, flush=True)
+          f"{p.blocks_run / p.wall_seconds:.1f} blocks/s, {p.block_errors} block errors, "
+          f"{p.undetected} undetected", file=sys.stderr, flush=True)
 
 
 def _cmd_simulate(args) -> int:

@@ -100,10 +100,6 @@ class SparseBinaryMatrix:
         # on every call, and hashing the supports costs microseconds
         return hash((self.n_rows, self.n_cols, self.col_support))
 
-    @property
-    def n_edges(self) -> int:
-        return sum(len(c) for c in self.col_support)
-
 
 # --- alist text ------------------------------------------------------------------
 #

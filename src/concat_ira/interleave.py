@@ -27,7 +27,6 @@ __all__ = [
     "BadMappings",
     "random_permutation",
     "count_bad_mappings",
-    "design",
     "escalate_design",
     "save_permutation",
     "load_permutation",
@@ -186,8 +185,13 @@ def _plan_repair(
 
 
 def _apply_repair(perm0: BlockPermutation, repair: _Repair, design_t: int) -> BlockPermutation:
-    """Pop each offender's partner from the ascending pool and swap the
-    images of all pairs at once; the swaps are disjoint."""
+    """Repair a permutation to zero bad mappings as planned: offenders in
+    ascending flat order, each partner popped from the ascending pool of
+    positions whose own source column is not row-code sensitive and whose
+    image row is not column-code sensitive, so a swap removes exactly one
+    offender and can never mint a new one.  A swap only takes its partner
+    out of the pool (the offender's column is sensitive), so the disjoint
+    swaps of all pairs apply at once."""
     sets, draws = repair
     src_sensitive, row_sensitive = _sensitivity_tables(sets, perm0.K, perm0.N)
     lands_sensitive = row_sensitive[perm0.forward // perm0.N]
@@ -200,26 +204,6 @@ def _apply_repair(perm0: BlockPermutation, repair: _Repair, design_t: int) -> Bl
         K=perm0.K, N=perm0.N, forward=fwd, seed=perm0.seed,
         design_t=design_t, repairs=len(offenders), sets=sets,
     )
-
-
-def design(
-    perm0: BlockPermutation,
-    sets: SensitiveSets,
-    rng: np.random.Generator,
-) -> BlockPermutation:
-    """Repair a permutation until it has zero bad mappings.
-
-    Offenders are fixed in ascending flat order.  Each swap partner is drawn
-    uniformly among positions whose own source column is not row-code
-    sensitive and whose current image row is not column-code sensitive, so a
-    swap removes exactly one offender and can never mint a new one.  A swap
-    only takes its partner out of the ascending partner pool (the offender's
-    column is sensitive), so one call draws every partner and the disjoint
-    swaps apply at once.  Raises InterleaverInfeasible when the counting
-    bound fails.
-    """
-    repair = _plan_repair(_landing_table(perm0), sets, rng)
-    return _apply_repair(perm0, repair, perm0.design_t)
 
 
 def escalate_design(
@@ -236,9 +220,9 @@ def escalate_design(
     metadata, falling back to ``perm0`` when the first level already fails.
     Each level repairs ``perm0`` and feasibility is settled before its draw,
     so every level is planned from one landing table, making the same
-    generator calls in the same order as ``design`` at each level would, and
-    only the last plan is applied.  Both histograms must have one entry per
-    column of the block.
+    generator calls in the same order as a full repair at each level would,
+    and only the last plan is applied.  Both histograms must have one entry
+    per column of the block.
     """
     k, n = perm0.K, perm0.N
     for name, hist in (("row-code", hist_row), ("column-code", hist_col)):

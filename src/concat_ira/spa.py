@@ -30,9 +30,8 @@ boundaries, so no vector the kernel loads or stores straddles two lines.
 ``decode_indexed`` so decodes the rows of a block held in any layout,
 which is how the concatenated decoder runs its passes, or without a table
 one codeword per array row, which is how single-code tasks decode into
-their buffers and ``decode_batch`` into new arrays.  The C code rounds
-each operation once per lane in the order of the NumPy kernel it
-replaced, so outputs are bit-identical to it.
+their buffers.  The C code rounds each operation once per lane in the
+order of the NumPy kernel it replaced, so outputs are bit-identical to it.
 It is built once per source, flags, compiler and host CPU by the system C
 compiler, into ``__pycache__`` next to this module, as one library with
 ``_trial_kernel.c`` (the trial streams of ``channel.TrialStreams`` and
@@ -59,14 +58,7 @@ import numpy as np
 
 from .gf2 import SparseBinaryMatrix
 
-__all__ = [
-    "DecodeResult",
-    "BatchDecodeResult",
-    "PassResult",
-    "decode",
-    "decode_batch",
-    "decode_indexed",
-]
+__all__ = ["DecodeResult", "PassResult", "decode", "decode_indexed"]
 
 _SOURCES = (Path(__file__).with_name("_spa_kernel.c"), Path(__file__).with_name("_trial_kernel.c"))
 _CACHE_DIR = Path(__file__).with_name("__pycache__")
@@ -82,17 +74,6 @@ class DecodeResult:
     extrinsic: np.ndarray
     iterations_used: int
     valid: bool
-
-
-@dataclass(frozen=True)
-class BatchDecodeResult:
-    """Per-row results of decoding a batch of independent LLR vectors."""
-
-    hard_bits: np.ndarray  # (B, N) uint8
-    posterior: np.ndarray  # (B, N)
-    extrinsic: np.ndarray  # (B, N)
-    iterations_used: np.ndarray  # (B,)
-    valid: np.ndarray  # (B,) bool
 
 
 class PassResult(NamedTuple):
@@ -310,6 +291,7 @@ def decode_indexed(
     extrinsic: np.ndarray,
     posterior: np.ndarray | None,
     max_iter: int,
+    early_stop: bool = True,
 ) -> PassResult:
     """Decode the codewords that an index table picks out of a block.
 
@@ -318,7 +300,10 @@ def decode_indexed(
     ``ids`` None at ``i * n_vars + v``, row i of a 2-D ``channel``.  The
     decoder starts from ``channel + prior`` there, a variable whose index
     is past the end of ``prior`` (or every variable, when ``prior`` is
-    None) adding +0.0.
+    None) adding +0.0.  A row stops at the first iteration whose hard
+    decision satisfies every check, or with ``early_stop`` False after all
+    ``max_iter`` iterations, which is what an exactness comparison against
+    true marginals wants.
     When the row stops, its extrinsic and, if ``posterior`` is given,
     ``channel + prior + extrinsic`` are written at the indices that lie
     inside ``extrinsic``, which ``posterior`` must match in size; nothing
@@ -335,19 +320,13 @@ def decode_indexed(
     if (at is None) != (ids is None) or rows.ndim != 2 or rows.shape[1] != g.n_vars:
         raise ValueError(f"need an index table and its ids, or a 2-D channel, "
                          f"with rows of length {g.n_vars}")
-    return _decode(g, len(channel if at is None else ids), at, ids, channel, prior, extrinsic,
-                   posterior, max_iter, True)
-
-
-def _decode(g: _CompiledGraph, batch, at, ids, channel, prior, extrinsic, posterior, max_iter,
-            early_stop) -> PassResult:
-    """``decode_indexed`` of ``batch`` call rows."""
     lib = _kernel()
     if posterior is not None and posterior.size != extrinsic.size:
         raise ValueError("posterior size must match extrinsic size")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
+    batch = len(channel if at is None else ids)
     g.reserve(batch)
     iterations = np.empty(batch, dtype=np.int64)
     valid = np.empty(batch, dtype=bool)
@@ -390,52 +369,14 @@ def _decode(g: _CompiledGraph, batch, at, ids, channel, prior, extrinsic, poster
     return PassResult(iterations, valid)
 
 
-def decode_batch(
-    code_or_matrix,
-    channel,
-    prior=None,
-    max_iter: int = 100,
-    early_stop: bool = True,
-) -> BatchDecodeResult:
-    """Decode B independent LLR vectors against one parity-check matrix.
-
-    Rows that produce a zero syndrome stop updating immediately (their
-    messages and outputs freeze), so results per row are identical to
-    decoding that row on its own.  With ``early_stop=False`` every row runs
-    all ``max_iter`` iterations, which is what an exactness comparison
-    against true marginals wants.
-
-    Each codeword is one lane of the graph's working tiles (see
-    ``_CompiledGraph``), and every sum and product runs in edge order within
-    its lane, so the arithmetic does not depend on B or on the lane.  This
-    is the decode of ``decode_indexed`` with row i of every array as
-    codeword i, without an index table.  The
-    returned arrays are always new.  Raises RuntimeError when the kernel
-    library could not be built.
-    """
-    g = _compile(_as_matrix(code_or_matrix))
-    channel = np.atleast_2d(np.ascontiguousarray(channel, dtype=np.float64))
-    if channel.ndim != 2 or channel.shape[1] != g.n_vars:
-        raise ValueError(f"channel LLR rows must have length {g.n_vars}")
-    if prior is not None:
-        prior = np.atleast_2d(np.ascontiguousarray(prior, dtype=np.float64))
-        if prior.shape != channel.shape:
-            raise ValueError("prior shape must match channel shape")
-
-    batch = channel.shape[0]
-    extrinsic = np.empty((batch, g.n_vars))
-    posterior = np.empty((batch, g.n_vars))
-    res = _decode(g, batch, None, None, channel, prior, extrinsic, posterior, max_iter, early_stop)
-    hard = (posterior < 0.0).view(np.uint8)
-    return BatchDecodeResult(hard, posterior, extrinsic, res.iterations_used, res.valid)
-
-
 try:  # build or load the kernel now; a failure is raised by the first decode
     _kernel()
 except RuntimeError:
     pass
 
 
+# perfbench/layers.py patches spa.decode by name, so it stays until that
+# tracer wraps decode_indexed, which every product path calls
 def decode(
     code_or_matrix,
     channel,
@@ -443,15 +384,17 @@ def decode(
     max_iter: int = 100,
     early_stop: bool = True,
 ) -> DecodeResult:
-    """Decode one LLR vector; see :func:`decode_batch` for semantics."""
-    channel = np.asarray(channel, dtype=np.float64)
+    """Decode one LLR vector: ``decode_indexed`` of one row without a table,
+    into new arrays."""
+    channel = np.ascontiguousarray(channel, dtype=np.float64)
     if channel.ndim != 1:
         raise ValueError("decode expects a flat LLR vector")
-    res = decode_batch(code_or_matrix, channel[np.newaxis, :], prior, max_iter, early_stop)
-    return DecodeResult(
-        hard_bits=res.hard_bits[0],
-        posterior=res.posterior[0],
-        extrinsic=res.extrinsic[0],
-        iterations_used=int(res.iterations_used[0]),
-        valid=bool(res.valid[0]),
-    )
+    if prior is not None:
+        prior = np.ascontiguousarray(prior, dtype=np.float64)
+        if prior.shape != channel.shape:
+            raise ValueError("prior shape must match channel shape")
+    extrinsic, posterior = np.empty(channel.size), np.empty(channel.size)
+    res = decode_indexed(code_or_matrix, None, None, channel[np.newaxis], prior, extrinsic,
+                         posterior, max_iter, early_stop)
+    return DecodeResult((posterior < 0.0).view(np.uint8), posterior, extrinsic,
+                        int(res.iterations_used[0]), bool(res.valid[0]))

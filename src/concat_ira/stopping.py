@@ -1,4 +1,4 @@
-"""Stopping-set detection, verification, and per-node sensitivity counts.
+"""Stopping-set detection and per-node sensitivity counts.
 
 A variable-node set is a stopping set when every check adjacent to the set
 sees it on at least two edges; erasure-like uncertainty confined to such a
@@ -14,27 +14,7 @@ import numpy as np
 
 from .gf2 import SparseBinaryMatrix
 
-__all__ = [
-    "is_stopping_set",
-    "detect_from",
-    "sensitivity_histogram",
-    "select_sensitive",
-    "save_histogram",
-]
-
-
-def is_stopping_set(h: SparseBinaryMatrix, members) -> bool:
-    """True iff every check adjacent to the set has >= 2 edges into it."""
-    members = set(int(v) for v in members)
-    if not members:
-        raise ValueError("a stopping set must be nonempty")
-    if any(v < 0 or v >= h.n_cols for v in members):
-        raise ValueError("variable index out of range")
-    touched = np.zeros(h.n_rows, dtype=np.int64)
-    for v in members:
-        for c in h.col_support[v]:
-            touched[c] += 1
-    return not np.any(touched == 1)
+__all__ = ["sensitivity_histogram", "select_sensitive", "save_histogram"]
 
 
 def _check_masks(h: SparseBinaryMatrix) -> list[int]:
@@ -43,7 +23,16 @@ def _check_masks(h: SparseBinaryMatrix) -> list[int]:
 
 
 def _detect(h: SparseBinaryMatrix, masks: list[int], start: int) -> frozenset[int]:
-    """:func:`detect_from` on precomputed check masks.
+    """Greedy expansion of a stopping set containing ``start``, on the
+    check masks of ``_check_masks``.
+
+    While some check sees the set exactly once, take the lowest-index such
+    deficient check and add its outside neighbor that creates the fewest
+    newly deficient checks (ties to the lowest variable index).  Expansion
+    halts when no check is deficient, or when a deficient check has no
+    neighbor left to add; in that last case (a degree-1 check) no proper
+    superset works and the accumulated set is returned as is, which is then
+    no stopping set.  The result is deterministic and generally not minimal.
 
     ``zero`` holds the checks the set touches zero times and ``one`` those
     it touches exactly once; a check leaves ``zero`` for ``one`` on its
@@ -72,25 +61,6 @@ def _detect(h: SparseBinaryMatrix, masks: list[int], start: int) -> frozenset[in
         one = (one & ~mask) | (mask & zero)
         zero &= ~mask
     return frozenset(members)
-
-
-def detect_from(h: SparseBinaryMatrix, start: int) -> frozenset[int]:
-    """Greedy expansion of a stopping set containing ``start``.
-
-    While some check sees the set exactly once, take the lowest-index such
-    deficient check and add its outside neighbor that creates the fewest
-    newly deficient checks (ties to the lowest variable index).  Expansion
-    halts when no check is deficient, or when a deficient check has no
-    neighbor left to add; in that last case (a degree-1 check) no proper
-    superset works and the accumulated set is returned as is, so callers
-    should verify with :func:`is_stopping_set` when the graph may have
-    degree-1 checks.
-
-    The result is deterministic and generally not minimal.
-    """
-    if not 0 <= start < h.n_cols:
-        raise ValueError(f"start variable {start} out of range")
-    return _detect(h, _check_masks(h), start)
 
 
 def sensitivity_histogram(h: SparseBinaryMatrix) -> np.ndarray:

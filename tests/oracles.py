@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities from definitions (dense matrices,
 exhaustive enumeration), deliberately avoiding the package's sparse and
-message-passing code paths.
+message-passing code paths, except ``decode_rows``: the tests' call of the
+package's decoder, one codeword per row, which ``reference_concat_decode``
+also decodes its passes with.
 """
 
 from dataclasses import dataclass, replace
@@ -24,7 +26,7 @@ from concat_ira.ira import (
     _h1_row_budgets,
 )
 from concat_ira.concat import ConcatCode, ConcatDecodeResult, Schedule
-from concat_ira.spa import BatchDecodeResult, decode_batch
+from concat_ira.spa import decode_indexed
 from concat_ira.stopping import select_sensitive
 
 
@@ -156,13 +158,37 @@ def minimal_stopping_sets_containing(h_dense: np.ndarray, v0: int) -> list[set]:
     return best
 
 
-# --- the padded-plane SPA kernel that spa.decode_batch replaced --------------
+# --- the padded-plane SPA kernel that spa.decode_indexed replaced ------------
 #
 # Kept verbatim (constants copied, edge tables rebuilt from the public row
 # supports) so the fast kernel can be pinned to it bit for bit.
 
 _REF_LLR_CLAMP = 50.0
 _REF_ATANH_GUARD = 1.0 - 1e-12
+
+
+class BatchDecodeResult(NamedTuple):
+    """Per-row results of decoding a batch of independent LLR vectors."""
+
+    hard_bits: np.ndarray  # (B, N) uint8
+    posterior: np.ndarray  # (B, N)
+    extrinsic: np.ndarray  # (B, N)
+    iterations_used: np.ndarray  # (B,) int64
+    valid: np.ndarray  # (B,) bool
+
+
+def decode_rows(matrix, channel, prior=None, max_iter=100, early_stop=True) -> BatchDecodeResult:
+    """``spa.decode_indexed`` without a table: codeword i at row i of the
+    channel and prior, decoded into new arrays, in the form of
+    ``reference_decode_batch``."""
+    channel = np.atleast_2d(np.ascontiguousarray(channel, dtype=np.float64))
+    if prior is not None:
+        prior = np.atleast_2d(np.ascontiguousarray(prior, dtype=np.float64))
+    extrinsic, posterior = np.empty(channel.shape), np.empty(channel.shape)
+    res = decode_indexed(matrix, None, None, channel, prior, extrinsic, posterior, max_iter,
+                         early_stop)
+    hard = (posterior < 0.0).view(np.uint8)
+    return BatchDecodeResult(hard, posterior, extrinsic, res.iterations_used, res.valid)
 
 
 def _padded_graph(matrix):
@@ -424,7 +450,8 @@ def reference_design(
     sets: SensitiveSets,
     rng: np.random.Generator,
 ) -> BlockPermutation:
-    """Reference for ``interleave.design``: the same repair, rescanning the
+    """Reference for one level of ``interleave.escalate_design``, its
+    ``_plan_repair`` and ``_apply_repair``: the same repair, rescanning the
     whole block for the legal partners of every offender.
 
     Repair a permutation until it has zero bad mappings.
@@ -507,8 +534,22 @@ def reference_escalate(
     return best
 
 
+def is_stopping_set(h: SparseBinaryMatrix, members) -> bool:
+    """True iff every check adjacent to the nonempty set has >= 2 edges into it."""
+    members = set(int(v) for v in members)
+    if not members:
+        raise ValueError("a stopping set must be nonempty")
+    if any(v < 0 or v >= h.n_cols for v in members):
+        raise ValueError("variable index out of range")
+    touched = np.zeros(h.n_rows, dtype=np.int64)
+    for v in members:
+        for c in h.col_support[v]:
+            touched[c] += 1
+    return not np.any(touched == 1)
+
+
 def reference_detect_from(h: SparseBinaryMatrix, start: int) -> frozenset[int]:
-    """Reference for ``stopping.detect_from``: the same greedy expansion with
+    """Reference for ``stopping._detect``: the same greedy expansion with
     the check counts in a NumPy array, rescanned for deficient checks at
     every step.
 
@@ -737,7 +778,7 @@ def reference_build_h1(
 def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDecodeResult:
     """Reference for ``concat.concat_decode``: the NumPy glue it replaced,
     which moves whole (rows, N) channel, prior and extrinsic arrays through
-    ``BlockPermutation.apply`` and decodes each pass with ``spa.decode_batch``."""
+    ``BlockPermutation.apply`` and decodes each pass with ``decode_rows``."""
     lch = np.asarray(channel_llrs, dtype=np.float64)
     if lch.shape != (cc.N, cc.N):
         raise ValueError(f"expected ({cc.N}, {cc.N}) channel LLR array")
@@ -761,7 +802,7 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
             prior_mixed = cc.pi.apply(row_ext)
             prior = np.zeros((len(cols), n))
             prior[:, :k] = prior_mixed[:, cols].T
-            res = decode_batch(cc.inner, lch[:, cols].T, prior, schedule.inner_iters)
+            res = decode_rows(cc.inner, lch[:, cols].T, prior, schedule.inner_iters)
             col_ext_mixed[:, cols] = res.extrinsic[:, :k].T
             col_valid[cols] = res.valid
             calls += len(cols)
@@ -771,7 +812,7 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
         rows = np.flatnonzero(~row_valid) if schedule.freeze_converged else np.arange(k)
         if len(rows):
             prior = pi_inv.apply(col_ext_mixed)[rows]
-            res = decode_batch(cc.outer, lch_rows[rows], prior, schedule.inner_iters)
+            res = decode_rows(cc.outer, lch_rows[rows], prior, schedule.inner_iters)
             row_ext[rows] = res.extrinsic
             row_post[rows] = res.posterior
             row_valid[rows] = res.valid

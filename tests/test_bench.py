@@ -22,9 +22,9 @@ from concat_ira.bench import (
     run_curve,
     two_proportion_z,
 )
-from concat_ira.spa import decode_batch
 
 from conftest import build_toy
+from oracles import decode_rows
 
 
 @pytest.fixture(scope="module")
@@ -442,6 +442,19 @@ class TestRunCurve:
         assert point.fer == 0.2
         assert format_row(point, 0) == "3,10,3,2,0.0375,0.2,0.0,1.0,0"
 
+    def test_curve_point_counts_at_most_its_block_errors_as_undetected(self, tmp_path):
+        for undetected in (None, 0, 2):
+            point = bench.CurvePoint(3.0, 10, 3, 2, 0.0375, 0.0, 1.0, 0.0, undetected)
+            assert format_row(point, 0) == "3,10,3,2,0.0375,0.2,0.0,1.0,0"
+        for undetected in (-1, 3):
+            with pytest.raises(ValueError, match="undetected"):
+                bench.CurvePoint(3.0, 10, 3, 2, 0.0375, 0.0, 1.0, 0.0, undetected)
+        # a curve row holds no undetected count, so a point read back has none
+        path = tmp_path / "curve.csv"
+        path.write_text(CSV_HEADER + "\n3,10,3,2,0.0375,0.2,0.0,1.0,0\n")
+        ((_, _, point, _),) = bench.read_curve(path)
+        assert point.undetected is None
+
     def test_header_is_pinned(self):
         assert CSV_HEADER == (
             "ebno_db,blocks,bit_errors,block_errors,ber,fer,"
@@ -469,10 +482,37 @@ class TestTrialIndependence:
         alone = {}
         for i in rng.permutation(6):
             for code in (outer, inner):
-                decode_batch(code, rng.normal(1.0, 2.0, size=(40, 24)), None, 7)
+                decode_rows(code, rng.normal(1.0, 2.0, size=(40, 24)), None, 7)
             (alone[i],) = system.run(i, i + 1, sigma, 9).tolist()
         assert together.tolist() == [alone[i] for i in range(6)]
         assert set(together[:, 1]) == {0, 1}  # some blocks fail, some do not
+
+
+class TestConcatTrialsDrawTheirTrialStreams:
+    """A concat trial draws through NumPy's own Generator; it must draw what
+    channel.TrialStreams draws for the same trial, so that concat trials
+    can move to TrialStreams without moving a row."""
+
+    @pytest.mark.parametrize("master_seed", [1, 2**40 + 5], ids=["one-word", "two-words"])
+    def test_run_equals_a_trial_streams_replica(self, master_seed):
+        outer, inner = toy_pair()
+        system = ConcatSystem(
+            ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
+        )
+        cc, sigma = system.code, ci.ebno_sigma(4.0, system.rate)
+        rows = []
+        for lo, hi in ((0, 6), (77, 78), (2**32 - 3, 2**32)):
+            got = system.run(lo, hi, sigma, master_seed)
+            for i, row in zip(range(lo, hi), got.tolist()):
+                streams = ci.TrialStreams(master_seed, i, i + 1)
+                source = streams.bits(cc.K * cc.K).reshape(cc.K, cc.K)
+                llrs = streams.llrs(ci.concat_encode(cc, source).reshape(1, -1), sigma)
+                res = ci.concat_decode(cc, llrs.reshape(cc.N, cc.N), system.schedule)
+                errors = int((res.source_bits != source).sum())
+                assert row == [errors, errors > 0, res.outer_iters_used, res.component_decode_calls,
+                               res.component_iterations, errors > 0 and res.converged], i
+                rows.append(row)
+        assert {row[1] for row in rows} == {0, 1}  # some blocks fail, some do not
 
 
 @dataclass(frozen=True)
@@ -488,7 +528,7 @@ class TaskLog:
     def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
         with open(self.path, "a", encoding="utf-8") as f:
             f.write(f"{lo} {hi}\n")
-        return np.array([(1, 1, 0, 1, 1)] * (hi - lo), dtype=np.int64)
+        return np.array([(1, 1, 0, 1, 1, 0)] * (hi - lo), dtype=np.int64)
 
     def ranges(self) -> list[tuple[int, int]]:
         text = Path(self.path).read_text(encoding="utf-8")
@@ -637,14 +677,14 @@ class TestTrialRounds:
         pieces = np.concatenate([system.run(lo, min(lo + 64, 600), sigma, 9)
                                  for lo in range(0, 600, 64)])
         alone = np.concatenate([system.run(i, i + 1, sigma, 9) for i in range(600)])
-        assert whole.dtype == np.int64 and whole.shape == (600, 5)
+        assert whole.dtype == np.int64 and whole.shape == (600, 6)
         assert np.array_equal(whole, pieces) and np.array_equal(whole, alone)
         assert set(whole[:, 1]) == {0, 1}
 
     def test_task_arrays_hold_what_a_fresh_decode_gives(self, paper_outer, toy_outer):
         # tasks grow and shrink their use of the process's grow-only
         # buffers, a point's last task is shorter, and a code of another N
-        # decodes in between; every task must give what decode_batch gives
+        # decodes in between; every task must give what decode_rows gives
         # its trials in fresh arrays
         sigma = ci.ebno_sigma(2.5, paper_outer.rate)
         for code, lo, hi in ((paper_outer, 0, 512), (paper_outer, 512, 600), (toy_outer, 0, 40),
@@ -652,15 +692,16 @@ class TestTrialRounds:
             results = SingleSystem(code, 30).run(lo, hi, sigma, 5)
             streams = ci.TrialStreams(5, lo, hi)
             sources = streams.bits(code.K)
-            fresh = decode_batch(code, streams.llrs(ci.encode_batch(code, sources), sigma), None, 30)
+            fresh = decode_rows(code, streams.llrs(ci.encode_batch(code, sources), sigma), None, 30)
             size = (hi - lo) * code.N
             _, extrinsic, posterior = (buffer[:size].reshape(hi - lo, code.N)
                                        for buffer in bench._TASK_BUFFERS)
             assert np.array_equal(posterior, fresh.posterior)
             assert np.array_equal(extrinsic, fresh.extrinsic)
             bit_errors = (fresh.hard_bits[:, : code.K] != sources).sum(axis=1)
-            expected = [(e, int(e > 0), 0, 1, i)
-                        for e, i in zip(bit_errors.tolist(), fresh.iterations_used.tolist())]
+            expected = [(e, int(e > 0), 0, 1, i, int(e > 0 and v))
+                        for e, i, v in zip(bit_errors.tolist(), fresh.iterations_used.tolist(),
+                                           fresh.valid.tolist())]
             assert results.tolist() == [list(trial) for trial in expected]
             assert all(buffer.size >= size for buffer in bench._TASK_BUFFERS)
 
@@ -672,7 +713,7 @@ class TestTrialRounds:
         outer, _ = toy_pair()
         system = SingleSystem(outer, 20)
         trials = system.run(0, 2048, ci.ebno_sigma(3.0, system.rate), 9).tolist()
-        totals, blocks = [0] * 5, 0
+        totals, blocks = [0] * 6, 0
         for trial in trials:  # the per-trial scan measure_point made before
             blocks += 1
             totals = [a + b for a, b in zip(totals, trial)]
@@ -682,6 +723,7 @@ class TestTrialRounds:
         point = measure_point(system, 3.0, StopRule(min_block_errors, 2048), 9, workers)
         assert (point.blocks_run, point.bit_errors, point.block_errors) == (blocks, *totals[:2])
         assert point.mean_component_iters == totals[4] / totals[3]
+        assert point.undetected == totals[5]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_paper_shape_single_code_row_is_pinned(self, paper_outer, workers):
@@ -696,33 +738,40 @@ class TestTrialRounds:
     def test_paper_code_trial_results_are_pinned(self, paper_outer):
         # 203 trials from trial 37, at master seeds of one and three entropy
         # words; the digest is that of the generator-per-trial harness, which
-        # returned each trial's fields as a tuple
+        # returned each trial's first five fields as a tuple.  The sixth,
+        # undetected error, came later and is pinned by the trials that have one
         system = SingleSystem(paper_outer, 100)
         digest = hashlib.sha256()
+        undetected = []
         for master_seed in (1000, 2**64 + 3):
             for ebno in (2.0, 3.0, 4.0):
                 results = system.run(37, 37 + 203, ci.ebno_sigma(ebno, system.rate), master_seed)
-                digest.update(repr([tuple(trial) for trial in results.tolist()]).encode())
+                digest.update(repr([tuple(trial) for trial in results[:, :5].tolist()]).encode())
+                assert (results[:, 5] <= results[:, 1]).all()
+                undetected.append((37 + np.flatnonzero(results[:, 5])).tolist())
         assert digest.hexdigest() == (
             "32c85d512cf763731756264027481a684775b347c97e2ff7077cbce3a8cd1162"
         )
+        assert undetected == [[197, 234], [151, 174, 188, 197], [151, 174], [238], [], []]
 
     # rows written by the harness when an in-process round was 64 trials and a
-    # single-code task 64 trials; each stop rule fires inside a round
+    # single-code task 64 trials; each stop rule fires inside a round.  The
+    # undetected counts came later, and are pinned as this harness gave them
     @pytest.mark.parametrize(
-        "kind, ebno, stop, row",
+        "kind, ebno, stop, row, undetected",
         [
             ("concat", 5.0, StopRule(5, 500),
-             "5,56,8,5,0.0005580357142857143,0.08928571428571429,2.267857142857143,1.5864045864045864,9"),
+             "5,56,8,5,0.0005580357142857143,0.08928571428571429,2.267857142857143,1.5864045864045864,9",
+             2),
             ("single", 3.0, StopRule(90, 5000),
-             "3,750,197,90,0.016416666666666666,0.12,0.0,3.3893333333333335,9"),
+             "3,750,197,90,0.016416666666666666,0.12,0.0,3.3893333333333335,9", 22),
             ("single", 5.0, StopRule(10_000, 300),
-             "5,300,14,7,0.002916666666666667,0.023333333333333334,0.0,1.6133333333333333,9"),
+             "5,300,14,7,0.002916666666666667,0.023333333333333334,0.0,1.6133333333333333,9", 2),
         ],
         ids=["concat", "single-errors", "single-max-blocks"],
     )
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_rows_match_the_narrow_round_harness(self, kind, ebno, stop, row, workers):
+    def test_rows_match_the_narrow_round_harness(self, kind, ebno, stop, row, undetected, workers):
         outer, inner = toy_pair()
         if kind == "concat":
             system = ConcatSystem(
@@ -730,7 +779,9 @@ class TestTrialRounds:
             )
         else:
             system = SingleSystem(outer, 20)
-        assert format_row(measure_point(system, ebno, stop, 9, workers=workers), 9) == row
+        point = measure_point(system, ebno, stop, 9, workers=workers)
+        assert format_row(point, 9) == row
+        assert point.undetected == undetected
 
 
 class TestTwoProportionZ:

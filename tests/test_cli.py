@@ -275,8 +275,9 @@ class TestSimulate:
         )
 
     @staticmethod
-    def time_line(ebno: str, blocks: int) -> str:
-        return rf"ebno {ebno}: {blocks} blocks in \d+\.\d{{3}} s, \d+\.\d blocks/s"
+    def time_line(ebno: str, blocks, errors=r"\d+", undetected=r"\d+") -> str:
+        return (rf"ebno {ebno}: {blocks} blocks in \d+\.\d{{3}} s, \d+\.\d blocks/s, "
+                rf"{errors} block errors, {undetected} undetected")
 
     def test_each_measured_point_prints_its_time_to_stderr(self, workspace, tmp_path, capsys):
         # wall time goes to stderr only, one line per measured point; a
@@ -288,7 +289,7 @@ class TestSimulate:
         assert printed.out == (
             f"ebno 3: 15 blocks, ber 4.167e-02, fer 2.000e-01\ncurve written to {out}\n"
         )
-        assert re.fullmatch(self.time_line("3", 15) + "\n", printed.err)
+        assert re.fullmatch(self.time_line("3", 15, 3, 0) + "\n", printed.err)
         config_path, out = self.make_config(workspace, tmp_path, ebno_db=[3.0, 12.0], **single)
         assert run_cli("simulate", "--config", config_path) == 0
         printed = capsys.readouterr()
@@ -297,7 +298,7 @@ class TestSimulate:
             "ebno 12: 600 blocks, no block errors, fer < 5.000e-03 (one-sided 95%)\n"
             f"curve written to {out}\n"
         )
-        assert re.fullmatch(self.time_line("12", 600) + "\n", printed.err)
+        assert re.fullmatch(self.time_line("12", 600, 0, 0) + "\n", printed.err)
         assert out.read_text() == (
             "ebno_db,blocks,bit_errors,block_errors,ber,fer,mean_outer_iters,"
             "mean_component_iters,seed\n"

@@ -9,6 +9,12 @@ from concat_ira.interleave import InterleaverInfeasible, PermutationFileError
 from oracles import invert_permutation, reference_design, reference_escalate
 
 
+def repair(perm0, sets, rng):
+    """One level's repair of perm0, planned and applied as escalate_design does."""
+    plan = interleave._plan_repair(interleave._landing_table(perm0), sets, rng)
+    return interleave._apply_repair(perm0, plan, perm0.design_t)
+
+
 class TestRandomPermutation:
     def test_one_by_one_is_identity(self):
         perm = ci.random_permutation(1, 1, 0)
@@ -115,7 +121,7 @@ class TestCountBadMappings:
 
 
 class TestGeneratorContract:
-    """`design` draws every swap partner of a level in one call with bounds
+    """A repair draws every swap partner of a level in one call with bounds
     L, L-1, ..., L-m+1.  That is only the same repair as m scalar draws while
     numpy keeps the array draw and the sequential scalar draws identical."""
 
@@ -142,7 +148,7 @@ class TestDesign:
     def test_empty_sets_returns_unchanged(self):
         perm = ci.random_permutation(4, 5, 1)
         sets = ci.SensitiveSets(frozenset(), frozenset())
-        out = ci.design(perm, sets, np.random.default_rng(0))
+        out = repair(perm, sets, np.random.default_rng(0))
         assert np.array_equal(out.forward, perm.forward)
         assert out.repairs == 0
 
@@ -151,7 +157,7 @@ class TestDesign:
         perm = ci.random_permutation(4, 4, 2)
         sets = ci.SensitiveSets(frozenset({0, 1, 2, 3}), frozenset({1, 2, 3}))
         with pytest.raises(InterleaverInfeasible) as exc:
-            ci.design(perm, sets, np.random.default_rng(0))
+            repair(perm, sets, np.random.default_rng(0))
         assert exc.value.reason == "counting_bound"
 
     def test_paper_shape_top_ten(self, paper_codes_with_histograms):
@@ -162,7 +168,7 @@ class TestDesign:
             frozenset(ci.select_sensitive(hist_col[:128], 10)),
         )
         before = ci.count_bad_mappings(perm0, sets).count
-        designed = ci.design(perm0, sets, np.random.default_rng(3))
+        designed = repair(perm0, sets, np.random.default_rng(3))
         assert ci.count_bad_mappings(designed, sets).count == 0
         assert designed.repairs == before  # each swap fixed exactly one offender
         assert np.array_equal(np.sort(designed.forward), np.arange(128 * 181))
@@ -174,7 +180,7 @@ class TestDesign:
             frozenset(ci.select_sensitive(hist_row, 8)),
             frozenset(ci.select_sensitive(hist_col[:128], 8)),
         )
-        designed = ci.design(perm0, sets, np.random.default_rng(4))
+        designed = repair(perm0, sets, np.random.default_rng(4))
         lit = np.zeros((128, 181))
         lit[:, sorted(sets.row_code_nodes)] = 1.0
         moved = designed.apply(lit)
@@ -187,8 +193,8 @@ class TestDesign:
             frozenset(ci.select_sensitive(hist_row, 6)),
             frozenset(ci.select_sensitive(hist_col[:128], 6)),
         )
-        a = ci.design(perm0, sets, np.random.default_rng(5))
-        b = ci.design(perm0, sets, np.random.default_rng(5))
+        a = repair(perm0, sets, np.random.default_rng(5))
+        b = repair(perm0, sets, np.random.default_rng(5))
         assert np.array_equal(a.forward, b.forward)
 
 
@@ -207,7 +213,7 @@ class TestEscalateDesign:
             frozenset(ci.select_sensitive(hist_col[:k], 4)),
         )
         with pytest.raises(InterleaverInfeasible):
-            ci.design(perm0, sets4, np.random.default_rng(0))
+            repair(perm0, sets4, np.random.default_rng(0))
 
     def test_result_has_zero_bad_mappings(self, paper_codes_with_histograms):
         _, _, hist_row, hist_col = paper_codes_with_histograms
@@ -461,13 +467,14 @@ class TestLandingTable:
 
 
 class TestDesignMatchesReference:
-    """`design` keeps its legal-partner pool incrementally; the rescanning
-    `reference_design` must give the same permutation from the same draws."""
+    """The repair pops its partners from one ascending legal pool; the
+    rescanning `reference_design` must give the same permutation from the
+    same draws."""
 
     @staticmethod
     def assert_same(perm0, sets, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = ci.design(perm0, sets, rng)
+        got = repair(perm0, sets, rng)
         want = reference_design(perm0, sets, ref_rng)
         assert np.array_equal(got.forward, want.forward)
         assert (got.repairs, got.sets, got.design_t, got.seed) == (
@@ -497,11 +504,11 @@ class TestDesignMatchesReference:
         _, _, hist_row, hist_col = paper_codes_with_histograms
         perm0 = ci.random_permutation(128, 181, 7)
         sets = _paper_sets(hist_row, hist_col, 75)
-        for repair in (ci.design, reference_design):
+        for repair_fn in (repair, reference_design):
             rng = np.random.default_rng(7)
             before = rng.bit_generator.state
             with pytest.raises(InterleaverInfeasible) as exc:
-                repair(perm0, sets, rng)
+                repair_fn(perm0, sets, rng)
             assert exc.value.reason == "counting_bound"
             assert rng.bit_generator.state == before
 

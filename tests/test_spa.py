@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import concat_ira as ci
 from concat_ira import spa
-from concat_ira.spa import _compile, decode_batch, decode_indexed
+from concat_ira.spa import _compile, decode_indexed
 
 from oracles import (
     _REF_LLR_CLAMP,
     check_update,
+    decode_rows,
     dense_codewords,
     dense_syndrome,
     exact_bit_marginals,
@@ -185,7 +186,7 @@ class TestBatchDecode:
         rng = np.random.default_rng(4)
         chans = rng.normal(scale=1.2, size=(9, 12))
         priors = rng.normal(scale=0.3, size=(9, 12))
-        batch = decode_batch(toy_outer, chans, priors, max_iter=8)
+        batch = decode_rows(toy_outer, chans, priors, max_iter=8)
         for i in range(9):
             single = ci.decode(toy_outer, chans[i], priors[i], max_iter=8)
             assert np.array_equal(batch.posterior[i], single.posterior)
@@ -197,8 +198,8 @@ class TestBatchDecode:
         # decoding rows as part of a larger batch changes nothing
         rng = np.random.default_rng(5)
         chans = rng.normal(scale=1.2, size=(6, 12))
-        full = decode_batch(toy_outer, chans, max_iter=6)
-        half = decode_batch(toy_outer, chans[::2], max_iter=6)
+        full = decode_rows(toy_outer, chans, max_iter=6)
+        half = decode_rows(toy_outer, chans[::2], max_iter=6)
         assert np.array_equal(full.posterior[::2], half.posterior)
 
 
@@ -225,7 +226,7 @@ class TestCodewordSymmetry:
 
 
 def test_tanh_saturates_exactly_past_19_1():
-    """decode_batch takes tanh of its half-scale messages without a clamp.
+    """The decoder takes tanh of its half-scale messages without a clamp.
     That equals the reference's tanh of the message clamped to +-50 and
     halved only because NumPy's float64 tanh is exactly +-1.0 for every
     |x| >= 19.1, infinities included.  Lengths 1-40, contiguous, strided and
@@ -265,7 +266,7 @@ class TestReferenceKernel:
         for pr in (None, prior):
             for early_stop in (True, False):
                 assert_results_identical(
-                    decode_batch(paper_outer, channel, pr, max_iter, early_stop),
+                    decode_rows(paper_outer, channel, pr, max_iter, early_stop),
                     reference_decode_batch(paper_outer, channel, pr, max_iter, early_stop),
                 )
 
@@ -278,7 +279,7 @@ class TestReferenceKernel:
         for pr in (None, prior):
             for early_stop in (True, False):
                 assert_results_identical(
-                    decode_batch(tree_matrix, channel, pr, max_iter, early_stop),
+                    decode_rows(tree_matrix, channel, pr, max_iter, early_stop),
                     reference_decode_batch(tree_matrix, channel, pr, max_iter, early_stop),
                 )
 
@@ -308,14 +309,14 @@ class TestReferenceKernel:
             for pr in (None, prior):
                 for early_stop in (True, False):
                     assert_results_identical(
-                        decode_batch(paper_outer, channel, pr, max_iter, early_stop),
+                        decode_rows(paper_outer, channel, pr, max_iter, early_stop),
                         reference_decode_batch(paper_outer, channel, pr, max_iter, early_stop),
                     )
 
     def test_some_rows_stop_early_and_some_never(self, paper_outer):
         # the [128-100] corpus case exercises both row exits of the batch
         rng = np.random.default_rng(1000 * 128 + 100)
-        res = decode_batch(paper_outer, noisy_codewords(paper_outer, 128, 2.5, rng), None, 100)
+        res = decode_rows(paper_outer, noisy_codewords(paper_outer, 128, 2.5, rng), None, 100)
         assert res.valid.any() and not res.valid.all()
         assert len(np.unique(res.iterations_used)) > 5
 
@@ -332,12 +333,12 @@ class TestReferenceKernel:
 def test_batch_rows_equal_single_decodes(
     paper_outer, seed, batch, ebno_db, with_prior, max_iter, early_stop
 ):
-    """Row i of decode_batch(stack) is bit-identical to decode(row i): the
+    """Row i of decode_rows(stack) is bit-identical to decode(row i): the
     harness decodes trials in batches of any size on this guarantee."""
     rng = np.random.default_rng(seed)
     channel = noisy_codewords(paper_outer, batch, ebno_db, rng)
     prior = rng.normal(scale=0.5, size=channel.shape) if with_prior else None
-    res = decode_batch(paper_outer, channel, prior, max_iter, early_stop)
+    res = decode_rows(paper_outer, channel, prior, max_iter, early_stop)
     for i in range(batch):
         one = ci.decode(
             paper_outer, channel[i], None if prior is None else prior[i], max_iter, early_stop
@@ -350,7 +351,7 @@ def test_batch_rows_equal_single_decodes(
 
 
 class TestWorkspaceReuse:
-    """decode_batch keeps grow-only working rows per graph; no call may see
+    """The decoder keeps grow-only working rows per graph; no call may see
     what an earlier call left in them."""
 
     def test_sequence_of_widths_and_graphs_matches_reference(self, paper_outer, paper_inner):
@@ -360,13 +361,13 @@ class TestWorkspaceReuse:
             channel = noisy_codewords(code, batch, 2.5, rng)
             prior = rng.normal(scale=0.5, size=channel.shape)
             assert_results_identical(
-                decode_batch(code, channel, prior, 20),
+                decode_rows(code, channel, prior, 20),
                 reference_decode_batch(code, channel, prior, 20),
             )
 
     def test_footprint_is_lam_two_edge_arrays_and_two_scratch_tiles(self, paper_outer):
         g = _compile(paper_outer.H)
-        decode_batch(paper_outer, noisy_codewords(paper_outer, 3, 2.5, np.random.default_rng(16)))
+        decode_rows(paper_outer, noisy_codewords(paper_outer, 3, 2.5, np.random.default_rng(16)))
         floats = [a for a in vars(g).values() if isinstance(a, np.ndarray) and a.dtype == np.float64]
         lanes, n, n_edges = spa._LANES, g.n_vars, g.n_edges
         assert lanes == 4 and g.tiles >= 1
@@ -396,7 +397,7 @@ class TestWorkspaceReuse:
                     channel = noisy_codewords(paper_outer, batch, ebno_db, rng)
                 else:
                     channel = ci.channel_llr(rng.normal(1.0, sigma, (batch, h.n_cols)), sigma)
-                res = decode_batch(graph, channel, None, 40)
+                res = decode_rows(graph, channel, None, 40)
                 assert_results_identical(res, reference_decode_batch(graph, channel, None, 40))
                 assert len(np.unique(res.iterations_used)) >= 3
 
@@ -405,19 +406,19 @@ class TestWorkspaceReuse:
         reloaded = ci.load_code(tmp_path / "outer")
         assert reloaded.H is not paper_outer.H and reloaded.H == paper_outer.H
         channel = noisy_codewords(paper_outer, 4, 2.5, np.random.default_rng(14))
-        first = decode_batch(paper_outer, channel, None, 20)
+        first = decode_rows(paper_outer, channel, None, 20)
         hits, misses = _compile.cache_info().hits, _compile.cache_info().misses
-        assert_results_identical(decode_batch(reloaded, channel, None, 20), first)
+        assert_results_identical(decode_rows(reloaded, channel, None, 20), first)
         assert _compile.cache_info().hits == hits + 1
         assert _compile.cache_info().misses == misses
         assert _compile(reloaded.H) is _compile(paper_outer.H)
 
     def test_held_result_unchanged_by_later_calls(self, paper_outer):
         rng = np.random.default_rng(12)
-        held = decode_batch(paper_outer, noisy_codewords(paper_outer, 16, 2.5, rng), None, 30)
+        held = decode_rows(paper_outer, noisy_codewords(paper_outer, 16, 2.5, rng), None, 30)
         copies = {name: getattr(held, name).copy() for name in RESULT_FIELDS}
         for batch in (181, 1, 16):
-            decode_batch(paper_outer, noisy_codewords(paper_outer, batch, 2.0, rng), None, 30)
+            decode_rows(paper_outer, noisy_codewords(paper_outer, batch, 2.0, rng), None, 30)
         for name in RESULT_FIELDS:
             assert np.array_equal(getattr(held, name), copies[name]), name
 
@@ -426,7 +427,7 @@ class TestWorkspaceReuse:
         channel = noisy_codewords(paper_outer, 24, 2.5, rng)
         prior = rng.normal(scale=0.5, size=channel.shape)
         channel_before, prior_before = channel.copy(), prior.copy()
-        decode_batch(paper_outer, channel, prior, 30)
+        decode_rows(paper_outer, channel, prior, 30)
         assert np.array_equal(channel, channel_before)
         assert np.array_equal(prior, prior_before)
 
@@ -469,7 +470,7 @@ class TestWorkspaceReuse:
             for pr in (None, prior):
                 for early_stop in (True, False):
                     assert_results_identical(
-                        decode_batch(h, channel, pr, max_iter, early_stop),
+                        decode_rows(h, channel, pr, max_iter, early_stop),
                         reference_decode_batch(h, channel, pr, max_iter, early_stop),
                     )
 
@@ -496,7 +497,7 @@ def check_corpus(code) -> None:
             a[rng.random(a.shape) < 0.02] = -0.0
         for pr in (None, prior):
             for early_stop in (True, False):
-                res = decode_batch(code, channel, pr, 30, early_stop)
+                res = decode_rows(code, channel, pr, 30, early_stop)
                 assert_results_identical(res, reference_decode_batch(code, channel, pr, 30, early_stop))
                 for name in ("hard_bits", "iterations_used", "valid"):
                     a = getattr(res, name)
@@ -538,7 +539,7 @@ class TestIndexedDecode:
         ids = np.array([7, 0, 3, 8, 2])
         index = at[ids]
         gathered_prior = np.where(index < prior.size, prior[np.minimum(index, prior.size - 1)], 0.0)
-        want = decode_batch(paper_outer, channel[index], gathered_prior, 30)
+        want = decode_rows(paper_outer, channel[index], gathered_prior, 30)
         extrinsic = np.full(10 * paper_outer.N, np.nan)
         posterior = np.full(extrinsic.size, np.nan)
         got = decode_indexed(paper_outer, at, ids, channel, prior, extrinsic, posterior, 30)
@@ -556,7 +557,7 @@ class TestIndexedDecode:
         rng = np.random.default_rng(22)
         at, channel, _ = self.block(paper_outer, rng)
         ids = np.arange(9)
-        want = decode_batch(paper_outer, channel[at], None, 30)
+        want = decode_rows(paper_outer, channel[at], None, 30)
         extrinsic = np.empty(channel.size)
         got = decode_indexed(paper_outer, at, ids, channel, None, extrinsic, None, 30)
         assert np.array_equal(extrinsic[at], want.extrinsic)
@@ -600,7 +601,7 @@ class TestIndexedDecode:
         rng = np.random.default_rng(24)
         channel = noisy_codewords(code, width, 2.0, rng)
         prior = rng.normal(scale=0.5, size=channel.shape) if prior_given else None
-        want = decode_batch(code, channel, prior, 30)
+        want = decode_rows(code, channel, prior, 30)
         extrinsic = np.full(channel.shape, np.nan)
         posterior = np.full(channel.shape, np.nan) if posterior_given else None
         got = decode_indexed(code, None, None, channel, prior, extrinsic, posterior, 30)
@@ -710,14 +711,14 @@ class TestKernel:
         # one check message is -0.0, and the kernel's sum, padded with +0.0
         # to the largest degree, is +0.0
         h = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1), (1, 2)])
-        res = decode_batch(h, [[1.0, -0.0, 1.0]], [[0.0, -0.0, 0.0]], 1)
+        res = decode_rows(h, [[1.0, -0.0, 1.0]], [[0.0, -0.0, 0.0]], 1)
         assert res.extrinsic[0, 0] == 0.0 and not np.signbit(res.extrinsic[0, 0])
 
     def test_numpy_scalar_arguments_decode_as_python_ones(self, toy_outer):
         channel = np.random.default_rng(18).normal(0.5, 1.5, size=(5, 12))
         assert_results_identical(
-            decode_batch(toy_outer, channel, None, np.int64(6), np.True_),
-            decode_batch(toy_outer, channel, None, 6, True),
+            decode_rows(toy_outer, channel, None, np.int64(6), np.True_),
+            decode_rows(toy_outer, channel, None, 6, True),
         )
 
     def test_cold_cache_builds_one_library_and_a_warm_one_runs_no_compiler(
@@ -727,7 +728,7 @@ class TestKernel:
         expected = reference_decode_batch(paper_outer, channel, None, 20)
         monkeypatch.setattr(spa, "_CACHE_DIR", tmp_path)
         monkeypatch.setattr(spa, "_LIB", None)
-        assert_results_identical(decode_batch(paper_outer, channel, None, 20), expected)
+        assert_results_identical(decode_rows(paper_outer, channel, None, 20), expected)
         (built,) = tmp_path.iterdir()
         assert built.name.startswith("_spa_kernel.") and built.suffix == ".so"
 
@@ -736,7 +737,7 @@ class TestKernel:
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
         monkeypatch.setattr(spa, "_LIB", None)
-        assert_results_identical(decode_batch(paper_outer, channel, None, 20), expected)
+        assert_results_identical(decode_rows(paper_outer, channel, None, 20), expected)
         assert list(tmp_path.iterdir()) == [built]
 
     @pytest.mark.parametrize("compiler", ["missing", "failing", "located"])

@@ -2,11 +2,17 @@ import numpy as np
 import pytest
 
 import concat_ira as ci
-from concat_ira.stopping import save_histogram
+from concat_ira.stopping import _check_masks, _detect, save_histogram
 
 from oracles import (
-    all_bit_patterns, minimal_stopping_sets_containing, reference_detect_from, to_dense,
+    all_bit_patterns, is_stopping_set, minimal_stopping_sets_containing, reference_detect_from,
+    to_dense,
 )
+
+
+def detect(h, start):
+    """The set that sensitivity_histogram's detection run from start finds."""
+    return _detect(h, _check_masks(h), start)
 
 
 def isolated_four_cycle():
@@ -19,19 +25,21 @@ def isolated_four_cycle():
 
 
 class TestIsStoppingSet:
+    """The verifier the detection tests check their sets with."""
+
     def test_full_variable_set_of_min_degree_two_code(self, toy_outer):
-        assert ci.is_stopping_set(toy_outer.H, range(12))
+        assert is_stopping_set(toy_outer.H, range(12))
 
     def test_single_variable_seen_once_fails(self, toy_outer):
         # every systematic variable of this code has a check seeing only it
-        assert not ci.is_stopping_set(toy_outer.H, {0})
+        assert not is_stopping_set(toy_outer.H, {0})
 
     def test_four_cycle_pair_passes(self):
-        assert ci.is_stopping_set(isolated_four_cycle(), {0, 1})
+        assert is_stopping_set(isolated_four_cycle(), {0, 1})
 
     def test_empty_rejected(self, toy_outer):
         with pytest.raises(ValueError):
-            ci.is_stopping_set(toy_outer.H, set())
+            is_stopping_set(toy_outer.H, set())
 
     def test_matches_exhaustive_definition(self, toy_outer):
         """Agreement with a dense re-implementation over all 2^12 - 1 subsets."""
@@ -40,7 +48,7 @@ class TestIsStoppingSet:
         counts = patterns @ dense.T
         expect = ~(counts == 1).any(axis=1)
         got = np.array(
-            [ci.is_stopping_set(toy_outer.H, np.flatnonzero(p)) for p in patterns]
+            [is_stopping_set(toy_outer.H, np.flatnonzero(p)) for p in patterns]
         )
         assert np.array_equal(got, expect)
 
@@ -49,23 +57,23 @@ class TestDetectFrom:
     def test_isolated_four_cycle_is_found_exactly(self):
         m = isolated_four_cycle()
         for start in (0, 1):
-            assert ci.detect_from(m, start) == frozenset({0, 1})
+            assert detect(m, start) == frozenset({0, 1})
         minimal = minimal_stopping_sets_containing(to_dense(m), 0)
         assert {0, 1} in minimal and all(len(s) >= 2 for s in minimal)
 
     def test_degree_one_check_forces_full_set(self):
         # chain with a leaf check seeing a single variable
         m = ci.SparseBinaryMatrix.from_rows(3, 3, [(0,), (0, 1), (1, 2)])
-        got = ci.detect_from(m, 2)
+        got = detect(m, 2)
         assert got == frozenset({0, 1, 2})
-        assert not ci.is_stopping_set(m, got)
+        assert not is_stopping_set(m, got)
 
     def test_every_start_verifies_on_paper_code(self, paper_outer):
         h = paper_outer.H
         for start in range(paper_outer.N):
-            found = ci.detect_from(h, start)
+            found = detect(h, start)
             assert start in found
-            assert ci.is_stopping_set(h, found)
+            assert is_stopping_set(h, found)
 
     def test_union_of_stopping_sets_is_stopping_set(self, paper_outer):
         h = paper_outer.H
@@ -73,21 +81,21 @@ class TestDetectFrom:
         for _ in range(25):
             a, b = rng.integers(0, paper_outer.N, size=2)
             union = (
-                ci.detect_from(h, int(a))
-                | ci.detect_from(h, int(b))
+                detect(h, int(a))
+                | detect(h, int(b))
             )
-            assert ci.is_stopping_set(h, union)
+            assert is_stopping_set(h, union)
 
 
 class TestDetectFromMatchesReference:
-    """`detect_from` keeps two check bitmasks, the checks the set touches
+    """`_detect` keeps two check bitmasks, the checks the set touches
     zero times and exactly once; the reference rescans a NumPy array of
     check counts for deficient checks at every step."""
 
     @staticmethod
     def assert_every_start(h):
         for start in range(h.n_cols):
-            assert ci.detect_from(h, start) == reference_detect_from(h, start)
+            assert detect(h, start) == reference_detect_from(h, start)
 
     def test_paper_codes(self, paper_outer, paper_inner):
         self.assert_every_start(paper_outer.H)
@@ -109,7 +117,7 @@ class TestDetectFromMatchesReference:
         # three variables on the same two checks: from any start both other
         # variables score 0, and the lower one closes the set
         m = ci.SparseBinaryMatrix.from_rows(2, 3, [(0, 1, 2), (0, 1, 2)])
-        assert [ci.detect_from(m, s) for s in range(3)] == [{0, 1}, {0, 1}, {0, 2}]
+        assert [detect(m, s) for s in range(3)] == [{0, 1}, {0, 1}, {0, 2}]
         assert ci.sensitivity_histogram(m).tolist() == [3, 2, 1]
         self.assert_every_start(m)
 
