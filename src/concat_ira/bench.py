@@ -133,7 +133,8 @@ class SimConfig:
             raise ConfigError(f"max_iter must be >= 1, not {self.max_iter}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, not {self.master_seed}")
-        object.__setattr__(self, "ebno_db", tuple(float(e) for e in self.ebno_db))
+        # + 0.0 makes -0.0 the 0.0 it equals, so both are one point, written "0"
+        object.__setattr__(self, "ebno_db", tuple(float(e) + 0.0 for e in self.ebno_db))
         if not all(map(math.isfinite, self.ebno_db)):
             raise ConfigError(f"ebno_db must be finite, not {self.ebno_db!r}")
         for e in self.ebno_db:  # a curve row names its point by f"{e:g}"

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_CHECK_DEGREE = 10
+_MAX_RESTARTS = 256  # build_h1's restarts, each from the next seed
 
 
 class ConstructionError(RuntimeError):
@@ -66,21 +67,6 @@ class DegreeSpec:
         if self.check_degree_target < 1:
             raise ValueError("check degree must be positive")
 
-    def validate_edge_budget(self, k: int, m: int) -> None:
-        """Degrees must account for exactly the check edges H2 leaves over."""
-        if len(self.h1_column_degrees) != k:
-            raise ValueError(
-                f"degree spec has {len(self.h1_column_degrees)} entries, expected {k}"
-            )
-        budget = m * self.check_degree_target - (2 * m - 1)
-        total = sum(self.h1_column_degrees)
-        if total != budget:
-            raise ValueError(
-                f"H1 degrees sum to {total} but the row budget requires {budget}"
-            )
-        if max(self.h1_column_degrees, default=0) > m:
-            raise ValueError(f"a column degree exceeds the {m} available rows")
-
 
 @dataclass(frozen=True)
 class AceParams:
@@ -93,6 +79,7 @@ class AceParams:
     degree 10, and it matters: permitting 4-cycles lets two systematic
     columns share an identical support, which is a weight-2 codeword and an
     undetected-error floor that dwarfs anything stopping sets do.
+    ``build_code`` builds at the default only; a code keeps it as provenance.
     """
 
     d_ace: int = 2
@@ -142,61 +129,20 @@ def default_degree_spec(k: int, m: int, check_degree: int = DEFAULT_CHECK_DEGREE
     return DegreeSpec(degrees, check_degree)
 
 
-def _ace_passes(
-    v2c: Sequence[Sequence[int]], c2v: Sequence[Sequence[int]], v: int, d_ace: int, eta: int
-) -> bool:
-    """Decision-equivalent fast path for the exhaustive ACE check in
-    ``tests/oracles.py`` (``ace_check(...).passed``).
+def _closes_4_cycle(c2v: Sequence[Sequence[int]], rows: Sequence[int]) -> bool:
+    """Whether a new column over rows shares two of them with a column already
+    listed in c2v (each check's variables): a 4-cycle through it.
 
-    A cycle through v carries at least deg(v)-2, so the test passes outright
-    once that base reaches eta.  Otherwise a violating cycle must keep its
-    running degree-sum below eta at every variable along the way (the terms
-    are nonnegative), which lets the search prune aggressively and stop at
-    the first violation instead of enumerating everything.  A path at the
-    last depth can only close back to v, so the depth before it tests each
-    neighbour inline for a check shared with v that the path has not used.
-    ``v2c`` lists each variable's checks and ``c2v`` each check's variables.
+    This is build_h1's ACE test.  A 4-cycle of two columns of degree <= 4 has
+    ACE <= 4 < eta = 5, and a cycle of length 6 or more is past d_ace = 2, so
+    at the default AceParams and degree spec the test is exact.
     """
-    base = len(v2c[v]) - 2
-    if base >= eta:
-        return True
-    v_checks = frozenset(v2c[v])
-
-    def ok(u: int, partial: int, used_checks: frozenset, used_vars: frozenset) -> bool:
-        closed_len = 2 * (len(used_checks) + 1)
-        # a neighbour's path would be closed_len + 2 long and could only close
-        last = closed_len + 4 > 2 * d_ace
-        for c in v2c[u]:
-            if c in used_checks:
-                continue
-            if last:
-                open_checks = v_checks.difference(used_checks, (c,))
-            for w in c2v[c]:
-                if w == u:
-                    continue
-                if w == v:
-                    if closed_len >= 4:
-                        return False  # cycle closed with total ACE == partial < eta
-                elif w not in used_vars:
-                    p = partial + len(v2c[w]) - 2
-                    if p < eta and (
-                        not open_checks.isdisjoint(v2c[w])
-                        if last
-                        else not ok(w, p, used_checks | {c}, used_vars | {w})
-                    ):
-                        return False
-        return True
-
-    return ok(v, base, frozenset(), frozenset((v,)))
-
-
-def _h1_row_budgets(m: int, check_degree: int) -> list[int]:
-    # H2 gives row 0 weight 1 and every later row weight 2.
-    budgets = [check_degree - 2] * m
-    budgets[0] = check_degree - 1
-    if any(b < 0 for b in budgets):
-        raise ConstructionError(f"check degree {check_degree} below the H2 row weight")
-    return budgets
+    seen: set[int] = set()
+    for r in rows:
+        if not seen.isdisjoint(c2v[r]):
+            return True
+        seen.update(c2v[r])
+    return False
 
 
 class _LowWeightScreen:
@@ -278,18 +224,11 @@ class _WeightedSampler:
             cdf = self._scaled_cdf(p)
 
 
-def build_h1(
-    k: int,
-    m: int,
-    spec: DegreeSpec,
-    ace: AceParams,
-    seed: int,
-    max_restarts: int = 256,
-    screen_low_weight: bool = True,
-) -> SparseBinaryMatrix:
-    """Place the irregular systematic columns one at a time, highest degree
-    first, resampling any placement whose short-cycle ACE falls below eta or
-    (by default) whose support would complete a codeword of weight <= 4.
+def build_h1(k: int, m: int, seed: int) -> SparseBinaryMatrix:
+    """Place the systematic columns of ``default_degree_spec(k, m)`` one at a
+    time, highest degree first, resampling any placement that closes a
+    4-cycle (ACE below the default AceParams) or whose support would complete
+    a codeword of weight <= 4.
 
     Rows are drawn without replacement with probability proportional to
     remaining budget, which keeps consumption even so the final columns are
@@ -302,53 +241,30 @@ def build_h1(
     The low-weight screen guarantees minimum distance >= 5, which matters
     for floor studies: without it, undetected few-bit errors drown out the
     non-convergence events that stopping-set analysis targets.  Dense tiny
-    codes cannot satisfy it; pass screen_low_weight=False there.
+    codes cannot satisfy it; the tests build theirs with
+    ``tests/oracles.reference_build_h1``.
     """
-    if max_restarts < 1:
-        raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
+    spec = default_degree_spec(k, m)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    spec.validate_edge_budget(k, m)
+    if max(spec.h1_column_degrees) > m:
+        raise ValueError(f"a column degree exceeds the {m} available rows")
+    ace = AceParams()
     order = sorted(range(k), key=lambda j: (-spec.h1_column_degrees[j], j))
-    h2_cols = list(build_h2(m).col_support)
+    h2_cols = build_h2(m).col_support
 
     last_blocker = "ACE resample budget exhausted"
-    for restart in range(max_restarts):
+    for restart in range(_MAX_RESTARTS):
         rng = np.random.default_rng(seed + restart)
-        budgets = _h1_row_budgets(m, spec.check_degree_target)
+        # H2 gives row 0 weight 1 and every later row weight 2
+        budgets = [spec.check_degree_target - 2] * m
+        budgets[0] += 1
         h1_cols: list[list[int]] = [[] for _ in range(k)]
         rows_work: list[list[int]] = [[] for _ in range(m)]
         for r, sup in enumerate(h2_cols):
             for c in sup:
                 rows_work[c].append(k + r)
-        cols_work = h1_cols + h2_cols
-        screen = (
-            _LowWeightScreen([_row_mask(s) for s in h2_cols])
-            if screen_low_weight
-            else None
-        )
-
-        # cols_work aliases the per-column lists, so mutate them in place;
-        # ACE runs first because it rejects far more candidates than the screen,
-        # and a row set in the current column's failed set would fail again
-        def attempt(j: int, rows) -> bool:
-            cand = _row_mask(rows)
-            if cand in failed:
-                return False
-            h1_cols[j][:] = sorted(rows)
-            for r in h1_cols[j]:
-                rows_work[r].append(j)
-            if _ace_passes(cols_work, rows_work, j, ace.d_ace, ace.eta) and (
-                screen is None or screen.admit(cand)
-            ):
-                for r in h1_cols[j]:
-                    budgets[r] -= 1
-                return True
-            for r in h1_cols[j]:
-                rows_work[r].remove(j)
-            h1_cols[j].clear()
-            failed.add(cand)
-            return False
+        screen = _LowWeightScreen([_row_mask(s) for s in h2_cols])
 
         for j in order:
             degree = spec.h1_column_degrees[j]
@@ -363,26 +279,33 @@ def build_h1(
                 break
             sampler = _WeightedSampler(avail, [budgets[r] for r in avail])
             n_sets = comb(len(avail), degree)
-            failed: set[int] = set()  # row masks that attempt() rejected
-            accepted = False
+            failed: set[int] = set()  # row masks this column was refused
             for _ in range(ace.max_resample):
-                if attempt(j, sampler.sample(rng, degree)):
-                    accepted = True
+                rows = sampler.sample(rng, degree)
+                cand = _row_mask(rows)
+                # the 4-cycle test refuses far more row sets than the screen, so it runs first
+                accepted = (cand not in failed and not _closes_4_cycle(rows_work, rows)
+                            and screen.admit(cand))
+                if accepted:
                     break
+                failed.add(cand)
                 if len(failed) == n_sets:
                     break  # no row set is left to try
             if not accepted:
                 # this generator dies with the restart, so skipped draws change nothing
                 last_blocker = "ACE resample budget exhausted"
                 break
+            h1_cols[j] = sorted(rows)
+            for r in rows:
+                rows_work[r].append(j)
+                budgets[r] -= 1
         else:
             assert all(b == 0 for b in budgets)
             return SparseBinaryMatrix(m, k, h1_cols)
 
-    screen_note = ", low-weight screen on" if screen_low_weight else ""
     raise ConstructionError(
-        f"no placement satisfied ACE(d_ace={ace.d_ace}, eta={ace.eta}){screen_note} "
-        f"within {max_restarts} restarts: {last_blocker}"
+        f"no placement satisfied ACE(d_ace={ace.d_ace}, eta={ace.eta}), low-weight screen on "
+        f"within {_MAX_RESTARTS} restarts: {last_blocker}"
     )
 
 
@@ -438,27 +361,15 @@ class IraCode:
         return np.frombuffer(data, dtype="<u8").reshape(self.M, words).astype(np.uint64)
 
 
-def build_code(
-    k: int,
-    n: int,
-    check_degree: int = DEFAULT_CHECK_DEGREE,
-    ace: AceParams = AceParams(),
-    seed: int = 0,
-    max_restarts: int = 256,
-    screen_low_weight: bool = True,
-) -> IraCode:
+def build_code(k: int, n: int, seed: int = 0) -> IraCode:
     """Construct an [N, K] code: fixed accumulator section plus ACE-conditioned
     irregular section, then assemble and audit the full matrix."""
     if n <= k:
         raise ValueError("N must exceed K")
     m = n - k
-    spec = default_degree_spec(k, m, check_degree)
-    h1 = build_h1(
-        k, m, spec, ace, seed,
-        max_restarts=max_restarts, screen_low_weight=screen_low_weight,
-    )
+    h1 = build_h1(k, m, seed)
     cols = list(h1.col_support) + list(build_h2(m).col_support)
-    code = IraCode(H=SparseBinaryMatrix(m, n, cols), ace=ace, seed=seed)
+    code = IraCode(H=SparseBinaryMatrix(m, n, cols), ace=AceParams(), seed=seed)
     validate_code(code)
     return code
 

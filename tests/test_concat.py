@@ -1,3 +1,4 @@
+import functools
 import hashlib
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import concat_ira as ci
 from concat_ira import concat as concat_mod
 from concat_ira.spa import PassResult
 
-from oracles import invert_permutation, reference_concat_decode, to_dense
+from oracles import concat_peel, invert_permutation, reference_concat_decode, to_dense
 
 
 def noiseless_llrs(tx):
@@ -236,6 +237,48 @@ class TestExtrinsicHygiene:
         ci.concat_decode(toy_cc, lch, sched)
         assert stub.calls[2]["channel"].shape[0] == 12
         assert stub.calls[3]["channel"].shape[0] == 8
+
+
+def erased_blocks(cc, count, seed):
+    """Seeded (source, channel LLRs, joint peeling residual of the source
+    bits) of random blocks on erasures: LLR 0.0 for an erased bit, +-20 for
+    a known one, at erased fractions 0.2-0.7."""
+    rng = np.random.default_rng(seed)
+    source_at = cc.pi.forward.reshape(cc.K, cc.N)[:, :cc.K]
+    for _ in range(count):
+        source = rng.integers(0, 2, (cc.K, cc.K), dtype=np.uint8)
+        erased = rng.random((cc.N, cc.N)) < rng.uniform(0.2, 0.7)
+        llr = np.where(erased, 0.0, 20.0 - 40.0 * ci.concat_encode(cc, source))
+        yield source, llr, concat_peel(cc, erased).ravel()[source_at]
+
+
+class TestErasurePeeling:
+    """``concat_decode`` against joint peeling over both codes: a source bit
+    that peeling resolves decodes to its value, and one it leaves erased
+    keeps a posterior of exactly 0.0 and reads 0."""
+
+    def test_equals_joint_peeling_when_components_run_every_iteration(self, toy_cc, monkeypatch):
+        # with the product's early stop a component stops at its first valid
+        # hard decision, where unresolved bits read 0, and passes on an
+        # extrinsic its later iterations would have added to; a frozen
+        # component never takes in what the other code resolves after it
+        monkeypatch.setattr(concat_mod, "_decode_batch",
+                            functools.partial(concat_mod.spa.decode_indexed, early_stop=False))
+        schedule = ci.Schedule(20, 20, freeze_converged=False)
+        stuck = 0
+        for source, llr, unresolved in erased_blocks(toy_cc, 150, 23):
+            res = ci.concat_decode(toy_cc, llr, schedule)
+            assert np.array_equal(res.source_bits, np.where(unresolved, 0, source))
+            stuck += unresolved.any()
+        assert 0 < stuck < 150  # some blocks peel to the end, some stop short
+
+    @pytest.mark.parametrize("freeze", [True, False], ids=["freeze", "no-freeze"])
+    def test_resolves_nothing_peeling_cannot_and_decides_no_bit_wrong(self, toy_cc, freeze):
+        schedule = ci.Schedule(20, 20, freeze_converged=freeze)
+        for source, llr, unresolved in erased_blocks(toy_cc, 150, 29):
+            res = ci.concat_decode(toy_cc, llr, schedule)
+            assert not res.source_bits[unresolved].any()
+            assert (res.source_bits <= source).all()  # a 1 only where the source has one
 
 
 class TestOrderIndependence:

@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 import concat_ira as ci
 from concat_ira.gf2 import AlistError
 from concat_ira.ira import (
-    ConstructionError, SidecarError, _LowWeightScreen, _WeightedSampler, _ace_passes, _row_mask,
+    ConstructionError, SidecarError, _LowWeightScreen, _WeightedSampler, _closes_4_cycle, _row_mask,
 )
 
 from conftest import TOY_ACE
 from oracles import (
     ace_audit, ace_check, dense_encode_batch, dense_syndrome, has_codeword_of_weight_le4,
-    reference_build_h1, reference_encode_batch, tanner_graph, to_dense,
+    reference_build_code, reference_build_h1, reference_encode_batch, tanner_graph, to_dense,
 )
 
 
@@ -72,18 +72,18 @@ class TestBuildH1:
         assert sum(h1_row_weights) == 425
 
     def test_eta_zero_accepts_any_budgeted_placement(self):
-        code = ci.build_code(
-            6, 10, check_degree=7, ace=ci.AceParams(2, 0, 10), seed=0,
-            screen_low_weight=False,
+        # the toy codes' builder: at eta 0 every budgeted row set passes ACE
+        code = reference_build_code(
+            6, 10, 0, check_degree=7, ace=ci.AceParams(2, 0, 10), screen_low_weight=False,
         )
         assert all(len(r) == 7 for r in code.H.row_support)
 
     def test_unsatisfiable_eta_fails(self):
+        spec = ci.default_degree_spec(8, 4, 8)
         with pytest.raises(ConstructionError, match="ACE"):
-            ci.build_code(
-                8, 12, check_degree=8,
-                ace=ci.AceParams(d_ace=4, eta=10**6, max_resample=5),
-                seed=0, max_restarts=2,
+            reference_build_h1(
+                8, 4, spec, ci.AceParams(d_ace=4, eta=10**6, max_resample=5),
+                0, max_restarts=2,
             )
 
     def test_default_parameters_give_up_after_every_restart(self):
@@ -94,22 +94,17 @@ class TestBuildH1:
             ci.build_code(16, 23, seed=0)
 
     def test_deterministic_in_seed(self):
-        a = ci.build_code(16, 24, check_degree=8, ace=TOY_ACE, seed=3, screen_low_weight=False)
-        b = ci.build_code(16, 24, check_degree=8, ace=TOY_ACE, seed=3, screen_low_weight=False)
+        a = ci.build_code(128, 181, seed=3)
+        b = ci.build_code(128, 181, seed=3)
         assert a.H.row_support == b.H.row_support
 
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [({"max_restarts": 0}, "max_restarts must be >= 1, got 0"),
-         ({"max_restarts": -3}, "max_restarts must be >= 1, got -3"),
-         ({"seed": -1}, "seed must be >= 0, got -1")],
-        ids=["restarts-0", "restarts-negative", "seed-negative"],
-    )
-    def test_bad_restart_arguments_refused_before_any_work(self, kwargs, message):
-        # the spec would fail its own edge-budget check if it were reached
-        args = {"seed": 0, **kwargs}
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ci.build_h1(8, 4, ci.DegreeSpec((3,), 8), TOY_ACE, **args)
+    def test_negative_seed_refused_before_any_work(self):
+        # the spec would fail its own edge-budget check if it were reached:
+        # a degree-4 column over 3 rows
+        with pytest.raises(ValueError, match="^a column degree exceeds the 3 available rows$"):
+            ci.build_h1(7, 3, 0)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            ci.build_h1(7, 3, -1)
 
     @pytest.mark.xfail(
         strict=True,
@@ -120,60 +115,46 @@ class TestBuildH1:
         assert paper_outer.H.col_support != paper_inner.H.col_support
 
 
-def _build_outcome(build, k, n, check_degree, ace, seed, screen, max_restarts):
+def _build_outcome(build, *args):
     """The matrix's column supports, or the refusal's text."""
-    spec = ci.default_degree_spec(k, n - k, check_degree)
     try:
-        h = build(k, n - k, spec, ace, seed, max_restarts=max_restarts,
-                  screen_low_weight=screen)
+        h = build(*args)
     except ConstructionError as exc:
         return f"ConstructionError: {exc}"
     return h.col_support
 
 
-# (k, n, check degree, AceParams, screen, restarts); every case runs at 3 seeds
-_SMALL_BUILDS = [
-    (8, 12, 8, TOY_ACE, False, 256),
-    (6, 10, 7, ci.AceParams(2, 0, 10), False, 256),
-    (16, 24, 8, TOY_ACE, False, 256),
-    # one draw per column, so every build gives up
-    (16, 24, 8, ci.AceParams(2, 2, 1), False, 256),
-    (32, 48, 8, ci.AceParams(2, 0, 1), True, 256),
-    (16, 24, 8, ci.AceParams(2, 3, 20), False, 8),
-    (16, 24, 8, ci.AceParams(3, 3, 20), False, 8),
-    (32, 48, 8, ci.AceParams(2, 5, 30), True, 8),
-    (32, 48, 8, ci.AceParams(3, 5, 30), True, 8),
-    (32, 48, 8, ci.AceParams(3, 6, 30), False, 8),
-    (32, 48, 8, ci.AceParams(4, 5, 10), True, 4),
-    (32, 48, 8, ci.AceParams(4, 7, 10), False, 4),
-    (128, 181, 10, ci.AceParams(), False, 256),
-    (128, 181, 10, ci.AceParams(3, 5, 30), True, 3),
-    (128, 181, 10, ci.AceParams(4, 5, 10), True, 2),
-    (8, 12, 8, ci.AceParams(d_ace=4, eta=10**6, max_resample=5), False, 2),
-    (32, 48, 8, ci.AceParams(d_ace=2, eta=10**6, max_resample=5), True, 2),
-]
-
-
 class TestBuildH1MatchesReference:
     """``build_h1`` skips a column's resamples once every row set has failed,
-    tests ACE before the low-weight screen and draws rows without
+    tests for a 4-cycle where the reference runs its general ACE search, runs
+    that test before the low-weight screen and draws rows without
     ``Generator.choice``.  It must still give exactly the matrix, or the
-    refusal, of the construction in ``tests/oracles.py``."""
+    refusal, of the construction in ``tests/oracles.py`` at the default
+    settings."""
+
+    @staticmethod
+    def both(k, n, seed):
+        m = n - k
+        spec = ci.default_degree_spec(k, m)
+        return (_build_outcome(ci.build_h1, k, m, seed),
+                _build_outcome(reference_build_h1, k, m, spec, ci.AceParams(), seed))
 
     @pytest.mark.parametrize("seed", range(16))
     def test_paper_shape(self, seed):
-        assert _build_outcome(ci.build_h1, 128, 181, 10, ci.AceParams(), seed, True, 256) == \
-            _build_outcome(reference_build_h1, 128, 181, 10, ci.AceParams(), seed, True, 256)
+        ours, reference = self.both(128, 181, seed)
+        assert ours == reference
 
-    @pytest.mark.parametrize(
-        "case", _SMALL_BUILDS,
-        ids=[f"{k}-{n}-cd{cd}-d{a.d_ace}-eta{a.eta}-{'screen' if on else 'open'}"
-             for k, n, cd, a, on, _ in _SMALL_BUILDS],
-    )
-    def test_other_shapes_and_conditioning(self, case):
-        for seed in range(3):
-            assert _build_outcome(ci.build_h1, *case[:4], seed, *case[4:]) == \
-                _build_outcome(reference_build_h1, *case[:4], seed, *case[4:])
+    @pytest.mark.parametrize("k, n, seed", [
+        (96, 134, 0), (96, 134, 1), (96, 134, 2), (16, 23, 0),
+        # one degree-4 column (u = 1), then almost all of them (121 of 128)
+        (128, 176, 0), (128, 176, 1), (128, 191, 0), (128, 191, 1),
+        (112, 154, 0), (112, 162, 0), (160, 220, 0), (200, 275, 0), (256, 352, 0),
+    ])
+    def test_other_shapes(self, k, n, seed):
+        # every restart of the [23, 16] shape gets stuck
+        ours, reference = self.both(k, n, seed)
+        assert ours == reference
+        assert isinstance(ours, str) == (k == 16)
 
 
 class TestStoredCodeBytes:
@@ -193,22 +174,32 @@ class TestStoredCodeBytes:
 
 
 class TestAcePasses:
-    """The construction's pruned ACE test against the exhaustive oracle."""
+    """The construction's 4-cycle test against the exhaustive ACE check at the
+    default AceParams, on columns of degree <= 4 as the construction's are."""
+
+    @staticmethod
+    def assert_matches(h):
+        g = tanner_graph(h)
+        ace = ci.AceParams()
+        for v in range(h.n_cols):
+            others = [[u for u in row if u != v] for row in h.row_support]
+            assert _closes_4_cycle(others, h.col_support[v]) == \
+                (not ace_check(g, v, ace.d_ace, ace.eta).passed)
 
     @pytest.mark.parametrize("graph_seed", range(12))
     def test_matches_exhaustive_check(self, graph_seed):
         rng = np.random.default_rng(graph_seed)
-        n_rows = int(rng.integers(4, 9))
+        n_rows = int(rng.integers(4, 10))
         n_cols = int(rng.integers(5, 12))
         cols = [
-            sorted(rng.choice(n_rows, size=int(rng.integers(1, 4)), replace=False).tolist())
+            sorted(rng.choice(n_rows, size=int(rng.integers(1, 5)), replace=False).tolist())
             for _ in range(n_cols)
         ]
-        g = tanner_graph(ci.SparseBinaryMatrix(n_rows, n_cols, cols))
-        for d_ace in (2, 3, 4):
-            for eta in range(9):
-                for v in range(n_cols):
-                    assert _ace_passes(*g, v, d_ace, eta) == ace_check(g, v, d_ace, eta).passed
+        self.assert_matches(ci.SparseBinaryMatrix(n_rows, n_cols, cols))
+
+    def test_matches_exhaustive_check_on_the_seed_codes(self, paper_outer, paper_inner):
+        for code in (paper_outer, paper_inner):
+            self.assert_matches(code.H)
 
 
 class TestWeightedSampleContract:
@@ -334,7 +325,7 @@ class TestEncode:
     @pytest.fixture(scope="class")
     def k100(self):
         # K = 100 packs into a full and a partial 64-bit word
-        return ci.build_code(100, 140, seed=3, screen_low_weight=False)
+        return reference_build_code(100, 140, 3, screen_low_weight=False)
 
     @pytest.mark.parametrize("which", ["paper_outer", "paper_inner", "toy_outer", "k100"])
     @pytest.mark.parametrize("batch", [0, 1, 3, 7, 181, 512])

@@ -21,6 +21,7 @@ from oracles import (
     dense_codewords,
     dense_syndrome,
     exact_bit_marginals,
+    peel,
     reference_decode_batch,
     to_dense,
     variable_update,
@@ -179,6 +180,27 @@ class TestTreeExactness:
         res = ci.decode(tree_matrix, ch, pr, max_iter=16, early_stop=False)
         exact = exact_bit_marginals(codewords, ch + pr)
         assert np.abs(res.posterior - exact).max() < 1e-6
+
+
+class TestErasurePeeling:
+    """On erasures (LLR 0.0 for an erased bit, +-20 for a known one) belief
+    propagation leaves unresolved exactly the largest stopping set inside the
+    erased set, and a check with two erased neighbours sends tanh(0) = 0.0,
+    so the unresolved bits are those whose posterior is exactly 0.0.  Early
+    stop is off: a 0.0 posterior decides 0, so a decode could stop valid
+    with bits it would still resolve."""
+
+    @pytest.mark.parametrize("which, max_iter", [("toy_outer", 20), ("paper_outer", 60)])
+    def test_zero_posteriors_are_the_peeling_residual(self, which, max_iter, request):
+        code = request.getfixturevalue(which)
+        rng = np.random.default_rng(17)
+        words = ci.encode_batch(code, rng.integers(0, 2, (200, code.K), dtype=np.uint8))
+        erased = rng.random(words.shape) < rng.uniform(0.2, 0.5, (200, 1))
+        llr = np.where(erased, 0.0, 20.0 - 40.0 * words)
+        res = decode_rows(code.H, llr, max_iter=max_iter, early_stop=False)
+        residuals = np.array([peel(code.H, e) for e in erased])
+        assert np.array_equal(res.posterior == 0.0, residuals)
+        assert 0 < residuals.any(axis=1).sum() < len(residuals)  # some patterns peel, some stop
 
 
 class TestBatchDecode:
