@@ -33,15 +33,7 @@ from .interleave import (
     random_permutation,
     save_permutation,
 )
-from .channel import (
-    RngStream,
-    TrialStreams,
-    awgn,
-    channel_llr,
-    ebno_sigma,
-    modulate,
-    random_bits,
-)
+from .channel import RngStream, TrialStreams, awgn, channel_llr, ebno_sigma, modulate
 from .concat import ConcatCode, ConcatDecodeResult, Schedule, concat_decode, concat_encode
 from .bench import CurvePoint, SimConfig, StopRule, gaussian_q, run_curve
 

@@ -1,4 +1,4 @@
-/* Random streams of the single-code harness, and the IRA encoder.  Trial i
+/* Random streams of the trials of both systems, and the IRA encoder.  Trial i
  * of master seed m draws what
  * np.random.Generator(np.random.PCG64(np.random.SeedSequence((m, i))))
  * would draw.  The seeding is SeedSequence's hash and PCG64's set-up, each
@@ -362,7 +362,10 @@ static const double fi_double[256] = {
 /* One standard normal, as NumPy's random_standard_normal draws it: one
  * output picks a layer (low byte), a sign and 52 magnitude bits; the
  * rectangle inside the layer accepts at once, the base layer's tail and the
- * other layers' wedges draw doubles until they accept. */
+ * other layers' wedges draw doubles until they accept.  The sign bit is
+ * XOR-ed into x's bits, not taken by a branch on r & 1, which is random and
+ * so mispredicted about half the time; negation flips that bit alone, 0.0
+ * included, so x is what -x would be. */
 static inline double standard_normal(pcg64 *rng)
 {
     for (;;) {
@@ -371,8 +374,10 @@ static inline double standard_normal(pcg64 *rng)
         r >>= 8;
         uint64_t rabs = (r >> 1) & 0x000fffffffffffff;
         double x = rabs * wi_double[idx];
-        if (r & 1)
-            x = -x;
+        uint64_t x_bits;
+        memcpy(&x_bits, &x, sizeof x);
+        x_bits ^= (r & 1) << 63;
+        memcpy(&x, &x_bits, sizeof x);
         if (rabs < ki_double[idx])
             return x;
         if (idx == 0) {

@@ -23,10 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import spa
-from .channel import RngStream, TrialStreams, awgn, channel_llr, ebno_sigma, modulate, random_bits
+# perfbench/layers.py patches bench.modulate, awgn, channel_llr and encode, which no trial
+# calls, so the names stay importable here
+from .channel import TrialStreams, awgn, channel_llr, ebno_sigma, modulate  # noqa: F401
 from .concat import ConcatCode, Schedule, concat_decode, concat_encode
 from .interleave import load_permutation
-# perfbench/layers.py patches bench.encode, so the name stays importable here
 from .ira import IraCode, encode, encode_batch, load_code  # noqa: F401
 
 __all__ = [
@@ -216,15 +217,12 @@ def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
 # submit, two pickles, a pipe write and a worker wake-up of its own.
 
 
-def _received(tx: np.ndarray, sigma: float, gen: np.random.Generator) -> np.ndarray:
-    """Channel LLRs of a transmitted bit array, its noise drawn from gen."""
-    return channel_llr(awgn(modulate(tx), sigma, gen), sigma)
-
-
 @dataclass(frozen=True, eq=False)
 class ConcatSystem:
-    """Two component codes through an interleaver; blocks decode one by one,
-    as the decoder already batches each block's rows and columns."""
+    """Two component codes through an interleaver.  A task's blocks draw their
+    source bits and their LLRs from their own streams, in one C call each
+    (``channel.TrialStreams``); blocks encode and decode one by one, as the
+    decoder already batches each block's rows and columns."""
 
     code: ConcatCode
     schedule: Schedule
@@ -239,13 +237,16 @@ class ConcatSystem:
         return self.code.K * self.code.K
 
     def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
-        cc = self.code
-        results = np.empty((hi - lo, 6), dtype=np.int64)
-        for row, index in zip(results, range(lo, hi)):
-            gen = RngStream(master_seed, index).generator()
-            source = random_bits(gen, cc.K * cc.K).reshape(cc.K, cc.K)
-            tx = concat_encode(cc, source)
-            res = concat_decode(cc, _received(tx, sigma, gen), self.schedule)
+        cc, b = self.code, hi - lo
+        streams = TrialStreams(master_seed, lo, hi)
+        sources = streams.bits(cc.K * cc.K).reshape(b, cc.K, cc.K)
+        tx = np.empty((b, cc.N, cc.N), dtype=np.uint8)
+        for block, source in zip(tx, sources):
+            block[:] = concat_encode(cc, source)
+        llrs = streams.llrs(tx.reshape(b, cc.N * cc.N), sigma).reshape(tx.shape)
+        results = np.empty((b, 6), dtype=np.int64)
+        for row, source, received in zip(results, sources, llrs):
+            res = concat_decode(cc, received, self.schedule)
             bit_errors = int((res.source_bits != source).sum())
             row[:] = (bit_errors, bit_errors > 0, res.outer_iters_used,
                       res.component_decode_calls, res.component_iterations,

@@ -1,8 +1,11 @@
 """BPSK over AWGN: modulation, noise, channel LLRs, and Eb/N0 bookkeeping.
 
 Bit 0 maps to +1.0, so a positive LLR favors 0 throughout the package.
-Source bits and noise are drawn from per-trial counter-derived streams,
-which keeps Monte Carlo results independent of worker count and scheduling.
+Every trial of both systems draws its source bits and noise from its own
+counter-derived stream (``TrialStreams``), which keeps Monte Carlo results
+independent of worker count and scheduling.  ``RngStream``, ``modulate``,
+``awgn`` and ``channel_llr`` are the same channel in NumPy, which no trial
+calls; they stay because the benchmark's tracer patches them by name.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .spa import _kernel
 __all__ = [
     "RngStream",
     "TrialStreams",
-    "random_bits",
     "ebno_sigma",
     "modulate",
     "awgn",
@@ -48,9 +50,10 @@ class TrialStreams:
     ``Generator(PCG64(SeedSequence((master_seed, i))))`` draws in NumPy
     2.4.6.  ``_trial_kernel.c`` ports SeedSequence's hash, PCG64 and NumPy's
     ziggurat with its tables, so the stream is the repository's own, and a
-    task's trials draw in one C call each, with no generator objects; the
-    tests compare it with the installed NumPy's.  ``states`` holds each trial's
-    PCG64 state as (state high, state low, increment high, increment low).
+    task's trials, single-code or concatenated, draw in one C call each,
+    with no generator objects; the tests compare it with the installed
+    NumPy's.  ``states`` holds each trial's PCG64 state as (state high,
+    state low, increment high, increment low).
 
     Raises ValueError for a negative seed or index, and for an index of
     2^32 or more, which SeedSequence would hash as two entropy words.
@@ -97,18 +100,9 @@ class TrialStreams:
         return out
 
 
-def random_bits(gen: np.random.Generator, size: int) -> np.ndarray:
-    """size uniform bits as uint8, the values ``gen.integers(0, 2,
-    size=size, dtype=np.uint8)`` would return: the top bit of each byte of
-    ceil(size / 8) raw 64-bit outputs, bytes in little-endian order.  Later
-    draws read the same stream either way."""
-    raw = gen.bit_generator.random_raw(-(-size // 8))
-    return raw.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
-
-
 @dataclass(frozen=True)
 class RngStream:
-    """One independent, reproducible random stream per Monte Carlo trial."""
+    """One trial's stream as a NumPy Generator, which TrialStreams draws in C."""
 
     master_seed: int
     stream_index: int

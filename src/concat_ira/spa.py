@@ -34,9 +34,10 @@ their buffers.  The C code rounds each operation once per lane in the
 order of the NumPy kernel it replaced, so outputs are bit-identical to it.
 It is built once per source, flags, compiler and host CPU by the system C
 compiler, into ``__pycache__`` next to this module, as one library with
-``_trial_kernel.c`` (the trial streams of ``channel.TrialStreams`` and
-``ira.encode_batch``), from these two sources and libm alone; a build that
-fails makes every decode, trial stream and encoding raise RuntimeError.
+``_trial_kernel.c`` (``channel.TrialStreams``, which every trial of both
+systems draws through, and ``ira.encode_batch``), from these two sources and
+libm alone; a build that fails makes every decode, trial stream and encoding
+raise RuntimeError.
 """
 
 from __future__ import annotations

@@ -56,6 +56,15 @@ def to_dense(matrix: SparseBinaryMatrix) -> np.ndarray:
     return dense
 
 
+def random_bits(gen: np.random.Generator, size: int) -> np.ndarray:
+    """The NumPy channel's source draw: size uniform bits as uint8, the values
+    ``gen.integers(0, 2, size=size, dtype=np.uint8)`` would return, which are
+    the top bit of each byte of ceil(size / 8) raw 64-bit outputs, bytes in
+    little-endian order.  Later draws read the same stream either way."""
+    raw = gen.bit_generator.random_raw(-(-size // 8))
+    return raw.astype("<u8", copy=False).view(np.uint8)[:size] >> 7
+
+
 def invert_permutation(perm: BlockPermutation) -> BlockPermutation:
     """The permutation that undoes ``perm``, with its other fields."""
     inv = np.empty_like(perm.forward)

@@ -24,7 +24,7 @@ from concat_ira.bench import (
 )
 
 from conftest import build_toy
-from oracles import decode_rows
+from oracles import decode_rows, random_bits
 
 
 @pytest.fixture(scope="module")
@@ -501,31 +501,48 @@ class TestTrialIndependence:
         assert set(together[:, 1]) == {0, 1}  # some blocks fail, some do not
 
 
-class TestConcatTrialsDrawTheirTrialStreams:
-    """A concat trial draws through NumPy's own Generator; it must draw what
-    channel.TrialStreams draws for the same trial, so that concat trials
-    can move to TrialStreams without moving a row."""
+class TestConcatTrialsDrawWhatNumPyDraws:
+    """A concat task draws its blocks through channel.TrialStreams; each
+    block must draw what NumPy's own Generator draws for its trial, through
+    the NumPy reference channel, so that no row moves with the port."""
 
-    @pytest.mark.parametrize("master_seed", [1, 2**40 + 5], ids=["one-word", "two-words"])
-    def test_run_equals_a_trial_streams_replica(self, master_seed):
+    @staticmethod
+    def toy_system() -> tuple[ConcatSystem, float]:
         outer, inner = toy_pair()
         system = ConcatSystem(
             ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
         )
-        cc, sigma = system.code, ci.ebno_sigma(4.0, system.rate)
+        return system, ci.ebno_sigma(4.0, system.rate)
+
+    @pytest.mark.parametrize("master_seed", [1, 2**40 + 5], ids=["one-word", "two-words"])
+    def test_run_equals_a_numpy_generator_replica(self, master_seed):
+        system, sigma = self.toy_system()
+        cc = system.code
         rows = []
         for lo, hi in ((0, 6), (77, 78), (2**32 - 3, 2**32)):
             got = system.run(lo, hi, sigma, master_seed)
             for i, row in zip(range(lo, hi), got.tolist()):
-                streams = ci.TrialStreams(master_seed, i, i + 1)
-                source = streams.bits(cc.K * cc.K).reshape(cc.K, cc.K)
-                llrs = streams.llrs(ci.concat_encode(cc, source).reshape(1, -1), sigma)
-                res = ci.concat_decode(cc, llrs.reshape(cc.N, cc.N), system.schedule)
+                gen = ci.RngStream(master_seed, i).generator()
+                source = random_bits(gen, cc.K * cc.K).reshape(cc.K, cc.K)
+                tx = ci.concat_encode(cc, source)
+                llrs = ci.channel_llr(ci.awgn(ci.modulate(tx), sigma, gen), sigma)
+                res = ci.concat_decode(cc, llrs, system.schedule)
                 errors = int((res.source_bits != source).sum())
                 assert row == [errors, errors > 0, res.outer_iters_used, res.component_decode_calls,
                                res.component_iterations, errors > 0 and res.converged], i
                 rows.append(row)
         assert {row[1] for row in rows} == {0, 1}  # some blocks fail, some do not
+
+    def test_a_four_block_task_equals_four_one_block_tasks(self):
+        # a pooled task draws four blocks' bits, then their LLRs, in one call each
+        system, sigma = self.toy_system()
+        rows = []
+        for lo in (0, 2**32 - 4):
+            together = system.run(lo, lo + 4, sigma, 1)
+            alone = [system.run(i, i + 1, sigma, 1) for i in range(lo, lo + 4)]
+            assert together.tolist() == np.concatenate(alone).tolist(), lo
+            rows += together.tolist()
+        assert {row[1] for row in rows} == {0, 1}
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ import pytest
 
 import concat_ira as ci
 
+from oracles import random_bits
+
 
 class TestSigma:
     def test_rate_half_at_zero_db_is_one(self):
@@ -164,8 +166,13 @@ class TestTrialGenerators:
             assert llrs[row].tobytes() == expected.tobytes(), (master_seed, i)
             assert pcg64_state(streams, row) == gen.bit_generator.state["state"]
         if width * n >= 10**6:
-            # the ziggurat's tail starts at 3.6541528853610088
-            assert (np.abs(np.concatenate(normals)) > 3.6541528853610088).any()
+            # the ziggurat's tail starts at 3.6541528853610088: a draw past it
+            # takes its sign from (rabs >> 8) & 1, a draw below it (the layers'
+            # rectangles and wedges) from r & 1; each sign of each is drawn
+            z = np.concatenate(normals)
+            tail = np.abs(z) > 3.6541528853610088
+            for drawn in (z[tail], z[~tail]):
+                assert (drawn < 0).any() and (drawn > 0).any()
 
     def test_llrs_fill_a_given_array_of_the_codewords_shape(self):
         codewords = np.random.default_rng(4).integers(0, 2, size=(3, 181), dtype=np.uint8)
@@ -262,7 +269,7 @@ class TestRandomBits:
     def test_equals_integers_and_leaves_the_stream_in_step(self, shape):
         expected_gen, gen = seed_sequence_generator(8, 3), seed_sequence_generator(8, 3)
         expected = expected_gen.integers(0, 2, size=shape, dtype=np.uint8)
-        bits = ci.random_bits(gen, expected.size).reshape(expected.shape)
+        bits = random_bits(gen, expected.size).reshape(expected.shape)
         assert bits.dtype == np.uint8 and np.array_equal(bits, expected)
         assert np.array_equal(gen.standard_normal(50), expected_gen.standard_normal(50))
 

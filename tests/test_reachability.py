@@ -34,6 +34,10 @@ NEVER_ENTERED = {
     "spa.decode": "perfbench's tracer patches it by name",
     "ira.encode": "perfbench's tracer patches it by name, as bench.encode",
     "ira.IraCode.graph": "perfbench's set-up reads it",
+    "channel.RngStream.generator": "perfbench's tracer patches it by name",
+    "channel.modulate": "perfbench's tracer patches it by name, as bench.modulate",
+    "channel.awgn": "perfbench's tracer patches it by name, as bench.awgn",
+    "channel.channel_llr": "perfbench's tracer patches it by name, as bench.channel_llr",
 }
 
 
