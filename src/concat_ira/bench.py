@@ -99,6 +99,8 @@ class CurvePoint:
             raise ValueError(f"ber {self.ber!r} with {self.bit_errors} bit errors")
         if self.undetected is not None and not 0 <= self.undetected <= self.block_errors:
             raise ValueError(f"{self.undetected} undetected of {self.block_errors} block errors")
+        if not all(0.0 <= m < math.inf for m in (self.mean_outer_iters, self.mean_component_iters)):
+            raise ValueError("mean iterations must be finite and >= 0")
 
     @property
     def fer(self) -> float:
@@ -207,22 +209,17 @@ def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
 
 # --- runnable systems ----------------------------------------------------------
 #
-# A system runs trials lo..hi-1 at one noise level and returns an int64
-# array with one row per trial and six columns: bit errors, block error,
-# outer iterations, component decodes, component iterations and undetected
-# error (a block error whose decode ended valid).  Each trial
-# draws its source bits and noise from its own stream.  trials_per_task is
-# the work of one in-process task; a pooled task holds at least
-# _POOLED_TASK_TRIALS trials, so that a short concat block does not pay a
-# submit, two pickles, a pipe write and a worker wake-up of its own.
+# A system's encode maps a task's source bits, one row per trial, to one codeword
+# row per trial, and its decode maps their channel LLRs to the decided source bits
+# and, per trial, outer iterations, component decodes, component iterations and
+# whether the decode ended valid; a count that every trial shares may be given once.
+# trials_per_task is the work of one in-process task.
 
 
 @dataclass(frozen=True, eq=False)
 class ConcatSystem:
-    """Two component codes through an interleaver.  A task's blocks draw their
-    source bits and their LLRs from their own streams, in one C call each
-    (``channel.TrialStreams``); blocks encode and decode one by one, as the
-    decoder already batches each block's rows and columns."""
+    """Two component codes through an interleaver; a task's blocks encode and decode
+    one by one, as the decoder already batches each block's rows and columns."""
 
     code: ConcatCode
     schedule: Schedule
@@ -236,45 +233,23 @@ class ConcatSystem:
     def source_bits(self) -> int:
         return self.code.K * self.code.K
 
-    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
-        cc, b = self.code, hi - lo
-        streams = TrialStreams(master_seed, lo, hi)
-        sources = streams.bits(cc.K * cc.K).reshape(b, cc.K, cc.K)
-        tx = np.empty((b, cc.N, cc.N), dtype=np.uint8)
-        for block, source in zip(tx, sources):
-            block[:] = concat_encode(cc, source)
-        llrs = streams.llrs(tx.reshape(b, cc.N * cc.N), sigma).reshape(tx.shape)
-        results = np.empty((b, 6), dtype=np.int64)
-        for row, source, received in zip(results, sources, llrs):
-            res = concat_decode(cc, received, self.schedule)
-            bit_errors = int((res.source_bits != source).sum())
-            row[:] = (bit_errors, bit_errors > 0, res.outer_iters_used,
-                      res.component_decode_calls, res.component_iterations,
-                      bit_errors > 0 and res.converged)
-        return results
+    def encode(self, sources: np.ndarray) -> np.ndarray:
+        k = self.code.K
+        return np.stack([concat_encode(self.code, s.reshape(k, k)).ravel() for s in sources])
 
-
-# This process's grow-only single-code task buffers, kept as
-# ``spa._CompiledGraph`` keeps its tiles (so not for two threads at once):
-# channel LLRs, extrinsic and posterior outputs, flat, so that a task of b
-# trials of any code views the start of each as (b, N).
-_TASK_BUFFERS = [np.empty(0) for _ in range(3)]
-
-
-def _task_rows(b: int, n: int) -> list[np.ndarray]:
-    if _TASK_BUFFERS[0].size < b * n:
-        _TASK_BUFFERS[:] = (np.empty(b * n) for _ in _TASK_BUFFERS)
-    return [buffer[: b * n].reshape(b, n) for buffer in _TASK_BUFFERS]
+    def decode(self, llrs: np.ndarray) -> tuple:
+        n = self.code.N
+        results = [concat_decode(self.code, r.reshape(n, n), self.schedule) for r in llrs]
+        counts = [(r.outer_iters_used, r.component_decode_calls, r.component_iterations,
+                   r.converged) for r in results]
+        return np.array([r.source_bits.ravel() for r in results]), np.array(counts).T
 
 
 @dataclass(frozen=True, eq=False)
 class SingleSystem:
-    """One component code; a task's trials draw their source bits and noise
-    from their own streams, in one C call each (``channel.TrialStreams``),
-    encode as one batch and decode as one batch, row i of the task buffers
-    holding trial lo + i, which gives every row the result it would have
-    on its own.
-    Wide tasks let the rows that never converge share their iterations."""
+    """One component code; a task's trials encode as one batch and decode as one
+    batch, which gives each row the result it would have on its own and lets the
+    rows that never converge share their iterations."""
 
     code: IraCode
     max_iter: int
@@ -288,17 +263,42 @@ class SingleSystem:
     def source_bits(self) -> int:
         return self.code.K
 
-    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
-        code, b = self.code, hi - lo
-        llrs, extrinsic, posterior = _task_rows(b, code.N)
-        streams = TrialStreams(master_seed, lo, hi)
-        sources = streams.bits(code.K)
-        streams.llrs(encode_batch(code, sources), sigma, out=llrs)
-        res = spa.decode_indexed(code, None, None, llrs, None, extrinsic, posterior, self.max_iter)
-        errors = ((posterior[:, : code.K] < 0.0) != sources).sum(axis=1)
-        ones = np.ones(b, dtype=np.int64)
-        return np.stack([errors, errors > 0, np.zeros_like(ones), ones, res.iterations_used,
-                         (errors > 0) & res.valid], axis=1)
+    def encode(self, sources: np.ndarray) -> np.ndarray:
+        return encode_batch(self.code, sources)
+
+    def decode(self, llrs: np.ndarray) -> tuple:
+        extrinsic, posterior = _task_buffer(1, llrs.shape), _task_buffer(2, llrs.shape)
+        res = spa.decode_indexed(self.code, None, None, llrs, None, extrinsic, posterior,
+                                 self.max_iter)
+        return posterior[:, : self.code.K] < 0.0, (0, 1, res.iterations_used, res.valid)
+
+
+# This process's grow-only task buffers, kept as ``spa._CompiledGraph`` keeps its
+# tiles (so not for two threads at once): any task's channel LLRs, and a single-code
+# task's extrinsic and posterior outputs, flat; a task views the start of each.
+_TASK_BUFFERS = [np.empty(0) for _ in range(3)]
+
+
+def _task_buffer(i: int, shape: tuple[int, int]) -> np.ndarray:
+    if _TASK_BUFFERS[i].size < shape[0] * shape[1]:
+        _TASK_BUFFERS[i] = np.empty(shape[0] * shape[1])
+    return _TASK_BUFFERS[i][: shape[0] * shape[1]].reshape(shape)
+
+
+def _run_trials(system, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
+    """Trials lo..hi-1 of system at noise level sigma as an int64 array, one row per
+    trial and six columns: bit errors, block error, outer iterations, component
+    decodes, component iterations and undetected error (``CurvePoint``).  Each trial
+    draws its source bits and noise from its own stream (``channel.TrialStreams``)."""
+    streams = TrialStreams(master_seed, lo, hi)
+    sources = streams.bits(system.source_bits)
+    tx = system.encode(sources)
+    llrs = streams.llrs(tx, sigma, out=_task_buffer(0, tx.shape))
+    decided, (outer, calls, iters, valid) = system.decode(llrs)
+    bit_errors = (decided != sources).sum(axis=1)
+    failed = bit_errors > 0
+    columns = bit_errors, failed, outer, calls, iters, failed & valid
+    return np.column_stack(np.broadcast_arrays(*columns))
 
 
 def load_system(config: SimConfig) -> ConcatSystem | SingleSystem:
@@ -325,13 +325,14 @@ def _init_worker(system: ConcatSystem | SingleSystem, master_seed: int) -> None:
     _WORKER = (system, master_seed)
 
 
-def _run_task(args: tuple[int, int, float]) -> np.ndarray:
-    lo, hi, sigma = args
+def _run_task(task: tuple[int, int, float]) -> np.ndarray:
     system, master_seed = _WORKER
-    return system.run(lo, hi, sigma, master_seed)
+    return _run_trials(system, *task, master_seed)
 
 
-_POOLED_TASK_TRIALS = 4  # the fewest trials a pooled task holds
+# the fewest trials a pooled task holds, so that each short concat block does not
+# pay its own submit, two pickles, pipe write and worker wake-up
+_POOLED_TASK_TRIALS = 4
 
 
 def _task_results(system, sigma: float, max_blocks: int, master_seed: int, workers: int):
@@ -348,7 +349,7 @@ def _task_results(system, sigma: float, max_blocks: int, master_seed: int, worke
         step = max(step, _POOLED_TASK_TRIALS)
     tasks = ((lo, min(lo + step, max_blocks), sigma) for lo in range(0, max_blocks, step))
     if workers == 1:
-        yield from (system.run(*task, master_seed) for task in tasks)
+        yield from (_run_trials(system, *task, master_seed) for task in tasks)
         return
     workers = min(workers, -(-max_blocks // step))
     pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(system, master_seed))
@@ -464,12 +465,8 @@ def run_curve(
             existing[row.split(",", 1)[0]] = point
 
     points: list[CurvePoint] = []
-    seen: set[str] = set()
-    for ebno in config.ebno_db:
+    for ebno in dict.fromkeys(config.ebno_db):  # a repeated point is measured once
         key = f"{ebno:g}"
-        if key in seen:
-            continue
-        seen.add(key)
         if key in existing:
             points.append(existing[key])
             continue
@@ -486,8 +483,8 @@ def run_curve(
 
 
 def _parse_row(row: str) -> tuple[CurvePoint, int]:
-    """A curve row as its point and seed; ValueError if it is not one as
-    ``format_row`` writes it (its fer column is checked by the round trip)."""
+    """A curve row as its point and seed; ValueError unless ``format_row`` writes it
+    for a run (finite Eb/N0, seed >= 0; the round trip checks the fer column)."""
     parts = row.split(",")
     if len(parts) != CSV_HEADER.count(",") + 1:
         raise ValueError(f"{len(parts)} fields")
@@ -502,7 +499,7 @@ def _parse_row(row: str) -> tuple[CurvePoint, int]:
         wall_seconds=0.0,
     )
     seed = int(parts[8])
-    if format_row(point, seed) != row:
+    if seed < 0 or not math.isfinite(point.ebno_db) or format_row(point, seed) != row:
         raise ValueError("not as format_row writes it")
     return point, seed
 

@@ -119,6 +119,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     paths = [Path(p) for p in args.inputs]
     for i, path in enumerate(paths):
+        if set(path.stem) & set(',"\r\n'):  # the label is written as an unquoted CSV field
+            raise ConfigError(f"input {str(path)!r} has a label with a comma, quote or line break")
         for earlier in paths[:i]:
             if earlier.stem == path.stem:
                 raise ConfigError(f"inputs {earlier} and {path} share the label {path.stem!r}")

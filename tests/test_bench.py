@@ -337,9 +337,15 @@ class TestRunCurve:
         "3,10,3,2,nan,0.2,0.0,1.0,0",
         "3,10,3,2,1.5,0.2,0.0,1.0,0",
         "3,0,0,0,0.0,0.0,0.0,1.0,0",
+        "nan,10,3,2,0.0375,0.2,0.0,1.0,0",
+        "inf,10,3,2,0.0375,0.2,0.0,1.0,0",
+        "3,10,3,2,0.0375,0.2,0.0,1.0,-1",
+        "3,10,3,2,0.0375,0.2,-1.0,1.0,0",
+        "3,10,3,2,0.0375,0.2,0.0,-1.0,0",
     ], ids=["fer-not-the-counts", "fer-and-bit-errors-not-the-counts", "block-without-bit-errors",
             "bit-without-block-errors", "fewer-bit-than-block-errors", "more-block-errors-than-blocks",
-            "ber-without-bit-errors", "nan-ber", "ber-past-one", "no-blocks"])
+            "ber-without-bit-errors", "nan-ber", "ber-past-one", "no-blocks", "nan-ebno", "inf-ebno",
+            "negative-seed", "negative-mean-outer-iters", "negative-mean-component-iters"])
     def test_read_curve_refuses_counts_no_run_writes(self, tmp_path, row):
         # each row survives the format_row round trip of its columns as written
         out = tmp_path / "counts.csv"
@@ -490,13 +496,13 @@ class TestTrialIndependence:
             ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
         )
         sigma = ci.ebno_sigma(4.0, system.rate)
-        together = system.run(0, 6, sigma, 9)
+        together = bench._run_trials(system, 0, 6, sigma, 9)
         rng = np.random.default_rng(0)
         alone = {}
         for i in rng.permutation(6):
             for code in (outer, inner):
                 decode_rows(code, rng.normal(1.0, 2.0, size=(40, 24)), None, 7)
-            (alone[i],) = system.run(i, i + 1, sigma, 9).tolist()
+            (alone[i],) = bench._run_trials(system, i, i + 1, sigma, 9).tolist()
         assert together.tolist() == [alone[i] for i in range(6)]
         assert set(together[:, 1]) == {0, 1}  # some blocks fail, some do not
 
@@ -520,7 +526,7 @@ class TestConcatTrialsDrawWhatNumPyDraws:
         cc = system.code
         rows = []
         for lo, hi in ((0, 6), (77, 78), (2**32 - 3, 2**32)):
-            got = system.run(lo, hi, sigma, master_seed)
+            got = bench._run_trials(system, lo, hi, sigma, master_seed)
             for i, row in zip(range(lo, hi), got.tolist()):
                 gen = ci.RngStream(master_seed, i).generator()
                 source = random_bits(gen, cc.K * cc.K).reshape(cc.K, cc.K)
@@ -538,24 +544,69 @@ class TestConcatTrialsDrawWhatNumPyDraws:
         system, sigma = self.toy_system()
         rows = []
         for lo in (0, 2**32 - 4):
-            together = system.run(lo, lo + 4, sigma, 1)
-            alone = [system.run(i, i + 1, sigma, 1) for i in range(lo, lo + 4)]
+            together = bench._run_trials(system, lo, lo + 4, sigma, 1)
+            alone = [bench._run_trials(system, i, i + 1, sigma, 1) for i in range(lo, lo + 4)]
             assert together.tolist() == np.concatenate(alone).tolist(), lo
             rows += together.tolist()
         assert {row[1] for row in rows} == {0, 1}
 
 
 @dataclass(frozen=True)
+class HardDecision:
+    """Five uncoded bits a trial, decided by the sign of their LLRs: each
+    decode reports two outer iterations, three component decodes, seven
+    component iterations plus the ones it decided, and ends valid or not."""
+
+    valid: bool
+    rate = 1.0
+    source_bits = 5
+    trials_per_task = 1
+
+    def encode(self, sources: np.ndarray) -> np.ndarray:
+        return sources
+
+    def decode(self, llrs: np.ndarray) -> tuple:
+        decided = llrs < 0.0
+        return decided, (np.full(len(llrs), 2), 3, 7 + decided.sum(axis=1), self.valid)
+
+
+class TestTrialLoop:
+    """bench._run_trials draws, encodes, forms the LLRs, decodes and counts
+    the trials of any system."""
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["ended-valid", "ended-invalid"])
+    def test_columns_and_the_undetected_rule(self, valid):
+        results = bench._run_trials(HardDecision(valid), 3, 15, 1.0, 4)
+        streams = ci.TrialStreams(4, 3, 15)
+        sources = streams.bits(5)
+        decided = streams.llrs(sources, 1.0) < 0.0
+        errors = (decided != sources).sum(axis=1).tolist()
+        ones = decided.sum(axis=1).tolist()
+        assert results.dtype == np.int64
+        assert results.tolist() == [[e, int(e > 0), 2, 3, 7 + d, int(e > 0 and valid)]
+                                    for e, d in zip(errors, ones)]
+        assert set(results[:, 1]) == {0, 1}  # some trials fail, some do not
+
+    def test_a_task_equals_its_one_trial_tasks(self):
+        system = HardDecision(True)
+        together = bench._run_trials(system, 3, 15, 1.0, 4)
+        alone = [bench._run_trials(system, i, i + 1, 1.0, 4) for i in range(3, 15)]
+        assert together.tolist() == np.concatenate(alone).tolist()
+        assert set(together[:, 1]) == {0, 1}
+
+
+@dataclass(frozen=True)
 class TaskLog:
     """A system whose every trial is a block error and whose every task
-    appends its trial range, lo and hi, to the file at path."""
+    appends its trial range, lo and hi, to the file at path.  The task_log
+    fixture makes bench._run_trials run its tasks through trials."""
 
     path: str
     rate = 0.5
     source_bits = 1
     trials_per_task = 1
 
-    def run(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
+    def trials(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
         with open(self.path, "a", encoding="utf-8") as f:
             f.write(f"{lo} {hi}\n")
         return np.array([(1, 1, 0, 1, 1, 0)] * (hi - lo), dtype=np.int64)
@@ -563,6 +614,13 @@ class TaskLog:
     def ranges(self) -> list[tuple[int, int]]:
         text = Path(self.path).read_text(encoding="utf-8")
         return [tuple(map(int, line.split())) for line in text.splitlines()]
+
+
+@pytest.fixture
+def task_log(monkeypatch, tmp_path) -> TaskLog:
+    # a forked pool worker inherits the patch
+    monkeypatch.setattr(bench, "_run_trials", TaskLog.trials)
+    return TaskLog(str(tmp_path / "tasks.txt"))
 
 
 class RecordingPool:
@@ -622,8 +680,8 @@ class TestPoolWaves:
         (10**6, 6, [("start", 2), ("submit", 0, 1), ("submit", 4, 2), ("take", 0), ("take", 4)]),
         (2, 1, [("start", 1), ("submit", 0, 1), ("take", 0)]),
     ], ids=["2", "3", "3-on-2-tasks", "10**6-on-2-tasks", "2-on-1-task"])
-    def test_first_wave_then_two_per_worker(self, events, workers, max_blocks, expected, tmp_path):
-        system = TaskLog(str(tmp_path / "tasks.txt"))
+    def test_first_wave_then_two_per_worker(self, events, workers, max_blocks, expected, task_log):
+        system = task_log
         point = measure_point(system, 3.0, StopRule(10_000, max_blocks), 9, workers=workers)
         assert point.blocks_run == max_blocks
         assert events == expected
@@ -637,9 +695,9 @@ class TestPoolWaves:
              ("submit", 12, 4), ("take", 0)]),
     ])
     def test_stop_inside_the_first_task_submits_only_the_first_wave(
-        self, events, workers, expected, min_block_errors, tmp_path
+        self, events, workers, expected, min_block_errors, task_log
     ):
-        system = TaskLog(str(tmp_path / "tasks.txt"))
+        system = task_log
         point = measure_point(system, 3.0, StopRule(min_block_errors, 1000), 9, workers=workers)
         assert point.blocks_run == min_block_errors
         assert events == expected
@@ -652,8 +710,8 @@ class TestTrialRounds:
     pool; no result may depend on any of these."""
 
     @pytest.mark.parametrize("stop_at", [0, 5])
-    def test_in_process_point_runs_exactly_the_trials_up_to_its_stop(self, tmp_path, stop_at):
-        system = TaskLog(str(tmp_path / "tasks.txt"))
+    def test_in_process_point_runs_exactly_the_trials_up_to_its_stop(self, task_log, stop_at):
+        system = task_log
         point = measure_point(system, 3.0, StopRule(stop_at + 1, 1000), 9, workers=1)
         assert point.blocks_run == stop_at + 1
         assert system.ranges() == [(i, i + 1) for i in range(stop_at + 1)]
@@ -661,11 +719,11 @@ class TestTrialRounds:
     @pytest.mark.parametrize("stop_at", [0, 5, 11])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_runs_at_most_two_tasks_per_worker_past_the_stop(
-        self, tmp_path, workers, stop_at
+        self, task_log, workers, stop_at
     ):
         # the tasks before the stop's all run, each of four trials; the
         # cancelled ones never run
-        system = TaskLog(str(tmp_path / "tasks.txt"))
+        system = task_log
         point = measure_point(system, 3.0, StopRule(stop_at + 1, 1000), 9, workers=workers)
         assert point.blocks_run == stop_at + 1
         ran = sorted(system.ranges())
@@ -685,7 +743,7 @@ class TestTrialRounds:
             ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
         )
         step = bench._POOLED_TASK_TRIALS
-        trials = system.run(0, 200, ci.ebno_sigma(4.0, system.rate), 9)
+        trials = bench._run_trials(system, 0, 200, ci.ebno_sigma(4.0, system.rate), 9)
         errors_at = np.flatnonzero(trials[:, 1])
         k, stop_at = next((k, int(e)) for k, e in enumerate(errors_at, start=1)
                           if e >= 4 * step and e % step == where)
@@ -703,24 +761,38 @@ class TestTrialRounds:
         system = SingleSystem(outer, 20)
         assert system.trials_per_task == 512
         sigma = ci.ebno_sigma(3.0, system.rate)
-        whole = system.run(0, 600, sigma, 9)
-        pieces = np.concatenate([system.run(lo, min(lo + 64, 600), sigma, 9)
+        whole = bench._run_trials(system, 0, 600, sigma, 9)
+        pieces = np.concatenate([bench._run_trials(system, lo, min(lo + 64, 600), sigma, 9)
                                  for lo in range(0, 600, 64)])
-        alone = np.concatenate([system.run(i, i + 1, sigma, 9) for i in range(600)])
+        alone = np.concatenate([bench._run_trials(system, i, i + 1, sigma, 9) for i in range(600)])
         assert whole.dtype == np.int64 and whole.shape == (600, 6)
         assert np.array_equal(whole, pieces) and np.array_equal(whole, alone)
         assert set(whole[:, 1]) == {0, 1}
 
-    def test_task_arrays_hold_what_a_fresh_decode_gives(self, paper_outer, toy_outer):
+    def test_task_arrays_hold_what_a_fresh_decode_gives(self, paper_outer, paper_inner, toy_outer):
         # tasks grow and shrink their use of the process's grow-only
         # buffers, a point's last task is shorter, and a code of another N
-        # decodes in between; every task must give what decode_rows gives
-        # its trials in fresh arrays
+        # and a paper-size concat task, whose LLRs outgrow the single-code
+        # tasks' in the buffer they share, decode in between; every task
+        # must give what a decode of its trials in fresh arrays gives
         sigma = ci.ebno_sigma(2.5, paper_outer.rate)
+        cc = ci.ConcatCode(paper_outer, paper_inner, ci.random_permutation(128, 181, 1))
         for code, lo, hi in ((paper_outer, 0, 512), (paper_outer, 512, 600), (toy_outer, 0, 40),
-                             (paper_outer, 600, 1112), (toy_outer, 40, 41), (paper_outer, 3, 4)):
-            results = SingleSystem(code, 30).run(lo, hi, sigma, 5)
+                             (cc, 0, 4), (paper_outer, 600, 1112), (toy_outer, 40, 41),
+                             (paper_outer, 3, 4)):
             streams = ci.TrialStreams(5, lo, hi)
+            if code is cc:
+                system = ConcatSystem(cc, ci.Schedule())
+                results = bench._run_trials(system, lo, hi, sigma, 5)
+                sources = streams.bits(system.source_bits)
+                llrs = streams.llrs(system.encode(sources), sigma)
+                for row, source, received in zip(results.tolist(), sources, llrs):
+                    res = ci.concat_decode(cc, received.reshape(181, 181), system.schedule)
+                    e = int((res.source_bits.ravel() != source).sum())
+                    assert row == [e, int(e > 0), res.outer_iters_used, res.component_decode_calls,
+                                   res.component_iterations, int(e > 0 and res.converged)]
+                continue
+            results = bench._run_trials(SingleSystem(code, 30), lo, hi, sigma, 5)
             sources = streams.bits(code.K)
             fresh = decode_rows(code, streams.llrs(ci.encode_batch(code, sources), sigma), None, 30)
             size = (hi - lo) * code.N
@@ -742,7 +814,7 @@ class TestTrialRounds:
         # the first, second and fourth 512-trial task
         outer, _ = toy_pair()
         system = SingleSystem(outer, 20)
-        trials = system.run(0, 2048, ci.ebno_sigma(3.0, system.rate), 9).tolist()
+        trials = bench._run_trials(system, 0, 2048, ci.ebno_sigma(3.0, system.rate), 9).tolist()
         totals, blocks = [0] * 6, 0
         for trial in trials:  # the per-trial scan measure_point made before
             blocks += 1
@@ -775,7 +847,8 @@ class TestTrialRounds:
         undetected = []
         for master_seed in (1000, 2**64 + 3):
             for ebno in (2.0, 3.0, 4.0):
-                results = system.run(37, 37 + 203, ci.ebno_sigma(ebno, system.rate), master_seed)
+                sigma = ci.ebno_sigma(ebno, system.rate)
+                results = bench._run_trials(system, 37, 37 + 203, sigma, master_seed)
                 digest.update(repr([tuple(trial) for trial in results[:, :5].tolist()]).encode())
                 assert (results[:, 5] <= results[:, 1]).all()
                 undetected.append((37 + np.flatnonzero(results[:, 5])).tolist())

@@ -511,6 +511,18 @@ class TestReport:
         assert "share the label 'curve'" in err
         assert not merged.exists()
 
+    @pytest.mark.parametrize("stem", ["a,b", 'a"b', "a\rb", "a\nb"],
+                             ids=["comma", "quote", "cr", "lf"])
+    def test_refuses_a_label_that_breaks_the_csv(self, tmp_path, capsys, stem):
+        # the label is the input's stem, written as an unquoted CSV field
+        curve = tmp_path / f"{stem}.csv"
+        curve.write_text(ci.bench.CSV_HEADER + "\n3,10,0,0,0.0,0.0,1.0,2.0,1\n")
+        merged = tmp_path / "m.csv"
+        assert run_cli("report", "--out", merged, curve) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: input {str(curve)!r} has a label with a comma, quote or line break\n"
+        assert not merged.exists()
+
     def test_merges_rows_of_any_seed(self, tmp_path):
         # resume refuses rows of another seed; a merged table legitimately mixes them
         rows = {"a": "3,10,0,0,0.0,0.0,1.0,2.0,1", "b": "3,10,0,0,0.0,0.0,1.0,2.0,7"}
