@@ -22,9 +22,8 @@ it into msg by edge.
 A call's codewords are read from and written to flat block arrays through
 an index table: call row i is table row ids[i], and its variable v sits at
 index at[ids[i] * n_vars + v] of the channel, prior, extrinsic and
-posterior arrays, or at i * n_vars + v when there is no table (at is
-NULL).  An index past the end of the prior adds a +0.0 prior; one past the
-end of the outputs is not written.
+posterior arrays.  An index past the end of the prior adds a +0.0 prior;
+one past the end of the outputs is not written.
 
 Each product, sum and difference rounds once per lane, in the order of the
 NumPy kernel this file replaced; the file is compiled with
@@ -56,8 +55,8 @@ typedef struct {
     int64_t *active;          /* (tiles * LANES,) call row of each working row */
     uint8_t *stopped;         /* (tiles * LANES,) scratch: whether each working row stops */
     /* one call's block */
-    const int32_t *at;        /* (at_rows, n_vars) index table, or NULL */
-    const int64_t *ids;       /* (rows,) table row of each call row, if at */
+    const int32_t *at;        /* (at_rows, n_vars) index table */
+    const int64_t *ids;       /* (rows,) table row of each call row */
     const double *channel;    /* (channel_len,) */
     const double *prior;      /* (prior_len,) */
     double *extrinsic;        /* (out_len,) written 2 * ext */
@@ -93,12 +92,6 @@ static double block_sum(const spa_graph *g, int64_t i)
     return g->channel[i] + (i < g->prior_len ? g->prior[i] : 0.0);
 }
 
-/* the index table row of call row i, or NULL without a table */
-static const int32_t *indices(const spa_graph *g, int64_t i)
-{
-    return g->at ? g->at + g->ids[i] * g->n_vars : 0;
-}
-
 /* lam = (channel + prior) * 0.5 for call rows 0..rows-1, call row r in
    working row r; dead lanes get zeros.  Returns -1 if an id lies outside
    the table or an index outside the channel, else 0. */
@@ -112,11 +105,11 @@ int64_t spa_start(const spa_graph *g, int64_t rows)
                 lam[v * LANES] = 0.0;
             continue;
         }
-        if (g->at && (g->ids[r] < 0 || g->ids[r] >= g->at_rows))
+        if (g->ids[r] < 0 || g->ids[r] >= g->at_rows)
             return -1;
-        const int32_t *at = indices(g, r);
+        const int32_t *at = g->at + g->ids[r] * n;
         for (int64_t v = 0; v < n; v++) {
-            int64_t j = at ? at[v] : r * n + v;
+            int64_t j = at[v];
             if (j < 0 || j >= g->channel_len)
                 return -1;
             lam[v * LANES] = block_sum(g, j) * 0.5;
@@ -227,9 +220,9 @@ int64_t spa_variables(const spa_graph *g, int64_t rows, int64_t it, int stop_all
             g->stopped[r] = stop_all || (early_stop && !unsatisfied[l]);
             if (!g->stopped[r])
                 continue;
-            const int32_t *at = indices(g, row);
+            const int32_t *at = g->at + g->ids[row] * n;
             for (int64_t v = 0; v < n; v++) {
-                int64_t j = at ? at[v] : row * n + v;
+                int64_t j = at[v];
                 if (j >= g->out_len)
                     continue;
                 double e = 2.0 * ext[v][l];

@@ -268,8 +268,9 @@ class SingleSystem:
 
     def decode(self, llrs: np.ndarray) -> tuple:
         extrinsic, posterior = _task_buffer(1, llrs.shape), _task_buffer(2, llrs.shape)
-        res = spa.decode_indexed(self.code, None, None, llrs, None, extrinsic, posterior,
-                                 self.max_iter)
+        at = np.arange(llrs.size, dtype=np.int32).reshape(llrs.shape)
+        res = spa.decode_indexed(self.code.H, at, np.arange(len(llrs), dtype=np.int64), llrs,
+                                 None, extrinsic, posterior, self.max_iter)
         return posterior[:, : self.code.K] < 0.0, (0, 1, res.iterations_used, res.valid)
 
 

@@ -107,10 +107,11 @@ def _cmd_simulate(args) -> int:
     config = SimConfig.from_json(path.read_text(encoding="utf-8"))
     points = run_curve(config, on_point=_print_point_time)
     for p in points:
-        # a point with no block errors has no point estimate, only its
-        # one-sided 95% upper bound, 3 / n
+        # a point with no block errors has no point estimate, only its exact
+        # one-sided 95% upper bound: the fer at which n blocks all decode
+        # with probability 0.05
         rates = (f"ber {p.ber:.3e}, fer {p.fer:.3e}" if p.block_errors else
-                 f"no block errors, fer < {3 / p.blocks_run:.3e} (one-sided 95%)")
+                 f"no block errors, fer < {1 - 0.05 ** (1 / p.blocks_run):.3e} (one-sided 95%)")
         print(f"ebno {p.ebno_db:g}: {p.blocks_run} blocks, {rates}")
     print(f"curve written to {config.output}")
     return 0

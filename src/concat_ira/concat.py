@@ -138,13 +138,13 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
     for _ in range(schedule.outer_iters):
         # column pass: channel enters here, prior is the permuted row
         # extrinsic; row pass: de-interleaved channel, column extrinsic as prior
-        for code, at, valid, prior, out, post in (
-            (cc.inner, col_at, col_valid, row_ext, col_ext, None),
-            (cc.outer, row_at, row_valid, col_ext, row_ext, row_post),
+        for h, at, valid, prior, out, post in (
+            (cc.inner.H, col_at, col_valid, row_ext, col_ext, None),
+            (cc.outer.H, row_at, row_valid, col_ext, row_ext, row_post),
         ):
             todo = np.flatnonzero(~valid) if schedule.freeze_converged else np.arange(len(valid))
             if len(todo):
-                res = _decode_batch(code, at, todo, lch, prior, out, post, schedule.inner_iters)
+                res = _decode_batch(h, at, todo, lch, prior, out, post, schedule.inner_iters)
                 valid[todo] = res.valid
                 calls += len(todo)
                 iters += int(res.iterations_used.sum())

@@ -27,11 +27,11 @@ through the same table.  The first iteration's messages are copies of the
 variables' inputs, so NumPy takes their ``tanh`` once per variable and the
 kernel gathers it by edge.  The working tiles start on cache-line
 boundaries, so no vector the kernel loads or stores straddles two lines.
-``decode_indexed`` so decodes the rows of a block held in any layout,
-which is how the concatenated decoder runs its passes, or without a table
-one codeword per array row, which is how single-code tasks decode into
-their buffers.  The C code rounds each operation once per lane in the
-order of the NumPy kernel it replaced, so outputs are bit-identical to it.
+``decode_indexed`` so decodes the rows of a block held in any layout:
+the concatenated decoder's passes through their pass tables, single-code
+tasks through an identity table, one codeword per array row.  The C code
+rounds each operation once per lane in the order of the NumPy kernel it
+replaced, so outputs are bit-identical to it.
 It is built once per source, flags, compiler and host CPU by the system C
 compiler, into ``__pycache__`` next to this module, as one library with
 ``_trial_kernel.c`` (``channel.TrialStreams``, which every trial of both
@@ -262,13 +262,6 @@ def _compile(matrix: SparseBinaryMatrix) -> _CompiledGraph:
     return _CompiledGraph(matrix)
 
 
-def _as_matrix(code_or_matrix) -> SparseBinaryMatrix:
-    h = getattr(code_or_matrix, "H", code_or_matrix)
-    if not isinstance(h, SparseBinaryMatrix):
-        raise TypeError("expected an IraCode or SparseBinaryMatrix")
-    return h
-
-
 _NO_BYTES = ctypes.c_char * 0
 
 
@@ -284,9 +277,9 @@ def _address(a: np.ndarray, dtype, name: str, write: bool = False) -> int:
 
 
 def decode_indexed(
-    code_or_matrix,
-    at: np.ndarray | None,
-    ids: np.ndarray | None,
+    matrix: SparseBinaryMatrix,
+    at: np.ndarray,
+    ids: np.ndarray,
     channel: np.ndarray,
     prior: np.ndarray | None,
     extrinsic: np.ndarray,
@@ -297,46 +290,39 @@ def decode_indexed(
     """Decode the codewords that an index table picks out of a block.
 
     Call row i decodes table row ``ids[i]``: its variable v sits at flat
-    index ``at[ids[i], v]`` of the float64 block arrays, or with ``at`` and
-    ``ids`` None at ``i * n_vars + v``, row i of a 2-D ``channel``.  The
-    decoder starts from ``channel + prior`` there, a variable whose index
-    is past the end of ``prior`` (or every variable, when ``prior`` is
-    None) adding +0.0.  A row stops at the first iteration whose hard
-    decision satisfies every check, or with ``early_stop`` False after all
-    ``max_iter`` iterations, which is what an exactness comparison against
-    true marginals wants.
+    index ``at[ids[i], v]`` of the float64 block arrays.  The decoder
+    starts from ``channel + prior`` there, a variable whose index is past
+    the end of ``prior`` (or every variable, when ``prior`` is None) adding
+    +0.0.  A row stops at the first iteration whose hard decision satisfies
+    every check, or with ``early_stop`` False after all ``max_iter``
+    iterations, which is what an exactness comparison against true
+    marginals wants.
     When the row stops, its extrinsic and, if ``posterior`` is given,
     ``channel + prior + extrinsic`` are written at the indices that lie
     inside ``extrinsic``, which ``posterior`` must match in size; nothing
     is written elsewhere.  A row's values do not depend on the other rows
     of the call, and outputs must not overlap the inputs.  ``at`` is int32
     of shape (rows, n_vars), ``ids`` int64; every array is C-contiguous.
-    Raises ValueError on a table without ids or ids without a table, on
-    rows of another length, on an id outside the table or an index outside
-    ``channel``, and RuntimeError when the kernel library could not be
-    built; nothing is written then.
+    Raises ValueError on a table of another width, on an id outside the
+    table or an index outside ``channel``, and RuntimeError when the kernel
+    library could not be built; nothing is written then.
     """
-    g = _compile(_as_matrix(code_or_matrix))
-    rows = channel if at is None else at
-    if (at is None) != (ids is None) or rows.ndim != 2 or rows.shape[1] != g.n_vars:
-        raise ValueError(f"need an index table and its ids, or a 2-D channel, "
-                         f"with rows of length {g.n_vars}")
+    g = _compile(matrix)
+    if at.ndim != 2 or at.shape[1] != g.n_vars:
+        raise ValueError(f"need an index table with rows of length {g.n_vars}")
     lib = _kernel()
     if posterior is not None and posterior.size != extrinsic.size:
         raise ValueError("posterior size must match extrinsic size")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
-    batch = len(channel if at is None else ids)
+    batch = len(ids)
     g.reserve(batch)
     iterations = np.empty(batch, dtype=np.int64)
     valid = np.empty(batch, dtype=bool)
     args = g.args
-    if at is None:
-        args.at, args.at_rows, args.ids = None, 0, None
-    else:
-        args.at, args.at_rows = _address(at, np.int32, "at"), len(at)
-        args.ids = _address(ids, np.int64, "ids")
+    args.at, args.at_rows = _address(at, np.int32, "at"), len(at)
+    args.ids = _address(ids, np.int64, "ids")
     args.channel, args.channel_len = _address(channel, np.float64, "channel"), channel.size
     if prior is None:
         args.prior, args.prior_len = None, 0
@@ -385,8 +371,8 @@ def decode(
     max_iter: int = 100,
     early_stop: bool = True,
 ) -> DecodeResult:
-    """Decode one LLR vector: ``decode_indexed`` of one row without a table,
-    into new arrays."""
+    """Decode one LLR vector: ``decode_indexed`` of one row through an
+    identity table, into new arrays."""
     channel = np.ascontiguousarray(channel, dtype=np.float64)
     if channel.ndim != 1:
         raise ValueError("decode expects a flat LLR vector")
@@ -395,7 +381,8 @@ def decode(
         if prior.shape != channel.shape:
             raise ValueError("prior shape must match channel shape")
     extrinsic, posterior = np.empty(channel.size), np.empty(channel.size)
-    res = decode_indexed(code_or_matrix, None, None, channel[np.newaxis], prior, extrinsic,
-                         posterior, max_iter, early_stop)
+    at = np.arange(channel.size, dtype=np.int32)[np.newaxis]
+    res = decode_indexed(getattr(code_or_matrix, "H", code_or_matrix), at, np.zeros(1, np.int64),
+                         channel, prior, extrinsic, posterior, max_iter, early_stop)
     return DecodeResult((posterior < 0.0).view(np.uint8), posterior, extrinsic,
                         int(res.iterations_used[0]), bool(res.valid[0]))

@@ -170,6 +170,47 @@ def minimal_stopping_sets_containing(h_dense: np.ndarray, v0: int) -> list[set]:
     return best
 
 
+def minimum_stopping_sets(h: SparseBinaryMatrix, v0: int) -> list[frozenset]:
+    """All minimum-cardinality stopping sets containing v0, by branch and
+    bound over check bitmasks: sizes are tried upward, and a partial set
+    keeps the checks it meets once and those it meets more often.  It
+    branches on the once-met check with the fewest candidates, each
+    candidate excluding the ones before it, so each set is reached once,
+    and stops a branch whose once-met checks outnumber what its remaining
+    variables can meet (the largest column degree each)."""
+    col_mask = [sum(1 << c for c in sup) for sup in h.col_support]
+    row_mask = [sum(1 << v for v in sup) for sup in h.row_support]
+    max_degree = max(map(len, h.col_support))
+    found: list[frozenset] = []
+
+    def grow(members: int, once: int, more: int, excluded: int, room: int) -> None:
+        if not once:
+            found.append(frozenset(v for v in range(h.n_cols) if members >> v & 1))
+            return
+        if room * max_degree < once.bit_count():
+            return
+        free, left = None, once
+        while left:
+            c = (left & -left).bit_length() - 1
+            left &= left - 1
+            candidates = row_mask[c] & ~excluded
+            if free is None or candidates.bit_count() < free.bit_count():
+                free = candidates
+        while free:
+            bit = free & -free
+            free ^= bit
+            checks = col_mask[bit.bit_length() - 1]
+            twice = more | once & checks
+            grow(members | bit, (once | checks) & ~twice, twice, excluded | bit, room - 1)
+            excluded |= bit
+
+    for size in range(1, h.n_cols + 1):
+        grow(1 << v0, col_mask[v0], 0, 1 << v0, size - 1)
+        if found:
+            break
+    return found
+
+
 # --- the padded-plane SPA kernel that spa.decode_indexed replaced ------------
 #
 # Kept verbatim (constants copied, edge tables rebuilt from the public row
@@ -190,15 +231,17 @@ class BatchDecodeResult(NamedTuple):
 
 
 def decode_rows(matrix, channel, prior=None, max_iter=100, early_stop=True) -> BatchDecodeResult:
-    """``spa.decode_indexed`` without a table: codeword i at row i of the
-    channel and prior, decoded into new arrays, in the form of
-    ``reference_decode_batch``."""
+    """``spa.decode_indexed`` through an identity table: codeword i at row i
+    of the channel and prior, decoded into new arrays, in the form of
+    ``reference_decode_batch``.  ``matrix`` may be a code, decoded on its H."""
     channel = np.atleast_2d(np.ascontiguousarray(channel, dtype=np.float64))
     if prior is not None:
         prior = np.atleast_2d(np.ascontiguousarray(prior, dtype=np.float64))
     extrinsic, posterior = np.empty(channel.shape), np.empty(channel.shape)
-    res = decode_indexed(matrix, None, None, channel, prior, extrinsic, posterior, max_iter,
-                         early_stop)
+    at = np.arange(channel.size, dtype=np.int32).reshape(channel.shape)
+    ids = np.arange(len(channel), dtype=np.int64)
+    res = decode_indexed(getattr(matrix, "H", matrix), at, ids, channel, prior, extrinsic,
+                         posterior, max_iter, early_stop)
     hard = (posterior < 0.0).view(np.uint8)
     return BatchDecodeResult(hard, posterior, extrinsic, res.iterations_used, res.valid)
 

@@ -265,13 +265,27 @@ class TestSimulate:
         assert run_cli("simulate", "--config", config_path) == 0
         assert capsys.readouterr().out.splitlines()[:2] == [
             "ebno 3: 15 blocks, ber 4.167e-02, fer 2.000e-01",
-            "ebno 12: 600 blocks, no block errors, fer < 5.000e-03 (one-sided 95%)",
+            "ebno 12: 600 blocks, no block errors, fer < 4.980e-03 (one-sided 95%)",
         ]
         assert out.read_text() == (
             "ebno_db,blocks,bit_errors,block_errors,ber,fer,mean_outer_iters,"
             "mean_component_iters,seed\n"
             "3,15,5,3,0.041666666666666664,0.2,0.0,20.933333333333334,2\n"
             "12,600,0,0,0.0,0.0,0.0,1.0,2\n"
+        )
+
+    @pytest.mark.parametrize("blocks, bound", [(1, "9.500e-01"), (2, "7.764e-01")])
+    def test_bound_of_a_few_blocks_stays_below_one(
+        self, workspace, tmp_path, capsys, blocks, bound
+    ):
+        # the exact bound 1 - 0.05 ** (1 / n); the rule of three read 3 and 1.5 here
+        config_path, _ = self.make_config(
+            workspace, tmp_path, system="single", code=str(workspace / "outer"),
+            ebno_db=[12.0], max_blocks=blocks,
+        )
+        assert run_cli("simulate", "--config", config_path) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            f"ebno 12: {blocks} blocks, no block errors, fer < {bound} (one-sided 95%)"
         )
 
     @staticmethod
@@ -295,7 +309,7 @@ class TestSimulate:
         printed = capsys.readouterr()
         assert printed.out == (
             "ebno 3: 15 blocks, ber 4.167e-02, fer 2.000e-01\n"
-            "ebno 12: 600 blocks, no block errors, fer < 5.000e-03 (one-sided 95%)\n"
+            "ebno 12: 600 blocks, no block errors, fer < 4.980e-03 (one-sided 95%)\n"
             f"curve written to {out}\n"
         )
         assert re.fullmatch(self.time_line("12", 600, 0, 0) + "\n", printed.err)

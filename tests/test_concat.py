@@ -135,7 +135,8 @@ class TestConcatDecode:
 class _RecordingStub:
     """Replaces the component decoder; writes tagged random extrinsics and
     records every (code, channel, prior) it was handed, each rebuilt as a
-    (rows, N) array from the index table, the ids and the block arrays."""
+    (rows, N) array from the index table, the ids and the block arrays; the
+    code is named by the parity-check matrix the pass decodes on."""
 
     def __init__(self, cc, valid_after=None):
         self.cc = cc
@@ -144,9 +145,8 @@ class _RecordingStub:
         self.valid_after = valid_after  # pass index -> bool array factory
         self.pass_no = 0
 
-    def __call__(self, code_or_matrix, at, ids, channel, prior, extrinsic, posterior,
-                 max_iter):
-        code = "inner" if code_or_matrix is self.cc.inner else "outer"
+    def __call__(self, matrix, at, ids, channel, prior, extrinsic, posterior, max_iter):
+        code = {id(self.cc.inner.H): "inner", id(self.cc.outer.H): "outer"}[id(matrix)]
         self.pass_no += 1
         index = at[ids]
         batch, n = index.shape

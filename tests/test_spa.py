@@ -541,8 +541,7 @@ def lower_simd_levels() -> list[str]:
 
 
 class TestIndexedDecode:
-    """decode_indexed reads and writes each codeword through its table row,
-    or without a table, at its array row."""
+    """decode_indexed reads and writes each codeword through its table row."""
 
     @staticmethod
     def block(code, rng):
@@ -564,7 +563,7 @@ class TestIndexedDecode:
         want = decode_rows(paper_outer, channel[index], gathered_prior, 30)
         extrinsic = np.full(10 * paper_outer.N, np.nan)
         posterior = np.full(extrinsic.size, np.nan)
-        got = decode_indexed(paper_outer, at, ids, channel, prior, extrinsic, posterior, 30)
+        got = decode_indexed(paper_outer.H, at, ids, channel, prior, extrinsic, posterior, 30)
         assert np.array_equal(got.iterations_used, want.iterations_used)
         assert np.array_equal(got.valid, want.valid)
         written = index < extrinsic.size
@@ -581,7 +580,7 @@ class TestIndexedDecode:
         ids = np.arange(9)
         want = decode_rows(paper_outer, channel[at], None, 30)
         extrinsic = np.empty(channel.size)
-        got = decode_indexed(paper_outer, at, ids, channel, None, extrinsic, None, 30)
+        got = decode_indexed(paper_outer.H, at, ids, channel, None, extrinsic, None, 30)
         assert np.array_equal(extrinsic[at], want.extrinsic)
         assert np.array_equal(got.valid, want.valid)
 
@@ -610,52 +609,19 @@ class TestIndexedDecode:
         else:
             posterior = np.empty(channel.size - 1)
         with pytest.raises(ValueError):
-            decode_indexed(toy_outer, at, ids, channel, prior, extrinsic, posterior, 5)
+            decode_indexed(toy_outer.H, at, ids, channel, prior, extrinsic, posterior, 5)
 
-    @pytest.mark.parametrize("posterior_given", [False, True], ids=["no-posterior", "posterior"])
-    @pytest.mark.parametrize("prior_given", [False, True], ids=["no-prior", "prior"])
-    @pytest.mark.parametrize("width", [1, 5, 512])
-    @pytest.mark.parametrize("code", ["paper_outer", "toy_outer"])
-    def test_without_a_table_row_i_is_array_row_i(
-        self, request, code, width, prior_given, posterior_given
-    ):
-        code = request.getfixturevalue(code)
-        rng = np.random.default_rng(24)
-        channel = noisy_codewords(code, width, 2.0, rng)
-        prior = rng.normal(scale=0.5, size=channel.shape) if prior_given else None
-        want = decode_rows(code, channel, prior, 30)
-        extrinsic = np.full(channel.shape, np.nan)
-        posterior = np.full(channel.shape, np.nan) if posterior_given else None
-        got = decode_indexed(code, None, None, channel, prior, extrinsic, posterior, 30)
-        assert got.iterations_used.dtype == want.iterations_used.dtype
-        assert np.array_equal(got.iterations_used, want.iterations_used)
-        assert got.valid.dtype == want.valid.dtype and np.array_equal(got.valid, want.valid)
-        assert np.array_equal(extrinsic, want.extrinsic)
-        if posterior_given:
-            assert np.array_equal(posterior, want.posterior)
-            assert np.array_equal((posterior < 0.0).view(np.uint8), want.hard_bits)
-        if width == 512:
-            assert 0 < want.valid.sum() < width
-
-    @pytest.mark.parametrize("fault", [
-        "ids without a table", "table without ids", "flat channel", "short rows", "long rows",
-    ])
-    def test_refusals_without_a_table_write_nothing(self, toy_outer, fault):
+    @pytest.mark.parametrize("fault", ["short rows", "long rows", "flat table"])
+    def test_tables_of_the_wrong_width_write_nothing(self, toy_outer, fault):
         rng = np.random.default_rng(25)
-        at, ids, channel = None, None, rng.normal(size=(6, toy_outer.N))
-        if fault == "ids without a table":
-            ids = np.arange(6)
-        elif fault == "table without ids":
-            at = np.arange(channel.size, dtype=np.int32).reshape(channel.shape)
-        elif fault == "flat channel":
-            channel = channel.ravel()
-        elif fault == "short rows":
-            channel = channel.reshape(-1)[: 5 * (toy_outer.N - 1)].reshape(5, toy_outer.N - 1)
-        else:
-            channel = rng.normal(size=(5, toy_outer.N + 1))
+        n = toy_outer.N
+        channel = rng.normal(size=6 * n)
+        width = {"short rows": n - 1, "long rows": n + 1, "flat table": None}[fault]
+        at = np.arange(channel.size, dtype=np.int32)
+        at = at if width is None else at[: 5 * width].reshape(5, width)
         extrinsic, posterior = np.full(channel.size, np.nan), np.full(channel.size, np.nan)
         with pytest.raises(ValueError):
-            decode_indexed(toy_outer, at, ids, channel, None, extrinsic, posterior, 5)
+            decode_indexed(toy_outer.H, at, np.arange(5), channel, None, extrinsic, posterior, 5)
         assert np.isnan(extrinsic).all() and np.isnan(posterior).all()
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import concat_ira as ci
 from concat_ira.stopping import _check_masks, _detect, save_histogram
 
 from oracles import (
-    all_bit_patterns, is_stopping_set, minimal_stopping_sets_containing, reference_detect_from,
-    to_dense,
+    all_bit_patterns, is_stopping_set, minimal_stopping_sets_containing, minimum_stopping_sets,
+    reference_detect_from, to_dense,
 )
 
 
@@ -51,6 +53,48 @@ class TestIsStoppingSet:
             [is_stopping_set(toy_outer.H, np.flatnonzero(p)) for p in patterns]
         )
         assert np.array_equal(got, expect)
+
+
+class TestMinimumStoppingSets:
+    """The branch and bound over check bitmasks, against the subset search
+    on small codes and against the minima measured on the seed-1 code."""
+
+    @staticmethod
+    def compare(h) -> list[int]:
+        """Assert that both searches give the same sets for every variable;
+        the sizes of the sets found."""
+        sizes = []
+        for v0 in range(h.n_cols):
+            want = minimal_stopping_sets_containing(to_dense(h), v0)
+            got = minimum_stopping_sets(h, v0)
+            assert len(got) == len(want) and set(got) == set(map(frozenset, want))
+            sizes += [len(s) for s in got]
+        return sizes
+
+    @pytest.mark.parametrize("code", ["toy_outer", "toy_inner"])
+    def test_equals_the_subset_search_on_the_toy_codes(self, request, code):
+        sizes = self.compare(request.getfixturevalue(code).H)
+        assert len(set(sizes)) > 1 and len(sizes) > 12  # several minima, and ties
+
+    def test_equals_the_subset_search_on_small_graphs(self, tree_matrix):
+        # a check that sees one variable leaves this chain no stopping set
+        leaf_check = ci.SparseBinaryMatrix.from_rows(3, 3, [(0,), (0, 1), (1, 2)])
+        assert self.compare(leaf_check) == []
+        assert self.compare(tree_matrix).count(2) == 6  # three leaf pairs, each from both leaves
+        assert self.compare(isolated_four_cycle()) == [2, 2, 3, 3, 3, 2, 2, 3, 3, 3]
+
+    @pytest.mark.slow
+    def test_seed_1_code_minima(self, paper_outer):
+        # about 4 s on a 2-core Xeon VM
+        h = paper_outer.H
+        minima = []
+        for v0 in range(h.n_cols):
+            sets = minimum_stopping_sets(h, v0)
+            assert sets and len({len(s) for s in sets}) == 1
+            assert all(v0 in s and is_stopping_set(h, s) for s in sets)
+            minima.append(len(sets[0]))
+        assert min(minima) == 5  # the stopping distance
+        assert Counter(minima) == {5: 49, 6: 78, 7: 54}
 
 
 class TestDetectFrom:
