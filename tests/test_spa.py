@@ -611,6 +611,34 @@ class TestIndexedDecode:
         with pytest.raises(ValueError):
             decode_indexed(toy_outer.H, at, ids, channel, prior, extrinsic, posterior, 5)
 
+    @pytest.mark.parametrize("posterior_given", [False, True], ids=["no-posterior", "posterior"])
+    @pytest.mark.parametrize("prior_given", [False, True], ids=["no-prior", "prior"])
+    @pytest.mark.parametrize("width", [1, 5, 512])
+    @pytest.mark.parametrize("code", ["paper_outer", "toy_outer"])
+    def test_identity_table_row_i_is_array_row_i(
+        self, request, code, width, prior_given, posterior_given
+    ):
+        """The table a single-code task decodes through: codeword i at row i
+        of 2-D arrays, equal to the dense reference decode of the stack."""
+        code = request.getfixturevalue(code)
+        rng = np.random.default_rng(24)
+        channel = noisy_codewords(code, width, 2.0, rng)
+        prior = rng.normal(scale=0.5, size=channel.shape) if prior_given else None
+        want = reference_decode_batch(code, channel, prior, 30)
+        at = np.arange(channel.size, dtype=np.int32).reshape(channel.shape)
+        extrinsic = np.full(channel.shape, np.nan)
+        posterior = np.full(channel.shape, np.nan) if posterior_given else None
+        got = decode_indexed(code.H, at, np.arange(width), channel, prior, extrinsic, posterior, 30)
+        assert got.iterations_used.dtype == want.iterations_used.dtype
+        assert np.array_equal(got.iterations_used, want.iterations_used)
+        assert got.valid.dtype == want.valid.dtype and np.array_equal(got.valid, want.valid)
+        assert np.array_equal(extrinsic, want.extrinsic)
+        if posterior_given:
+            assert np.array_equal(posterior, want.posterior)
+            assert np.array_equal((posterior < 0.0).view(np.uint8), want.hard_bits)
+        if width == 512:
+            assert 0 < want.valid.sum() < width
+
     @pytest.mark.parametrize("fault", ["short rows", "long rows", "flat table"])
     def test_tables_of_the_wrong_width_write_nothing(self, toy_outer, fault):
         rng = np.random.default_rng(25)
