@@ -12,7 +12,10 @@ from pathlib import Path
 
 import concat_ira as ci
 from concat_ira.bench import SimConfig, StopRule, run_curve, two_proportion_z
+from concat_ira.channel import ebno_sigma
 from concat_ira.cli import main as cli_main
+
+K, N = 128, 181
 
 
 def main(argv=None) -> int:
@@ -29,6 +32,7 @@ def main(argv=None) -> int:
     prefix = args.out_prefix
 
     try:  # refuse a bad stop rule or Eb/N0 before any work
+        ebno_sigma(args.ebno, K * K / (N * N))
         configs = {arm: SimConfig(
             system="concat", outer_code=f"{prefix}_outer", inner_code=f"{prefix}_inner",
             interleaver=f"{prefix}_{arm}.perm", ebno_db=(args.ebno,), master_seed=args.trial_seed,
@@ -37,20 +41,24 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    steps = [["construct", "--k", "128", "--n", "181", "--seed", str(seed), "--out", f"{prefix}_{name}"]
+    steps = [["construct", "--k", str(K), "--n", str(N), "--seed", str(seed), "--out", f"{prefix}_{name}"]
              for name, seed in (("outer", args.outer_seed), ("inner", args.inner_seed))]
     steps.append(["design-interleaver", "--outer", f"{prefix}_outer", "--inner", f"{prefix}_inner",
                   "--seed", str(args.perm_seed), "--out", f"{prefix}_designed.perm"])
     if any(cli_main(step) for step in steps):
         return 2
-    ci.save_permutation(ci.random_permutation(128, 181, args.perm_seed), f"{prefix}_random.perm")
 
     points = {}
-    for arm, config in configs.items():
-        Path(config.output).unlink(missing_ok=True)  # never resume a row of another stop rule
-        points[arm] = point = run_curve(config)[0]
-        print(f"{arm}: fer {point.fer:.5f} ber {point.ber:.3e} "
-              f"({point.block_errors}/{point.blocks_run} blocks, {point.wall_seconds:.0f}s)", flush=True)
+    try:  # a failed run is no lost comparison
+        ci.save_permutation(ci.random_permutation(K, N, args.perm_seed), f"{prefix}_random.perm")
+        for arm, config in configs.items():
+            Path(config.output).unlink(missing_ok=True)  # never resume a row of another stop rule
+            points[arm] = point = run_curve(config)[0]
+            print(f"{arm}: fer {point.fer:.5f} ber {point.ber:.3e} ({point.block_errors}/"
+                  f"{point.blocks_run} blocks, {point.wall_seconds:.0f}s)", flush=True)
+    except (OSError, ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     rand, des = points["random"], points["designed"]
     z, p_value = two_proportion_z(des.block_errors, des.blocks_run, rand.block_errors, rand.blocks_run)

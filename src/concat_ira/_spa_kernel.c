@@ -60,7 +60,7 @@ typedef struct {
     const double *channel;    /* (channel_len,) */
     const double *prior;      /* (prior_len,) */
     double *extrinsic;        /* (out_len,) written 2 * ext */
-    double *posterior;        /* (out_len,) written channel + prior + 2 * ext, or NULL */
+    double *posterior;        /* (out_len,) written channel + prior + 2 * ext */
     int64_t *iterations;      /* (rows,) */
     uint8_t *valid;           /* (rows,) */
     int64_t at_rows, channel_len, prior_len, out_len;
@@ -227,8 +227,7 @@ int64_t spa_variables(const spa_graph *g, int64_t rows, int64_t it, int stop_all
                     continue;
                 double e = 2.0 * ext[v][l];
                 g->extrinsic[j] = e;
-                if (g->posterior)
-                    g->posterior[j] = block_sum(g, j) + e;
+                g->posterior[j] = block_sum(g, j) + e;
             }
             g->iterations[row] = it;
             g->valid[row] = !unsatisfied[l];

@@ -75,8 +75,9 @@ class CurvePoint:
     """A measured point: its counts fix its frame error rate, and only counts
     a run can write are accepted.  In both systems a block fails exactly when
     one of its source bits is wrong.  An undetected error is a failed block
-    whose decode ended valid, on a codeword that is not the one sent; a curve
-    row does not hold their count, so a point read back has None."""
+    decoded to a codeword that is not the one sent, a concatenated one for a
+    concat block (``ConcatDecodeResult.converged``); a curve row does not
+    hold their count, so a point read back has None."""
 
     ebno_db: float
     blocks_run: int
@@ -212,8 +213,8 @@ def _json_fields(raw: dict, kinds: dict[str, type]) -> dict:
 # A system's encode maps a task's source bits, one row per trial, to one codeword
 # row per trial, and its decode maps their channel LLRs to the decided source bits
 # and, per trial, outer iterations, component decodes, component iterations and
-# whether the decode ended valid; a count that every trial shares may be given once.
-# trials_per_task is the work of one in-process task.
+# whether the decode ended on a codeword; a count that every trial shares may be given once.
+# trials_per_task is the work of one task.
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +224,7 @@ class ConcatSystem:
 
     code: ConcatCode
     schedule: Schedule
-    trials_per_task = 1
+    trials_per_task = 4  # so four short blocks share one pool submit, pickle and wake-up
 
     @property
     def rate(self) -> float:
@@ -331,23 +332,17 @@ def _run_task(task: tuple[int, int, float]) -> np.ndarray:
     return _run_trials(system, *task, master_seed)
 
 
-# the fewest trials a pooled task holds, so that each short concat block does not
-# pay its own submit, two pickles, pipe write and worker wake-up
-_POOLED_TASK_TRIALS = 4
-
-
 def _task_results(system, sigma: float, max_blocks: int, master_seed: int, workers: int):
-    """Result arrays of the tasks of trials 0 .. max_blocks-1 in trial order.  In-process a task
-    is system.trials_per_task trials, run when it is reached, so nothing runs past the stop
-    rule's round.  On a pool a task is max(trials_per_task, _POOLED_TASK_TRIALS) trials; a first
-    wave of one task per worker, then, once the first task's results are taken, 2 * workers
-    tasks in flight; the queued ones are cancelled when the generator closes.  So a pooled point
-    decodes at most 2 * workers tasks from the one holding its stop on, and one that stops inside
-    its first task no more than the first wave.  The pool starts no more processes than the
+    """Result arrays of the tasks of trials 0 .. max_blocks-1 in trial order, each task
+    system.trials_per_task trials.  In-process a task runs when it is reached, so a point
+    decodes no more than the rest of the task holding its stop: up to 3 concat blocks or 511
+    single-code trials, which its row does not count.  On a pool, a first wave of one task
+    per worker, then, once the first task's results are taken, 2 * workers tasks in flight;
+    the queued ones are cancelled when the generator closes.  So a pooled point decodes at
+    most 2 * workers tasks from the one holding its stop on, and one that stops inside its
+    first task no more than the first wave.  The pool starts no more processes than the
     point has tasks."""
     step = system.trials_per_task
-    if workers > 1:
-        step = max(step, _POOLED_TASK_TRIALS)
     tasks = ((lo, min(lo + step, max_blocks), sigma) for lo in range(0, max_blocks, step))
     if workers == 1:
         yield from (_run_trials(system, *task, master_seed) for task in tasks)

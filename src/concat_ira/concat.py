@@ -10,8 +10,8 @@ inverse permutation (systematic rows only - inner parity rows exist only in
 the column code).
 
 The decoder holds every array as the column code sees the block: the
-channel array as received, and each extrinsic and the row posterior at the
-image of its position.  Both passes decode in place through index tables
+channel array as received, and each extrinsic and posterior at the image of
+its position.  Both passes decode in place through index tables
 (``ConcatCode.pass_tables``): variable v of column c sits at flat index
 v*N + c, and variable v of row r at ``pi.forward[r*N + v]``, so no pass
 gathers, permutes or scatters a block.
@@ -89,16 +89,17 @@ class Schedule:
 
 @dataclass(frozen=True, eq=False)
 class ConcatDecodeResult:
+    """``converged``: every column and row ended valid, and both passes
+    decided each bit of the K x N systematic block alike, so the hard
+    decision is a concatenated codeword."""
+
     source_bits: np.ndarray  # (K, K) uint8
+    converged: bool
     column_valid: np.ndarray  # (N,) bool
     row_valid: np.ndarray  # (K,) bool
     pass_validity: tuple[tuple[int, int], ...]  # (valid cols, valid rows) per outer iter
     component_decode_calls: int
     component_iterations: int
-
-    @property
-    def converged(self) -> bool:
-        return bool(self.column_valid.all() and self.row_valid.all())
 
     @property
     def outer_iters_used(self) -> int:
@@ -125,10 +126,12 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
     col_at, row_at = cc.pass_tables
 
     # K x N, column-code alignment: the column pass reads row_ext as its
-    # prior on the systematic rows; the row pass reads col_ext
+    # prior on the systematic rows; the row pass reads col_ext.  The first
+    # pass of each code decodes, so writes, every entry of its ext and post
     row_ext = np.zeros((k, n))
     col_ext = np.zeros((k, n))
-    row_post = np.zeros((k, n))
+    col_post = np.empty((k, n))
+    row_post = np.empty((k, n))
     col_valid = np.zeros(n, dtype=bool)
     row_valid = np.zeros(k, dtype=bool)
     calls = 0
@@ -139,7 +142,7 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
         # column pass: channel enters here, prior is the permuted row
         # extrinsic; row pass: de-interleaved channel, column extrinsic as prior
         for h, at, valid, prior, out, post in (
-            (cc.inner.H, col_at, col_valid, row_ext, col_ext, None),
+            (cc.inner.H, col_at, col_valid, row_ext, col_ext, col_post),
             (cc.outer.H, row_at, row_valid, col_ext, row_ext, row_post),
         ):
             todo = np.flatnonzero(~valid) if schedule.freeze_converged else np.arange(len(valid))
@@ -155,6 +158,8 @@ def concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDec
 
     return ConcatDecodeResult(
         source_bits=(row_post.ravel()[row_at[:, :k]] < 0).astype(np.uint8),
+        converged=bool(col_valid.all() and row_valid.all()
+                       and np.array_equal(col_post < 0, row_post < 0)),
         column_valid=col_valid,
         row_valid=row_valid,
         pass_validity=tuple(history),

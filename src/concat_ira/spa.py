@@ -283,7 +283,7 @@ def decode_indexed(
     channel: np.ndarray,
     prior: np.ndarray | None,
     extrinsic: np.ndarray,
-    posterior: np.ndarray | None,
+    posterior: np.ndarray,
     max_iter: int,
     early_stop: bool = True,
 ) -> PassResult:
@@ -297,11 +297,11 @@ def decode_indexed(
     every check, or with ``early_stop`` False after all ``max_iter``
     iterations, which is what an exactness comparison against true
     marginals wants.
-    When the row stops, its extrinsic and, if ``posterior`` is given,
-    ``channel + prior + extrinsic`` are written at the indices that lie
-    inside ``extrinsic``, which ``posterior`` must match in size; nothing
-    is written elsewhere.  A row's values do not depend on the other rows
-    of the call, and outputs must not overlap the inputs.  ``at`` is int32
+    When the row stops, its extrinsic and its posterior, ``channel + prior
+    + extrinsic``, are both written at the indices that lie inside
+    ``extrinsic``, which ``posterior`` must match in size; nothing is
+    written elsewhere.  A row's values do not depend on the other rows of
+    the call, and outputs must not overlap the inputs.  ``at`` is int32
     of shape (rows, n_vars), ``ids`` int64; every array is C-contiguous.
     Raises ValueError on a table of another width, on an id outside the
     table or an index outside ``channel``, and RuntimeError when the kernel
@@ -311,7 +311,7 @@ def decode_indexed(
     if at.ndim != 2 or at.shape[1] != g.n_vars:
         raise ValueError(f"need an index table with rows of length {g.n_vars}")
     lib = _kernel()
-    if posterior is not None and posterior.size != extrinsic.size:
+    if posterior.size != extrinsic.size:
         raise ValueError("posterior size must match extrinsic size")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -330,9 +330,7 @@ def decode_indexed(
         args.prior, args.prior_len = _address(prior, np.float64, "prior"), prior.size
     args.extrinsic = _address(extrinsic, np.float64, "extrinsic", write=True)
     args.out_len = extrinsic.size
-    args.posterior = None if posterior is None else _address(
-        posterior, np.float64, "posterior", write=True
-    )
+    args.posterior = _address(posterior, np.float64, "posterior", write=True)
     args.iterations = _address(iterations, np.int64, "iterations")
     args.valid = _address(valid, np.bool_, "valid")
     if lib.spa_start(g.ref, batch):

@@ -877,12 +877,14 @@ def reference_build_code(
     return code
 
 
-def _peel(checks: Sequence[Sequence[int]], erased: np.ndarray) -> np.ndarray:
+def peel(h: SparseBinaryMatrix, erased) -> np.ndarray:
+    """Erasure decoding by peeling: while a check has exactly one erased
+    variable, that variable is resolved.  Returns the bool mask of what stays
+    erased, the largest stopping set inside ``erased`` (Di, Proietti, Telatar,
+    Richardson and Urbanke, IEEE Trans. IT 2002), which belief propagation
+    on the erasure channel leaves unresolved, whatever the order of peeling."""
+    checks = h.row_support
     left = np.array(erased, dtype=bool)
-    var_checks: dict[int, list[int]] = {}
-    for c, members in enumerate(checks):
-        for v in members:
-            var_checks.setdefault(v, []).append(c)
     unknown = [sum(bool(left[v]) for v in members) for members in checks]
     queue = [c for c, u in enumerate(unknown) if u == 1]
     while queue:
@@ -891,40 +893,39 @@ def _peel(checks: Sequence[Sequence[int]], erased: np.ndarray) -> np.ndarray:
             continue  # resolved through another check since it was queued
         v = next(v for v in checks[c] if left[v])
         left[v] = False
-        for d in var_checks[v]:
+        for d in h.col_support[v]:
             unknown[d] -= 1
             if unknown[d] == 1:
                 queue.append(d)
     return left
 
 
-def peel(h: SparseBinaryMatrix, erased) -> np.ndarray:
-    """Erasure decoding by peeling: while a check has exactly one erased
-    variable, that variable is resolved.  Returns the bool mask of what stays
-    erased, the largest stopping set inside ``erased`` (Di, Proietti, Telatar,
-    Richardson and Urbanke, IEEE Trans. IT 2002), which belief propagation
-    on the erasure channel leaves unresolved, whatever the order of peeling."""
-    return _peel(h.row_support, erased)
-
-
-def concat_peel(cc: ConcatCode, erased) -> np.ndarray:
-    """``peel`` over the joint graph of a concatenated block: ``erased`` and
-    the result are (N, N) bool, as ``concat_encode`` lays the block out.
-    Column c is an inner codeword, and row r of the outer code has its
-    variable v at flat position ``pi.forward[r * N + v]`` of the first K
-    rows."""
+def joint_matrix(cc: ConcatCode) -> SparseBinaryMatrix:
+    """The parity checks of a concatenated block on its N * N bits, flat as
+    ``concat_encode`` lays the block out: each column's inner checks, column
+    by column, then each row's outer checks, row by row.  Column c is an
+    inner codeword, and row r of the outer code has its variable v at flat
+    position ``pi.forward[r * N + v]`` of the first K rows."""
     n = cc.N
     checks = [[v * n + c for v in row] for c in range(n) for row in cc.inner.H.row_support]
     forward = cc.pi.forward.reshape(cc.K, n)
     checks += [[int(forward[r, v]) for v in row]
                for r in range(cc.K) for row in cc.outer.H.row_support]
-    return _peel(checks, np.asarray(erased, dtype=bool).ravel()).reshape(n, n)
+    return SparseBinaryMatrix.from_rows(len(checks), n * n, checks)
+
+
+def concat_peel(cc: ConcatCode, erased) -> np.ndarray:
+    """``peel`` over the joint graph of a concatenated block: ``erased`` and
+    the result are (N, N) bool, as ``concat_encode`` lays the block out."""
+    return peel(joint_matrix(cc), np.asarray(erased, dtype=bool).ravel()).reshape(cc.N, cc.N)
 
 
 def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) -> ConcatDecodeResult:
     """Reference for ``concat.concat_decode``: the NumPy glue it replaced,
     which moves whole (rows, N) channel, prior and extrinsic arrays through
-    ``BlockPermutation.apply`` and decodes each pass with ``decode_rows``."""
+    ``BlockPermutation.apply`` and decodes each pass with ``decode_rows``.
+    It has converged when every component ended valid and the two passes'
+    posteriors decide the systematic block alike."""
     lch = np.asarray(channel_llrs, dtype=np.float64)
     if lch.shape != (cc.N, cc.N):
         raise ValueError(f"expected ({cc.N}, {cc.N}) channel LLR array")
@@ -934,6 +935,7 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
     lch_rows = pi_inv.apply(lch[:k, :])  # channel observations seen by the row code
     row_ext = np.zeros((k, n))              # row-decoder extrinsic, row-code alignment
     col_ext_mixed = np.zeros((k, n))        # column-decoder extrinsic, column-code alignment
+    col_post_mixed = np.zeros((k, n))       # column-decoder posterior, column-code alignment
     row_post = np.zeros((k, n))
     col_valid = np.zeros(n, dtype=bool)
     row_valid = np.zeros(k, dtype=bool)
@@ -950,6 +952,7 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
             prior[:, :k] = prior_mixed[:, cols].T
             res = decode_rows(cc.inner, lch[:, cols].T, prior, schedule.inner_iters)
             col_ext_mixed[:, cols] = res.extrinsic[:, :k].T
+            col_post_mixed[:, cols] = res.posterior[:, :k].T
             col_valid[cols] = res.valid
             calls += len(cols)
             iters += int(res.iterations_used.sum())
@@ -971,6 +974,8 @@ def reference_concat_decode(cc: ConcatCode, channel_llrs, schedule: Schedule) ->
 
     return ConcatDecodeResult(
         source_bits=(row_post[:, :k] < 0).astype(np.uint8),
+        converged=bool(col_valid.all() and row_valid.all()
+                       and np.array_equal(pi_inv.apply(col_post_mixed) < 0, row_post < 0)),
         column_valid=col_valid,
         row_valid=row_valid,
         pass_validity=tuple(history),

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import re
@@ -597,14 +598,15 @@ class TestTrialLoop:
 
 @dataclass(frozen=True)
 class TaskLog:
-    """A system whose every trial is a block error and whose every task
-    appends its trial range, lo and hi, to the file at path.  The task_log
-    fixture makes bench._run_trials run its tasks through trials."""
+    """A system of trials_per_task trials a task, whose every trial is a block
+    error and whose every task appends its trial range, lo and hi, to the
+    file at path.  The task_log fixture makes bench._run_trials run its tasks
+    through trials, and returns the system of a given task size."""
 
     path: str
+    trials_per_task: int
     rate = 0.5
     source_bits = 1
-    trials_per_task = 1
 
     def trials(self, lo: int, hi: int, sigma: float, master_seed: int) -> np.ndarray:
         with open(self.path, "a", encoding="utf-8") as f:
@@ -617,10 +619,10 @@ class TaskLog:
 
 
 @pytest.fixture
-def task_log(monkeypatch, tmp_path) -> TaskLog:
+def task_log(monkeypatch, tmp_path):
     # a forked pool worker inherits the patch
     monkeypatch.setattr(bench, "_run_trials", TaskLog.trials)
-    return TaskLog(str(tmp_path / "tasks.txt"))
+    return functools.partial(TaskLog, str(tmp_path / "tasks.txt"))
 
 
 class RecordingPool:
@@ -656,8 +658,7 @@ class RecordingPool:
 class TestPoolWaves:
     """A pool starts with one task per worker and grows to 2 x workers tasks
     in flight once the first task's results are taken, and has no more
-    workers than the point has tasks.  A pooled task holds four trials of a
-    one-trial-per-task system."""
+    workers than the point has tasks.  Each task here holds four trials."""
 
     @pytest.fixture
     def events(self, monkeypatch):
@@ -681,7 +682,7 @@ class TestPoolWaves:
         (2, 1, [("start", 1), ("submit", 0, 1), ("take", 0)]),
     ], ids=["2", "3", "3-on-2-tasks", "10**6-on-2-tasks", "2-on-1-task"])
     def test_first_wave_then_two_per_worker(self, events, workers, max_blocks, expected, task_log):
-        system = task_log
+        system = task_log(4)
         point = measure_point(system, 3.0, StopRule(10_000, max_blocks), 9, workers=workers)
         assert point.blocks_run == max_blocks
         assert events == expected
@@ -697,7 +698,7 @@ class TestPoolWaves:
     def test_stop_inside_the_first_task_submits_only_the_first_wave(
         self, events, workers, expected, min_block_errors, task_log
     ):
-        system = task_log
+        system = task_log(4)
         point = measure_point(system, 3.0, StopRule(min_block_errors, 1000), 9, workers=workers)
         assert point.blocks_run == min_block_errors
         assert events == expected
@@ -705,13 +706,13 @@ class TestPoolWaves:
 
 class TestTrialRounds:
     """Single-code tasks encode, pass the channel and decode 512 trials at
-    once, a pooled concat task runs four blocks, and tasks run in trial
+    once, a concat task runs four blocks, and tasks run in trial
     order, one at a time in-process and at most 2 x workers at once on a
     pool; no result may depend on any of these."""
 
     @pytest.mark.parametrize("stop_at", [0, 5])
     def test_in_process_point_runs_exactly_the_trials_up_to_its_stop(self, task_log, stop_at):
-        system = task_log
+        system = task_log(1)
         point = measure_point(system, 3.0, StopRule(stop_at + 1, 1000), 9, workers=1)
         assert point.blocks_run == stop_at + 1
         assert system.ranges() == [(i, i + 1) for i in range(stop_at + 1)]
@@ -723,7 +724,7 @@ class TestTrialRounds:
     ):
         # the tasks before the stop's all run, each of four trials; the
         # cancelled ones never run
-        system = task_log
+        system = task_log(4)
         point = measure_point(system, 3.0, StopRule(stop_at + 1, 1000), 9, workers=workers)
         assert point.blocks_run == stop_at + 1
         ran = sorted(system.ranges())
@@ -742,7 +743,7 @@ class TestTrialRounds:
         system = ConcatSystem(
             ci.ConcatCode(outer, inner, ci.random_permutation(16, 24, 3)), ci.Schedule(5, 5)
         )
-        step = bench._POOLED_TASK_TRIALS
+        step = system.trials_per_task
         trials = bench._run_trials(system, 0, 200, ci.ebno_sigma(4.0, system.rate), 9)
         errors_at = np.flatnonzero(trials[:, 1])
         k, stop_at = next((k, int(e)) for k, e in enumerate(errors_at, start=1)
@@ -859,13 +860,15 @@ class TestTrialRounds:
 
     # rows written by the harness when an in-process round was 64 trials and a
     # single-code task 64 trials; each stop rule fires inside a round.  The
-    # undetected counts came later, and are pinned as this harness gave them
+    # undetected counts came later, and are pinned as this harness gives them:
+    # the concat point's 2 blocks whose components each ended valid, on
+    # decisions that disagree, are no longer among them
     @pytest.mark.parametrize(
         "kind, ebno, stop, row, undetected",
         [
             ("concat", 5.0, StopRule(5, 500),
              "5,56,8,5,0.0005580357142857143,0.08928571428571429,2.267857142857143,1.5864045864045864,9",
-             2),
+             0),
             ("single", 3.0, StopRule(90, 5000),
              "3,750,197,90,0.016416666666666666,0.12,0.0,3.3893333333333335,9", 22),
             ("single", 5.0, StopRule(10_000, 300),

@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 import concat_ira as ci
+from concat_ira import bench
 from concat_ira import concat as concat_mod
 from concat_ira.spa import PassResult
 
-from oracles import concat_peel, invert_permutation, reference_concat_decode, to_dense
+from oracles import (
+    concat_peel,
+    decode_rows,
+    invert_permutation,
+    joint_matrix,
+    reference_concat_decode,
+    to_dense,
+)
 
 
 def noiseless_llrs(tx):
@@ -161,8 +169,7 @@ class _RecordingStub:
         )
         out = index < extrinsic.size
         extrinsic.reshape(-1)[index[out]] = ext[out]
-        if posterior is not None:
-            posterior.reshape(-1)[index[out]] = (rebuilt_channel + rebuilt_prior + ext)[out]
+        posterior.reshape(-1)[index[out]] = (rebuilt_channel + rebuilt_prior + ext)[out]
         valid = np.zeros(batch, dtype=bool)
         if self.valid_after is not None:
             valid = self.valid_after(code, self.pass_no, batch)
@@ -239,6 +246,44 @@ class TestExtrinsicHygiene:
         assert stub.calls[3]["channel"].shape[0] == 8
 
 
+class _ValidStub:
+    """Replaces the component decoder: every column and every row ends
+    valid, deciding 0 at every bit, except that the row pass decides 1 at
+    flat block index ``flip`` (none at -1)."""
+
+    def __init__(self, cc, flip):
+        self.cc, self.flip = cc, flip
+
+    def __call__(self, matrix, at, ids, channel, prior, extrinsic, posterior, max_iter):
+        index = at[ids]
+        index = index[index < extrinsic.size]
+        extrinsic.reshape(-1)[index] = 0.0
+        decided_one = (index == self.flip) & (matrix is self.cc.outer.H)
+        posterior.reshape(-1)[index] = np.where(decided_one, -1.0, 1.0)
+        return PassResult(np.ones(len(ids), dtype=np.int64), np.ones(len(ids), dtype=bool))
+
+
+class TestConvergedMeansAConcatenatedCodeword:
+    """A block whose columns and rows each end valid has converged only when
+    the two passes decide its systematic bits alike; a failed block counts
+    as undetected only when it has."""
+
+    @pytest.mark.parametrize("disagree", [True, False], ids=["passes-disagree", "passes-agree"])
+    def test_every_component_valid(self, toy_cc, monkeypatch, disagree):
+        row_at = toy_cc.pass_tables[1]
+        flip = int(row_at[2, 3]) if disagree else -1  # source bit (2, 3) of the row pass
+        monkeypatch.setattr(concat_mod, "_decode_batch", _ValidStub(toy_cc, flip))
+        res = ci.concat_decode(toy_cc, np.zeros((12, 12)), ci.Schedule())
+        assert res.column_valid.all() and res.row_valid.all() and res.pass_validity == ((12, 8),)
+        assert res.converged is not disagree
+        assert res.source_bits.sum() == disagree and res.source_bits[2, 3] == disagree
+
+        system = bench.ConcatSystem(toy_cc, ci.Schedule())
+        results = bench._run_trials(system, 0, 4, ci.ebno_sigma(3.0, toy_cc.rate), 5)
+        assert results[:, 1].all()  # every block fails: its source is not the decision
+        assert results[:, 5].tolist() == [int(not disagree)] * 4
+
+
 def erased_blocks(cc, count, seed):
     """Seeded (source, channel LLRs, joint peeling residual of the source
     bits) of random blocks on erasures: LLR 0.0 for an erased bit, +-20 for
@@ -280,6 +325,23 @@ class TestErasurePeeling:
             assert not res.source_bits[unresolved].any()
             assert (res.source_bits <= source).all()  # a 1 only where the source has one
 
+    def test_flooding_on_the_joint_matrix_equals_joint_peeling(self, toy_cc):
+        # the block as one codeword of the joint matrix, every check of both
+        # codes updated each iteration: belief propagation on the joint
+        # graph, which leaves unresolved the largest stopping set inside the
+        # erasures
+        blocks = list(erased_blocks(toy_cc, 150, 23))
+        llrs = np.stack([llr.ravel() for _, llr, _ in blocks])
+        res = decode_rows(joint_matrix(toy_cc), llrs, None, 400, early_stop=False)
+        stuck = 0
+        for (source, llr, _), posterior in zip(blocks, res.posterior):
+            unresolved = concat_peel(toy_cc, llr == 0.0).ravel()
+            assert np.array_equal(posterior == 0.0, unresolved)
+            sent = ci.concat_encode(toy_cc, source).ravel()
+            assert np.array_equal((posterior < 0.0)[~unresolved], sent[~unresolved])
+            stuck += unresolved.any()
+        assert 0 < stuck < 150
+
 
 class TestOrderIndependence:
     def test_column_pass_matches_per_column_decode(self, toy_cc):
@@ -299,8 +361,9 @@ RESULT_FIELDS = (
 )
 SCHEDULES = (ci.Schedule(), ci.Schedule(freeze_converged=False))
 # sha256 of every result field of the corpus below, as the NumPy glue that
-# reference_concat_decode keeps gave them
-CORPUS_DIGEST = "7ae70c33f62bc7dc264fca458fa9a4dd6052c2e08a333a058b11dc2fb2afa09e"
+# reference_concat_decode keeps gave them; converged compares the two passes'
+# decisions since "undetected" came to mean a wrong concatenated codeword
+CORPUS_DIGEST = "66a814cdd732e579ea3f1790630c1df45a5ce0cc46fc65b2df12ec33fff6125d"
 
 
 @pytest.fixture(scope="module")

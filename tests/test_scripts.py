@@ -55,6 +55,17 @@ def test_directional_check_writes_one_row_per_arm(tmp_path):
     assert ci.count_bad_mappings(designed, sets).count == 0
 
 
+def test_directional_check_refuses_an_unusable_ebno_before_any_work(tmp_path, capsys):
+    # 5000 dB passes SimConfig but gives no noise level: the run must not
+    # build codes and then fail, which would read as the designed arm losing
+    script = load_script("directional_check")
+    status = script.main(["--ebno", "5000", "--out-prefix", str(tmp_path / "directional")])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert not any(tmp_path.iterdir())
+
+
 def test_waterfall_curves_outputs_are_pinned(tmp_path):
     # values recorded from the script when it built the codes itself and
     # restated the random arm's seed

@@ -574,14 +574,15 @@ class TestIndexedDecode:
         untouched[index[written]] = False
         assert np.isnan(extrinsic[untouched]).all() and np.isnan(posterior[untouched]).all()
 
-    def test_no_prior_and_no_posterior(self, paper_outer):
+    def test_no_prior(self, paper_outer):
         rng = np.random.default_rng(22)
         at, channel, _ = self.block(paper_outer, rng)
         ids = np.arange(9)
         want = decode_rows(paper_outer, channel[at], None, 30)
-        extrinsic = np.empty(channel.size)
-        got = decode_indexed(paper_outer.H, at, ids, channel, None, extrinsic, None, 30)
+        extrinsic, posterior = np.empty(channel.size), np.empty(channel.size)
+        got = decode_indexed(paper_outer.H, at, ids, channel, None, extrinsic, posterior, 30)
         assert np.array_equal(extrinsic[at], want.extrinsic)
+        assert np.array_equal(posterior[at], want.posterior)
         assert np.array_equal(got.valid, want.valid)
 
     @pytest.mark.parametrize("fault", [
@@ -591,7 +592,7 @@ class TestIndexedDecode:
     def test_bad_arguments_raise(self, toy_outer, fault):
         rng = np.random.default_rng(23)
         at, channel, prior = self.block(toy_outer, rng)
-        ids, extrinsic, posterior = np.arange(9), np.empty(channel.size), None
+        ids, extrinsic, posterior = np.arange(9), np.empty(channel.size), np.empty(channel.size)
         if fault == "id past the table":
             ids = np.array([0, 9])
         elif fault == "negative id":
@@ -611,13 +612,10 @@ class TestIndexedDecode:
         with pytest.raises(ValueError):
             decode_indexed(toy_outer.H, at, ids, channel, prior, extrinsic, posterior, 5)
 
-    @pytest.mark.parametrize("posterior_given", [False, True], ids=["no-posterior", "posterior"])
     @pytest.mark.parametrize("prior_given", [False, True], ids=["no-prior", "prior"])
     @pytest.mark.parametrize("width", [1, 5, 512])
     @pytest.mark.parametrize("code", ["paper_outer", "toy_outer"])
-    def test_identity_table_row_i_is_array_row_i(
-        self, request, code, width, prior_given, posterior_given
-    ):
+    def test_identity_table_row_i_is_array_row_i(self, request, code, width, prior_given):
         """The table a single-code task decodes through: codeword i at row i
         of 2-D arrays, equal to the dense reference decode of the stack."""
         code = request.getfixturevalue(code)
@@ -627,15 +625,14 @@ class TestIndexedDecode:
         want = reference_decode_batch(code, channel, prior, 30)
         at = np.arange(channel.size, dtype=np.int32).reshape(channel.shape)
         extrinsic = np.full(channel.shape, np.nan)
-        posterior = np.full(channel.shape, np.nan) if posterior_given else None
+        posterior = np.full(channel.shape, np.nan)
         got = decode_indexed(code.H, at, np.arange(width), channel, prior, extrinsic, posterior, 30)
         assert got.iterations_used.dtype == want.iterations_used.dtype
         assert np.array_equal(got.iterations_used, want.iterations_used)
         assert got.valid.dtype == want.valid.dtype and np.array_equal(got.valid, want.valid)
         assert np.array_equal(extrinsic, want.extrinsic)
-        if posterior_given:
-            assert np.array_equal(posterior, want.posterior)
-            assert np.array_equal((posterior < 0.0).view(np.uint8), want.hard_bits)
+        assert np.array_equal(posterior, want.posterior)
+        assert np.array_equal((posterior < 0.0).view(np.uint8), want.hard_bits)
         if width == 512:
             assert 0 < want.valid.sum() < width
 
