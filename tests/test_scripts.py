@@ -66,6 +66,23 @@ def test_directional_check_refuses_an_unusable_ebno_before_any_work(tmp_path, ca
     assert not any(tmp_path.iterdir())
 
 
+def test_directional_check_reports_a_failed_measurement_as_an_error(tmp_path, capsys, monkeypatch):
+    # a run that raises while measuring exits 2 with one error line, never 1,
+    # which would read as the designed arm losing
+    script = load_script("directional_check")
+
+    def failing_run(config):
+        raise RuntimeError("the decoder kernel could not be built")
+
+    monkeypatch.setattr(script, "cli_main", lambda step: 0)
+    monkeypatch.setattr(script, "run_curve", failing_run)
+    status = script.main(["--ebno", "3.0", "--out-prefix", str(tmp_path / "directional")])
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the decoder kernel could not be built\n"
+    assert "designed <= random" not in captured.out
+
+
 def test_waterfall_curves_outputs_are_pinned(tmp_path):
     # values recorded from the script when it built the codes itself and
     # restated the random arm's seed

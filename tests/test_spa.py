@@ -554,16 +554,25 @@ class TestIndexedDecode:
         prior = rng.normal(scale=0.5, size=8 * n)
         return at, channel, prior
 
-    def test_rows_decode_as_their_gathered_batch(self, paper_outer):
+    @pytest.mark.parametrize("early_stop", [True, False], ids=["early-stop", "all-iterations"])
+    @pytest.mark.parametrize("prior_given", [False, True], ids=["no-prior", "prior"])
+    @pytest.mark.parametrize("code", ["paper_outer", "toy_outer"])
+    def test_rows_decode_as_their_gathered_batch(self, request, code, prior_given, early_stop):
+        """A row writes its posterior at exactly the indices where it writes
+        its extrinsic, under either stop rule."""
+        code = request.getfixturevalue(code)
         rng = np.random.default_rng(21)
-        at, channel, prior = self.block(paper_outer, rng)
+        at, channel, prior = self.block(code, rng)
         ids = np.array([7, 0, 3, 8, 2])
         index = at[ids]
-        gathered_prior = np.where(index < prior.size, prior[np.minimum(index, prior.size - 1)], 0.0)
-        want = decode_rows(paper_outer, channel[index], gathered_prior, 30)
-        extrinsic = np.full(10 * paper_outer.N, np.nan)
+        if prior_given:
+            gathered_prior = np.where(index < prior.size, prior[np.minimum(index, prior.size - 1)], 0.0)
+        else:
+            prior = gathered_prior = None
+        want = decode_rows(code, channel[index], gathered_prior, 30, early_stop)
+        extrinsic = np.full(10 * code.N, np.nan)
         posterior = np.full(extrinsic.size, np.nan)
-        got = decode_indexed(paper_outer.H, at, ids, channel, prior, extrinsic, posterior, 30)
+        got = decode_indexed(code.H, at, ids, channel, prior, extrinsic, posterior, 30, early_stop)
         assert np.array_equal(got.iterations_used, want.iterations_used)
         assert np.array_equal(got.valid, want.valid)
         written = index < extrinsic.size
