@@ -23,7 +23,10 @@ A call's codewords are read from and written to flat block arrays through
 an index table: call row i is table row ids[i], and its variable v sits at
 index at[ids[i] * n_vars + v] of the channel, prior, extrinsic and
 posterior arrays.  An index past the end of the prior adds a +0.0 prior;
-one past the end of the outputs is not written.
+one past the end of the outputs is not written.  A stopped row writes
+2 * ext and 2 * post of its tile, so its written posterior has the signs
+its syndrome was taken on; both equal the full-scale sums unless
+|channel + prior| < 2**-1021, where halving it rounds.
 
 Each product, sum and difference rounds once per lane, in the order of the
 NumPy kernel this file replaced; the file is compiled with
@@ -60,7 +63,7 @@ typedef struct {
     const double *channel;    /* (channel_len,) */
     const double *prior;      /* (prior_len,) */
     double *extrinsic;        /* (out_len,) written 2 * ext */
-    double *posterior;        /* (out_len,) written channel + prior + 2 * ext */
+    double *posterior;        /* (out_len,) written 2 * post */
     int64_t *iterations;      /* (rows,) */
     uint8_t *valid;           /* (rows,) */
     int64_t at_rows, channel_len, prior_len, out_len;
@@ -86,12 +89,6 @@ static void move_row(const spa_graph *g, int64_t from, int64_t to)
     g->active[to] = g->active[from];
 }
 
-/* channel + prior at index i of the block */
-static double block_sum(const spa_graph *g, int64_t i)
-{
-    return g->channel[i] + (i < g->prior_len ? g->prior[i] : 0.0);
-}
-
 /* lam = (channel + prior) * 0.5 for call rows 0..rows-1, call row r in
    working row r; dead lanes get zeros.  Returns -1 if an id lies outside
    the table or an index outside the channel, else 0. */
@@ -112,7 +109,7 @@ int64_t spa_start(const spa_graph *g, int64_t rows)
             int64_t j = at[v];
             if (j < 0 || j >= g->channel_len)
                 return -1;
-            lam[v * LANES] = block_sum(g, j) * 0.5;
+            lam[v * LANES] = (g->channel[j] + (j < g->prior_len ? g->prior[j] : 0.0)) * 0.5;
         }
         g->active[r] = r;
     }
@@ -178,10 +175,10 @@ void spa_checks(const spa_graph *g, int64_t rows)
    order), the posterior lam + extrinsic, and the next msg, post - cv, with
    the parity of each check's hard decisions, for every lane.  A working
    row stops when stop_all is set, or at a zero syndrome when early_stop
-   is; it then writes its extrinsic and posterior at full scale, its
-   iterations and its validity.  The last kept rows then move into the
-   places of stopped ones, so the kept rows are the first ones.  Returns
-   their number. */
+   is; it then writes 2 * ext and 2 * post of its lane, its iterations
+   and its validity.  The last kept rows then move into the places of
+   stopped ones, so the kept rows are the first ones.  Returns their
+   number. */
 int64_t spa_variables(const spa_graph *g, int64_t rows, int64_t it, int stop_all, int early_stop)
 {
     /* locals, as a vector store may alias *g */
@@ -225,9 +222,8 @@ int64_t spa_variables(const spa_graph *g, int64_t rows, int64_t it, int stop_all
                 int64_t j = at[v];
                 if (j >= g->out_len)
                     continue;
-                double e = 2.0 * ext[v][l];
-                g->extrinsic[j] = e;
-                g->posterior[j] = block_sum(g, j) + e;
+                g->extrinsic[j] = 2.0 * ext[v][l];
+                g->posterior[j] = 2.0 * post[v][l];
             }
             g->iterations[row] = it;
             g->valid[row] = !unsatisfied[l];

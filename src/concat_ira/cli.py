@@ -74,6 +74,9 @@ def _cmd_design_interleaver(args) -> int:
     hist_row = sensitivity_histogram(outer.H)
     hist_col = sensitivity_histogram(inner.H)
     designed = escalate_design(hist_row, hist_col, pi0, np.random.default_rng(args.seed))
+    check = count_bad_mappings(designed, designed.sets)
+    if check.count:
+        raise ConfigError(f"designed permutation still has {check.count} bad mappings")
 
     out = Path(args.out)
     save_permutation(designed, out)
@@ -84,9 +87,6 @@ def _cmd_design_interleaver(args) -> int:
         + "\n",
         encoding="utf-8",
     )
-    check = count_bad_mappings(designed, designed.sets)
-    if check.count:
-        raise ConfigError(f"designed permutation still has {check.count} bad mappings")
     print(
         f"wrote {out} (escalation level t={designed.design_t}, "
         f"{designed.repairs} repairs) and {sets_path}"

@@ -9,9 +9,11 @@ to another decoder that holds its own copy of the channel observation.
 
 Inside the loop every LLR is at half scale: channel + prior is halved on
 entry, a check output is the ``arctanh`` of its product without the factor
-2, and the extrinsic output is doubled on exit.  A power-of-two scale
-commutes with rounding, so outputs are bit-identical to full-scale
-``2 * arctanh(prod tanh(L/2))`` unless ``|channel + prior| < 2**-1021``.
+2, and both outputs are doubled on exit, so the written posterior has the
+signs the syndrome was taken on.  A power-of-two scale commutes with
+rounding, so both outputs are bit-identical to full-scale
+``2 * arctanh(prod tanh(L/2))`` and ``channel + prior + extrinsic``
+unless ``|channel + prior| < 2**-1021``, where halving the input rounds.
 There is no clamp before ``tanh``: NumPy's float64 ``tanh`` is exactly +-1.0
 for |x| >= 19.1 and at +-inf, so a +-50 clamp (+-25 at half scale) changes
 no output.
@@ -298,9 +300,10 @@ def decode_indexed(
     iterations, which is what an exactness comparison against true
     marginals wants.
     When the row stops, its extrinsic and its posterior, ``channel + prior
-    + extrinsic``, are both written at the indices that lie inside
-    ``extrinsic``, which ``posterior`` must match in size; nothing is
-    written elsewhere.  A row's values do not depend on the other rows of
+    + extrinsic`` (but see the module docstring) with the signs whose
+    syndrome gave ``valid``, are both written at the indices that lie
+    inside ``extrinsic``, which ``posterior`` must match in size; nothing
+    is written elsewhere.  A row's values do not depend on the other rows of
     the call, and outputs must not overlap the inputs.  ``at`` is int32
     of shape (rows, n_vars), ``ids`` int64; every array is C-contiguous.
     Raises ValueError on a table of another width, on an id outside the

@@ -11,6 +11,7 @@ import pytest
 import concat_ira as ci
 from concat_ira import cli, spa
 from concat_ira.cli import main
+from concat_ira.interleave import BadMappings
 from conftest import build_toy
 
 
@@ -186,6 +187,18 @@ class TestDesignInterleaver:
             f"{shapes['inner']}; component codes must share (N, K)\n"
         )
         assert not out.exists()
+
+    def test_refused_design_writes_no_file(self, workspace, tmp_path, capsys, monkeypatch):
+        # simulate would load a .perm left on disk, so the check runs first
+        monkeypatch.setattr(cli, "count_bad_mappings", lambda perm, sets: BadMappings(1, [(0, 0)]))
+        out = tmp_path / "refused.perm"
+        rc = run_cli(
+            "design-interleaver", "--outer", workspace / "outer",
+            "--inner", workspace / "inner", "--seed", 5, "--out", out,
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: designed permutation still has 1 bad mappings\n"
+        assert not out.exists() and not Path(f"{out}.sets").exists()
 
 
 class TestSimulate:

@@ -505,10 +505,17 @@ class TestWorkspaceReuse:
 CORPUS_DIGEST = "5b9b818e17e4349d37b34b029e915088cc758b954aa2c0fceaf7d9faa269e97a"
 
 
+def assert_valid_rows_satisfy_every_check(h_dense, posterior, valid) -> None:
+    """Each row reported valid decides ``posterior < 0`` to a codeword."""
+    syndromes = (np.atleast_2d(posterior < 0.0).astype(np.int64) @ h_dense.T) % 2
+    assert not syndromes[np.atleast_1d(valid)].any()
+
+
 def check_corpus(code) -> None:
     """Decode the corpus, pin its decisions and compare every output with
     oracles.reference_decode_batch; exact zeros of both signs in channel and
     prior reach every sum."""
+    h_dense = to_dense(code.H)
     digest = hashlib.sha256()
     for width in (1, 16, 181, 500):
         rng = np.random.default_rng(width)
@@ -521,6 +528,7 @@ def check_corpus(code) -> None:
             for early_stop in (True, False):
                 res = decode_rows(code, channel, pr, 30, early_stop)
                 assert_results_identical(res, reference_decode_batch(code, channel, pr, 30, early_stop))
+                assert_valid_rows_satisfy_every_check(h_dense, res.posterior, res.valid)
                 for name in ("hard_bits", "iterations_used", "valid"):
                     a = getattr(res, name)
                     digest.update(f"{name} {a.dtype.str} {a.shape}".encode())
@@ -657,6 +665,27 @@ class TestIndexedDecode:
         with pytest.raises(ValueError):
             decode_indexed(toy_outer.H, at, np.arange(5), channel, None, extrinsic, posterior, 5)
         assert np.isnan(extrinsic).all() and np.isnan(posterior).all()
+
+
+class TestOutputRule:
+    """A stopped row writes twice its half-scale extrinsic and posterior.
+    Below |channel + prior| = 2**-1021 halving the input rounds, so the
+    posterior is then not channel + prior + extrinsic, but its signs are
+    still the decision whose syndrome was checked."""
+
+    @pytest.mark.parametrize("channel_v0, posterior", [
+        (3 * 2.0**-1074, 4 * 2.0**-1074),  # half of 3 subnormal units rounds to 2
+        (-(2.0**-1074), 0.0),  # half rounds to -0.0, and -0.0 + +0.0 is +0.0
+        (0.75, 0.75),
+    ], ids=["three-units", "minus-one-unit", "normal"])
+    def test_posterior_is_twice_the_tile_posterior(self, paper_outer, channel_v0, posterior):
+        channel = np.zeros(paper_outer.N)
+        channel[0] = channel_v0
+        res = ci.decode(paper_outer, channel, max_iter=3, early_stop=False)
+        assert res.posterior[0] == posterior and not np.signbit(res.posterior[0])
+        assert res.extrinsic[0] == 0.0 and not np.signbit(res.extrinsic[0])
+        assert res.hard_bits[0] == 0 and res.valid
+        assert_valid_rows_satisfy_every_check(to_dense(paper_outer.H), res.posterior, res.valid)
 
 
 class TestKernel:
