@@ -1,5 +1,6 @@
-/* Random streams of the trials of both systems, and the IRA encoder.  Trial i
- * of master seed m draws what
+/* Random streams of the trials of both systems, the IRA encoder, and the
+ * construction of an IRA code's systematic section, which seeds and draws
+ * through the same generator port.  Trial i of master seed m draws what
  * np.random.Generator(np.random.PCG64(np.random.SeedSequence((m, i))))
  * would draw.  The seeding is SeedSequence's hash and PCG64's set-up, each
  * trial's 128-bit state is stepped as NumPy's PCG64 steps it, and the
@@ -43,6 +44,7 @@
  * SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE. */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* SeedSequence's hash constants (numpy/random/bit_generator.pyx) */
@@ -100,42 +102,51 @@ static void store(const pcg64 *rng, uint64_t *words)
     words[3] = (uint64_t)rng->inc;
 }
 
+/* The generator np.random.PCG64(np.random.SeedSequence(entropy)) starts
+ * from, where entropy is the n_head 32-bit words head, then the n_tail words
+ * tail: the pool takes the first POOL words, zeros when the entropy is
+ * shorter, and the rest is mixed into every word.  generate_state(4, uint64)
+ * pairs eight hashed pool words little-endian. */
+static pcg64 seed_sequence(const uint32_t *head, int64_t n_head, const uint32_t *tail, int64_t n_tail)
+{
+    uint32_t pool[POOL], hash_const = INIT_A, seed32[2 * POOL];
+    int64_t n = n_head + n_tail;
+    for (int64_t k = 0; k < POOL; k++)
+        pool[k] = hashmix(k < n_head ? head[k] : k < n ? tail[k - n_head] : 0, &hash_const);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    for (int64_t k = POOL; k < n; k++) {
+        uint32_t word = k < n_head ? head[k] : tail[k - n_head];
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(word, &hash_const));
+    }
+    hash_const = INIT_B;
+    for (int k = 0; k < 2 * POOL; k++) {
+        uint32_t value = pool[k % POOL] ^ hash_const;
+        hash_const *= MULT_B;
+        value *= hash_const;
+        seed32[k] = value ^ (value >> 16);
+    }
+    uint64_t seed[4];
+    for (int k = 0; k < 4; k++)
+        seed[k] = seed32[2 * k] | (uint64_t)seed32[2 * k + 1] << 32;
+    /* PCG64: state = 0, inc = initseq << 1 | 1; step; state += initstate; step */
+    pcg64 rng = {0, (((u128)seed[2] << 64 | seed[3]) << 1) | 1u};
+    next64(&rng);
+    rng.state += (u128)seed[0] << 64 | seed[1];
+    next64(&rng);
+    return rng;
+}
+
 /* The states of trials lo..lo+count-1: entropy is the master seed's n_words
- * 32-bit words, then the trial index; the pool takes the first POOL words,
- * zeros when the entropy is shorter, and the rest is mixed into every word.
- * generate_state(4, uint64) pairs eight hashed pool words little-endian. */
+ * 32-bit words, then the trial index. */
 void trial_seed(const uint32_t *words, int64_t n_words, int64_t lo, int64_t count, uint64_t *states)
 {
     for (int64_t t = 0; t < count; t++) {
-        uint32_t pool[POOL], hash_const = INIT_A, seed32[2 * POOL];
-        int64_t n = n_words + 1;
-        for (int64_t k = 0; k < POOL; k++)
-            pool[k] = hashmix(k < n_words ? words[k] : k == n_words ? (uint32_t)(lo + t) : 0,
-                              &hash_const);
-        for (int src = 0; src < POOL; src++)
-            for (int dst = 0; dst < POOL; dst++)
-                if (src != dst)
-                    pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
-        for (int64_t k = POOL; k < n; k++) {
-            uint32_t word = k < n_words ? words[k] : (uint32_t)(lo + t);
-            for (int dst = 0; dst < POOL; dst++)
-                pool[dst] = mix(pool[dst], hashmix(word, &hash_const));
-        }
-        hash_const = INIT_B;
-        for (int k = 0; k < 2 * POOL; k++) {
-            uint32_t value = pool[k % POOL] ^ hash_const;
-            hash_const *= MULT_B;
-            value *= hash_const;
-            seed32[k] = value ^ (value >> 16);
-        }
-        uint64_t seed[4];
-        for (int k = 0; k < 4; k++)
-            seed[k] = seed32[2 * k] | (uint64_t)seed32[2 * k + 1] << 32;
-        /* PCG64: state = 0, inc = initseq << 1 | 1; step; state += initstate; step */
-        pcg64 rng = {0, (((u128)seed[2] << 64 | seed[3]) << 1) | 1u};
-        next64(&rng);
-        rng.state += (u128)seed[0] << 64 | seed[1];
-        next64(&rng);
+        uint32_t index = (uint32_t)(lo + t);
+        pcg64 rng = seed_sequence(words, n_words, &index, 1);
         store(&rng, states + 4 * t);
     }
 }
@@ -456,4 +467,295 @@ void ira_encode(const uint64_t *masks, int64_t m, int64_t k, int64_t count,
         for (int64_t c = 1; c < m; c++)
             parity[c] ^= parity[c - 1];
     }
+}
+
+/* --- construction of an IRA code's systematic section H1 ----------------
+ * ira.build_h1's restarts, each drawing from np.random.default_rng(seed + r).
+ * A row set is a mask of ceil(m / 64) words, bit r of word r / 64 set for
+ * row r.  The tests pin every matrix and refusal to the Python construction
+ * tests/oracles.reference_build_h1. */
+
+/* Row masks of placed supports and of their pairwise sums, in one
+ * open-addressed table: accepting a candidate support would complete a
+ * codeword of weight <= 4 exactly when it, or its sum with a placed support,
+ * is in the table.  No stored mask is zero (supports are non-empty and
+ * distinct), so a zero slot is empty. */
+typedef struct {
+    int64_t words, bits;  /* words per row mask; log2 of the slots */
+    uint64_t *slots, *placed, *sums, *at;  /* at: where each sum's probe ended */
+    int64_t n_placed;
+} low_weight_screen;
+
+/* Multiplicative hashing, whose top bits depend on every bit of the key */
+static uint64_t screen_hash(const low_weight_screen *s, const uint64_t *key)
+{
+    uint64_t h = 0;
+    for (int64_t w = 0; w < s->words; w++)
+        h = (h ^ key[w]) * 0x9E3779B97F4A7C15u;
+    return h >> (64 - s->bits);
+}
+
+/* Linear probing from slot i: the first slot that holds key or is empty.
+ * Nothing is ever removed, so a probe that ended at an empty slot may go on
+ * from there after other keys have been added. */
+static uint64_t screen_probe(const low_weight_screen *s, const uint64_t *key, uint64_t i)
+{
+    for (;; i = (i + 1) & (((uint64_t)1 << s->bits) - 1)) {
+        const uint64_t *slot = s->slots + i * s->words;
+        uint64_t differs = 0, held = 0;
+        for (int64_t w = 0; w < s->words; w++) {
+            differs |= slot[w] ^ key[w];
+            held |= slot[w];
+        }
+        if (!differs || !held)
+            return i;
+    }
+}
+
+static int screen_held(const low_weight_screen *s, uint64_t i)
+{
+    uint64_t held = 0;
+    for (int64_t w = 0; w < s->words; w++)
+        held |= s->slots[i * s->words + w];
+    return held != 0;
+}
+
+/* Register cand and return 1, or return 0 if it clashes. */
+static int screen_admit(low_weight_screen *s, const uint64_t *cand)
+{
+    int64_t words = s->words;
+    uint64_t at = screen_probe(s, cand, screen_hash(s, cand));
+    if (screen_held(s, at))
+        return 0; /* weight 2 or 3 */
+    for (int64_t i = 0; i < s->n_placed; i++) {
+        uint64_t *sum = s->sums + i * words;
+        for (int64_t w = 0; w < words; w++)
+            sum[w] = cand[w] ^ s->placed[i * words + w];
+        s->at[i] = screen_probe(s, sum, screen_hash(s, sum));
+        if (screen_held(s, s->at[i]))
+            return 0; /* weight 3 or 4 */
+    }
+    /* the sums are distinct from each other and from cand */
+    for (int64_t i = 0; i < s->n_placed; i++) {
+        const uint64_t *sum = s->sums + i * words;
+        memcpy(s->slots + screen_probe(s, sum, s->at[i]) * words, sum, 8 * (size_t)words);
+    }
+    memcpy(s->slots + screen_probe(s, cand, at) * words, cand, 8 * (size_t)words);
+    memcpy(s->placed + s->n_placed++ * words, cand, 8 * (size_t)words);
+    return 1;
+}
+
+/* cdf = the running sum of p[0..n), left to right, divided by its last entry */
+static void scaled_cdf(const double *p, int64_t n, double *cdf)
+{
+    double sum = 0.0;
+    for (int64_t i = 0; i < n; i++)
+        cdf[i] = sum += p[i];
+    for (int64_t i = 0; i < n; i++)
+        cdf[i] /= sum;
+}
+
+static int64_t bisect_right(const double *a, int64_t n, double x)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) / 2;
+        if (x < a[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+/* size distinct indices of p[0..n), as Generator.choice(n, size,
+ * replace=False, p=p) draws them: one double per missing index, each
+ * bisected into the scaled cdf (first_cdf while none is found, else the
+ * table of p with the found indices zeroed), first sightings kept in draw
+ * order, until size are found. */
+static void draw_rows(pcg64 *rng, const double *p, const double *first_cdf, int64_t n, int64_t size,
+                      double *p_work, double *cdf, int64_t *found)
+{
+    const double *table = first_cdf;
+    int64_t n_found = 0;
+    for (;;) {
+        for (int64_t t = size - n_found; t > 0; t--) {
+            int64_t i = bisect_right(table, n, next_double(rng)), seen = 0;
+            for (int64_t f = 0; f < n_found; f++)
+                seen |= found[f] == i;
+            if (!seen)
+                found[n_found++] = i;
+        }
+        if (n_found == size)
+            return;
+        memcpy(p_work, p, sizeof *p * (size_t)n);
+        for (int64_t f = 0; f < n_found; f++)
+            p_work[found[f]] = 0.0;
+        scaled_cdf(p_work, n, cdf);
+        table = cdf;
+    }
+}
+
+/* comb(n, d), or cap when it is larger */
+static int64_t comb_capped(int64_t n, int64_t d, int64_t cap)
+{
+    int64_t c = 1;
+    /* c runs through comb(n - d + i, i), which never falls with i */
+    for (int64_t i = 1; i <= d && c <= cap; i++)
+        c = c * (n - d + i) / i;
+    return c < cap ? c : cap;
+}
+
+/* Place the k systematic columns, of degrees[j] rows each, highest degree
+ * first and in index order within a degree, into m rows that start with
+ * check_degree - 2 free places each, row 0 with one more (H2 takes the
+ * rest).  A column's rows are drawn from the rows with free places, with
+ * probability proportional to their free places, and redrawn while they
+ * close a 4-cycle (two rows that a placed column, of H1 or H2, already
+ * shares) or complete a codeword of weight <= 4.  With columns of degree
+ * <= 4 the 4-cycle test is exactly the ACE test at the default AceParams
+ * (d_ace = 2, eta = 5): such a 4-cycle has ACE at most 4, and longer
+ * cycles are past d_ace.  A column is stuck after
+ * max_resample draws, once every row set has been refused, or at once when
+ * fewer than its degree rows have free places; a stuck column restarts the
+ * construction from the next seed, up to max_restarts times.
+ *
+ * The seed of restart 0 is the n_words 32-bit words seed_words, least
+ * significant first, with no zero word on top (one zero word for seed 0);
+ * restart r draws from SeedSequence of the words of seed + r.
+ *
+ * Returns 0 with column j's rows, ascending, at cols[degrees[0] + ... +
+ * degrees[j - 1]]; 1 when every restart got stuck, with blocker {-1, -1}
+ * when the last one ran out of draws or row sets, else {rows with free
+ * places, degree}; -1 when memory ran out. */
+int64_t ira_build_h1(const uint32_t *seed_words, int64_t n_words, int64_t k, int64_t m,
+                     int64_t check_degree, const int64_t *degrees, int64_t max_resample,
+                     int64_t max_restarts, int64_t *cols, int64_t *blocker)
+{
+    int64_t words = (m + 63) / 64, n = k + m, max_degree = 0, bits = 1;
+    for (int64_t j = 0; j < k; j++)
+        max_degree = degrees[j] > max_degree ? degrees[j] : max_degree;
+    /* at most n supports and n (n - 1) / 2 sums, in at least twice as many slots */
+    while (((int64_t)1 << bits) < n * (n + 1))
+        bits++;
+    int64_t slots = (int64_t)1 << bits;
+    int64_t *order = malloc(sizeof *order * (size_t)k), *start = malloc(sizeof *start * (size_t)k);
+    int64_t *budget = malloc(sizeof *budget * (size_t)m), *avail = malloc(sizeof *avail * (size_t)m);
+    int64_t *found = malloc(sizeof *found * (size_t)max_degree);
+    double *p = malloc(sizeof *p * 4 * (size_t)m);
+    uint8_t *shared = malloc((size_t)(m * m));
+    uint32_t *entropy = malloc(sizeof *entropy * (size_t)(n_words + 1));
+    uint64_t *cand = malloc(8 * (size_t)(words * (1 + max_resample)));
+    low_weight_screen screen = {words, bits, malloc(8 * (size_t)(slots * words)),
+                                malloc(8 * (size_t)(n * words)), malloc(8 * (size_t)(n * words)),
+                                malloc(8 * (size_t)n), 0};
+    int64_t status = -1;
+    if (!order || !start || !budget || !avail || !found || !p || !shared || !entropy || !cand
+        || !screen.slots || !screen.placed || !screen.sums || !screen.at)
+        goto done;
+    double *first_cdf = p + m, *p_work = p + 2 * m, *cdf = p + 3 * m;
+    uint64_t *failed = cand + words;
+
+    int64_t n_order = 0;
+    for (int64_t d = max_degree; d > 0; d--)
+        for (int64_t j = 0; j < k; j++)
+            if (degrees[j] == d)
+                order[n_order++] = j;
+    for (int64_t j = 0, at = 0; j < k; at += degrees[j++])
+        start[j] = at;
+
+    blocker[0] = blocker[1] = -1;
+    status = 1;
+    for (int64_t restart = 0; restart < max_restarts && status; restart++) {
+        /* entropy: the words of seed + restart, restart < 2**32 */
+        uint64_t carry = (uint64_t)restart;
+        for (int64_t w = 0; w < n_words; w++, carry >>= 32)
+            entropy[w] = (uint32_t)(carry += seed_words[w]);
+        entropy[n_words] = (uint32_t)carry;
+        pcg64 rng = seed_sequence(entropy, n_words + (carry > 0), NULL, 0);
+
+        for (int64_t r = 0; r < m; r++)
+            budget[r] = check_degree - 2 + (r == 0);
+        memset(shared, 0, (size_t)(m * m));
+        memset(screen.slots, 0, 8 * (size_t)(slots * words));
+        screen.n_placed = 0;
+        for (int64_t r = 0; r < m; r++) {
+            /* H2's column r covers rows r and r + 1, its last column row m - 1 alone */
+            memset(cand, 0, 8 * (size_t)words);
+            cand[r / 64] |= 1ull << (r % 64);
+            if (r + 1 < m) {
+                cand[(r + 1) / 64] |= 1ull << ((r + 1) % 64);
+                shared[r * m + r + 1] = shared[(r + 1) * m + r] = 1;
+            }
+            screen_admit(&screen, cand);
+        }
+
+        int64_t placed = 0;
+        for (; placed < k; placed++) {
+            int64_t j = order[placed], degree = degrees[j], n_avail = 0, total = 0;
+            /* budgets change only on acceptance, so while this column redraws
+             * its rows with free places are fixed and a refused set is refused again */
+            for (int64_t r = 0; r < m; r++)
+                if (budget[r] > 0) {
+                    avail[n_avail++] = r;
+                    total += budget[r];
+                }
+            if (n_avail < degree) {
+                blocker[0] = n_avail;
+                blocker[1] = degree;
+                break;
+            }
+            for (int64_t i = 0; i < n_avail; i++)
+                p[i] = (double)budget[avail[i]] / (double)total;
+            scaled_cdf(p, n_avail, first_cdf);
+            int64_t n_sets = comb_capped(n_avail, degree, max_resample + 1), n_failed = 0;
+            int accepted = 0;
+            for (int64_t draw = 0; draw < max_resample && !accepted; draw++) {
+                draw_rows(&rng, p, first_cdf, n_avail, degree, p_work, cdf, found);
+                memset(cand, 0, 8 * (size_t)words);
+                for (int64_t i = 0; i < degree; i++) {
+                    int64_t r = avail[found[i]];
+                    cand[r / 64] |= 1ull << (r % 64);
+                }
+                int refused = 0;
+                for (int64_t f = 0; f < n_failed && !refused; f++)
+                    refused = !memcmp(failed + f * words, cand, 8 * (size_t)words);
+                if (refused)
+                    continue;
+                /* the 4-cycle test refuses far more row sets than the screen, so it runs first */
+                int closes = 0;
+                for (int64_t a = 0; a < degree && !closes; a++)
+                    for (int64_t b = a + 1; b < degree && !closes; b++)
+                        closes = shared[avail[found[a]] * m + avail[found[b]]];
+                accepted = !closes && screen_admit(&screen, cand);
+                if (!accepted) {
+                    memcpy(failed + n_failed++ * words, cand, 8 * (size_t)words);
+                    if (n_failed == n_sets)
+                        break; /* no row set is left to try */
+                }
+            }
+            if (!accepted) {
+                blocker[0] = blocker[1] = -1;
+                break;
+            }
+            int64_t *rows = cols + start[j];
+            for (int64_t i = 0; i < degree; i++) {
+                int64_t r = avail[found[i]], at = i;
+                for (; at > 0 && rows[at - 1] > r; at--)
+                    rows[at] = rows[at - 1];
+                rows[at] = r;
+                budget[r]--;
+            }
+            for (int64_t a = 0; a < degree; a++)
+                for (int64_t b = a + 1; b < degree; b++)
+                    shared[rows[a] * m + rows[b]] = shared[rows[b] * m + rows[a]] = 1;
+        }
+        if (placed == k)
+            status = 0;
+    }
+done:
+    free(order); free(start); free(budget); free(avail); free(found); free(p); free(shared);
+    free(entropy); free(cand); free(screen.slots); free(screen.placed); free(screen.sums);
+    free(screen.at);
+    return status;
 }

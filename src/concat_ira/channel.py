@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spa import _kernel
+from .spa import _kernel, _seed_words
 
 __all__ = [
     "RngStream",
@@ -65,12 +65,8 @@ class TrialStreams:
             raise ValueError(f"master_seed and trial indices must be >= 0, not {master_seed}, {lo}")
         if hi > 2**32:
             raise ValueError(f"trial indices must be below 2**32, not {hi - 1}")
-        # SeedSequence's entropy: master_seed as little-endian 32-bit words, then i
-        words = [master_seed & 0xFFFFFFFF]
-        while master_seed > 0xFFFFFFFF:
-            master_seed >>= 32
-            words.append(master_seed & 0xFFFFFFFF)
-        words = np.array(words, dtype=np.uint32)
+        # SeedSequence's entropy: master_seed's words, then i
+        words = _seed_words(master_seed)
         self.states = np.empty((max(hi - lo, 0), 4), dtype=np.uint64)
         _kernel().trial_seed(
             words.ctypes.data, len(words), lo, len(self.states), self.states.ctypes.data

@@ -9,18 +9,14 @@ generator matrix.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from math import comb
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .gf2 import SparseBinaryMatrix, _differing_lines, load_alist, save_alist
-from .spa import _kernel
+from .spa import _kernel, _seed_words
 
 __all__ = [
     "ConstructionError",
@@ -129,101 +125,6 @@ def default_degree_spec(k: int, m: int, check_degree: int = DEFAULT_CHECK_DEGREE
     return DegreeSpec(degrees, check_degree)
 
 
-def _closes_4_cycle(c2v: Sequence[Sequence[int]], rows: Sequence[int]) -> bool:
-    """Whether a new column over rows shares two of them with a column already
-    listed in c2v (each check's variables): a 4-cycle through it.
-
-    This is build_h1's ACE test.  A 4-cycle of two columns of degree <= 4 has
-    ACE <= 4 < eta = 5, and a cycle of length 6 or more is past d_ace = 2, so
-    at the default AceParams and degree spec the test is exact.
-    """
-    seen: set[int] = set()
-    for r in rows:
-        if not seen.isdisjoint(c2v[r]):
-            return True
-        seen.update(c2v[r])
-    return False
-
-
-class _LowWeightScreen:
-    """Incremental form, for construction, of the batch weight <= 4 test
-    ``has_codeword_of_weight_le4`` in ``tests/oracles.py``.
-
-    Tracks placed column supports and their pairwise sums; a candidate support
-    is rejected when accepting it would create a weight <= 4 codeword.  Pair
-    sums that collide between overlapping pairs imply a duplicate support, so
-    supports and sums share one flat set: a candidate clashes when it, or its
-    sum with any placed support, is in it.  A support is a bitmask of its
-    rows (bit r set for row r), so a support sum is one integer XOR.
-    """
-
-    def __init__(self, initial: Sequence[int]):
-        # initial holds no weight <= 4 codeword (H2's columns are independent)
-        self.low: set[int] = set()  # placed supports and their pairwise sums
-        self.placed: list[int] = []
-        for s in initial:
-            self.admit(s)
-
-    def admit(self, cand: int) -> bool:
-        """Register cand and return True, or return False if it clashes."""
-        if cand in self.low:
-            return False  # weight 2 or 3
-        sums = [cand ^ s for s in self.placed]
-        if not self.low.isdisjoint(sums):
-            return False  # weight 3 or 4
-        self.low.update(sums)
-        self.placed.append(cand)
-        self.low.add(cand)
-        return True
-
-
-def _row_mask(rows) -> int:
-    mask = 0
-    for r in rows:
-        mask |= 1 << int(r)
-    return mask
-
-
-class _WeightedSampler:
-    """``rng.choice(avail, size, replace=False, p=w / w.sum())`` without its
-    per-call overhead: the same values, leaving the same generator state.
-
-    As numpy does, draw one uniform per missing index, bisect each into the
-    cumulative probabilities (already drawn indices zeroed, scaled by the
-    last entry), keep first sightings in draw order and repeat until size
-    distinct indices are found.  Integer weights sum exactly, so w / total
-    is numpy's p to the bit.  The first round's table depends only on the
-    weights, so it is built once and serves every draw.
-    """
-
-    def __init__(self, avail: list[int], weights: list[int]):
-        self.avail = avail
-        total = sum(weights)
-        self.p = [w / total for w in weights]
-        self.cdf = self._scaled_cdf(self.p)
-
-    @staticmethod
-    def _scaled_cdf(p: list[float]) -> list[float]:
-        cdf = list(accumulate(p))
-        last = cdf[-1]
-        return [c / last for c in cdf]
-
-    def sample(self, rng: np.random.Generator, size: int) -> list[int]:
-        found: list[int] = []
-        cdf = self.cdf
-        while True:
-            for x in rng.random(size - len(found)).tolist():
-                i = bisect_right(cdf, x)
-                if i not in found:
-                    found.append(i)
-            if len(found) == size:
-                return [self.avail[i] for i in found]
-            p = self.p.copy()
-            for i in found:
-                p[i] = 0.0
-            cdf = self._scaled_cdf(p)
-
-
 def build_h1(k: int, m: int, seed: int) -> SparseBinaryMatrix:
     """Place the systematic columns of ``default_degree_spec(k, m)`` one at a
     time, highest degree first, resampling any placement that closes a
@@ -236,7 +137,9 @@ def build_h1(k: int, m: int, seed: int) -> SparseBinaryMatrix:
     the target check degree.  A column is stuck after max_resample draws,
     or at once when every row set has failed; a stuck column restarts the
     whole construction with the next derived seed.  Running out of restarts
-    raises with the constraint that bound.
+    raises with the constraint that bound.  The restarts run in C
+    (``_trial_kernel.c``), restart r drawing what
+    ``np.random.default_rng(seed + r)`` would draw.
 
     The low-weight screen guarantees minimum distance >= 5, which matters
     for floor studies: without it, undetected few-bit errors drown out the
@@ -250,59 +153,23 @@ def build_h1(k: int, m: int, seed: int) -> SparseBinaryMatrix:
     if max(spec.h1_column_degrees) > m:
         raise ValueError(f"a column degree exceeds the {m} available rows")
     ace = AceParams()
-    order = sorted(range(k), key=lambda j: (-spec.h1_column_degrees[j], j))
-    h2_cols = build_h2(m).col_support
-
-    last_blocker = "ACE resample budget exhausted"
-    for restart in range(_MAX_RESTARTS):
-        rng = np.random.default_rng(seed + restart)
-        # H2 gives row 0 weight 1 and every later row weight 2
-        budgets = [spec.check_degree_target - 2] * m
-        budgets[0] += 1
-        h1_cols: list[list[int]] = [[] for _ in range(k)]
-        rows_work: list[list[int]] = [[] for _ in range(m)]
-        for r, sup in enumerate(h2_cols):
-            for c in sup:
-                rows_work[c].append(k + r)
-        screen = _LowWeightScreen([_row_mask(s) for s in h2_cols])
-
-        for j in order:
-            degree = spec.h1_column_degrees[j]
-            # budgets change only on acceptance, so while this column resamples
-            # its rows with capacity are fixed and a row set that failed fails again
-            avail = [r for r, b in enumerate(budgets) if b > 0]
-            if len(avail) < degree:
-                last_blocker = (
-                    f"only {len(avail)} rows with remaining budget for a "
-                    f"degree-{degree} column"
-                )
-                break
-            sampler = _WeightedSampler(avail, [budgets[r] for r in avail])
-            n_sets = comb(len(avail), degree)
-            failed: set[int] = set()  # row masks this column was refused
-            for _ in range(ace.max_resample):
-                rows = sampler.sample(rng, degree)
-                cand = _row_mask(rows)
-                # the 4-cycle test refuses far more row sets than the screen, so it runs first
-                accepted = (cand not in failed and not _closes_4_cycle(rows_work, rows)
-                            and screen.admit(cand))
-                if accepted:
-                    break
-                failed.add(cand)
-                if len(failed) == n_sets:
-                    break  # no row set is left to try
-            if not accepted:
-                # this generator dies with the restart, so skipped draws change nothing
-                last_blocker = "ACE resample budget exhausted"
-                break
-            h1_cols[j] = sorted(rows)
-            for r in rows:
-                rows_work[r].append(j)
-                budgets[r] -= 1
-        else:
-            assert all(b == 0 for b in budgets)
-            return SparseBinaryMatrix(m, k, h1_cols)
-
+    words = _seed_words(seed)
+    degrees = np.array(spec.h1_column_degrees, dtype=np.int64)
+    rows = np.empty(int(degrees.sum()), dtype=np.int64)
+    blocker = np.empty(2, dtype=np.int64)
+    status = _kernel().ira_build_h1(
+        words.ctypes.data, len(words), k, m, spec.check_degree_target, degrees.ctypes.data,
+        ace.max_resample, _MAX_RESTARTS, rows.ctypes.data, blocker.ctypes.data,
+    )
+    if status < 0:
+        raise MemoryError(f"building a [{k + m}, {k}] code ran out of memory")
+    if status == 0:
+        return SparseBinaryMatrix(m, k, np.split(rows, np.cumsum(degrees)[:-1]))
+    avail, degree = blocker.tolist()
+    last_blocker = (
+        f"only {avail} rows with remaining budget for a degree-{degree} column"
+        if avail >= 0 else "ACE resample budget exhausted"
+    )
     raise ConstructionError(
         f"no placement satisfied ACE(d_ace={ace.d_ace}, eta={ace.eta}), low-weight screen on "
         f"within {_MAX_RESTARTS} restarts: {last_blocker}"

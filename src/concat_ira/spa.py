@@ -37,9 +37,10 @@ replaced, so outputs are bit-identical to it.
 It is built once per source, flags, compiler and host CPU by the system C
 compiler, into ``__pycache__`` next to this module, as one library with
 ``_trial_kernel.c`` (``channel.TrialStreams``, which every trial of both
-systems draws through, and ``ira.encode_batch``), from these two sources and
-libm alone; a build that fails makes every decode, trial stream and encoding
-raise RuntimeError.
+systems draws through, ``ira.encode_batch`` and the construction of
+``ira.build_h1``), from these two sources and libm alone; a build that
+fails makes every decode, trial stream, encoding and code construction
+(``build_code``, and so the CLI's ``construct``) raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ def _kernel() -> ctypes.CDLL:
                 ("trial_bits", [ptr, i64, i64, ptr], None),
                 ("trial_llrs", [ptr, i64, i64, ptr, ctypes.c_double, ptr], None),
                 ("ira_encode", [ptr, i64, i64, i64, ptr, ptr], None),
+                ("ira_build_h1", [ptr, i64, i64, i64, i64, ptr, i64, i64, ptr, ptr], i64),
             ):
                 fn = getattr(lib, name)
                 fn.argtypes = argtypes
@@ -188,6 +190,16 @@ def _kernel() -> ctypes.CDLL:
     if isinstance(_LIB, str):
         raise RuntimeError(_LIB)
     return _LIB
+
+
+def _seed_words(seed: int) -> np.ndarray:
+    """The entropy words SeedSequence takes from an integer seed >= 0: its
+    32-bit words, least significant first, one zero word for seed 0."""
+    words = [seed & 0xFFFFFFFF]
+    while seed > 0xFFFFFFFF:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
 
 
 _LANES = 4  # rows per tile: LANES of _spa_kernel.c

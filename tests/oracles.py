@@ -647,7 +647,7 @@ def reference_ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bo
     """The ACE test of ``reference_build_h1``, for any (d_ace, eta): the
     pruned search that descends to the last depth before testing for a
     closing check.  ``ira.build_h1`` builds only at the default AceParams,
-    where this test is exactly its 4-cycle test ``ira._closes_4_cycle``.
+    where this test is exactly the 4-cycle test of its C construction.
 
     A cycle through v carries at least deg(v)-2, so the test passes outright
     once that base reaches eta.  Otherwise a violating cycle must keep its
@@ -682,8 +682,9 @@ def reference_ace_passes(graph: TannerGraph, v: int, d_ace: int, eta: int) -> bo
 
 
 class _LowWeightScreen:
-    """Reference for ``ira._LowWeightScreen``: supports and pair sums in two
-    sets, each candidate tested against both in a Python loop.
+    """Reference for the low-weight screen of ``ira.build_h1``'s C
+    construction: supports and pair sums in two sets, each candidate tested
+    against both in a Python loop.
 
     Incremental form, for construction, of the batch weight <= 4 test
     ``has_codeword_of_weight_le4``.

@@ -84,10 +84,10 @@ class TestConstruct:
     def test_bad_restart_arguments_give_one_error_line(
         self, tmp_path, capsys, monkeypatch, flag, value, message
     ):
-        def default_rng(*args):
-            raise RuntimeError("a restart generator was made")
+        def kernel():
+            raise RuntimeError("the construction kernel was called")
 
-        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        monkeypatch.setattr(ci.ira, "_kernel", kernel)
         rc = run_cli(
             "construct", "--k", 128, "--n", 181, flag, value, "--out", tmp_path / "code",
         )

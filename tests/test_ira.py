@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import concat_ira as ci
 from concat_ira.gf2 import AlistError
-from concat_ira.ira import (
-    ConstructionError, SidecarError, _LowWeightScreen, _WeightedSampler, _closes_4_cycle, _row_mask,
-)
+from concat_ira.ira import ConstructionError, SidecarError
 
+import oracles
 from conftest import TOY_ACE
 from oracles import (
     ace_audit, ace_check, dense_encode_batch, dense_syndrome, has_codeword_of_weight_le4,
-    reference_build_code, reference_build_h1, reference_encode_batch, tanner_graph, to_dense,
+    reference_ace_passes, reference_build_code, reference_build_h1, reference_encode_batch,
+    tanner_graph, to_dense,
 )
 
 
@@ -98,13 +98,21 @@ class TestBuildH1:
         b = ci.build_code(128, 181, seed=3)
         assert a.H.row_support == b.H.row_support
 
-    def test_negative_seed_refused_before_any_work(self):
+    @pytest.mark.parametrize("k, m, seed, error, message", [
         # the spec would fail its own edge-budget check if it were reached:
         # a degree-4 column over 3 rows
-        with pytest.raises(ValueError, match="^a column degree exceeds the 3 available rows$"):
-            ci.build_h1(7, 3, 0)
-        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
-            ci.build_h1(7, 3, -1)
+        (7, 3, 0, ValueError, "^a column degree exceeds the 3 available rows$"),
+        (7, 3, -1, ValueError, "^seed must be >= 0, got -1$"),
+        (4, 2, 0, ConstructionError, "^edge budget 17 exceeds what K=4 columns"),
+        (10, 3, 0, ConstructionError, "^edge budget 25 cannot give 10 columns degree >= 3$"),
+    ])
+    def test_refused_before_the_kernel_runs(self, monkeypatch, k, m, seed, error, message):
+        def kernel():
+            raise AssertionError("the construction kernel was called")
+
+        monkeypatch.setattr(ci.ira, "_kernel", kernel)
+        with pytest.raises(error, match=message):
+            ci.build_h1(k, m, seed)
 
     @pytest.mark.xfail(
         strict=True,
@@ -124,24 +132,34 @@ def _build_outcome(build, *args):
     return h.col_support
 
 
-class TestBuildH1MatchesReference:
-    """``build_h1`` skips a column's resamples once every row set has failed,
-    tests for a 4-cycle where the reference runs its general ACE search, runs
-    that test before the low-weight screen and draws rows without
-    ``Generator.choice``.  It must still give exactly the matrix, or the
-    refusal, of the construction in ``tests/oracles.py`` at the default
-    settings."""
+def _both(k, n, seed):
+    """The outcomes of ``build_h1`` and of the construction in
+    ``tests/oracles.py`` at the default settings, which must be equal."""
+    m = n - k
+    spec = ci.default_degree_spec(k, m)
+    return (_build_outcome(ci.build_h1, k, m, seed),
+            _build_outcome(reference_build_h1, k, m, spec, ci.AceParams(), seed))
 
-    @staticmethod
-    def both(k, n, seed):
-        m = n - k
-        spec = ci.default_degree_spec(k, m)
-        return (_build_outcome(ci.build_h1, k, m, seed),
-                _build_outcome(reference_build_h1, k, m, spec, ci.AceParams(), seed))
+
+class TestBuildH1MatchesReference:
+    """``build_h1`` runs in C: it skips a column's resamples once every row
+    set has failed, tests for a 4-cycle where the reference runs its general
+    ACE search, runs that test before the low-weight screen, and draws rows
+    and seeds each restart with its own port of NumPy's generator.  It must
+    still give exactly the matrix, or the refusal, of the reference."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_paper_shape(self, seed):
-        ours, reference = self.both(128, 181, seed)
+        ours, reference = _both(128, 181, seed)
+        assert ours == reference
+
+    @pytest.mark.parametrize("seed", [
+        2**32 - 3,  # restart 3 seeds from two entropy words, and restart 11 builds
+        2**64 - 3,  # restart 3 seeds from three words, and restart 7 builds
+        2**64 + 1,  # three words from the start; restart 3 builds
+    ])
+    def test_restart_seeds_of_several_entropy_words(self, seed):
+        ours, reference = _both(128, 181, seed)
         assert ours == reference
 
     @pytest.mark.parametrize("k, n, seed", [
@@ -152,9 +170,26 @@ class TestBuildH1MatchesReference:
     ])
     def test_other_shapes(self, k, n, seed):
         # every restart of the [23, 16] shape gets stuck
-        ours, reference = self.both(k, n, seed)
+        ours, reference = _both(k, n, seed)
         assert ours == reference
         assert isinstance(ours, str) == (k == 16)
+
+
+@pytest.mark.slow
+class TestBuildH1MatchesReferenceSweep:
+    """More seeds than tier-1 holds, of the paper's shape and of the two
+    largest in ``test_other_shapes``, whose row masks take two words."""
+
+    @pytest.mark.parametrize("seed", range(16, 64))
+    def test_paper_shape(self, seed):
+        ours, reference = _both(128, 181, seed)
+        assert ours == reference
+
+    @pytest.mark.parametrize("k, n", [(200, 275), (256, 352)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_larger_shapes(self, k, n, seed):
+        ours, reference = _both(k, n, seed)
+        assert ours == reference
 
 
 class TestStoredCodeBytes:
@@ -174,17 +209,23 @@ class TestStoredCodeBytes:
 
 
 class TestAcePasses:
-    """The construction's 4-cycle test against the exhaustive ACE check at the
-    default AceParams, on columns of degree <= 4 as the construction's are."""
+    """``build_h1`` refuses a column that shares two rows with a placed
+    column, of H1 or H2: a 4-cycle through it.  On columns of degree <= 4,
+    as the construction's are, that test and the reference's ACE search are
+    each the exhaustive ACE check at the default AceParams."""
 
     @staticmethod
     def assert_matches(h):
         g = tanner_graph(h)
         ace = ci.AceParams()
         for v in range(h.n_cols):
-            others = [[u for u in row if u != v] for row in h.row_support]
-            assert _closes_4_cycle(others, h.col_support[v]) == \
-                (not ace_check(g, v, ace.d_ace, ace.eta).passed)
+            closes_4_cycle = any(
+                len(set(h.col_support[v]) & set(col)) >= 2
+                for u, col in enumerate(h.col_support) if u != v
+            )
+            passed = ace_check(g, v, ace.d_ace, ace.eta).passed
+            assert closes_4_cycle == (not passed)
+            assert reference_ace_passes(g, v, ace.d_ace, ace.eta) == passed
 
     @pytest.mark.parametrize("graph_seed", range(12))
     def test_matches_exhaustive_check(self, graph_seed):
@@ -202,60 +243,41 @@ class TestAcePasses:
             self.assert_matches(code.H)
 
 
-class TestWeightedSampleContract:
-    """``build_h1`` draws each row set with ``_weighted_sample``.  The codes
-    stay the same only while it gives what ``Generator.choice`` gives, and
-    leaves the generator where ``choice`` leaves it."""
+class TestRowDraws:
+    """``build_h1`` draws each row set as ``Generator.choice(avail, degree,
+    replace=False, p=budgets / total)`` does: one double per missing row,
+    bisected into the scaled cumulative table, first sightings kept, and a
+    redraw round over a renormalised table while rows are missing.  A code
+    stays the same only while those draws, and so where the generator
+    stands after them, match the reference's ``choice`` calls."""
 
-    @staticmethod
-    def both(seed, avail, weights, size):
-        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _WeightedSampler(avail, weights).sample(ours, size)
-        w = np.array(weights, dtype=np.float64)
-        want = numpys.choice(np.array(avail), size=size, replace=False, p=w / w.sum())
-        assert got == want.tolist()
-        assert ours.bit_generator.state == numpys.bit_generator.state
-        return ours
+    @pytest.mark.parametrize("k, n, seed", [
+        (128, 181, 24), (128, 176, 0), (128, 176, 1), (160, 220, 0), (256, 352, 0),
+    ])
+    def test_builds_whose_draws_redraw_match_the_reference(self, monkeypatch, k, n, seed):
+        make_rng, calls, redrawn = np.random.default_rng, [0], [0]
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4])
-    def test_random_budgets(self, size):
-        rng = np.random.default_rng(size)
-        for seed in range(300):
-            n_avail = int(rng.integers(size, 54))
-            avail = sorted(rng.choice(60, size=n_avail, replace=False).tolist())
-            weights = rng.integers(1, 10, n_avail).tolist()
-            self.both(seed, avail, weights, size)
+        class Spy:
+            """The reference's generator, counting the choice calls that
+            drew more doubles than rows."""
 
-    @pytest.mark.parametrize("size", [1, 2, 3, 4])
-    def test_every_row_taken(self, size):
-        for seed in range(50):
-            self.both(seed, list(range(10, 10 + size)), [1 + seed % 3] * size, size)
+            def __init__(self, seed):
+                self.rng = make_rng(seed)
 
-    @pytest.mark.parametrize("size", [2, 3, 4])
-    def test_skewed_weights_force_redraws(self, size):
-        redrawn = 0
-        for seed in range(100):
-            weights = [1000] + [1] * (size + 2)
-            rng = self.both(seed, list(range(size + 3)), weights, size)
-            once = np.random.default_rng(seed)
-            once.random(size)
-            redrawn += rng.bit_generator.state != once.bit_generator.state
-        assert redrawn > 50
+            def choice(self, a, size, replace, p):
+                once = make_rng()
+                once.bit_generator.state = self.rng.bit_generator.state
+                once.random(size)
+                rows = self.rng.choice(a, size=size, replace=replace, p=p)
+                calls[0] += 1
+                redrawn[0] += once.bit_generator.state != self.rng.bit_generator.state
+                return rows
 
-    @pytest.mark.parametrize("size", [2, 3, 4])
-    def test_one_table_serves_every_resample(self, size):
-        # build_h1 builds a column's table once and draws from it at every
-        # resample, so a redraw round must leave the table as it found it
-        for seed in range(60):
-            avail = list(range(5, 5 + size + 3))
-            weights = [1000 if seed % 2 else 3] + [1 + (seed + i) % 4 for i in range(size + 2)]
-            sampler = _WeightedSampler(avail, weights)
-            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
-            w = np.array(weights, dtype=np.float64)
-            for _ in range(6):
-                want = numpys.choice(np.array(avail), size=size, replace=False, p=w / w.sum())
-                assert sampler.sample(ours, size) == want.tolist()
-            assert ours.bit_generator.state == numpys.bit_generator.state
+        monkeypatch.setattr(oracles.np.random, "default_rng", Spy)
+        ours, reference = _both(k, n, seed)
+        assert ours == reference
+        # 250 to 900 draws each, 13 to 207 of them redrawn
+        assert calls[0] > 200 and redrawn[0] > 10
 
 
 class TestAceCheck:
@@ -375,27 +397,33 @@ class TestLowWeightScreen:
         assert disagreements == 0
 
     def test_screen_admits_exactly_what_the_batch_check_passes(self):
-        # grow random support sets column by column: the incremental screen must
-        # refuse a column exactly when the batch check finds a weight <= 4 codeword
+        # grow random support sets column by column: the reference's incremental
+        # screen, which build-level equality pins build_h1's to, must refuse a
+        # column exactly when the batch check finds a weight <= 4 codeword
         rng = np.random.default_rng(3)
         outcomes = {True: 0, False: 0}
         for _ in range(80):
             n_rows = int(rng.integers(4, 9))
-            screen, placed = _LowWeightScreen(()), []
+            screen, placed = oracles._LowWeightScreen(()), []
             for _ in range(int(rng.integers(2, 14))):
                 size = int(rng.integers(1, n_rows + 1))
                 rows = sorted(rng.choice(n_rows, size=size, replace=False).tolist())
                 trial = ci.SparseBinaryMatrix(n_rows, len(placed) + 1, placed + [rows])
                 clean = not has_codeword_of_weight_le4(trial)
-                assert screen.admit(_row_mask(rows)) == clean
+                assert screen.clashes(oracles._row_mask(rows)) == (not clean)
                 outcomes[clean] += 1
                 if clean:
+                    screen.register(oracles._row_mask(rows))
                     placed.append(rows)
-            assert screen.placed == [_row_mask(c) for c in placed]
+            assert screen.placed == [oracles._row_mask(c) for c in placed]
         assert min(outcomes.values()) > 50
 
     def test_screened_code_is_clean(self, paper_outer):
         assert not has_codeword_of_weight_le4(paper_outer.H)
+
+    @pytest.mark.parametrize("k, n", [(200, 275), (256, 352)])
+    def test_screened_codes_of_two_word_row_masks_are_clean(self, k, n):
+        assert not has_codeword_of_weight_le4(ci.build_code(k, n).H)
 
     def test_duplicate_column_detected(self):
         m = ci.SparseBinaryMatrix(3, 2, [(0, 1), (0, 1)])

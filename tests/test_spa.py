@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.resources
 import os
@@ -688,6 +689,14 @@ class TestOutputRule:
         assert_valid_rows_satisfy_every_check(to_dense(paper_outer.H), res.posterior, res.valid)
 
 
+class TestSeedWords:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1])
+    def test_entropy_words_are_numpys(self, seed):
+        words = spa._seed_words(seed)
+        expected = np.random.bit_generator._coerce_to_uint32_array(seed)
+        assert words.dtype == np.uint32 and words.tolist() == expected.tolist()
+
+
 class TestKernel:
     def test_corpus_decisions_are_pinned_and_outputs_equal_the_reference(self, paper_outer):
         check_corpus(paper_outer)
@@ -792,7 +801,7 @@ class TestKernel:
         assert list(tmp_path.iterdir()) == [built]
 
     @pytest.mark.parametrize("compiler", ["missing", "failing", "located"])
-    def test_failed_build_raises_at_every_decode_and_builds_once(
+    def test_failed_build_raises_at_every_decode_and_construction_and_builds_once(
         self, toy_outer, tmp_path, monkeypatch, compiler
     ):
         cc, log = tmp_path / "cc", tmp_path / "runs"
@@ -817,6 +826,8 @@ class TestKernel:
         for _ in range(2):
             with pytest.raises(RuntimeError, match=message):
                 ci.decode(toy_outer, np.zeros(12))
+        with pytest.raises(RuntimeError, match=message):
+            ci.build_code(128, 181, seed=1)
         assert list(cache.iterdir()) == []
         runs = log.read_text() if log.exists() else ""
         assert runs == ("" if compiler == "missing" else "run\n")
@@ -861,10 +872,12 @@ class TestKernel:
         done = subprocess.run(command, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
-    def test_source_ships_with_the_package(self):
+    def test_package_data_lists_exactly_the_sources(self):
+        # a source left out of an installed wheel fails every build there;
         # pyproject.toml is read as text: Python 3.10 has no tomllib
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
-        (listed,) = re.findall(r"^concat_ira = \[(.*)\]$", pyproject, re.MULTILINE)
+        section = pyproject.split("\n[tool.setuptools.package-data]\n", 1)[1].split("\n[", 1)[0]
+        (listed,) = re.findall(r"^concat_ira = (\[.*\])$", section, re.MULTILINE)
+        assert sorted(ast.literal_eval(listed)) == sorted(source.name for source in spa._SOURCES)
         for source in spa._SOURCES:
-            assert f'"{source.name}"' in listed
             assert (importlib.resources.files("concat_ira") / source.name).is_file()
